@@ -127,7 +127,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if _, err := core.NewPolicy(core.PolicyKind(*policy)); err != nil {
+	if _, err := core.NewPolicy(core.PolicyKind(*policy), 0); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

@@ -26,15 +26,16 @@ import (
 //	1. Cache.funcsMu   (RWMutex) — the function table (the funcs map).
 //	                   functionCache values are immutable copy-on-write
 //	                   snapshots. Write-locked only by RegisterFunction.
-//	2. Cache.admitMu   (Mutex) — the admission/eviction lock: the expiry
-//	                   heap, its stale count, and the eviction loop.
+//	2. Cache.admitMu   (Mutex) — the admission/eviction lock: every
+//	                   mutation of the entry table, the victim and
+//	                   expiry heaps and the entries' heap slots.
 //	                   Writers only; lookups never touch it.
 //	3. keyIndex.mu     (RWMutex, one per key type) — that key type's
 //	                   index structure and member map. Lookups on
 //	                   different functions (or different key types)
 //	                   touch different locks and proceed in parallel.
 //	Leaf locks (never held while acquiring any of the above):
-//	   Tuner.mu, Reputation.mu, Cache.rngMu.
+//	   Tuner.mu, Reputation.mu, Cache.rngMu (dropout draws).
 //
 // A later lock may be acquired while holding an earlier one, never the
 // reverse. The entry table itself is a sync.Map with lock-free reads,
@@ -49,8 +50,9 @@ import (
 // after releasing the index lock. Between the two steps the entry may
 // be evicted (the lookup then reports a miss) or a racing put may not
 // have published the entry yet (also a miss) — both are benign.
-// Removal is exactly-once via the entry table's LoadAndDelete, which
-// keeps the atomic accounting consistent under racing removers.
+// Entries are published to and removed from the table only under
+// admitMu, together with their heap items, so whenever admitMu is free
+// the table, both heaps and the entry count hold the same set.
 
 // Common errors returned by the cache.
 var (
@@ -253,7 +255,7 @@ type Cache struct {
 	// of an interface call returning a full wall+monotonic timestamp.
 	realClk bool
 
-	// rngMu guards rng (dropout draws, random eviction). Leaf lock.
+	// rngMu guards rng (dropout draws). Leaf lock.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -265,29 +267,20 @@ type Cache struct {
 	funcs   map[string]*functionCache
 
 	// entries is the entry table (ID → *entry). Reads are lock-free;
-	// removal is exactly-once via LoadAndDelete, which anchors the
-	// atomic bytes/count accounting.
+	// writes happen under admitMu.
 	entries entryTable
 	count   atomic.Int64
 	bytes   atomic.Int64
 
 	// admitMu is the admission/eviction lock (second in the lock
-	// order): it guards expiry, staleExpiry, and the eviction loop.
-	// Only mutating operations take it; lookups check nextExpiry
-	// instead.
+	// order): it guards table writes and the two heaps, which hold
+	// exactly the live entries — victims keyed by policy score (lazily,
+	// see Victim), expiry by deadline. Only mutating operations take
+	// it; lookups check nextExpiry instead.
 	admitMu sync.Mutex
-	expiry  expiryHeap
-	// evictScratch is the candidate slice reused across eviction rounds
-	// (guarded by admitMu). Entries linger in the backing array until
-	// the next eviction overwrites them — at most one round's worth of
-	// otherwise-dead pointers, traded for zero steady-state allocation.
-	evictScratch []*entry
-	// staleExpiry counts heap items whose entry has already been
-	// removed (evicted or invalidated before its deadline). The heap is
-	// compacted when stale items outnumber live entries, so
-	// eviction-heavy workloads with long TTLs cannot grow it unboundedly.
-	staleExpiry int
-	// nextExpiry is the UnixNano deadline of the heap head (MaxInt64
+	victims Heap[*entry]
+	expiry  Heap[*entry]
+	// nextExpiry is the UnixNano deadline of the expiry head (MaxInt64
 	// when empty), letting every operation test "anything expired?"
 	// with one atomic load instead of a shared lock.
 	nextExpiry atomic.Int64
@@ -382,19 +375,21 @@ type keyIndex struct {
 // NewPolicy to validate user input first.
 func New(cfg Config) *Cache {
 	cfg = cfg.normalized()
-	pol, err := NewPolicy(cfg.Policy)
+	pol, err := NewPolicy(cfg.Policy, cfg.Seed+2)
 	if err != nil {
 		panic(err)
 	}
 	c := &Cache{
-		cfg:    cfg,
-		clk:    cfg.Clock,
-		policy: pol,
-		rng:    rand.New(rand.NewSource(cfg.Seed + 1)),
-		equal:  cfg.Equal,
-		funcs:  make(map[string]*functionCache),
-		store:  cfg.Store,
-		tap:    cfg.Tap,
+		cfg:     cfg,
+		clk:     cfg.Clock,
+		policy:  pol,
+		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
+		equal:   cfg.Equal,
+		funcs:   make(map[string]*functionCache),
+		victims: NewHeap(func(e *entry) *int { return &e.victimSlot }),
+		expiry:  NewHeap(func(e *entry) *int { return &e.expirySlot }),
+		store:   cfg.Store,
+		tap:     cfg.Tap,
 	}
 	_, c.realClk = c.clk.(clock.Real)
 	c.nextExpiry.Store(math.MaxInt64)
@@ -1004,10 +999,11 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	e.lastAccess.Store(now.UnixNano())
 
 	// Insert into the key indices first and publish to the entry table
-	// after: a racing lookup that sees the index entry but not the entry
-	// record treats it as a miss, which is safe. The reverse order would
-	// let eviction unlink the entry while its index insertions are still
-	// in flight, leaking index nodes.
+	// after, under admitMu: a racing lookup that sees the index entry but
+	// not the entry record treats it as a miss, and a racing invalidation
+	// or purge finds nothing to remove, so the put orders after it. The
+	// reverse order would let eviction unlink the entry while its index
+	// insertions are still in flight, leaking index nodes.
 	for i, ki := range kis {
 		if keys[i] == nil {
 			continue
@@ -1018,9 +1014,6 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		}
 		ki.mu.Unlock()
 	}
-	c.entries.store(e)
-	c.count.Add(1)
-	c.bytes.Add(int64(size))
 	if traced {
 		stages = append(stages, telemetry.SpanStage{
 			Name: telemetry.StageInsert, DurationNs: int64(c.sinceFast(mark)),
@@ -1048,15 +1041,16 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		}
 	}
 	c.admitMu.Lock()
+	c.publishLocked(e)
 	if durRec != nil {
-		// Under admitMu: a racing put's eviction pass could otherwise
-		// claim this just-published entry and log its delete record
-		// BEFORE this put record, resurrecting the entry at replay.
+		// Under admitMu, so the log order is the admit order: no delete
+		// record for this entry can precede its put record.
 		c.store.LogPut(*durRec)
 	}
-	c.expiry.push(expiryItem{at: e.expiresAt, id: id})
-	c.updateNextExpiryLocked()
-	evicted, cause := c.evictLocked(now, id)
+	// Evict before the entry joins the victim heap: the paper replaces
+	// the victim WITH the new entry (§3.6), never the new entry itself.
+	evicted, cause := c.evictLocked(now)
+	c.enqueueLocked(e)
 	c.admitMu.Unlock()
 	fc.stats.puts.Add(1)
 	if c.tap != nil {
@@ -1252,69 +1246,79 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 	return groups[best].rep, groups[best].repKey, nearest, probes, true, sawExpired
 }
 
-// evictLocked enforces the capacity bounds, excluding the just-inserted
-// entry (the paper replaces the victim WITH the new entry, §3.6).
-// Caller holds admitMu, which serializes evictions so two racing puts
-// cannot both evict for the same overflow. Returns how many entries
-// were evicted and which bound forced it ("entries", "bytes", or ""),
-// so the admitting put's span can name the eviction cause.
-func (c *Cache) evictLocked(now time.Time, exclude ID) (evicted int, cause string) {
-	over := func() bool {
-		if c.cfg.MaxEntries > 0 && c.count.Load() > int64(c.cfg.MaxEntries) {
-			if cause == "" {
-				cause = "entries"
-			}
-			return true
-		}
-		if c.cfg.MaxBytes > 0 && c.bytes.Load() > c.cfg.MaxBytes {
-			if cause == "" {
-				cause = "bytes"
-			}
-			return true
-		}
-		return false
+// publishLocked makes e live: visible in the entry table and counted
+// against the capacity bounds. Caller holds admitMu and follows up with
+// enqueueLocked before releasing it.
+func (c *Cache) publishLocked(e *entry) {
+	c.entries.store(e)
+	c.count.Add(1)
+	c.bytes.Add(int64(e.size))
+}
+
+// enqueueLocked enters a published entry into the victim and expiry
+// heaps. Caller holds admitMu.
+func (c *Cache) enqueueLocked(e *entry) {
+	c.victims.Push(e, c.policy.Score(e.meta()), uint64(e.id))
+	c.expiry.Push(e, Score(e.expiresAt.UnixNano()), uint64(e.id))
+	c.updateNextExpiryLocked()
+}
+
+// overBound names the capacity bound the cache currently exceeds
+// ("entries", "bytes", or "" when within both).
+func (c *Cache) overBound() string {
+	if c.cfg.MaxEntries > 0 && c.count.Load() > int64(c.cfg.MaxEntries) {
+		return "entries"
 	}
-	for over() {
-		// evictScratch (guarded by admitMu, like the rest of the eviction
-		// state) is recycled across rounds and calls: at the replacement
-		// benchmark's churn rate, rebuilding the candidate slice per victim
-		// dominated the allocation profile.
-		cands := c.evictScratch[:0]
-		c.entries.forEach(func(e *entry) bool {
-			if e.id != exclude {
-				cands = append(cands, e)
-			}
-			return true
-		})
-		c.evictScratch = cands
-		if len(cands) == 0 {
-			return evicted, cause
+	if c.cfg.MaxBytes > 0 && c.bytes.Load() > c.cfg.MaxBytes {
+		return "bytes"
+	}
+	return ""
+}
+
+// evictLocked enforces the capacity bounds by evicting the policy's
+// victims until they hold or no candidate is left. Caller holds admitMu,
+// which serializes evictions so two racing puts cannot both evict for
+// the same overflow. Returns how many entries were evicted and which
+// bound first forced it ("entries", "bytes", or ""), so the admitting
+// put's span can name the eviction cause.
+func (c *Cache) evictLocked(now time.Time) (evicted int, cause string) {
+	for c.victims.Len() > 0 {
+		bound := c.overBound()
+		if bound == "" {
+			break
 		}
-		c.rngMu.Lock()
-		victim := c.policy.Victim(cands, now, c.rng)
-		c.rngMu.Unlock()
-		e := c.removeEntryLocked(victim)
-		if e == nil {
-			return evicted, cause
+		if cause == "" {
+			cause = bound
 		}
+		e := Victim(c.policy, &c.victims, (*entry).meta)
+		c.removeEntryLocked(e.id, false)
 		evicted++
 		c.ctr.evictions.Add(1)
 		if c.tel != nil {
 			c.tel.RecordEvent(telemetry.Event{
 				At: now.UnixNano(), Kind: telemetry.EventEvict,
-				Detail: e.app, Value: e.importance(), Aux: float64(e.size),
+				Detail: e.app, Value: e.meta().Importance(), Aux: float64(e.size),
 			})
 		}
 	}
 	return evicted, cause
 }
 
-// unlinkEntry detaches an already-claimed entry from its owner indices
-// and settles the accounting. The caller must have won the entry via
-// loadAndDelete, which makes the unlink exactly-once. Takes each
-// owner's index lock (after admitMu in the documented order, when the
-// caller holds it).
-func (c *Cache) unlinkEntry(e *entry) {
+// removeEntryLocked removes a live entry from the table, both heaps and
+// its owner indices, and settles the accounting. Returns the removed
+// entry, or nil when id is not live. Removals before the deadline
+// (evictions, invalidations) are logged as tombstones for replay;
+// expirations are not — recovery drops them by their absolute deadline.
+// Caller holds admitMu; each owner's index lock comes after it in the
+// documented order.
+func (c *Cache) removeEntryLocked(id ID, expired bool) *entry {
+	e := c.entries.loadAndDelete(id)
+	if e == nil {
+		return nil
+	}
+	c.victims.Remove(e)
+	c.expiry.Remove(e)
+	c.updateNextExpiryLocked()
 	for _, ki := range e.owners {
 		ki.mu.Lock()
 		if _, ok := ki.members[e.id]; ok {
@@ -1325,61 +1329,20 @@ func (c *Cache) unlinkEntry(e *entry) {
 	}
 	c.bytes.Add(-int64(e.size))
 	c.count.Add(-1)
-}
-
-// removeEntryLocked removes a live entry whose expiry-heap item is
-// still queued: the item becomes stale and is reclaimed either by
-// compaction or when its deadline passes. Returns the removed entry,
-// or nil when another remover won the race. Caller holds admitMu.
-func (c *Cache) removeEntryLocked(id ID) *entry {
-	e := c.entries.loadAndDelete(id)
-	if e == nil {
-		return nil
-	}
-	c.unlinkEntry(e)
-	if c.store != nil {
-		// Evictions and invalidations remove entries before their
-		// deadline, so replay needs the tombstone; expirations (the
-		// purge path) are not logged — recovery drops them by their
-		// absolute deadline.
+	if c.store != nil && !expired {
 		c.store.LogDelete(uint64(id))
 	}
-	c.staleExpiry++
-	c.maybeCompactExpiryLocked()
 	return e
 }
 
-// expiryCompactMin keeps tiny heaps from being rebuilt on every
-// removal; compaction only kicks in past this many stale items.
-const expiryCompactMin = 8
-
-// maybeCompactExpiryLocked rebuilds the expiry heap from the live
-// entries once stale items outnumber them, bounding the heap at
-// O(live entries) regardless of eviction churn. Caller holds admitMu.
-func (c *Cache) maybeCompactExpiryLocked() {
-	live := int(c.count.Load())
-	if c.staleExpiry < expiryCompactMin || c.staleExpiry <= live {
-		return
-	}
-	h := make(expiryHeap, 0, live)
-	c.entries.forEach(func(e *entry) bool {
-		h = append(h, expiryItem{at: e.expiresAt, id: e.id})
-		return true
-	})
-	h.init()
-	c.expiry = h
-	c.staleExpiry = 0
-	c.updateNextExpiryLocked()
-}
-
-// updateNextExpiryLocked republishes the heap head's deadline for the
+// updateNextExpiryLocked republishes the expiry head's deadline for the
 // lock-free expiry check. Caller holds admitMu.
 func (c *Cache) updateNextExpiryLocked() {
-	if len(c.expiry) == 0 {
-		c.nextExpiry.Store(math.MaxInt64)
-		return
+	next := Score(math.MaxInt64)
+	if c.expiry.Len() > 0 {
+		_, next = c.expiry.Min()
 	}
-	c.nextExpiry.Store(c.expiry[0].at.UnixNano())
+	c.nextExpiry.Store(int64(next))
 }
 
 // removeAppEntries purges every entry inserted by app (used when the
@@ -1395,7 +1358,7 @@ func (c *Cache) removeAppEntries(app string) {
 	c.admitMu.Lock()
 	defer c.admitMu.Unlock()
 	for _, id := range ids {
-		if c.removeEntryLocked(id) != nil {
+		if c.removeEntryLocked(id, false) != nil {
 			c.ctr.evictions.Add(1)
 		}
 	}
@@ -1420,28 +1383,21 @@ func (c *Cache) maybePurgeExpired(now time.Time) {
 // the janitor. Caller holds admitMu. Returns the number of expirations.
 func (c *Cache) purgeExpiredLocked(now time.Time) int {
 	purged := 0
-	for len(c.expiry) > 0 && !c.expiry[0].at.After(now) {
-		item := c.expiry.popMin()
-		e := c.entries.loadAndDelete(item.id)
-		if e == nil {
-			// Stale heap item: its entry was evicted or invalidated
-			// earlier. Popping it retires one stale slot.
-			if c.staleExpiry > 0 {
-				c.staleExpiry--
-			}
-			continue
+	for c.expiry.Len() > 0 {
+		e, _ := c.expiry.Min()
+		if e.expiresAt.After(now) {
+			break
 		}
-		c.unlinkEntry(e)
+		c.removeEntryLocked(e.id, true)
 		c.ctr.expirations.Add(1)
 		purged++
 		if c.tel != nil {
 			c.tel.RecordEvent(telemetry.Event{
 				At: now.UnixNano(), Kind: telemetry.EventExpire,
-				Detail: e.app, Value: e.importance(), Aux: float64(e.size),
+				Detail: e.app, Value: e.meta().Importance(), Aux: float64(e.size),
 			})
 		}
 	}
-	c.updateNextExpiryLocked()
 	return purged
 }
 
@@ -1460,18 +1416,11 @@ func (c *Cache) PurgeExpired() int {
 func (c *Cache) NextExpiry() (time.Time, bool) {
 	c.admitMu.Lock()
 	defer c.admitMu.Unlock()
-	for len(c.expiry) > 0 {
-		head := c.expiry[0]
-		if e := c.entries.load(head.id); e != nil {
-			return head.at, true
-		}
-		c.expiry.popMin() // stale
-		if c.staleExpiry > 0 {
-			c.staleExpiry--
-		}
+	if c.expiry.Len() == 0 {
+		return time.Time{}, false
 	}
-	c.updateNextExpiryLocked()
-	return time.Time{}, false
+	e, _ := c.expiry.Min()
+	return e.expiresAt, true
 }
 
 // Len returns the number of live entries.
@@ -1479,13 +1428,6 @@ func (c *Cache) Len() int { return int(c.count.Load()) }
 
 // Bytes returns the total size of live entries.
 func (c *Cache) Bytes() int64 { return c.bytes.Load() }
-
-// expiryLen reports the expiry heap's current length (tests only).
-func (c *Cache) expiryLen() int {
-	c.admitMu.Lock()
-	defer c.admitMu.Unlock()
-	return len(c.expiry)
-}
 
 // TunerStats returns the threshold tuner's state for (fn, keyType).
 func (c *Cache) TunerStats(fn, keyType string) (TunerStats, error) {
@@ -1590,74 +1532,5 @@ func estimateSize(v any) int {
 	default:
 		// A conservative default for structured values.
 		return 64
-	}
-}
-
-// expiryItem pairs an entry with its deadline in the expiry queue.
-type expiryItem struct {
-	at time.Time
-	id ID
-}
-
-// expiryHeap is a binary min-heap on the deadline. The push/popMin/init
-// operations are implemented directly rather than through
-// container/heap: the interface-based API boxes every expiryItem into
-// an `any`, which put one allocation on every Put (and one per pop on
-// the purge path) for a value two words wide.
-type expiryHeap []expiryItem
-
-// push inserts it, sifting up to restore the heap order.
-func (h *expiryHeap) push(it expiryItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s[i].at.Before(s[parent].at) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-// popMin removes and returns the earliest-deadline item. The caller
-// must ensure the heap is non-empty.
-func (h *expiryHeap) popMin() expiryItem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	if n > 1 {
-		(*h).siftDown(0)
-	}
-	return top
-}
-
-// siftDown restores the heap order below index i.
-func (h expiryHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h[r].at.Before(h[l].at) {
-			m = r
-		}
-		if !h[m].at.Before(h[i].at) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// init heapifies an arbitrarily ordered slice in O(n).
-func (h expiryHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
 	}
 }

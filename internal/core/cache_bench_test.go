@@ -73,25 +73,53 @@ func BenchmarkLookupMiss(b *testing.B) {
 }
 
 // BenchmarkPutWithEviction measures puts against a full cache, where
-// every insertion selects and evicts a victim.
+// every insertion selects and evicts a victim. The capacities span the
+// range where a per-victim table walk would show (256 fits in cache;
+// 65536 does not), for each policy. Setup fills the cache and then
+// churns it by 2.5x its capacity with one hit per put, so the timed
+// region sees an aged victim heap: stale keys to re-score under
+// importance and lru, none under fifo and random.
 func BenchmarkPutWithEviction(b *testing.B) {
-	cache := New(Config{
-		Clock:          clock.NewVirtual(time.Unix(0, 0)),
-		DisableDropout: true,
-		Tuner:          TunerConfig{WarmupZ: 1},
-		MaxEntries:     256,
-	})
-	if err := cache.RegisterFunction("f", KeyTypeSpec{Name: "k", Dim: 4}); err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := vec.Vector{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		if _, err := cache.Put("f", PutRequest{
-			Keys: map[string]vec.Vector{"k": key}, Value: i, Cost: time.Millisecond,
-		}); err != nil {
-			b.Fatal(err)
+	for _, capacity := range []int{256, 4096, 65536} {
+		for _, pol := range []PolicyKind{PolicyImportance, PolicyLRU, PolicyFIFO, PolicyRandom} {
+			b.Run(fmt.Sprintf("cap-%d/%s", capacity, pol), func(b *testing.B) {
+				clk := clock.NewVirtual(time.Unix(0, 0))
+				cache := New(Config{
+					Clock:          clk,
+					DisableDropout: true,
+					Tuner:          TunerConfig{WarmupZ: 1},
+					MaxEntries:     capacity,
+					Policy:         pol,
+				})
+				if err := cache.RegisterFunction("f", KeyTypeSpec{Name: "k", Dim: 4}); err != nil {
+					b.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(2))
+				recent := make([]vec.Vector, capacity)
+				step := func(i int) {
+					clk.Advance(time.Microsecond)
+					key := vec.Vector{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+					if _, err := cache.Put("f", PutRequest{
+						Keys: map[string]vec.Vector{"k": key}, Value: i,
+						Cost: time.Duration(1+rng.Intn(8)) * time.Millisecond,
+					}); err != nil {
+						b.Fatal(err)
+					}
+					recent[i%capacity] = key
+					if _, err := cache.Lookup("f", "k", recent[rng.Intn(min(i+1, capacity))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				aged := capacity + capacity*5/2
+				for i := 0; i < aged; i++ {
+					step(i)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step(aged + i)
+				}
+			})
 		}
 	}
 }

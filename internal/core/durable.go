@@ -271,7 +271,7 @@ func (c *Cache) Restore(state *DurableState) (RestoreStats, error) {
 		}
 	}
 	c.admitMu.Lock()
-	c.evictLocked(now, 0)
+	c.evictLocked(now)
 	c.admitMu.Unlock()
 	return stats, nil
 }
@@ -285,8 +285,9 @@ const (
 )
 
 // restoreEntry re-admits one recovered entry under its original ID,
-// following Put's publication order (index insert → entry-table publish
-// → expiry enqueue) so a restore can overlap live traffic.
+// following Put's publication order (index insert, then entry-table
+// publish and heap enqueue under admitMu) so a restore can overlap live
+// traffic.
 func (c *Cache) restoreEntry(rec *StoreEntry, now time.Time) restoreOutcome {
 	if rec.ExpiresAtNanos <= now.UnixNano() {
 		return restoredExpired
@@ -343,12 +344,9 @@ func (c *Cache) restoreEntry(rec *StoreEntry, now time.Time) restoreOutcome {
 	if len(e.owners) == 0 {
 		return restoredSkipped
 	}
-	c.entries.store(e)
-	c.count.Add(1)
-	c.bytes.Add(int64(e.size))
 	c.admitMu.Lock()
-	c.expiry.push(expiryItem{at: e.expiresAt, id: id})
-	c.updateNextExpiryLocked()
+	c.publishLocked(e)
+	c.enqueueLocked(e)
 	c.admitMu.Unlock()
 	return restoredOK
 }

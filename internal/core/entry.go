@@ -49,22 +49,24 @@ type entry struct {
 	// lastAccess is the UnixNano time of the most recent hit (or the
 	// insertion time), read by the LRU eviction policy.
 	lastAccess atomic.Int64
+
+	// victimSlot and expirySlot are the entry's positions in the cache's
+	// eviction and expiry heaps (see Heap), guarded by Cache.admitMu.
+	victimSlot, expirySlot int
 }
 
 // ID identifies an entry. It matches index.ID numerically.
 type ID uint64
 
-// importance is the paper's cache-entry usefulness metric:
-//
-//	importance = computation overhead × access frequency / entry size
-//
-// (§3.3). It determines eviction order only; lookups never consult it.
-func (e *entry) importance() float64 {
-	size := e.size
-	if size <= 0 {
-		size = 1
+// meta reads the metadata replacement policies score.
+func (e *entry) meta() Meta {
+	return Meta{
+		Cost:        e.cost,
+		Size:        e.size,
+		AccessCount: e.accessCount.Load(),
+		LastAccess:  e.lastAccess.Load(),
+		InsertedAt:  e.insertedAt.UnixNano(),
 	}
-	return e.cost.Seconds() * float64(e.accessCount.Load()) / float64(size)
 }
 
 // snapshot returns an immutable copy for safe external consumption.
@@ -97,17 +99,9 @@ type Entry struct {
 	app         string
 }
 
-// Importance is the paper's cache-entry usefulness metric:
-//
-//	importance = computation overhead × access frequency / entry size
-//
-// (§3.3), evaluated at snapshot time.
+// Importance is Meta.Importance evaluated at snapshot time.
 func (e Entry) Importance() float64 {
-	size := e.size
-	if size <= 0 {
-		size = 1
-	}
-	return e.cost.Seconds() * float64(e.accessCount) / float64(size)
+	return Meta{Cost: e.cost, Size: e.size, AccessCount: e.accessCount}.Importance()
 }
 
 // Value returns the cached result.

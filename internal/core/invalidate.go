@@ -30,7 +30,7 @@ func (c *Cache) InvalidateRadius(fn, keyType string, key vec.Vector, r float64) 
 	removed := 0
 	c.admitMu.Lock()
 	for _, n := range hits {
-		if c.removeEntryLocked(ID(n.ID)) != nil {
+		if c.removeEntryLocked(ID(n.ID), false) != nil {
 			removed++
 		}
 	}
@@ -60,7 +60,7 @@ func (c *Cache) InvalidateFunction(fn string) (int, error) {
 	removed := 0
 	c.admitMu.Lock()
 	for id := range ids {
-		if c.removeEntryLocked(id) != nil {
+		if c.removeEntryLocked(id, false) != nil {
 			removed++
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -19,89 +20,108 @@ const (
 	PolicyFIFO       PolicyKind = "fifo"       // insertion order (extra baseline)
 )
 
-// A Policy selects the victim entry when the cache is full. Victim is
-// always invoked under the cache's admission/eviction lock, so it sees
-// a stable candidate set; the per-entry access counters it reads are
-// atomics and may be concurrently bumped by lookups, which is harmless
-// for victim selection.
-type Policy interface {
-	// Victim returns the id of the entry to evict. entries is non-empty;
-	// implementations must return the id of one of its elements.
-	Victim(entries []*entry, now time.Time, rng *rand.Rand) ID
-	// Name returns the policy's kind.
-	Name() PolicyKind
+// Score orders eviction candidates: the entry with the smallest
+// (Score, id) goes first. It is an integer so that nanosecond
+// timestamps order exactly; float-valued scores enter through
+// FloatScore.
+type Score int64
+
+// FloatScore maps f to a Score with the same order: for non-NaN floats,
+// a < b implies FloatScore(a) < FloatScore(b), and equal floats map to
+// equal scores (except that -0 sorts just below +0).
+func FloatScore(f float64) Score {
+	b := int64(math.Float64bits(f))
+	if b < 0 {
+		b ^= math.MaxInt64
+	}
+	return Score(b)
 }
 
-// NewPolicy constructs the named policy.
-func NewPolicy(kind PolicyKind) (Policy, error) {
+// Meta is the entry metadata a replacement policy scores. The live
+// cache fills it from an entry's immutable fields and atomics, a
+// what-if ghost from its shadow entry, so both run the same policy.
+type Meta struct {
+	Cost        time.Duration // computation overhead (§3.3)
+	Size        int           // footprint in bytes
+	AccessCount int64         // hits + 1 for the put
+	LastAccess  int64         // UnixNano of the latest hit, or of the put
+	InsertedAt  int64         // UnixNano of the put
+}
+
+// Importance is the paper's cache-entry usefulness metric:
+//
+//	importance = computation overhead × access frequency / entry size
+//
+// (§3.3). It determines eviction order only; lookups never consult it.
+func (m Meta) Importance() float64 {
+	return m.Cost.Seconds() * float64(m.AccessCount) / float64(max(m.Size, 1))
+}
+
+// A Policy is a named score function over entry metadata: the cache
+// evicts the live entry with the smallest (score, id). The contract is
+// that an entry's score never decreases while it is cached — true of
+// every shipped policy (access counts, last-access and insertion times
+// only grow) and of GreedyDual-style "inflation + ratio" scores. That
+// is what lets the cache keep candidates in a heap keyed by the score
+// each had when last examined and still evict exactly the entry a full
+// scan would pick, with no work on the lookup-hit path (see Victim).
+// If a score does drop — a wall clock stepping backwards under lru —
+// the victim is still a live entry, just possibly not the minimum.
+type Policy struct {
+	kind  PolicyKind
+	score func(Meta) Score
+	// rng is set only by the random policy, whose victim is a uniform
+	// draw instead of the minimum. Victim runs under the cache's
+	// admission lock, which is all the synchronization rng needs.
+	rng *rand.Rand
+}
+
+// NewPolicy constructs the named policy. seed drives the random
+// policy's draws; the other kinds ignore it.
+func NewPolicy(kind PolicyKind, seed int64) (Policy, error) {
 	switch kind {
 	case PolicyImportance, "":
-		return importancePolicy{}, nil
+		// §3.6: "the least important entry will be evicted".
+		return Policy{kind: PolicyImportance, score: func(m Meta) Score { return FloatScore(m.Importance()) }}, nil
 	case PolicyLRU:
-		return lruPolicy{}, nil
-	case PolicyRandom:
-		return randomPolicy{}, nil
+		return Policy{kind: kind, score: func(m Meta) Score { return Score(m.LastAccess) }}, nil
 	case PolicyFIFO:
-		return fifoPolicy{}, nil
+		return Policy{kind: kind, score: func(m Meta) Score { return Score(m.InsertedAt) }}, nil
+	case PolicyRandom:
+		return Policy{kind: kind, score: func(Meta) Score { return 0 }, rng: rand.New(rand.NewSource(seed))}, nil
 	}
-	return nil, fmt.Errorf("core: unknown eviction policy %q", kind)
+	return Policy{}, fmt.Errorf("core: unknown eviction policy %q", kind)
 }
 
-// importancePolicy evicts the entry with the lowest importance value
-// (§3.6: "the least important entry will be evicted").
-type importancePolicy struct{}
+// Name returns the policy's kind.
+func (p Policy) Name() PolicyKind { return p.kind }
 
-func (importancePolicy) Victim(entries []*entry, _ time.Time, _ *rand.Rand) ID {
-	best := entries[0]
-	bestImp := best.importance()
-	for _, e := range entries[1:] {
-		if imp := e.importance(); imp < bestImp || (imp == bestImp && e.id < best.id) {
-			best, bestImp = e, imp
+// Score returns the key an entry with metadata m enters the candidate
+// heap under.
+func (p Policy) Score(m Meta) Score { return p.score(m) }
+
+// Victim returns the member of the non-empty heap h that p evicts next;
+// the caller removes it. Members were pushed under p.Score of their
+// metadata at the time, and meta reads an element's current metadata.
+//
+// The heap is lazy: a hit raises an entry's score without touching the
+// heap, so a key may be stale, but only ever too low. Victim rescores
+// the top; if the score rose it re-keys the top in place and looks
+// again, and the first top whose key is current is the true minimum —
+// every other member's real score is at least its key, which is at
+// least the top's. Each re-key is O(log n) and is paid for by a hit
+// since the entry was last examined.
+func Victim[E any](p Policy, h *Heap[E], meta func(E) Meta) E {
+	if p.rng != nil {
+		return h.At(p.rng.Intn(h.Len()))
+	}
+	for {
+		h.examined++
+		e, key := h.Min()
+		s := p.score(meta(e))
+		if s <= key {
+			return e
 		}
+		h.rekeyMin(s)
 	}
-	return best.id
 }
-
-func (importancePolicy) Name() PolicyKind { return PolicyImportance }
-
-// lruPolicy evicts the least recently used entry.
-type lruPolicy struct{}
-
-func (lruPolicy) Victim(entries []*entry, _ time.Time, _ *rand.Rand) ID {
-	best := entries[0]
-	bestLast := best.lastAccess.Load()
-	for _, e := range entries[1:] {
-		if last := e.lastAccess.Load(); last < bestLast ||
-			(last == bestLast && e.id < best.id) {
-			best, bestLast = e, last
-		}
-	}
-	return best.id
-}
-
-func (lruPolicy) Name() PolicyKind { return PolicyLRU }
-
-// randomPolicy evicts a uniformly random entry.
-type randomPolicy struct{}
-
-func (randomPolicy) Victim(entries []*entry, _ time.Time, rng *rand.Rand) ID {
-	return entries[rng.Intn(len(entries))].id
-}
-
-func (randomPolicy) Name() PolicyKind { return PolicyRandom }
-
-// fifoPolicy evicts the oldest entry by insertion time.
-type fifoPolicy struct{}
-
-func (fifoPolicy) Victim(entries []*entry, _ time.Time, _ *rand.Rand) ID {
-	best := entries[0]
-	for _, e := range entries[1:] {
-		if e.insertedAt.Before(best.insertedAt) ||
-			(e.insertedAt.Equal(best.insertedAt) && e.id < best.id) {
-			best = e
-		}
-	}
-	return best.id
-}
-
-func (fifoPolicy) Name() PolicyKind { return PolicyFIFO }

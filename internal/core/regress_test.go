@@ -56,8 +56,9 @@ func TestRegisterFunctionAtomicity(t *testing.T) {
 
 // TestExpiryHeapBoundedUnderChurn: entries removed by eviction used to
 // leave their expiry-heap items behind until the (distant) TTL arrived,
-// so a small cache under churn grew an unbounded heap. Stale items are
-// now counted and the heap compacted once they outnumber live entries.
+// so a small cache under churn grew an unbounded heap. Removal now
+// deletes the entry's own heap items, so the heaps hold exactly the
+// live entries.
 func TestExpiryHeapBoundedUnderChurn(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	c := New(Config{Clock: clk, MaxEntries: 4, DisableDropout: true})
@@ -74,14 +75,10 @@ func TestExpiryHeapBoundedUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n > 4 {
-		t.Fatalf("Len = %d, want <= 4", n)
+	if n := c.Len(); n != 4 {
+		t.Fatalf("Len = %d, want 4", n)
 	}
-	// live <= 4 plus at most max(expiryCompactMin, live) stale items
-	// before compaction kicks in.
-	if n := c.expiryLen(); n > 4+expiryCompactMin {
-		t.Errorf("expiry heap holds %d items for <=4 live entries; stale items leaked", n)
-	}
+	checkHeaps(t, c)
 }
 
 // TestEmptyKeyRejected: a zero-dimension key used to crash the KD-tree

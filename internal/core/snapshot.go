@@ -245,17 +245,14 @@ func (c *Cache) ReadSnapshot(r io.Reader) (SnapshotStats, error) {
 			stats.Skipped++
 			continue
 		}
-		c.entries.store(e)
-		c.count.Add(1)
-		c.bytes.Add(int64(e.size))
 		c.admitMu.Lock()
-		c.expiry.push(expiryItem{at: e.expiresAt, id: id})
-		c.updateNextExpiryLocked()
+		c.publishLocked(e)
+		c.enqueueLocked(e)
 		c.admitMu.Unlock()
 		stats.Entries++
 	}
 	c.admitMu.Lock()
-	c.evictLocked(now, 0)
+	c.evictLocked(now)
 	c.admitMu.Unlock()
 	return stats, nil
 }

@@ -3,25 +3,30 @@ package whatif
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/vec"
 )
 
 // ghost is one metadata-only shadow cache: it simulates the real
 // cache's admission and eviction at a counterfactual capacity multiple
-// and eviction policy, holding only ids, keys, and importance inputs —
-// never values. Ghost capacities are pre-scaled by the sample rate
-// (SHARDS: a 1-in-R sampled trace against a cache of C·R entries
-// estimates the full trace against C), so hit *ratios* need no
-// unscaling. All ghost state is owned by the profiler's consumer and
+// and eviction policy, holding only ids, keys, and the metadata the
+// policy scores — never values. Eviction is the production code run on
+// that metadata: the same core.Policy score functions, victim heap and
+// (score, id) order as the live cache. Ghost capacities are pre-scaled
+// by the sample rate (SHARDS: a 1-in-R sampled trace against a cache of
+// C·R entries estimates the full trace against C), so hit *ratios* need
+// no unscaling. All ghost state is owned by the profiler's consumer and
 // needs no locking.
 type ghost struct {
 	mult   float64
-	policy string // "lru" or "importance"
+	policy core.Policy
 
 	capEntries int   // scaled entry bound (0 = unbounded on entries)
 	capBytes   int64 // scaled byte bound (0 = unbounded on bytes)
 
 	entries map[uint64]*ghostEntry
+	// victims holds the resident entries in eviction order.
+	victims core.Heap[*ghostEntry]
 	// byHash indexes each (function, keyType) series by sampling hash
 	// (hash → resident entry id). It serves two purposes: the exact-key
 	// fast path — a probe for a key the ghost already holds is at
@@ -53,15 +58,14 @@ type ktKey struct{ fn, kt string }
 var euclid vec.EuclideanMetric
 
 type ghostEntry struct {
-	id          uint64
-	size        int
-	costNs      int64
-	accessCount int64
-	lastAccess  int64
-	insertedAt  int64
-	keys        []ghostKey
-	next        *ghostEntry // free-list link; nil while resident
+	id uint64
+	core.Meta
+	keys []ghostKey
+	next *ghostEntry // free-list link; nil while resident
+	slot int         // position in ghost.victims
 }
+
+func (e *ghostEntry) meta() core.Meta { return e.Meta }
 
 type ghostKey struct {
 	kt   ktKey
@@ -72,11 +76,16 @@ type ghostKey struct {
 // newGhost scales the real capacity bounds by mult·rate. A zero result
 // from a nonzero bound is clamped to 1 entry — a ghost that can hold
 // nothing would report a degenerate 100% miss ratio.
-func newGhost(mult float64, policy string, capEntries int, capBytes int64, rate float64) *ghost {
+func newGhost(mult float64, kind core.PolicyKind, capEntries int, capBytes int64, rate float64) *ghost {
+	policy, err := core.NewPolicy(kind, 0)
+	if err != nil {
+		panic(err) // kinds come from ghostPolicies
+	}
 	g := &ghost{
 		mult:    mult,
 		policy:  policy,
 		entries: make(map[uint64]*ghostEntry),
+		victims: core.NewHeap(func(e *ghostEntry) *int { return &e.slot }),
 		byHash:  make(map[ktKey]map[uint64]uint64),
 	}
 	if capEntries > 0 {
@@ -116,8 +125,8 @@ func (g *ghost) lookup(kt ktKey, key vec.Vector, keyHash uint64, threshold float
 	// within every non-negative threshold — so the scan is skippable.
 	if id, ok := series[keyHash]; ok {
 		if e := g.entries[id]; e != nil && sameKey(e.keyFor(kt), key) {
-			e.accessCount++
-			e.lastAccess = atNanos
+			e.AccessCount++
+			e.LastAccess = atNanos
 			g.hits++
 			return
 		}
@@ -139,15 +148,15 @@ func (g *ghost) lookup(kt ktKey, key vec.Vector, keyHash uint64, threshold float
 		}
 	}
 	if bestDist <= threshold && best != nil {
-		best.accessCount++
-		best.lastAccess = atNanos
+		best.AccessCount++
+		best.LastAccess = atNanos
 		g.hits++
 		return
 	}
 	g.misses++
 	e := g.alloc()
-	e.id, e.accessCount = keyHash, 1
-	e.lastAccess, e.insertedAt = atNanos, atNanos
+	e.id, e.AccessCount = keyHash, 1
+	e.LastAccess, e.InsertedAt = atNanos, atNanos
 	e.keys = append(e.keys, ghostKey{kt: kt, key: key, hash: keyHash})
 	g.put(e)
 }
@@ -168,7 +177,8 @@ func (g *ghost) alloc() *ghostEntry {
 
 // put admits one sampled entry and evicts by this ghost's own policy
 // until its scaled bounds hold, mirroring core's replace-victim-with-
-// new-entry order (§3.6): the fresh entry is never its own victim.
+// new-entry order (§3.6): the fresh entry joins the victim heap only
+// after the evictions, so it is never its own victim.
 //
 // Any resident entry holding an identical key is merged into the new
 // one first. The real cache assigns a fresh id when it re-admits
@@ -189,20 +199,18 @@ func (g *ghost) put(e *ghostEntry) {
 		if old == nil || !sameKey(old.keyFor(gk.kt), gk.key) {
 			continue
 		}
-		e.accessCount += old.accessCount
-		if old.lastAccess > e.lastAccess {
-			e.lastAccess = old.lastAccess
+		e.AccessCount += old.AccessCount
+		e.LastAccess = max(e.LastAccess, old.LastAccess)
+		if e.Cost == 0 {
+			e.Cost = old.Cost
 		}
-		if e.costNs == 0 {
-			e.costNs = old.costNs
-		}
-		if e.size == 0 {
-			e.size = old.size
+		if e.Size == 0 {
+			e.Size = old.Size
 		}
 		g.remove(old)
 	}
 	g.entries[e.id] = e
-	g.bytes += int64(e.size)
+	g.bytes += int64(e.Size)
 	for _, gk := range e.keys {
 		h := g.byHash[gk.kt]
 		if h == nil {
@@ -211,14 +219,11 @@ func (g *ghost) put(e *ghostEntry) {
 		}
 		h[gk.hash] = e.id
 	}
-	for g.overCap() {
-		v := g.victim(e.id)
-		if v == nil {
-			break
-		}
-		g.remove(v)
+	for g.victims.Len() > 0 && g.overCap() {
+		g.remove(core.Victim(g.policy, &g.victims, (*ghostEntry).meta))
 		g.evictions++
 	}
+	g.victims.Push(e, g.policy.Score(e.Meta), e.id)
 }
 
 func (g *ghost) overCap() bool {
@@ -228,36 +233,10 @@ func (g *ghost) overCap() bool {
 	return g.capBytes > 0 && g.bytes > g.capBytes
 }
 
-// victim selects the eviction candidate: least-recently-used, or
-// minimum importance (cost·frequency/size, core's formula) — excluding
-// the just-admitted entry.
-func (g *ghost) victim(exclude uint64) *ghostEntry {
-	var v *ghostEntry
-	var vScore float64
-	for id, e := range g.entries {
-		if id == exclude {
-			continue
-		}
-		var score float64
-		if g.policy == "lru" {
-			score = float64(e.lastAccess)
-		} else {
-			size := e.size
-			if size <= 0 {
-				size = 1
-			}
-			score = float64(e.costNs) * float64(e.accessCount) / float64(size)
-		}
-		if v == nil || score < vScore {
-			v, vScore = e, score
-		}
-	}
-	return v
-}
-
 func (g *ghost) remove(e *ghostEntry) {
 	delete(g.entries, e.id)
-	g.bytes -= int64(e.size)
+	g.victims.Remove(e)
+	g.bytes -= int64(e.Size)
 	for _, gk := range e.keys {
 		if h := g.byHash[gk.kt]; h != nil {
 			// Only unmap the hash if it still points at this entry; a

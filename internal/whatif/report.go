@@ -135,7 +135,7 @@ func (p *Profiler) compute() Report {
 	for _, g := range p.ghosts {
 		hr := g.hitRate()
 		r.MissRatioCurve = append(r.MissRatioCurve, MRCPoint{
-			Mult: g.mult, Policy: g.policy,
+			Mult: g.mult, Policy: string(g.policy.Name()),
 			CapEntries: g.capEntries, CapBytes: g.capBytes,
 			Entries: len(g.entries),
 			Hits:    g.hits, Misses: g.misses, Evictions: g.evictions,

@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/vec"
 )
@@ -105,7 +106,7 @@ type Config struct {
 // would the other policy do at the capacity I actually have". The full
 // cross product would double the consumer's simulation work for
 // points that conflate two counterfactuals at once.
-var ghostPolicies = []string{"lru", "importance"}
+var ghostPolicies = []core.PolicyKind{core.PolicyLRU, core.PolicyImportance}
 
 func (cfg Config) normalized() Config {
 	if cfg.Rate <= 0 || cfg.Rate > 1 {
@@ -187,7 +188,7 @@ func New(cfg Config) *Profiler {
 				continue
 			}
 			for _, pol := range ghostPolicies {
-				if pol != "lru" && mult != 1 {
+				if pol != core.PolicyLRU && mult != 1 {
 					continue
 				}
 				p.ghosts = append(p.ghosts,
@@ -223,7 +224,7 @@ func (p *Profiler) registerMetrics(reg *telemetry.Registry) {
 		"mult", "policy")
 	for i, g := range p.ghosts {
 		i := i
-		ghostRate.With(strconv.FormatFloat(g.mult, 'g', -1, 64), g.policy).
+		ghostRate.With(strconv.FormatFloat(g.mult, 'g', -1, 64), string(g.policy.Name())).
 			SetFunc(func() float64 {
 				r := p.Snapshot()
 				if i < len(r.MissRatioCurve) {
@@ -416,8 +417,8 @@ func (p *Profiler) apply(ev event) {
 			// Each ghost owns its entry (counters and pooled lifetime);
 			// the key vectors are shared read-only.
 			e := g.alloc()
-			e.id, e.size, e.costNs = ev.id, ev.size, ev.costNs
-			e.accessCount, e.lastAccess, e.insertedAt = 1, ev.atNanos, ev.atNanos
+			e.id, e.Size, e.Cost = ev.id, ev.size, time.Duration(ev.costNs)
+			e.AccessCount, e.LastAccess, e.InsertedAt = 1, ev.atNanos, ev.atNanos
 			e.keys = append(e.keys, gks...)
 			g.put(e)
 		}

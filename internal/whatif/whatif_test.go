@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -74,8 +75,8 @@ func TestGhostCapacityAndPolicies(t *testing.T) {
 		// hash must be the key's identity (production uses sampleHash):
 		// byHash enumerates the series, so colliding hashes shadow keys.
 		return &ghostEntry{
-			id: id, size: 1, costNs: costNs, accessCount: 1,
-			lastAccess: at, insertedAt: at,
+			id:   id,
+			Meta: core.Meta{Size: 1, Cost: time.Duration(costNs), AccessCount: 1, LastAccess: at, InsertedAt: at},
 			keys: []ghostKey{{kt: kt, key: vec.Vector{float64(id)}, hash: sampleHash(vec.Vector{float64(id)})}},
 		}
 	}
@@ -107,15 +108,45 @@ func TestGhostCapacityAndPolicies(t *testing.T) {
 	}
 }
 
+// TestGhostSteadyStateAllocFree: once a ghost is full, admit-on-miss and
+// eviction recycle entries through the free list and the victim heap's
+// array, so the profiler's consumer does not feed the GC.
+func TestGhostSteadyStateAllocFree(t *testing.T) {
+	for _, pol := range ghostPolicies {
+		kt := ktKey{"fn", "feat"}
+		g := newGhost(1, pol, 64, 0, 1)
+		keys := make([]vec.Vector, 4096)
+		for i := range keys {
+			keys[i] = vec.Vector{float64(i), float64(i)}
+		}
+		i := 0
+		step := func() {
+			key := keys[i%len(keys)]
+			g.lookup(kt, key, sampleHash(key), 0.1, int64(i))               // miss: admits, evicts at capacity
+			g.lookup(kt, keys[(i+len(keys)-7)%len(keys)], 0, 0.1, int64(i)) // hit on a recent resident
+			i++
+		}
+		for i < 3*len(keys) { // fill the ghost, the free list and the maps
+			step()
+		}
+		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+			t.Errorf("%s ghost: %.1f allocs per admit+hit at steady state, want 0", pol, allocs)
+		}
+		if g.evictions == 0 || g.hits == 0 || len(g.entries) != 64 || g.victims.Len() != 64 {
+			t.Errorf("%s ghost: evictions %d hits %d entries %d heap %d", pol, g.evictions, g.hits, len(g.entries), g.victims.Len())
+		}
+	}
+}
+
 func TestGhostLookupThreshold(t *testing.T) {
 	kt := ktKey{"fn", "feat"}
 	g := newGhost(1, "lru", 10, 0, 1)
 	g.put(&ghostEntry{
-		id: 1, size: 1, accessCount: 1,
+		id: 1, Meta: core.Meta{Size: 1, AccessCount: 1},
 		keys: []ghostKey{{kt: kt, key: vec.Vector{0, 0}, hash: sampleHash(vec.Vector{0, 0})}},
 	})
-	g.lookup(kt, vec.Vector{0.5, 0}, 901, 1.0, 1) // dist 0.5 ≤ 1.0 → hit
-	g.lookup(kt, vec.Vector{3, 0}, 902, 1.0, 2)   // dist 3 > 1.0 → miss
+	g.lookup(kt, vec.Vector{0.5, 0}, 901, 1.0, 1)                 // dist 0.5 ≤ 1.0 → hit
+	g.lookup(kt, vec.Vector{3, 0}, 902, 1.0, 2)                   // dist 3 > 1.0 → miss
 	g.lookup(ktKey{"fn", "other"}, vec.Vector{0, 0}, 903, 1.0, 3) // wrong series → miss
 	if g.hits != 1 || g.misses != 2 {
 		t.Fatalf("ghost outcomes: hits=%d misses=%d, want 1/2", g.hits, g.misses)
@@ -139,14 +170,14 @@ func TestGhostAdmitOnMissAndMerge(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 1/1", g.hits, g.misses)
 	}
 	g.put(&ghostEntry{
-		id: 500, size: 3, costNs: 9, accessCount: 1, lastAccess: 3,
+		id: 500, Meta: core.Meta{Size: 3, Cost: 9, AccessCount: 1, LastAccess: 3},
 		keys: []ghostKey{{kt: kt, key: key, hash: 77}},
 	})
 	if len(g.entries) != 1 {
 		t.Fatalf("put duplicated the key: %d entries", len(g.entries))
 	}
 	e := g.entries[500]
-	if e == nil || e.accessCount != 3 || e.costNs != 9 {
+	if e == nil || e.AccessCount != 3 || e.Cost != 9 {
 		t.Fatalf("merge lost counters: %+v", e)
 	}
 }
@@ -154,10 +185,10 @@ func TestGhostAdmitOnMissAndMerge(t *testing.T) {
 func TestSweepSeries(t *testing.T) {
 	grid := []float64{0.5, 1, 2}
 	s := newSweepSeries(len(grid))
-	s.observe(grid, 0.4, 1.0)  // ≤ all three
-	s.observe(grid, 0.8, 1.0)  // ≤ 1×, 2×
-	s.observe(grid, 1.5, 1.0)  // ≤ 2× only
-	s.observe(grid, -1, 1.0)   // empty index
+	s.observe(grid, 0.4, 1.0) // ≤ all three
+	s.observe(grid, 0.8, 1.0) // ≤ 1×, 2×
+	s.observe(grid, 1.5, 1.0) // ≤ 2× only
+	s.observe(grid, -1, 1.0)  // empty index
 	if s.total != 4 || s.noNeighbor != 1 {
 		t.Fatalf("total=%d noNeighbor=%d", s.total, s.noNeighbor)
 	}
@@ -223,7 +254,7 @@ func TestPredictorAgainstSimulation(t *testing.T) {
 		}
 		if !hit {
 			g.put(&ghostEntry{
-				id: uint64(id), size: 1, accessCount: 1, lastAccess: int64(i) * 1e6,
+				id: uint64(id), Meta: core.Meta{Size: 1, AccessCount: 1, LastAccess: int64(i) * 1e6},
 				keys: []ghostKey{{kt: kt, key: key, hash: sampleHash(key)}},
 			})
 		}
