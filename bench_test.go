@@ -12,6 +12,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -264,9 +265,10 @@ func BenchmarkIndexMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkIPCRoundTrip times one lookup round trip over the Unix-socket
-// service (§5.4's 0.36 ms measurement).
-func BenchmarkIPCRoundTrip(b *testing.B) {
+// ipcBench starts a service on a Unix socket holding one entry under key,
+// and a client connected to it; both end with the benchmark.
+func ipcBench(b *testing.B) (cl *potluck.Client, key potluck.Vector) {
+	b.Helper()
 	srv := potluck.NewServer(potluck.New(potluck.Config{
 		DisableDropout: true, Tuner: potluck.TunerConfig{WarmupZ: 1},
 	}))
@@ -278,29 +280,60 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ctx, l) }()
-	defer func() {
+	b.Cleanup(func() {
 		cancel()
 		srv.Close()
 		<-done
-	}()
-	cl, err := potluck.Dial("unix", sock, "bench")
+	})
+	cl, err = potluck.Dial("unix", sock, "bench")
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer cl.Close()
+	b.Cleanup(func() { cl.Close() })
 	if err := cl.Register("f", potluck.KeyTypeDef{Name: "k"}); err != nil {
 		b.Fatal(err)
 	}
-	key := potluck.Vector{1, 2, 3, 4}
+	key = potluck.Vector{1, 2, 3, 4}
 	if _, err := cl.Put("f", map[string]potluck.Vector{"k": key}, []byte("v"), potluck.PutOptions{}); err != nil {
 		b.Fatal(err)
 	}
+	return cl, key
+}
+
+// BenchmarkIPCRoundTrip times one lookup round trip over the Unix-socket
+// service (§5.4's 0.36 ms measurement).
+func BenchmarkIPCRoundTrip(b *testing.B) {
+	cl, key := ipcBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cl.Lookup("f", "k", key); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkIPCPipelined times one lookup with 32 callers sharing the
+// connection, each waiting for its own reply: the service's cost per
+// lookup once bursts form, where BenchmarkIPCRoundTrip is the cost of a
+// lone caller's wake-ups.
+func BenchmarkIPCPipelined(b *testing.B) {
+	cl, key := ipcBench(b)
+	var issued atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for c := 0; c < 32; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for issued.Add(1) <= int64(b.N) {
+				if _, err := cl.Lookup("f", "k", key); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkMultiLookup times one lookup when batched over the
@@ -311,34 +344,7 @@ func BenchmarkIPCRoundTrip(b *testing.B) {
 func BenchmarkMultiLookup(b *testing.B) {
 	for _, batch := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			srv := potluck.NewServer(potluck.New(potluck.Config{
-				DisableDropout: true, Tuner: potluck.TunerConfig{WarmupZ: 1},
-			}))
-			sock := filepath.Join(b.TempDir(), "p.sock")
-			l, err := net.Listen("unix", sock)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() { done <- srv.Serve(ctx, l) }()
-			defer func() {
-				cancel()
-				srv.Close()
-				<-done
-			}()
-			cl, err := potluck.Dial("unix", sock, "bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			if err := cl.Register("f", potluck.KeyTypeDef{Name: "k"}); err != nil {
-				b.Fatal(err)
-			}
-			key := potluck.Vector{1, 2, 3, 4}
-			if _, err := cl.Put("f", map[string]potluck.Vector{"k": key}, []byte("v"), potluck.PutOptions{}); err != nil {
-				b.Fatal(err)
-			}
+			cl, key := ipcBench(b)
 			subs := make([]potluck.LookupSub, batch)
 			for i := range subs {
 				subs[i] = potluck.LookupSub{Function: "f", KeyType: "k", Key: key}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,46 +71,60 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	return cfg
 }
 
-// replyOrErr is one round trip's terminal outcome, delivered to its
-// waiter exactly once.
-type replyOrErr struct {
-	reply *Reply
-	err   error
+// waiter is one round trip's place in a connection's reply order. The
+// reader decodes the reply into it and then sends the outcome on done;
+// waiters are recycled, so the round trip allocates neither.
+type waiter struct {
+	done     chan error // capacity 1; exactly one send per round trip
+	reply    Reply
+	deadline time.Time // zero: no limit
 }
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{done: make(chan error, 1)} }}
 
 // clientConn is one live connection with pipelined framing: concurrent
 // round trips interleave on the wire instead of serializing behind each
-// other. Writes are serialized under writeMu; a single reader goroutine
+// other. Senders append their frames to one buffer and the first to find
+// no write in progress writes for all of them; a single reader goroutine
 // matches replies to waiters in FIFO order (the server processes a
 // connection's requests sequentially, so reply order equals request
 // order).
 //
 // Correctness hinges on three rules:
 //
-//  1. The pending-queue append happens under writeMu BEFORE the frame
-//     write, so queue order always matches wire order and a fast reply
-//     can never arrive before its waiter is enqueued.
-//  2. pendMu is never held across I/O — a writer blocked on a stuffed
-//     socket must not be able to wedge the reader (or Close).
-//  3. Each waiter channel receives exactly one send: the reader's pop
-//     and fail's drain both happen under pendMu, and a popped channel
-//     is owned by whoever popped it. Channels are buffered (capacity 1)
-//     so delivery never blocks on a waiter that already timed out.
+//  1. A frame enters the buffer and its waiter the pending queue in one
+//     critical section, and the buffer is written in order, so queue
+//     order always matches wire order and a fast reply can never arrive
+//     before its waiter is enqueued.
+//  2. mu is never held across I/O — a writer blocked on a stuffed socket
+//     must not be able to wedge the reader (or Close). (Setting a
+//     deadline is not I/O and is done under mu, to order it against the
+//     queue it is computed from.)
+//  3. Each waiter receives exactly one send: the reader's pop and fail's
+//     drain both happen under mu, and a popped waiter is owned by whoever
+//     popped it. done is buffered so delivery never blocks, and a waiter
+//     goes back to the pool only after its one receive.
 //
 // Any failure — read, write, decode, timeout, unsolicited reply —
 // poisons the whole connection: the framing can no longer be trusted,
 // so every in-flight round trip fails and the next request redials.
+//
+// A round trip that overruns its timeout is found by the reader, not by a
+// timer of its own: the connection's read deadline is kept at the oldest
+// waiter's, which is the first to expire.
 type clientConn struct {
-	conn net.Conn
+	conn   net.Conn
+	frames frameReader // reads through Read below; the reader goroutine's
 
-	// writeMu serializes frame writes (and the pending append that must
-	// precede each one).
-	writeMu sync.Mutex
-
-	// pendMu guards pending and err; never held across I/O.
-	pendMu  sync.Mutex
-	pending []chan replyOrErr
-	err     error // non-nil once poisoned; sticky
+	// mu guards everything below; never held across I/O.
+	mu       sync.Mutex
+	pending  []*waiter
+	err      error  // non-nil once poisoned; sticky
+	out      []byte // frames appended and not yet taken by a write
+	spare    []byte // the buffer the last write used, for the next swap
+	flushing bool   // a sender is writing, and will write what is appended
+	burst    int    // replies the reader's latest read delivered
+	fresh    bool   // that read has delivered none yet; the reader goroutine's
 
 	// onBroken is invoked once when the connection is poisoned by a
 	// failure (not by Close); nil disables.
@@ -118,36 +133,65 @@ type clientConn struct {
 
 func newClientConn(conn net.Conn, onBroken func()) *clientConn {
 	cc := &clientConn{conn: conn, onBroken: onBroken}
+	cc.frames = newFrameReader(cc)
 	go cc.readLoop()
 	return cc
 }
 
-// readLoop is the connection's single reader: it decodes replies and
-// delivers each to the oldest waiter. It exits when the connection
-// fails or is closed.
+// Read is where the reader goroutine blocks; it sets the read deadline to
+// the oldest waiter's first (none when nothing is pending: send sets it
+// for the waiter that ends that).
+func (cc *clientConn) Read(p []byte) (int, error) {
+	cc.mu.Lock()
+	var t time.Time
+	if len(cc.pending) > 0 {
+		t = cc.pending[0].deadline
+	}
+	cc.conn.SetReadDeadline(t)
+	cc.mu.Unlock()
+	cc.fresh = true
+	return cc.conn.Read(p)
+}
+
+// readLoop is the connection's single reader: it decodes each reply into
+// the oldest waiter and wakes it. It exits when the connection fails or
+// is closed.
 func (cc *clientConn) readLoop() {
 	for {
-		payload, err := ReadFrame(cc.conn)
+		payload, err := cc.frames.next()
 		if err != nil {
+			if isTimeout(err) {
+				err = errors.New("request timed out")
+			}
 			cc.fail(fmt.Errorf("%w: read: %w", ErrConnBroken, err))
 			return
 		}
-		reply, err := DecodeReply(payload)
-		if err != nil {
-			// A reply we cannot parse means the stream is desynchronized.
-			cc.fail(fmt.Errorf("%w: %w", ErrConnBroken, err))
-			return
-		}
-		cc.pendMu.Lock()
+		cc.mu.Lock()
 		if len(cc.pending) == 0 {
-			cc.pendMu.Unlock()
+			cc.mu.Unlock()
 			cc.fail(fmt.Errorf("%w: unsolicited reply", ErrConnBroken))
 			return
 		}
-		ch := cc.pending[0]
-		cc.pending = cc.pending[1:]
-		cc.pendMu.Unlock()
-		ch <- replyOrErr{reply: reply}
+		if cc.fresh {
+			cc.fresh, cc.burst = false, 0
+		}
+		cc.burst++
+		w := cc.pending[0]
+		cc.pending[0] = nil
+		if len(cc.pending) == 1 {
+			cc.pending = cc.pending[:0] // keeps the slot: a lone caller's next trip allocates nothing
+		} else {
+			cc.pending = cc.pending[1:]
+		}
+		cc.mu.Unlock()
+		if err := decodeReply(&w.reply, payload); err != nil {
+			// A reply we cannot parse means the stream is desynchronized.
+			err = fmt.Errorf("%w: %w", ErrConnBroken, err)
+			w.done <- err
+			cc.fail(err)
+			return
+		}
+		w.done <- nil
 	}
 }
 
@@ -155,75 +199,107 @@ func (cc *clientConn) readLoop() {
 // waiter receives it, and the underlying conn is closed (unblocking the
 // reader and any stuck writer).
 func (cc *clientConn) fail(err error) {
-	cc.pendMu.Lock()
+	cc.mu.Lock()
 	if cc.err != nil {
-		cc.pendMu.Unlock()
+		cc.mu.Unlock()
 		return
 	}
 	cc.err = err
 	pending := cc.pending
 	cc.pending = nil
-	cc.pendMu.Unlock()
+	cc.mu.Unlock()
 	cc.conn.Close()
 	if cc.onBroken != nil && !errors.Is(err, ErrClientClosed) {
 		cc.onBroken()
 	}
-	for _, ch := range pending {
-		ch <- replyOrErr{err: err}
+	for _, w := range pending {
+		w.done <- err
 	}
 }
 
 // healthy reports whether the connection can still carry requests.
 func (cc *clientConn) healthy() bool {
-	cc.pendMu.Lock()
-	defer cc.pendMu.Unlock()
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
 	return cc.err == nil
 }
 
-// send performs one pipelined round trip: enqueue the waiter, write the
-// frame, wait for the FIFO-matched reply. timeout bounds the whole trip
-// (<= 0 means no limit); an overrun poisons the connection, because a
-// reply we walked away from would desynchronize the stream.
-func (cc *clientConn) send(frame []byte, timeout time.Duration) (*Reply, error) {
-	ch := make(chan replyOrErr, 1)
-	cc.writeMu.Lock()
-	cc.pendMu.Lock()
-	if cc.err != nil {
-		err := cc.err
-		cc.pendMu.Unlock()
-		cc.writeMu.Unlock()
-		return nil, err
-	}
-	cc.pending = append(cc.pending, ch)
-	cc.pendMu.Unlock()
+// send performs one pipelined round trip: append the frame and enqueue
+// the waiter, see that the buffer gets written, wait for the FIFO-matched
+// reply and copy it to reply. timeout bounds the whole trip (<= 0 means
+// no limit); an overrun poisons the connection, because a reply we walked
+// away from would desynchronize the stream. A request over MaxMessageSize
+// fails before any of it reaches the wire; the connection stays clean.
+func (cc *clientConn) send(req *Request, reply *Reply, timeout time.Duration) error {
+	w := waiterPool.Get().(*waiter)
+	w.deadline = time.Time{}
 	if timeout > 0 {
-		cc.conn.SetWriteDeadline(time.Now().Add(timeout))
+		w.deadline = time.Now().Add(timeout)
 	}
-	err := WriteFrame(cc.conn, frame)
-	if timeout > 0 {
-		cc.conn.SetWriteDeadline(time.Time{})
-	}
-	cc.writeMu.Unlock()
-	if err != nil {
-		// The frame may be partially written: the stream is unusable.
-		cc.fail(fmt.Errorf("%w: write: %w", ErrConnBroken, err))
-		r := <-ch // fail (or a racing reply) settles our channel
-		return r.reply, r.err
-	}
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		select {
-		case r := <-ch:
-			return r.reply, r.err
-		case <-timer.C:
-			cc.fail(fmt.Errorf("%w: request timed out after %v", ErrConnBroken, timeout))
-			r := <-ch
-			return r.reply, r.err
+	cc.mu.Lock()
+	err := cc.err
+	if err == nil {
+		if cc.out, err = AppendRequest(cc.out, req); err != nil && len(cc.out) == 0 {
+			cc.out = trimBuf(cc.out)
 		}
 	}
-	r := <-ch
-	return r.reply, r.err
+	if err != nil {
+		cc.mu.Unlock()
+		waiterPool.Put(w)
+		return err
+	}
+	if cc.pending = append(cc.pending, w); len(cc.pending) == 1 {
+		cc.conn.SetReadDeadline(w.deadline)
+	}
+	flusher, together := !cc.flushing, cc.burst > 1
+	cc.flushing = true
+	cc.mu.Unlock()
+	if flusher {
+		if together {
+			// The reader's last read woke several callers, so the others
+			// are about to send too: let them append first and the burst
+			// leaves in one write. A caller woken alone has nobody to wait
+			// for, and would pay the yield for nothing.
+			runtime.Gosched()
+		}
+		cc.flush(timeout)
+	}
+	err = <-w.done // the reader's reply or fail's error, exactly one
+	if err == nil {
+		*reply = w.reply
+	}
+	w.reply = Reply{}
+	waiterPool.Put(w)
+	return err
+}
+
+// flush writes the buffered frames, and whatever is appended while it
+// writes, until the buffer is empty: one Write per pass.
+func (cc *clientConn) flush(timeout time.Duration) {
+	var done []byte
+	for {
+		cc.mu.Lock()
+		if done != nil {
+			cc.spare = trimBuf(done)
+		}
+		buf := cc.out
+		if len(buf) == 0 || cc.err != nil {
+			cc.flushing = false
+			cc.mu.Unlock()
+			return
+		}
+		cc.out, cc.spare = cc.spare, nil
+		cc.mu.Unlock()
+		if timeout > 0 {
+			cc.conn.SetWriteDeadline(time.Now().Add(timeout))
+		}
+		if _, err := cc.conn.Write(buf); err != nil {
+			// Frames may be partially written: the stream is unusable, for
+			// every waiter whose frame was in buf or is still in out.
+			cc.fail(fmt.Errorf("%w: write: %w", ErrConnBroken, err))
+		}
+		done = buf
+	}
 }
 
 // Client is an application's handle to the Potluck service, wrapping the
@@ -412,17 +488,11 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
-// roundTrip sends one request and reads its reply, redialing and
-// retrying on connection failures up to MaxAttempts. Concurrent round
+// roundTrip sends one request and reads its reply into reply, redialing
+// and retrying on connection failures up to MaxAttempts. Concurrent round
 // trips pipeline over the shared connection.
-func (c *Client) roundTrip(req *Request) (*Reply, error) {
+func (c *Client) roundTrip(req *Request, reply *Reply) error {
 	req.App = c.app
-	frame := EncodeRequest(req)
-	if len(frame) > MaxMessageSize {
-		// Reject before any bytes hit the wire (the server would cut the
-		// connection on the oversize prefix); the connection stays clean.
-		return nil, fmt.Errorf("%w: request is %d bytes", ErrMessageTooLarge, len(frame))
-	}
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -436,29 +506,29 @@ func (c *Client) roundTrip(req *Request) (*Reply, error) {
 			if errors.Is(err, ErrClientClosed) || errors.Is(err, ErrConnBroken) {
 				// Closed, or poisoned with no redial path: retrying
 				// cannot help.
-				return nil, err
+				return err
 			}
 			lastErr = err // dial failure: back off and retry
 			continue
 		}
-		reply, err := cc.send(frame, c.cfg.RequestTimeout)
+		err = cc.send(req, reply, c.cfg.RequestTimeout)
 		if err == nil {
 			if reply.Type == MsgReplyError {
 				// The server answered; its error is final and the
 				// connection stays healthy.
-				return nil, fmt.Errorf("service: %s", reply.Error)
+				return fmt.Errorf("service: %s", reply.Error)
 			}
-			return reply, nil
+			return nil
 		}
 		if !errors.Is(err, ErrConnBroken) {
-			return nil, err
+			return err // an oversize request: nothing was sent
 		}
 		lastErr = err
 		if c.network == "" {
-			return nil, err // cannot redial a wrapped connection
+			return err // cannot redial a wrapped connection
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // Register registers a function and its key types with the service
@@ -469,12 +539,12 @@ func (c *Client) Register(function string, keyTypes ...KeyTypeDef) error {
 	if len(keyTypes) == 0 {
 		return errors.New("service: at least one key type required")
 	}
-	_, err := c.roundTrip(&Request{
+	var reply Reply
+	return c.roundTrip(&Request{
 		Type:     MsgRegister,
 		Function: function,
 		KeyTypes: keyTypes,
-	})
-	return err
+	}, &reply)
 }
 
 // LookupResult is the client-side view of a lookup outcome.
@@ -514,15 +584,16 @@ func (c *Client) LookupTraced(function, keyType string, key vec.Vector, trace te
 	if m != nil && m.spans != nil {
 		start = time.Now()
 	}
-	reply, err := c.roundTrip(&Request{
+	var reply Reply
+	err := c.roundTrip(&Request{
 		Type:     MsgLookup,
 		Function: function,
 		KeyType:  keyType,
 		Key:      key,
 		Trace:    uint64(trace),
-	})
+	}, &reply)
 	if m != nil && m.spans != nil {
-		recordClientSpan(m.spans, start, trace, function, keyType, reply, err)
+		recordClientSpan(m.spans, start, trace, function, keyType, &reply, err)
 	}
 	if err != nil {
 		return LookupResult{}, err
@@ -605,7 +676,8 @@ func (c *Client) Put(function string, keys map[string]vec.Vector, value []byte, 
 	if m != nil && m.spans != nil && opts.Trace != 0 {
 		start = time.Now()
 	}
-	reply, err := c.roundTrip(&Request{
+	var reply Reply
+	err := c.roundTrip(&Request{
 		Type:     MsgPut,
 		Function: function,
 		Keys:     keys,
@@ -614,9 +686,9 @@ func (c *Client) Put(function string, keys map[string]vec.Vector, value []byte, 
 		Size:     int64(opts.Size),
 		TTL:      int64(opts.TTL),
 		Trace:    uint64(opts.Trace),
-	})
+	}, &reply)
 	if m != nil && m.spans != nil && opts.Trace != 0 {
-		recordClientSpan(m.spans, start, opts.Trace, function, "", reply, err)
+		recordClientSpan(m.spans, start, opts.Trace, function, "", &reply, err)
 	}
 	if err != nil {
 		return 0, err
@@ -630,8 +702,8 @@ func (c *Client) Put(function string, keys map[string]vec.Vector, value []byte, 
 // healthy), which surfaces here as a normal error — callers treat it as
 // "legacy peer, no mesh protocol".
 func (c *Client) PeerInfo(info PeerInfo) (PeerInfo, error) {
-	reply, err := c.roundTrip(&Request{Type: MsgPeerInfo, Value: EncodePeerInfo(&info)})
-	if err != nil {
+	var reply Reply
+	if err := c.roundTrip(&Request{Type: MsgPeerInfo, Value: EncodePeerInfo(&info)}, &reply); err != nil {
 		return PeerInfo{}, err
 	}
 	theirs, err := DecodePeerInfo(reply.Value)
@@ -643,8 +715,8 @@ func (c *Client) PeerInfo(info PeerInfo) (PeerInfo, error) {
 
 // Stats fetches the service's cache counters.
 func (c *Client) Stats() (StatsPayload, error) {
-	reply, err := c.roundTrip(&Request{Type: MsgStats})
-	if err != nil {
+	var reply Reply
+	if err := c.roundTrip(&Request{Type: MsgStats}, &reply); err != nil {
 		return StatsPayload{}, err
 	}
 	return reply.Stats, nil
@@ -680,8 +752,8 @@ func (c *Client) MultiLookup(subs []LookupSub) ([]MultiLookupResult, error) {
 			sent[i].Trace = uint64(telemetry.NewTraceID())
 		}
 	}
-	reply, err := c.roundTrip(&Request{Type: MsgMultiLookup, Value: EncodeLookupSubs(sent)})
-	if err != nil {
+	var reply Reply
+	if err := c.roundTrip(&Request{Type: MsgMultiLookup, Value: EncodeLookupSubs(sent)}, &reply); err != nil {
 		return nil, err
 	}
 	srs, err := DecodeLookupSubReplies(reply.Value)
@@ -730,8 +802,8 @@ func (c *Client) MultiPut(subs []PutSub) ([]MultiPutResult, error) {
 	if len(subs) > MaxBatch {
 		return nil, fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(subs), MaxBatch)
 	}
-	reply, err := c.roundTrip(&Request{Type: MsgMultiPut, Value: EncodePutSubs(subs)})
-	if err != nil {
+	var reply Reply
+	if err := c.roundTrip(&Request{Type: MsgMultiPut, Value: EncodePutSubs(subs)}, &reply); err != nil {
 		return nil, err
 	}
 	srs, err := DecodePutSubReplies(reply.Value)

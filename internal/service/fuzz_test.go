@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/vec"
 )
@@ -137,56 +139,113 @@ func frame(payload []byte) []byte {
 	return out
 }
 
-// FuzzServerStream drives a live connection handler with arbitrary bytes:
-// whatever arrives — truncated frames, oversize prefixes, unknown message
-// types, zero-length vectors, garbage — the handler must neither panic
-// nor hang, and every reply it does emit must decode.
+// FuzzServerStream drives a connection handler with arbitrary bytes cut
+// into arbitrary reads: whatever arrives — truncated frames, oversize
+// prefixes, unknown message types, zero-length vectors, garbage — the
+// handler must neither panic nor hang, every reply it emits must decode,
+// and the replies must be the ones the same bytes draw when they arrive
+// one frame to a read. That delivery never has a second request buffered,
+// so it is the loop with nothing coalesced: the reference for what
+// bursts, split headers and frames straddling two reads may not change.
 func FuzzServerStream(f *testing.F) {
-	f.Add(frame(EncodeRequest(&Request{
-		Type: MsgRegister, Function: "f",
-		KeyTypes: []KeyTypeDef{{Name: "k"}},
-	})))
-	f.Add(frame(EncodeRequest(&Request{Type: MsgStats})))
-	f.Add(frame(EncodeRequest(&Request{Type: 99})))                                               // unknown type
-	f.Add(frame(EncodeRequest(&Request{Type: MsgLookup, Function: "f", Key: vec.Vector{}})))      // zero-length vector
-	f.Add(frame(EncodeRequest(&Request{Type: MsgLookup, Function: "f", Key: vec.Vector{1}}))[:7]) // truncated frame
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})                                                // oversize length prefix
-	f.Add([]byte{0, 0, 0})                                                                        // short header
-	f.Fuzz(func(t *testing.T, data []byte) {
-		srv := NewServerConfig(core.New(core.Config{DisableDropout: true}), ServerConfig{
-			IdleTimeout: 200 * time.Millisecond,
-			ReadTimeout: 200 * time.Millisecond,
-		})
-		client, server := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.handleConn(server, &connState{})
-		}()
-		// Drain replies concurrently (net.Pipe is unbuffered, so an
-		// unread reply would wedge the handler) and check each decodes.
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for {
-				payload, err := ReadFrame(client)
-				if err != nil {
-					return
-				}
-				if _, err := DecodeReply(payload); err != nil {
-					t.Errorf("server emitted undecodable reply: %v", err)
-				}
-			}
-		}()
-		client.Write(data)
-		client.Close()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("connection handler hung on hostile input")
+	seeds := [][]byte{
+		frame(EncodeRequest(&Request{
+			Type: MsgRegister, Function: "f",
+			KeyTypes: []KeyTypeDef{{Name: "k"}},
+		})),
+		frame(EncodeRequest(&Request{Type: MsgStats})),
+		frame(EncodeRequest(&Request{Type: 99})),                                               // unknown type
+		frame(EncodeRequest(&Request{Type: MsgLookup, Function: "f", Key: vec.Vector{}})),      // zero-length vector
+		frame(EncodeRequest(&Request{Type: MsgLookup, Function: "f", Key: vec.Vector{1}}))[:7], // truncated frame
+		{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3},                                                      // oversize length prefix
+		{0, 0, 0},                                                                              // short header
+	}
+	// A burst of everything: register, puts, lookups, a batch, stats, and
+	// an oversize prefix that ends the connection with replies queued.
+	key := map[string]vec.Vector{"k": {1, 2}}
+	burst := bytes.Join([][]byte{
+		seeds[0],
+		frame(EncodeRequest(&Request{Type: MsgPut, App: "a", Function: "f", Keys: key, Value: []byte("v"), Cost: 5})),
+		frame(EncodeRequest(&Request{Type: MsgLookup, App: "a", Function: "f", KeyType: "k", Key: vec.Vector{1, 2}})),
+		frame(EncodeRequest(&Request{Type: MsgLookup, App: "b", Function: "f", KeyType: "k", Key: vec.Vector{9, 9}})),
+		frame(EncodeRequest(&Request{Type: MsgMultiLookup, App: "a", Value: EncodeLookupSubs([]LookupSub{
+			{Function: "f", KeyType: "k", Key: vec.Vector{1, 2}}, {Function: "g", KeyType: "k", Key: vec.Vector{1}},
+		})})),
+		frame(EncodeRequest(&Request{Type: MsgMultiPut, App: "a", Value: EncodePutSubs([]PutSub{{Function: "f", Keys: key, Value: []byte("w")}})})),
+		seeds[1],
+		seeds[5],
+	}, nil)
+	for i, seed := range append(seeds, burst) {
+		f.Add(seed, uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {
+		want := serveScript(t, frameChunks(data))
+		got := serveScript(t, randomChunks(data, cuts))
+		if len(got) != len(want) {
+			t.Fatalf("%d replies to the chunked stream, %d to the same bytes a frame at a time", len(got), len(want))
 		}
-		<-drained
+		for i := range want {
+			// Compared as bytes: a NaN distance is not equal to itself.
+			if !bytes.Equal(EncodeReply(got[i]), EncodeReply(want[i])) {
+				t.Fatalf("reply %d to the chunked stream is %+v, a frame at a time %+v", i, got[i], want[i])
+			}
+		}
 	})
+}
+
+// serveScript runs a fresh server's connection loop over the scripted
+// reads and returns the replies it wrote, each checked to decode. The
+// cache's clock stands still, so that replies carry no wall time.
+func serveScript(t *testing.T, chunks [][]byte) []*Reply {
+	t.Helper()
+	srv := NewServer(core.New(core.Config{
+		DisableDropout: true,
+		Clock:          clock.NewVirtual(time.Unix(1000, 0)),
+	}))
+	conn := newScriptConn(chunks...)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.handleConn(conn, &connState{})
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection handler hung on hostile input")
+	}
+	_, replies := conn.written(t)
+	return replies
+}
+
+// frameChunks cuts a stream at its frame boundaries; whatever follows an
+// oversize prefix or a last partial frame stays in one piece.
+func frameChunks(data []byte) [][]byte {
+	var chunks [][]byte
+	for len(data) >= 4 {
+		n := uint64(binary.BigEndian.Uint32(data))
+		if n > MaxMessageSize || 4+n > uint64(len(data)) {
+			break
+		}
+		chunks = append(chunks, data[:4+n])
+		data = data[4+n:]
+	}
+	if len(data) > 0 {
+		chunks = append(chunks, data)
+	}
+	return chunks
+}
+
+// randomChunks cuts a stream into reads of 1 to 256 bytes, mostly short,
+// drawn from the seed.
+func randomChunks(data []byte, seed uint64) [][]byte {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	var chunks [][]byte
+	for len(data) > 0 {
+		n := min(1+rng.Intn(1+rng.Intn(256)), len(data))
+		chunks = append(chunks, data[:n])
+		data = data[n:]
+	}
+	return chunks
 }
 
 // FuzzClientReply drives the client's reply path with arbitrary bytes

@@ -8,6 +8,7 @@
 package service
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -212,6 +213,31 @@ type decoder struct {
 	buf []byte
 	off int
 	err error
+	// names, when set, interns every decoded string (a request envelope's
+	// strings are all names: app, function, key types).
+	names nameTable
+}
+
+// nameTable interns the few names a connection repeats on every request,
+// so decoding them allocates once per connection instead of once per
+// request. It admits only short names and stops growing at maxNames: a
+// hostile peer cannot inflate it.
+type nameTable map[string]string
+
+const (
+	maxNames   = 64
+	maxNameLen = 128
+)
+
+func (t nameTable) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok { // the conversion in a map index does not allocate
+		return s
+	}
+	s := string(b)
+	if len(t) < maxNames && len(s) <= maxNameLen {
+		t[s] = s
+	}
+	return s
 }
 
 func (d *decoder) fail() {
@@ -270,9 +296,12 @@ func (d *decoder) str() string {
 		d.fail()
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	if d.names != nil {
+		return d.names.intern(b)
+	}
+	return string(b)
 }
 
 func (d *decoder) bytes() []byte {
@@ -287,13 +316,21 @@ func (d *decoder) bytes() []byte {
 	return b
 }
 
-func (d *decoder) vector() vec.Vector {
+func (d *decoder) vector() vec.Vector { return d.vectorInto(nil) }
+
+// vectorInto decodes a vector into dst's backing array when it is large
+// enough, for callers that own dst and keep nothing decoded into it.
+func (d *decoder) vectorInto(dst vec.Vector) vec.Vector {
 	n := d.u32()
 	if d.err != nil || uint64(n)*8 > uint64(d.remaining()) {
 		d.fail()
 		return nil
 	}
-	v := make(vec.Vector, n)
+	v := dst[:0]
+	if dst == nil || cap(dst) < int(n) {
+		v = make(vec.Vector, n)
+	}
+	v = v[:n]
 	for i := range v {
 		v[i] = d.f64()
 	}
@@ -313,9 +350,52 @@ func (d *decoder) sub() []byte {
 	return b
 }
 
+// connBufSize is the size of a connection's read buffer and the most a
+// write buffer keeps between flushes, on both ends of the socket: a burst
+// of 32 small frames fits several times over, and a thousand idle
+// connections hold 32 MiB.
+const connBufSize = 16 << 10
+
+// trimBuf empties a write buffer for reuse, releasing one that a large
+// frame grew beyond connBufSize.
+func trimBuf(b []byte) []byte {
+	if cap(b) > connBufSize {
+		return nil
+	}
+	return b[:0]
+}
+
+// openFrame reserves the length prefix of a frame appended to dst;
+// closeFrame fills it in once the payload is encoded. A payload over
+// MaxMessageSize is taken back off: dst returns as it was, with
+// ErrMessageTooLarge.
+func openFrame(dst []byte) encoder { return encoder{buf: append(dst, 0, 0, 0, 0)} }
+
+func closeFrame(buf []byte, start int) ([]byte, error) {
+	n := len(buf) - start - 4
+	if n > MaxMessageSize {
+		return buf[:start], fmt.Errorf("%w: %d bytes", ErrMessageTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(n))
+	return buf, nil
+}
+
+// AppendRequest appends a request to dst as one frame, length prefix
+// included, encoding straight into dst's spare capacity.
+func AppendRequest(dst []byte, r *Request) ([]byte, error) {
+	e := openFrame(dst)
+	e.request(r)
+	return closeFrame(e.buf, len(dst))
+}
+
 // EncodeRequest serializes a request payload (without the frame header).
 func EncodeRequest(r *Request) []byte {
-	var e encoder
+	e := encoder{buf: make([]byte, 0, 96+len(r.App)+len(r.Function)+len(r.KeyType)+8*len(r.Key)+len(r.Value))}
+	e.request(r)
+	return e.buf
+}
+
+func (e *encoder) request(r *Request) {
 	e.u8(uint8(r.Type))
 	e.str(r.App)
 	e.str(r.Function)
@@ -338,7 +418,6 @@ func EncodeRequest(r *Request) []byte {
 	e.i64(r.Size)
 	e.i64(r.TTL)
 	e.u64(r.Trace)
-	return e.buf
 }
 
 type namedKey struct {
@@ -362,17 +441,30 @@ func sortedKeys(m map[string]vec.Vector) []namedKey {
 
 // DecodeRequest parses a request payload.
 func DecodeRequest(buf []byte) (*Request, error) {
-	d := decoder{buf: buf}
-	r := &Request{Type: MsgType(d.u8())}
+	r := new(Request)
+	if err := decodeRequest(r, buf, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeRequest parses a request payload into r, overwriting every field.
+// It keeps nothing of buf. r.Key is decoded into the backing array r
+// already holds, and strings are interned in names when given: the
+// server decodes every request of a connection into one Request, and its
+// handlers keep neither past the reply.
+func decodeRequest(r *Request, buf []byte, names nameTable) error {
+	d := decoder{buf: buf, names: names}
+	*r = Request{Type: MsgType(d.u8()), Key: r.Key}
 	r.App = d.str()
 	r.Function = d.str()
 	r.KeyType = d.str()
-	r.Key = d.vector()
+	r.Key = d.vectorInto(r.Key)
 	if n := d.u32(); n > 0 {
 		// Each entry takes ≥ 8 bytes; cheap sanity bound, compared in
 		// uint64 so a hostile count cannot wrap on 32-bit platforms.
 		if uint64(n) > uint64(len(buf)) {
-			return nil, errors.New("service: corrupt key map length")
+			return errors.New("service: corrupt key map length")
 		}
 		r.Keys = make(map[string]vec.Vector, n)
 		for i := uint32(0); i < n && d.err == nil; i++ {
@@ -382,7 +474,7 @@ func DecodeRequest(buf []byte) (*Request, error) {
 	}
 	if n := d.u32(); n > 0 {
 		if uint64(n) > uint64(len(buf)) {
-			return nil, errors.New("service: corrupt key type list length")
+			return errors.New("service: corrupt key type list length")
 		}
 		r.KeyTypes = make([]KeyTypeDef, 0, n)
 		for i := uint32(0); i < n && d.err == nil; i++ {
@@ -404,15 +496,24 @@ func DecodeRequest(buf []byte) (*Request, error) {
 	if d.err == nil && d.off+8 <= len(d.buf) {
 		r.Trace = d.u64()
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return r, nil
+	return d.err
+}
+
+// AppendReply appends a reply to dst as one frame, length prefix included.
+func AppendReply(dst []byte, r *Reply) ([]byte, error) {
+	e := openFrame(dst)
+	e.reply(r)
+	return closeFrame(e.buf, len(dst))
 }
 
 // EncodeReply serializes a reply payload.
 func EncodeReply(r *Reply) []byte {
-	var e encoder
+	e := encoder{buf: make([]byte, 0, 128+len(r.Error)+len(r.Value))}
+	e.reply(r)
+	return e.buf
+}
+
+func (e *encoder) reply(r *Reply) {
 	e.u8(uint8(r.Type))
 	e.str(r.Error)
 	e.bool(r.Hit)
@@ -422,19 +523,28 @@ func EncodeReply(r *Reply) []byte {
 	e.f64(r.Threshold)
 	e.i64(r.MissedAt)
 	e.u64(r.ID)
-	s := r.Stats
-	for _, v := range []int64{s.Hits, s.Misses, s.Dropouts, s.Puts,
+	s := &r.Stats
+	for _, v := range [...]int64{s.Hits, s.Misses, s.Dropouts, s.Puts,
 		s.Evictions, s.Expirations, s.Entries, s.Bytes, s.SavedComputeN} {
 		e.i64(v)
 	}
 	e.u64(r.Trace)
-	return e.buf
 }
 
 // DecodeReply parses a reply payload.
 func DecodeReply(buf []byte) (*Reply, error) {
+	r := new(Reply)
+	if err := decodeReply(r, buf); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeReply parses a reply payload into r, overwriting every field and
+// keeping nothing of buf.
+func decodeReply(r *Reply, buf []byte) error {
 	d := decoder{buf: buf}
-	r := &Reply{Type: MsgType(d.u8())}
+	*r = Reply{Type: MsgType(d.u8())}
 	r.Error = d.str()
 	r.Hit = d.bool()
 	r.Dropout = d.bool()
@@ -443,19 +553,16 @@ func DecodeReply(buf []byte) (*Reply, error) {
 	r.Threshold = d.f64()
 	r.MissedAt = d.i64()
 	r.ID = d.u64()
-	for _, p := range []*int64{&r.Stats.Hits, &r.Stats.Misses, &r.Stats.Dropouts,
-		&r.Stats.Puts, &r.Stats.Evictions, &r.Stats.Expirations,
-		&r.Stats.Entries, &r.Stats.Bytes, &r.Stats.SavedComputeN} {
+	s := &r.Stats
+	for _, p := range [...]*int64{&s.Hits, &s.Misses, &s.Dropouts, &s.Puts,
+		&s.Evictions, &s.Expirations, &s.Entries, &s.Bytes, &s.SavedComputeN} {
 		*p = d.i64()
 	}
-	// Optional trailing trace ID (see DecodeRequest).
+	// Optional trailing trace ID (see decodeRequest).
 	if d.err == nil && d.off+8 <= len(d.buf) {
 		r.Trace = d.u64()
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return r, nil
+	return d.err
 }
 
 // --- batch sub-operation codecs ---
@@ -730,33 +837,95 @@ func DecodePutSubReplies(buf []byte) ([]PutSubReply, error) {
 	return subs, nil
 }
 
-// WriteFrame writes a length-prefixed message.
+// WriteFrame writes a length-prefixed message in one Write.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxMessageSize {
 		return ErrMessageTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := append(make([]byte, 4, 4+len(payload)), payload...)
+	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
+	_, err := w.Write(buf)
 	return err
 }
 
-// ReadFrame reads one length-prefixed message.
+// ReadFrame reads one length-prefixed message, and no byte beyond it.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxMessageSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMessageTooLarge, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	n, err := frameLen(hdr[:])
+	if err != nil {
 		return nil, err
 	}
+	return readBody(r, n)
+}
+
+// frameLen parses and bounds a frame's length prefix.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if n > MaxMessageSize {
+		return 0, fmt.Errorf("%w: %d bytes", ErrMessageTooLarge, n)
+	}
+	return int(n), nil
+}
+
+// bodyChunk bounds how far readBody allocates ahead of the bytes received.
+const bodyChunk = 64 << 10
+
+// readBody reads an n-byte frame body. The buffer grows with the data, a
+// chunk at a time: a length prefix is a claim, and a peer that claims
+// MaxMessageSize and sends nothing must cost a chunk, not 16 MiB.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, bodyChunk))
+	for len(buf) < n {
+		have := len(buf)
+		buf = append(buf, make([]byte, min(n-have, bodyChunk))...)
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			return nil, err
+		}
+	}
 	return buf, nil
+}
+
+// frameReader delivers a connection's frames through a connBufSize
+// buffer, so that one read of the connection takes in every frame already
+// queued there. The underlying reader is asked for bytes only when the
+// buffer holds no complete frame; body tells it which part of a frame the
+// read waits for.
+type frameReader struct {
+	br   *bufio.Reader
+	skip int  // bytes of the previous frame still to discard
+	body bool // the frame's header is in and its body is not
+}
+
+func newFrameReader(r io.Reader) frameReader {
+	return frameReader{br: bufio.NewReaderSize(r, connBufSize)}
+}
+
+// next returns the next frame's payload, valid until the following call.
+// A frame that fits the buffer is returned in place; a larger one is read
+// into memory of its own.
+func (fr *frameReader) next() ([]byte, error) {
+	fr.br.Discard(fr.skip) // cannot fail: the bytes were peeked
+	fr.skip, fr.body = 0, false
+	hdr, err := fr.br.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n, err := frameLen(hdr)
+	if err != nil {
+		return nil, err
+	}
+	fr.body = true
+	if 4+n > fr.br.Size() {
+		fr.br.Discard(4)
+		return readBody(fr.br, n)
+	}
+	frame, err := fr.br.Peek(4 + n)
+	if err != nil {
+		return nil, err
+	}
+	fr.skip = 4 + n
+	return frame[4:], nil
 }

@@ -2,12 +2,11 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -28,7 +27,8 @@ type ServerConfig struct {
 	// ReadTimeout bounds reading one request body once its header has
 	// arrived. 0 = 10s; < 0 = no limit.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds writing one reply. 0 = 10s; < 0 = no limit.
+	// WriteTimeout bounds one write of queued replies. 0 = 10s; < 0 = no
+	// limit.
 	WriteTimeout time.Duration
 	// MaxConns caps concurrently served connections; accepts beyond the
 	// cap are closed immediately. 0 = 1024; < 0 = unlimited.
@@ -77,11 +77,11 @@ func (cfg ServerConfig) withDefaults() ServerConfig {
 // cache with its expiry janitor is the CacheManager, and core.Cache's
 // entry store is the DataStorage.
 //
-// Every connection carries per-request idle/read/write deadlines, the
-// connection count and concurrent handler count are capped, and Close
-// drains in-flight requests before cutting connections — the service
-// degrades under slow, dead, or hostile peers instead of accumulating
-// stuck goroutines.
+// Every read and write that can block carries an idle/read/write
+// deadline, the connection count and concurrent handler count are capped,
+// and Close drains in-flight requests before cutting connections — the
+// service degrades under slow, dead, or hostile peers instead of
+// accumulating stuck goroutines.
 type Server struct {
 	cache *core.Cache
 	cfg   ServerConfig
@@ -110,19 +110,27 @@ type Server struct {
 	// in flight deterministically.
 	testHookDispatch func(*Request)
 
+	// now is the clock of the flush rule; tests substitute it.
+	now func() time.Time
+
+	// draining is set by Close and read by every connection loop, without
+	// s.mu: it is on the request path.
+	draining atomic.Bool
+
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]*connState
 	closed   bool
-	draining bool
 	wg       sync.WaitGroup
 }
 
-// connState tracks whether a connection is executing a request (busy) or
-// waiting for the next one; drain closes idle connections immediately
-// and lets busy ones finish their current reply.
+// connState tracks whether a connection holds requests it has read and
+// not yet answered (busy) or is waiting for the next one; drain closes
+// idle connections immediately and lets busy ones write their replies.
+// The loop sets busy when a read returns and clears it before the next
+// one blocks, once per burst.
 type connState struct {
-	busy bool
+	busy atomic.Bool
 }
 
 // NewServer wraps a cache in a service with default limits.
@@ -138,6 +146,7 @@ func NewServerConfig(cache *core.Cache, cfg ServerConfig) *Server {
 		cfg:     cfg,
 		conns:   make(map[net.Conn]*connState),
 		limiter: newLogLimiter(5, 1, nil),
+		now:     time.Now,
 	}
 	if cfg.MaxHandlers > 0 {
 		s.sem = make(chan struct{}, cfg.MaxHandlers)
@@ -250,12 +259,6 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Close stops accepting and shuts the service down gracefully: idle
 // connections are closed immediately, in-flight requests get
 // DrainTimeout to finish their reply, and whatever remains after that is
@@ -268,11 +271,13 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.draining = true
+	// Set before any busy flag is read: a loop that marks itself busy
+	// after this load misses sees draining and stops before it dispatches.
+	s.draining.Store(true)
 	l := s.listener
 	idle := make([]net.Conn, 0, len(s.conns))
 	for c, st := range s.conns {
-		if !st.busy {
+		if !st.busy.Load() {
 			idle = append(idle, c)
 		}
 	}
@@ -317,51 +322,103 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// readRequest reads one request frame under the idle/read deadlines.
-func (s *Server) readRequest(conn net.Conn) ([]byte, error) {
-	if d := s.cfg.IdleTimeout; d > 0 {
-		conn.SetReadDeadline(time.Now().Add(d))
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxMessageSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMessageTooLarge, n)
-	}
-	// The header is in; the body gets its own (typically tighter) budget
-	// so a peer cannot stretch one request to IdleTimeout per byte.
-	if d := s.cfg.ReadTimeout; d > 0 {
-		conn.SetReadDeadline(time.Now().Add(d))
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return nil, err
-	}
-	conn.SetReadDeadline(time.Time{})
-	return buf, nil
+// flushBudget is the longest the loop knowingly keeps a queued reply from
+// its caller to save a write: a few times what the write costs, and below
+// what a k-d tree miss or a put takes.
+const flushBudget = 50 * time.Microsecond
+
+// errDraining ends a connection loop that was about to wait during Close.
+var errDraining = errors.New("service: draining")
+
+// The part of a frame a blocking read waits for; each gets one deadline.
+const (
+	partNone = iota
+	partHeader
+	partBody
+)
+
+// serverConn is one connection's loop state. The unit of socket I/O is
+// the burst: one read takes in every request the peer has queued, their
+// replies collect in out, and one write sends them.
+type serverConn struct {
+	s    *Server
+	conn net.Conn
+	st   *connState
+
+	frames frameReader // reads through Read below
+	names  nameTable
+	// req is every request of this connection in turn: handlers keep
+	// neither it nor its Key (its other fields are fresh per request).
+	req Request
+
+	out    []byte    // replies encoded and not yet written
+	queued int64     // how many
+	held   time.Time // when the oldest of them was queued
+	now    time.Time // last clock reading: the end of the last read or request
+	// mean is each message type's recent mean execution time on this
+	// connection; it starts at flushBudget: not yet seen is slow.
+	mean  [MsgReplyPeerInfo + 1]time.Duration
+	armed int   // the part of the current frame whose read deadline is set
+	werr  error // why a write of out failed
 }
 
-// writeReply writes one reply frame under the write deadline.
-func (s *Server) writeReply(conn net.Conn, reply *Reply) error {
-	if d := s.cfg.WriteTimeout; d > 0 {
-		conn.SetWriteDeadline(time.Now().Add(d))
-		defer conn.SetWriteDeadline(time.Time{})
+// Read is where the loop blocks: the frame reader calls it only when no
+// complete frame is buffered. Whatever is queued is written first, so no
+// reply waits on the peer's next request, and the read deadline is set
+// here and nowhere else — IdleTimeout for a frame's header, ReadTimeout
+// for its body, once each however many reads the part takes.
+func (c *serverConn) Read(p []byte) (int, error) {
+	if err := c.flush(); err != nil {
+		return 0, err
 	}
-	return WriteFrame(conn, EncodeReply(reply))
+	c.st.busy.Store(false)
+	if c.s.draining.Load() {
+		// Close either saw busy and is waiting for this return, or will
+		// see idle and close the connection; nothing is owed either way.
+		return 0, errDraining
+	}
+	part, d := partHeader, c.s.cfg.IdleTimeout
+	if c.frames.body {
+		// The header is in; the body gets its own (typically tighter)
+		// budget so a peer cannot stretch one request to IdleTimeout per
+		// byte.
+		part, d = partBody, c.s.cfg.ReadTimeout
+	}
+	if c.armed != part {
+		c.armed = part
+		var t time.Time
+		if d > 0 {
+			t = time.Now().Add(d)
+		}
+		c.conn.SetReadDeadline(t)
+	}
+	n, err := c.conn.Read(p)
+	c.st.busy.Store(true)
+	c.now = c.s.now()
+	return n, err
 }
 
-// setBusy flips the connection's drain classification.
-func (s *Server) setBusy(st *connState, busy bool) {
-	s.mu.Lock()
-	st.busy = busy
-	s.mu.Unlock()
+// flush writes the queued replies in one Write under the write deadline.
+func (c *serverConn) flush() error {
+	if len(c.out) == 0 {
+		return nil
+	}
+	if d := c.s.cfg.WriteTimeout; d > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(d))
+	}
+	_, c.werr = c.conn.Write(c.out)
+	if m := c.s.met; m != nil {
+		m.flushes.Inc()
+		m.replies.Add(c.queued)
+	}
+	c.out, c.queued = trimBuf(c.out), 0
+	return c.werr
 }
 
 // handleConn serves one application connection; requests on a connection
 // are processed sequentially (Binder transactions are synchronous per
-// caller thread), but execute through the shared bounded handler pool.
+// caller thread) and in line, each holding a slot of the shared bounded
+// handler pool while it executes.
 func (s *Server) handleConn(conn net.Conn, st *connState) {
 	defer func() {
 		conn.Close()
@@ -369,60 +426,92 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	for {
-		payload, err := s.readRequest(conn)
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrMessageTooLarge):
-				// Tell the peer why before hanging up; the stream past an
-				// oversize prefix is unreadable, so the connection is done
-				// either way, but the client sees a reason instead of a
-				// silent disconnect.
-				s.writeReply(conn, &Reply{Type: MsgReplyError, Error: err.Error()})
-				s.countDroppedConn()
-				s.logfLimited("oversize", "service: %v: %v", conn.RemoteAddr(), err)
-			case isTimeout(err):
-				s.countDroppedConn()
-				s.logfLimited("deadline", "service: %v: evicted on deadline: %v", conn.RemoteAddr(), err)
-			}
-			return // disconnect, timeout, or malformed frame: drop the client
-		}
-		s.setBusy(st, true)
-		req, err := DecodeRequest(payload)
-		var reply *Reply
-		if err != nil {
-			if s.met != nil {
-				s.met.decodeErrs.Inc()
-			}
-			reply = &Reply{Type: MsgReplyError, Error: err.Error()}
-		} else {
-			reply = s.dispatchBounded(req)
-		}
-		err = s.writeReply(conn, reply)
-		if errors.Is(err, ErrMessageTooLarge) {
-			// WriteFrame rejects an oversize payload before writing a single
-			// byte, so the stream is still frame-aligned — degrade to an
-			// in-band error instead of cutting a healthy connection. (A batch
-			// of large hits can legitimately overflow one reply frame.)
-			err = s.writeReply(conn, &Reply{Type: MsgReplyError, Error: ErrMessageTooLarge.Error(), Trace: reply.Trace})
-		}
-		s.setBusy(st, false)
-		if err != nil {
-			s.countDroppedConn()
-			s.logfLimited("write-reply", "service: write reply: %v", err)
-			return
-		}
-		if s.isDraining() {
-			return
-		}
+	c := &serverConn{s: s, conn: conn, st: st, names: make(nameTable)}
+	c.frames = newFrameReader(c)
+	for i := range c.mean {
+		c.mean[i] = flushBudget
 	}
+	for {
+		c.armed = partNone
+		payload, err := c.frames.next()
+		if err == nil && s.draining.Load() {
+			// Requests read and not dispatched are dropped (their callers
+			// see a closed connection and retry elsewhere); every request
+			// dispatched has its reply in out.
+			c.flush()
+			return
+		}
+		if err == nil {
+			err = c.serve(payload)
+		}
+		switch {
+		case err == nil:
+			continue
+		case c.werr != nil:
+			s.countDroppedConn()
+			s.logfLimited("write-reply", "service: write reply: %v", c.werr)
+		case errors.Is(err, ErrMessageTooLarge):
+			// Tell the peer why before hanging up; the stream past an
+			// oversize prefix is unreadable, so the connection is done
+			// either way, but the client sees a reason instead of a
+			// silent disconnect.
+			c.out, _ = AppendReply(c.out, &Reply{Type: MsgReplyError, Error: err.Error()})
+			c.flush()
+			s.countDroppedConn()
+			s.logfLimited("oversize", "service: %v: %v", conn.RemoteAddr(), err)
+		case isTimeout(err):
+			s.countDroppedConn()
+			s.logfLimited("deadline", "service: %v: evicted on deadline: %v", conn.RemoteAddr(), err)
+		}
+		return // disconnect, timeout, drain, or malformed frame: drop the client
+	}
+}
+
+// serve executes one request and queues its reply. Queued replies are
+// written first when this request would knowingly keep the oldest of them
+// to flushBudget — judged from how long it has waited plus what this
+// message type has recently cost here, a type not yet seen counting as
+// slow — so a reply never sits behind a slow neighbour's execution.
+func (c *serverConn) serve(payload []byte) error {
+	var reply Reply
+	err := decodeRequest(&c.req, payload, c.names)
+	// A type this build does not know shares a known type's slot; it
+	// costs an error reply, about what the fastest of them does.
+	mean := &c.mean[int(c.req.Type)%len(c.mean)]
+	if err != nil {
+		if c.s.met != nil {
+			c.s.met.decodeErrs.Inc()
+		}
+		reply = Reply{Type: MsgReplyError, Error: err.Error()}
+	} else {
+		if len(c.out) > 0 && c.now.Sub(c.held)+*mean >= flushBudget {
+			if err := c.flush(); err != nil {
+				return err
+			}
+		}
+		reply = c.s.dispatchBounded(&c.req)
+	}
+	end := c.s.now()
+	*mean += (end.Sub(c.now) - *mean) / 4
+	if c.now = end; len(c.out) == 0 {
+		c.held = end
+	}
+	if c.out, err = AppendReply(c.out, &reply); err != nil {
+		// An oversize reply is taken back off the buffer whole, so the
+		// stream is still frame-aligned — degrade to an in-band error
+		// instead of cutting a healthy connection. (A batch of large hits
+		// can legitimately overflow one reply frame.)
+		c.out, _ = AppendReply(c.out, &Reply{Type: MsgReplyError, Error: ErrMessageTooLarge.Error(), Trace: reply.Trace})
+	}
+	c.queued++
+	return nil
 }
 
 // dispatchBounded executes one request through the handler pool. When
 // instrumented it times the dispatch (handler-pool wait included — queue
 // delay under load is exactly what the latency histogram is for) and
 // counts the outcome.
-func (s *Server) dispatchBounded(req *Request) *Reply {
+func (s *Server) dispatchBounded(req *Request) Reply {
 	var start time.Time
 	if s.met != nil {
 		start = time.Now()
@@ -456,9 +545,9 @@ func (s *Server) dispatchBounded(req *Request) *Reply {
 				Layer:       "server",
 				Function:    req.Function,
 				KeyType:     req.KeyType,
-				Outcome:     replyOutcome(reply),
+				Outcome:     replyOutcome(&reply),
 				Err:         reply.Error,
-				Distance:    replyDistance(reply),
+				Distance:    replyDistance(&reply),
 				Threshold:   reply.Threshold,
 				DropoutRoll: -1,
 				Probes:      -1,
@@ -513,7 +602,7 @@ func isTimeout(err error) bool {
 }
 
 // dispatch executes one request against the cache.
-func (s *Server) dispatch(req *Request) *Reply {
+func (s *Server) dispatch(req *Request) Reply {
 	switch req.Type {
 	case MsgRegister:
 		return s.handleRegister(req)
@@ -530,16 +619,16 @@ func (s *Server) dispatch(req *Request) *Reply {
 	case MsgPeerInfo:
 		return s.handlePeerInfo(req)
 	default:
-		return &Reply{Type: MsgReplyError, Error: fmt.Sprintf("unknown request type %d", req.Type)}
+		return Reply{Type: MsgReplyError, Error: fmt.Sprintf("unknown request type %d", req.Type)}
 	}
 }
 
-func (s *Server) handleRegister(req *Request) *Reply {
+func (s *Server) handleRegister(req *Request) Reply {
 	specs := make([]core.KeyTypeSpec, 0, len(req.KeyTypes))
 	for _, def := range req.KeyTypes {
 		metric, err := vec.MetricByName(def.Metric)
 		if err != nil {
-			return &Reply{Type: MsgReplyError, Error: err.Error()}
+			return Reply{Type: MsgReplyError, Error: err.Error()}
 		}
 		kind := index.Kind(def.Index)
 		if kind == "" {
@@ -553,9 +642,9 @@ func (s *Server) handleRegister(req *Request) *Reply {
 		})
 	}
 	if err := s.cache.RegisterFunction(req.Function, specs...); err != nil {
-		return &Reply{Type: MsgReplyError, Error: err.Error()}
+		return Reply{Type: MsgReplyError, Error: err.Error()}
 	}
-	return &Reply{Type: MsgReplyOK}
+	return Reply{Type: MsgReplyOK}
 }
 
 // isByteValue restricts remote lookups to entries they can actually
@@ -566,7 +655,7 @@ func isByteValue(v any) bool {
 	return ok
 }
 
-func (s *Server) handleLookup(req *Request) *Reply {
+func (s *Server) handleLookup(req *Request) Reply {
 	// LookupAccept (not Lookup) so an entry this caller can never receive
 	// is a true miss: no hit counted, no access-frequency or importance
 	// credit for the entry.
@@ -575,9 +664,9 @@ func (s *Server) handleLookup(req *Request) *Reply {
 		Trace:  telemetry.TraceID(req.Trace),
 	})
 	if err != nil {
-		return &Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
+		return Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
 	}
-	reply := &Reply{
+	reply := Reply{
 		Type:      MsgReplyLookup,
 		Hit:       res.Hit,
 		Dropout:   res.Dropout,
@@ -602,7 +691,9 @@ func (s *Server) handleLookup(req *Request) *Reply {
 		if trace == 0 {
 			trace = req.Trace
 		}
-		if sr, ok := s.remote.RemoteLookup(req.Function, req.KeyType, req.Key, trace); ok {
+		// The tier may keep the key (the mesh adopts remote hits under
+		// it); req.Key is the connection's scratch, so it gets a copy.
+		if sr, ok := s.remote.RemoteLookup(req.Function, req.KeyType, req.Key.Clone(), trace); ok {
 			reply.Hit = true
 			reply.Value = sr.Value
 			reply.Distance = sr.Distance
@@ -615,11 +706,11 @@ func (s *Server) handleLookup(req *Request) *Reply {
 }
 
 // handlePeerInfo answers the mesh handshake with this node's identity.
-func (s *Server) handlePeerInfo(req *Request) *Reply {
+func (s *Server) handlePeerInfo(req *Request) Reply {
 	if _, err := DecodePeerInfo(req.Value); err != nil {
-		return &Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
+		return Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
 	}
-	return &Reply{
+	return Reply{
 		Type: MsgReplyPeerInfo,
 		Value: EncodePeerInfo(&PeerInfo{
 			Version: MeshProtocolVersion,
@@ -629,7 +720,7 @@ func (s *Server) handlePeerInfo(req *Request) *Reply {
 	}
 }
 
-func (s *Server) handlePut(req *Request) *Reply {
+func (s *Server) handlePut(req *Request) Reply {
 	putReq := core.PutRequest{
 		Keys:  req.Keys,
 		Value: req.Value,
@@ -641,7 +732,7 @@ func (s *Server) handlePut(req *Request) *Reply {
 	}
 	id, err := s.cache.Put(req.Function, putReq)
 	if err != nil {
-		return &Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
+		return Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
 	}
 	// An admitted application put is offered to the cluster tier for
 	// K-way replication; peer-originated puts (replication traffic) stay
@@ -657,16 +748,16 @@ func (s *Server) handlePut(req *Request) *Reply {
 			Trace:    req.Trace,
 		}})
 	}
-	return &Reply{Type: MsgReplyPut, ID: uint64(id), Trace: req.Trace}
+	return Reply{Type: MsgReplyPut, ID: uint64(id), Trace: req.Trace}
 }
 
 // handleMultiLookup fans a batch of sub-lookups across the core's
 // worker group. Sub-op errors are reported per sub; only an undecodable
 // batch payload fails the whole request.
-func (s *Server) handleMultiLookup(req *Request) *Reply {
+func (s *Server) handleMultiLookup(req *Request) Reply {
 	subs, err := DecodeLookupSubs(req.Value)
 	if err != nil {
-		return &Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
+		return Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
 	}
 	batch := make([]core.BatchLookup, len(subs))
 	for i, sub := range subs {
@@ -727,15 +818,15 @@ func (s *Server) handleMultiLookup(req *Request) *Reply {
 			replies[i].Threshold = rr.Threshold
 		}
 	}
-	return &Reply{Type: MsgReplyMultiLookup, Value: EncodeLookupSubReplies(replies), Trace: req.Trace}
+	return Reply{Type: MsgReplyMultiLookup, Value: EncodeLookupSubReplies(replies), Trace: req.Trace}
 }
 
 // handleMultiPut inserts a batch of sub-puts through the core's worker
 // group, reporting per-sub IDs and errors.
-func (s *Server) handleMultiPut(req *Request) *Reply {
+func (s *Server) handleMultiPut(req *Request) Reply {
 	subs, err := DecodePutSubs(req.Value)
 	if err != nil {
-		return &Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
+		return Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
 	}
 	batch := make([]core.BatchPut, len(subs))
 	for i, sub := range subs {
@@ -766,12 +857,12 @@ func (s *Server) handleMultiPut(req *Request) *Reply {
 	if len(admitted) > 0 && s.remote != nil && !IsPeerApp(req.App) {
 		s.remote.ReplicatePut(admitted)
 	}
-	return &Reply{Type: MsgReplyMultiPut, Value: EncodePutSubReplies(replies), Trace: req.Trace}
+	return Reply{Type: MsgReplyMultiPut, Value: EncodePutSubReplies(replies), Trace: req.Trace}
 }
 
-func (s *Server) handleStats() *Reply {
+func (s *Server) handleStats() Reply {
 	st := s.cache.Stats()
-	return &Reply{Type: MsgReplyStats, Stats: StatsPayload{
+	return Reply{Type: MsgReplyStats, Stats: StatsPayload{
 		Hits:          st.Hits,
 		Misses:        st.Misses,
 		Dropouts:      st.Dropouts,

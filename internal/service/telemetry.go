@@ -50,6 +50,10 @@ type serverMetrics struct {
 	rejectedConns  *telemetry.Counter
 	droppedConns   *telemetry.Counter
 	suppressedLogs *telemetry.Counter
+	// replies over flushes is the coalescing factor: how many reply
+	// frames one write of a connection loop carries.
+	replies *telemetry.Counter
+	flushes *telemetry.Counter
 	// spans is the hub's span recorder; traced requests (a non-zero
 	// trace ID on the wire) record a server-layer span into it.
 	spans *telemetry.SpanRecorder
@@ -75,6 +79,10 @@ func (s *Server) Instrument(tel *telemetry.Telemetry) {
 			"Connections dropped mid-stream (timeouts, oversize frames, write failures)."),
 		suppressedLogs: r.Counter("potluck_server_suppressed_logs_total",
 			"Diagnostic log lines suppressed by the per-key rate limiter."),
+		replies: r.Counter("potluck_server_replies_written_total",
+			"Reply frames written to connections."),
+		flushes: r.Counter("potluck_server_flushes_total",
+			"Socket writes that carried them; replies written per flush is the coalescing factor."),
 		spans: tel.Spans,
 	}
 	for _, op := range opNames {
