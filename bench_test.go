@@ -212,6 +212,55 @@ func sweepIndex(b *testing.B, kind index.Kind, n, dim int) (index.Index, vec.Vec
 	return idx, q
 }
 
+// BenchmarkHNSWNearest times one HNSW probe on the benchmark's
+// index-scale corpus shape (8 000 16-dim entries in 256 clusters, sigma 2
+// around centres drawn with sigma 100, queries 0.5 off a stored entry) at
+// the default pool width and at index-scale's -hnsw-efs 512. Run with
+// -benchmem: a probe should not allocate.
+func BenchmarkHNSWNearest(b *testing.B) {
+	const entries, dim, clusters = 8_000, 16, 256
+	rng := rand.New(rand.NewSource(18))
+	centres := make([]vec.Vector, clusters)
+	for i := range centres {
+		centres[i] = make(vec.Vector, dim)
+		for d := range centres[i] {
+			centres[i][d] = rng.NormFloat64() * 100
+		}
+	}
+	corpus := make([]vec.Vector, entries)
+	for i := range corpus {
+		c := centres[rng.Intn(clusters)]
+		corpus[i] = make(vec.Vector, dim)
+		for d := range corpus[i] {
+			corpus[i][d] = c[d] + rng.NormFloat64()*2
+		}
+	}
+	queries := make([]vec.Vector, 256)
+	for i := range queries {
+		queries[i] = corpus[rng.Intn(entries)].Clone()
+		for d := range queries[i] {
+			queries[i][d] += rng.NormFloat64() * 0.5
+		}
+	}
+	for _, efs := range []int{64, 512} {
+		b.Run(fmt.Sprintf("efs%d-8k", efs), func(b *testing.B) {
+			idx := index.NewHNSW(vec.EuclideanMetric{}, index.HNSWConfig{EfSearch: efs})
+			for i, k := range corpus {
+				if err := idx.Insert(index.ID(i+1), k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := idx.Nearest(queries[i%len(queries)]); !ok {
+					b.Fatal("no result")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkIndexMemory reports the key-store footprint per entry for the
 // flat and product-quantized stores at 10 000 entries (keyB/entry), with
 // lookup time as ns/op. PQ kinds run with an external resolver — the

@@ -11,8 +11,8 @@ import (
 // TestConcurrentQueryUnderChurn reproduces the cache core's locking
 // discipline: one writer mutates the index under Lock while many readers
 // query under RLock. Every kind must survive this under -race — queries
-// may not share mutable scratch (per-query ADC tables, visited sets,
-// heaps) and mutation state (tombstone repair, PQ training, cell
+// may not share mutable scratch (per-query ADC tables, pooled visited
+// stamps and heaps) and mutation state (tombstone repair, PQ training, cell
 // reassignment) must stay entirely under the write lock.
 func TestConcurrentQueryUnderChurn(t *testing.T) {
 	const (
@@ -68,7 +68,25 @@ func TestConcurrentQueryUnderChurn(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(999))
 			next := ID(128)
+			graph, _ := idx.(*HNSW)
+			slotCap := 0
 			for i := 0; i < rounds; i++ {
+				if i == rounds/2 {
+					// A burst that outgrows the HNSW node table while the
+					// readers hold pooled scratch sized for the old one:
+					// their next search must size it again.
+					if graph != nil {
+						mu.RLock()
+						slotCap = cap(graph.nodes)
+						mu.RUnlock()
+					}
+					for j := 0; j < 400; j++ {
+						mu.Lock()
+						idx.Insert(next, randomVec(rng, dim))
+						next++
+						mu.Unlock()
+					}
+				}
 				mu.Lock()
 				switch rng.Intn(3) {
 				case 0:
@@ -88,6 +106,9 @@ func TestConcurrentQueryUnderChurn(t *testing.T) {
 			// The structure must still answer correctly after churn.
 			mu.RLock()
 			defer mu.RUnlock()
+			if graph != nil && cap(graph.nodes) <= slotCap {
+				t.Errorf("node table capacity stayed at %d: the burst did not cross a growth", slotCap)
+			}
 			if idx.Len() > 0 {
 				if _, ok := idx.Nearest(randomVec(rng, dim)); !ok {
 					t.Error("populated index returned no nearest after churn")

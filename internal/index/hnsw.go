@@ -1,7 +1,6 @@
 package index
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 
@@ -13,7 +12,7 @@ import (
 // descent through sparse upper layers finds an entry region, a bounded
 // best-first search over the dense bottom layer collects candidates, and
 // probe work grows roughly logarithmically with the entry count instead
-// of linearly. Results are re-ranked with exact distances (see reRank),
+// of linearly. Results are re-ranked with exact distances (see answer),
 // so approximation affects WHICH neighbours are found, never the
 // distance values a threshold decision sees.
 //
@@ -24,31 +23,63 @@ import (
 // memory: dead nodes are bounded by the repair queue, which drains at
 // RepairBudget nodes per subsequent mutation.
 //
+// The graph is a dense node table: a node lives in a slot, link lists
+// hold slots, and a probe reaches a neighbour's level, tombstone flag
+// and vector by indexing an array. The id-to-slot map is read only by
+// Insert and Remove. Slots are recycled, newest first, so the same
+// insert and remove sequence always lays the table out the same way.
+//
 // Like every other kind, HNSW is not internally synchronized: the cache
-// guards it with a per-key-type RWMutex. Queries allocate their own
-// visited sets and heaps, so any number of readers may search
-// concurrently under RLock while mutations take the write lock.
+// guards it with a per-key-type RWMutex. Queries draw their visited
+// stamps and heaps from a pool (see scratchPool), so any number of
+// readers may search concurrently under RLock; mutations take the write
+// lock and own the mut scratch. The table cannot grow during a search.
 type HNSW struct {
 	probeCounter
+	scratchPool
 	metric   vec.Metric
 	cfg      HNSWConfig
-	store    vecStore
-	nodes    map[ID]*hnswNode
-	entry    ID   // entry point (highest-level live node)
-	entryOK  bool // false when the graph is empty
+	pq       *pqStore // nil: keys are kept uncompressed in the node table
+	keyBytes int64    // bytes of those uncompressed keys
+	nodes    []hnswNode
+	slotOf   map[ID]int32
+	free     []int32 // vacant slots nothing links to, reused last-in first-out
+	entry    int32   // slot of the highest-level live node; -1 when there is none
 	maxLevel int
 	rng      *rand.Rand
 	levelMul float64
 	repairQ  []ID // tombstoned nodes awaiting re-link
 	live     int
+	mut      struct {
+		search       *scratch
+		cands        []scored     // trimLinks' sorted candidates
+		kept         []vec.Vector // selectFromSorted's diverse picks
+		merged, pick []int32      // relink's spliced list; the selection
+		pruned       []int32
+	}
 }
 
+// hnswNode is one row of the node table. Freeing a node leaves links to
+// it dangling in nodes it had stopped linking back to; they are inert,
+// and come back to life if the same id is inserted again. To keep that
+// meaning a vacant slot holds on to its id, and is recycled for another
+// only once refs shows that no link list mentions it any more.
 type hnswNode struct {
-	id      ID
-	level   int
-	links   [][]ID // per level, neighbor ids
-	deleted bool
+	id ID
+	// vec is the uncompressed key (nil under a PQ store): an immutable
+	// clone per entry, because Neighbor.Key hands it to callers who read
+	// it after the lock is gone.
+	vec     vec.Vector
+	links   [][]int32 // per level, neighbour slots
+	refs    int32     // entries of link lists that name this slot
+	level   int8      // vacant when negative
+	deleted bool      // tombstoned: still routes, is never reported
 }
+
+const (
+	vacant      = -1
+	maxLevelCap = 32
+)
 
 // HNSWConfig parameterizes the graph.
 type HNSWConfig struct {
@@ -94,7 +125,7 @@ func (c HNSWConfig) withDefaults() HNSWConfig {
 
 // NewHNSW returns an empty HNSW index with uncompressed key storage.
 func NewHNSW(m vec.Metric, cfg HNSWConfig) *HNSW {
-	return newHNSW(m, cfg, newFlatStore(m))
+	return newHNSW(m, cfg, nil)
 }
 
 // NewHNSWPQ returns an empty HNSW index whose keys are stored as
@@ -104,28 +135,36 @@ func NewHNSWPQ(m vec.Metric, cfg HNSWConfig, pq PQConfig) *HNSW {
 	return newHNSW(m, cfg, newPQStore(m, pq))
 }
 
-func newHNSW(m vec.Metric, cfg HNSWConfig, store vecStore) *HNSW {
+func newHNSW(m vec.Metric, cfg HNSWConfig, pq *pqStore) *HNSW {
 	cfg = cfg.withDefaults()
-	return &HNSW{
+	h := &HNSW{
 		metric:   m,
 		cfg:      cfg,
-		store:    store,
-		nodes:    make(map[ID]*hnswNode),
+		pq:       pq,
+		slotOf:   make(map[ID]int32),
+		entry:    -1,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		levelMul: 1 / math.Log(float64(cfg.M)),
 	}
+	h.mut.search = newScratch()
+	return h
 }
 
 // SetKeyResolver implements ResolverSetter: a PQ-backed store drops its
 // uncompressed vectors and re-ranks against the resolver instead.
 func (h *HNSW) SetKeyResolver(r KeyResolver) {
-	if pq, ok := h.store.(*pqStore); ok {
-		pq.setResolver(r)
+	if h.pq != nil {
+		h.pq.setResolver(r)
 	}
 }
 
 // KeyBytes implements MemoryReporter.
-func (h *HNSW) KeyBytes() int64 { return h.store.keyBytes() }
+func (h *HNSW) KeyBytes() int64 {
+	if h.pq != nil {
+		return h.pq.keyBytes()
+	}
+	return h.keyBytes
+}
 
 func (h *HNSW) maxLinks(level int) int {
 	if level == 0 {
@@ -134,165 +173,255 @@ func (h *HNSW) maxLinks(level int) int {
 	return h.cfg.M
 }
 
+// lookup finds the slot of a node that is in the graph, live or
+// tombstoned.
+func (h *HNSW) lookup(id ID) (int32, bool) {
+	s, ok := h.slotOf[id]
+	return s, ok && h.nodes[s].level >= 0
+}
+
+// exact returns the uncompressed key of the node in slot s.
+func (h *HNSW) exact(s int32) (vec.Vector, bool) {
+	n := &h.nodes[s]
+	if h.pq != nil {
+		return h.pq.exact(n.id)
+	}
+	return n.vec, n.vec != nil
+}
+
+// hnswScorer estimates the distance from one query to the node in a
+// slot: exactly against the node table, or through the PQ store's
+// per-query estimator, which is keyed by id — one map probe per scored
+// node, where the search loop itself does none. It is the only thing
+// that differs between the two stores' searches.
+type hnswScorer struct {
+	nodes  []hnswNode
+	metric vec.Metric
+	q      vec.Vector
+	byID   func(ID) float64
+}
+
+func (h *HNSW) scorer(q vec.Vector) hnswScorer {
+	s := hnswScorer{nodes: h.nodes, metric: h.metric, q: q}
+	if h.pq != nil {
+		s.byID = h.pq.scorer(q)
+	}
+	return s
+}
+
+// at scores slot s; a vacant slot, reached through a dangling link, is
+// infinitely far.
+func (s *hnswScorer) at(slot int32) float64 {
+	n := &s.nodes[slot]
+	switch {
+	case n.level < 0:
+		return math.Inf(1)
+	case s.byID != nil:
+		return s.byID(n.id)
+	}
+	return s.metric.Distance(s.q, n.vec)
+}
+
 // Insert implements Index.
 func (h *HNSW) Insert(id ID, key vec.Vector) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	if old, ok := h.nodes[id]; ok && !old.deleted {
+	if s, ok := h.lookup(id); ok && !h.nodes[s].deleted {
 		h.Remove(id)
 	}
-	if n, ok := h.nodes[id]; ok && n.deleted {
+	if s, ok := h.lookup(id); ok && h.nodes[s].deleted {
 		// Re-inserting a tombstoned id: finish its removal now so the
 		// new node starts clean.
-		h.relink(n)
+		h.relink(s)
 	}
 	h.repairSome()
 	key = key.Clone()
-	h.store.add(id, key)
+	s := h.occupy(id)
+	if h.pq != nil {
+		h.pq.add(id, key)
+	} else {
+		h.nodes[s].vec = key
+		h.keyBytes += int64(8 * len(key))
+	}
 	level := h.randomLevel()
-	n := &hnswNode{id: id, level: level, links: make([][]ID, level+1)}
-	h.nodes[id] = n
+	n := &h.nodes[s]
+	n.level = int8(level)
+	n.links = make([][]int32, level+1)
+	for l := range n.links {
+		// Room for the over-full entry addLink appends before it trims.
+		n.links[l] = make([]int32, 0, h.maxLinks(l)+1)
+	}
 	h.live++
-	if !h.entryOK {
-		h.entry, h.entryOK, h.maxLevel = id, true, level
+	if h.entry < 0 {
+		h.entry, h.maxLevel = s, level
 		return nil
 	}
-	score := h.store.scorer(key)
-	ep := h.entry
-	epDist := score(ep)
+	score, sc := h.scorer(key), h.mut.search
 	// Greedy descent through layers above the new node's level.
-	for l := h.maxLevel; l > level; l-- {
-		ep, epDist = h.greedyStep(l, ep, epDist, score)
-	}
-	top := level
-	if top > h.maxLevel {
-		top = h.maxLevel
-	}
-	for l := top; l >= 0; l-- {
-		found := h.searchLayer(score, []searchSeed{{ep, epDist}}, h.cfg.EfConstruction, l, nil)
-		neighbors := h.selectNeighbors(key, found, h.cfg.M)
-		n.links[l] = neighbors
+	ep, _ := h.descend(&score, level)
+	for l := min(level, h.maxLevel); l >= 0; l-- {
+		h.searchLayer(sc, &score, ep, h.cfg.EfConstruction, l)
+		found := sc.results.sorted()
+		// A stable copy: a new node can find itself, through dangling
+		// links to an earlier holder of its id, and addLink then rewrites
+		// the very list being walked.
+		neighbors := append(h.mut.merged[:0], h.selectFromSorted(key, found, h.cfg.M, false)...)
+		h.mut.merged = neighbors
+		h.setLinks(s, l, neighbors)
 		for _, nb := range neighbors {
-			h.addLink(h.nodes[nb], l, id)
+			h.addLink(nb, l, s)
 		}
 		if len(found) > 0 {
-			ep, epDist = found[0].id, found[0].dist
+			ep = found[0]
 		}
 	}
 	if level > h.maxLevel {
 		h.maxLevel = level
-		h.entry = id
+		h.entry = s
 	}
 	return nil
 }
 
+// occupy finds a slot for a new node. An id whose vacant slot is still
+// named by dangling links goes back into it; any other takes the newest
+// free slot, or grows the table.
+func (h *HNSW) occupy(id ID) int32 {
+	s, ok := h.slotOf[id]
+	if !ok {
+		if last := len(h.free) - 1; last >= 0 {
+			s, h.free = h.free[last], h.free[:last]
+		} else {
+			s = int32(len(h.nodes))
+			h.nodes = append(h.nodes, hnswNode{})
+		}
+		h.slotOf[id] = s
+		h.nodes[s].id = id
+	}
+	return s
+}
+
+// unref drops one link to slot s.
+func (h *HNSW) unref(s int32) {
+	h.nodes[s].refs--
+	h.recycle(s)
+}
+
+// recycle frees slot s for another id once it is vacant and no link
+// list names it.
+func (h *HNSW) recycle(s int32) {
+	if n := &h.nodes[s]; n.refs == 0 && n.level < 0 {
+		delete(h.slotOf, n.id)
+		h.free = append(h.free, s)
+	}
+}
+
+// setLinks replaces the level-l link list of slot s with a copy of list
+// (which must not alias it).
+func (h *HNSW) setLinks(s int32, l int, list []int32) {
+	for _, x := range list {
+		h.nodes[x].refs++
+	}
+	old := h.nodes[s].links[l]
+	for _, x := range old {
+		h.unref(x)
+	}
+	h.nodes[s].links[l] = append(old[:0], list...)
+}
+
 func (h *HNSW) randomLevel() int {
 	l := int(-math.Log(1-h.rng.Float64()) * h.levelMul)
-	const maxLevelCap = 32
 	if l > maxLevelCap {
 		l = maxLevelCap
 	}
 	return l
 }
 
-// addLink appends a back-edge and trims the neighbor list to capacity,
-// keeping the closest candidates.
-func (h *HNSW) addLink(n *hnswNode, level int, id ID) {
-	if n == nil || level > n.level {
+// addLink appends a back-edge from slot s to slot to and trims the
+// neighbor list to capacity, keeping the closest candidates.
+func (h *HNSW) addLink(s int32, level int, to int32) {
+	n := &h.nodes[s]
+	if level > int(n.level) {
 		return
 	}
-	n.links[level] = append(n.links[level], id)
+	h.nodes[to].refs++
+	n.links[level] = append(n.links[level], to)
 	max := h.maxLinks(level)
 	if len(n.links[level]) <= max {
 		return
 	}
-	base, ok := h.store.exact(n.id)
+	base, ok := h.exact(s)
 	if !ok {
+		h.unref(to)
 		n.links[level] = n.links[level][:max]
 		return
 	}
-	h.trimLinks(n, level, base, max)
+	h.trimLinks(s, level, base, n.links[level], max)
 }
 
-// trimLinks re-selects the links of n at the given level with the
+// trimLinks re-selects the level's links of slot s from cands with the
 // diversity heuristic (dead links sort last so they are evicted first
 // but stay traversable while present).
-func (h *HNSW) trimLinks(n *hnswNode, level int, base vec.Vector, max int) {
-	type cand struct {
-		id   ID
-		dist float64
-		dead bool
-	}
-	cands := make([]cand, 0, len(n.links[level]))
-	for _, nb := range n.links[level] {
-		nn, ok := h.nodes[nb]
+func (h *HNSW) trimLinks(s int32, level int, base vec.Vector, cands []int32, max int) {
+	sorted := h.mut.cands[:0]
+	for _, nb := range cands {
+		if h.nodes[nb].level < 0 {
+			continue
+		}
+		v, ok := h.exact(nb)
 		if !ok {
 			continue
 		}
-		v, ok := h.store.exact(nb)
-		if !ok {
-			continue
-		}
-		cands = append(cands, cand{nb, h.metric.Distance(base, v), nn.deleted})
+		sorted = append(sorted, scored{h.metric.Distance(base, v), h.nodes[nb].id, nb})
 	}
+	h.mut.cands = sorted
 	// Insertion sort: live before dead, then by distance, then id.
-	for i := 1; i < len(cands); i++ {
+	for i := 1; i < len(sorted); i++ {
 		for j := i; j > 0; j-- {
-			a, b := cands[j], cands[j-1]
-			if b.dead != a.dead {
-				if a.dead {
+			a, b := sorted[j], sorted[j-1]
+			if aDead, bDead := h.nodes[a.slot].deleted, h.nodes[b.slot].deleted; aDead != bDead {
+				if aDead {
 					break
 				}
 			} else if a.dist > b.dist || (a.dist == b.dist && a.id >= b.id) {
 				break
 			}
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+			sorted[j], sorted[j-1] = b, a
 		}
 	}
-	seeds := make([]searchSeed, len(cands))
-	for i, c := range cands {
-		seeds[i] = searchSeed{c.id, c.dist}
-	}
-	n.links[level] = h.selectFromSorted(base, seeds, max, true)
+	h.setLinks(s, level, h.selectFromSorted(base, sorted, max, true))
 }
 
-// selectNeighbors picks up to m live candidates for a node at base using
-// the HNSW diversity heuristic (Algorithm 4 of the paper): a candidate
-// is kept only if it is closer to base than to every already-kept
-// neighbor. Plain closest-M selection fails on clustered workloads — all
-// links point into the local cluster and the graph disconnects; the
-// heuristic preserves the long-range edges greedy search depends on.
-// Remaining slots are back-filled with the closest pruned candidates.
-func (h *HNSW) selectNeighbors(base vec.Vector, found []searchSeed, m int) []ID {
-	return h.selectFromSorted(base, found, m, false)
-}
-
-// selectFromSorted applies the diversity heuristic to candidates already
-// sorted by preference. allowDead keeps tombstoned candidates eligible
+// selectFromSorted picks up to m candidates for a node at base using the
+// HNSW diversity heuristic (Algorithm 4 of the paper): a candidate is
+// kept only if it is closer to base than to every already-kept neighbor.
+// Plain closest-M selection fails on clustered workloads — all links
+// point into the local cluster and the graph disconnects; the heuristic
+// preserves the long-range edges greedy search depends on. Remaining
+// slots are back-filled with the closest pruned candidates. found is
+// sorted by preference; allowDead keeps tombstoned candidates eligible
 // for back-fill (trimming must not sever routes to not-yet-relinked
-// nodes).
-func (h *HNSW) selectFromSorted(base vec.Vector, found []searchSeed, m int, allowDead bool) []ID {
-	out := make([]ID, 0, m)
-	kept := make([]vec.Vector, 0, m)
-	pruned := make([]ID, 0, len(found))
+// nodes). The selection lives in the mutation scratch until the next
+// call.
+func (h *HNSW) selectFromSorted(base vec.Vector, found []scored, m int, allowDead bool) []int32 {
+	out, kept, pruned := h.mut.pick[:0], h.mut.kept[:0], h.mut.pruned[:0]
 	for _, f := range found {
 		if len(out) == m {
 			break
 		}
-		n, ok := h.nodes[f.id]
-		if !ok {
+		n := &h.nodes[f.slot]
+		if n.level < 0 {
 			continue
 		}
 		if n.deleted {
 			if allowDead {
-				pruned = append(pruned, f.id)
+				pruned = append(pruned, f.slot)
 			}
 			continue
 		}
-		v, ok := h.store.exact(f.id)
+		v, ok := h.exact(f.slot)
 		if !ok {
-			pruned = append(pruned, f.id)
+			pruned = append(pruned, f.slot)
 			continue
 		}
 		dq := h.metric.Distance(base, v)
@@ -304,214 +433,127 @@ func (h *HNSW) selectFromSorted(base vec.Vector, found []searchSeed, m int, allo
 			}
 		}
 		if !diverse {
-			pruned = append(pruned, f.id)
+			pruned = append(pruned, f.slot)
 			continue
 		}
-		out = append(out, f.id)
+		out = append(out, f.slot)
 		kept = append(kept, v)
 	}
-	for _, id := range pruned {
+	for _, s := range pruned {
 		if len(out) == m {
 			break
 		}
-		out = append(out, id)
+		out = append(out, s)
 	}
+	h.mut.pick, h.mut.kept, h.mut.pruned = out, kept, pruned
 	return out
 }
 
-// greedyStep walks one layer greedily to the local minimum.
-func (h *HNSW) greedyStep(level int, ep ID, epDist float64, score func(ID) float64) (ID, float64) {
-	for {
-		improved := false
-		n := h.nodes[ep]
-		if n == nil || level > n.level {
-			return ep, epDist
-		}
-		for _, nb := range n.links[level] {
-			if d := score(nb); d < epDist {
-				ep, epDist = nb, d
-				improved = true
+// descend walks greedily from the entry point to the local minimum of
+// every layer above stop, and returns where it ends with the number of
+// nodes it scored.
+func (h *HNSW) descend(score *hnswScorer, stop int) (scored, int) {
+	ep := scored{score.at(h.entry), h.nodes[h.entry].id, h.entry}
+	probes := 1
+	for l := h.maxLevel; l > stop; l-- {
+		for improved := true; improved; {
+			improved = false
+			n := &h.nodes[ep.slot]
+			if l > int(n.level) {
+				break
 			}
-		}
-		if !improved {
-			return ep, epDist
-		}
-	}
-}
-
-type searchSeed struct {
-	id   ID
-	dist float64
-}
-
-// seedHeap is a min-heap of candidates by distance.
-type seedHeap []searchSeed
-
-func (s seedHeap) Len() int { return len(s) }
-func (s seedHeap) Less(i, j int) bool {
-	if s[i].dist != s[j].dist {
-		return s[i].dist < s[j].dist
-	}
-	return s[i].id < s[j].id
-}
-func (s seedHeap) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s *seedHeap) Push(x interface{}) { *s = append(*s, x.(searchSeed)) }
-func (s *seedHeap) Pop() interface{} {
-	old := *s
-	n := len(old)
-	x := old[n-1]
-	*s = old[:n-1]
-	return x
-}
-
-// resultHeap is a max-heap (worst candidate at the root).
-type resultHeap []searchSeed
-
-func (s resultHeap) Len() int { return len(s) }
-func (s resultHeap) Less(i, j int) bool {
-	if s[i].dist != s[j].dist {
-		return s[i].dist > s[j].dist
-	}
-	return s[i].id > s[j].id
-}
-func (s resultHeap) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s *resultHeap) Push(x interface{}) { *s = append(*s, x.(searchSeed)) }
-func (s *resultHeap) Pop() interface{} {
-	old := *s
-	n := len(old)
-	x := old[n-1]
-	*s = old[:n-1]
-	return x
-}
-
-// searchLayer runs the bounded best-first search of one layer: expand
-// the closest unexpanded candidate, keep the ef best results seen.
-// Tombstoned nodes are traversed (they still route) but reported only to
-// the candidate frontier, never the result set. Returns results sorted
-// by (dist, id). visited, when non-nil, accumulates the probe count.
-func (h *HNSW) searchLayer(score func(ID) float64, seeds []searchSeed, ef, level int, visited *int) []searchSeed {
-	seen := make(map[ID]struct{}, ef*4)
-	cands := make(seedHeap, 0, ef)
-	results := make(resultHeap, 0, ef)
-	for _, s := range seeds {
-		if _, dup := seen[s.id]; dup {
-			continue
-		}
-		seen[s.id] = struct{}{}
-		if visited != nil {
-			*visited++
-		}
-		heap.Push(&cands, s)
-		if n, ok := h.nodes[s.id]; ok && !n.deleted {
-			heap.Push(&results, s)
-		}
-	}
-	for cands.Len() > 0 {
-		c := heap.Pop(&cands).(searchSeed)
-		if results.Len() >= ef && c.dist > results[0].dist {
-			break
-		}
-		n := h.nodes[c.id]
-		if n == nil || level > n.level {
-			continue
-		}
-		for _, nb := range n.links[level] {
-			if _, dup := seen[nb]; dup {
-				continue
-			}
-			seen[nb] = struct{}{}
-			if visited != nil {
-				*visited++
-			}
-			d := score(nb)
-			if results.Len() < ef || d < results[0].dist {
-				heap.Push(&cands, searchSeed{nb, d})
-				if nn, ok := h.nodes[nb]; ok && !nn.deleted {
-					heap.Push(&results, searchSeed{nb, d})
-					if results.Len() > ef {
-						heap.Pop(&results)
-					}
+			for _, nb := range n.links[l] {
+				probes++
+				if d := score.at(nb); d < ep.dist {
+					ep = scored{d, h.nodes[nb].id, nb}
+					improved = true
 				}
 			}
 		}
 	}
-	out := make([]searchSeed, results.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&results).(searchSeed)
-	}
-	return out
+	return ep, probes
 }
 
-// descend runs the upper-layer greedy descent for a query and returns
-// the layer-0 entry seed.
-func (h *HNSW) descend(score func(ID) float64, visited *int) searchSeed {
-	ep := h.entry
-	epDist := score(ep)
-	if visited != nil {
-		*visited++
+// searchLayer runs the bounded best-first search of one layer from seed:
+// expand the closest unexpanded candidate, keep the ef best results seen.
+// Tombstoned nodes are traversed (they still route) but reported only to
+// the candidate frontier, never the result set. The results are left in
+// sc.results; the return value is the number of nodes scored.
+func (h *HNSW) searchLayer(sc *scratch, score *hnswScorer, seed scored, ef, level int) int {
+	sc.begin(cap(h.nodes))
+	nodes, visited, epoch := h.nodes, sc.visited, sc.epoch
+	cands, results := &sc.cands, &sc.results
+	visited[seed.slot] = epoch
+	probes := 1
+	cands.push(seed)
+	if n := &nodes[seed.slot]; n.level >= 0 && !n.deleted {
+		results.push(seed)
 	}
-	for l := h.maxLevel; l > 0; l-- {
-		ep, epDist = h.greedyStepCounted(l, ep, epDist, score, visited)
-	}
-	return searchSeed{ep, epDist}
-}
-
-func (h *HNSW) greedyStepCounted(level int, ep ID, epDist float64, score func(ID) float64, visited *int) (ID, float64) {
-	for {
-		improved := false
-		n := h.nodes[ep]
-		if n == nil || level > n.level {
-			return ep, epDist
+	for len(cands.items) > 0 {
+		c := cands.pop()
+		if len(results.items) >= ef && c.dist > results.items[0].dist {
+			break
+		}
+		n := &nodes[c.slot]
+		if level > int(n.level) {
+			continue
 		}
 		for _, nb := range n.links[level] {
-			if visited != nil {
-				*visited++
+			if visited[nb] == epoch {
+				continue
 			}
-			if d := score(nb); d < epDist {
-				ep, epDist = nb, d
-				improved = true
+			visited[nb] = epoch
+			probes++
+			d := score.at(nb)
+			full := len(results.items) >= ef
+			if full && !(d < results.items[0].dist) {
+				continue
 			}
-		}
-		if !improved {
-			return ep, epDist
+			nn := &nodes[nb]
+			x := scored{d, nn.id, nb}
+			cands.push(x)
+			if nn.level < 0 || nn.deleted {
+				continue
+			}
+			if full {
+				results.replaceRoot(x)
+			} else {
+				results.push(x)
+			}
 		}
 	}
+	return probes
 }
 
 // Remove implements Index: tombstone now, re-link lazily.
 func (h *HNSW) Remove(id ID) {
-	n, ok := h.nodes[id]
-	if !ok || n.deleted {
+	s, ok := h.lookup(id)
+	if !ok || h.nodes[s].deleted {
 		return
 	}
-	n.deleted = true
+	h.nodes[s].deleted = true
 	h.live--
 	h.repairQ = append(h.repairQ, id)
-	if h.entry == id {
+	if h.entry == s {
 		h.electEntry()
 	}
 	h.repairSome()
 }
 
 // electEntry picks a new entry point: the live node with the highest
-// level, ties broken toward the smallest id (a deterministic choice, so
-// graph evolution does not depend on map iteration order).
+// level, ties broken toward the smallest id (so the choice does not
+// depend on which slots the nodes happen to sit in).
 func (h *HNSW) electEntry() {
-	bestID, bestLevel, found := ID(0), -1, false
-	for id, n := range h.nodes {
-		if n.deleted {
+	h.entry, h.maxLevel = -1, 0
+	for s := range h.nodes {
+		n := &h.nodes[s]
+		if n.level < 0 || n.deleted {
 			continue
 		}
-		if n.level > bestLevel || (n.level == bestLevel && id < bestID) {
-			bestID, bestLevel, found = id, n.level, true
+		if h.entry < 0 || int(n.level) > h.maxLevel || (int(n.level) == h.maxLevel && n.id < h.nodes[h.entry].id) {
+			h.entry, h.maxLevel = int32(s), int(n.level)
 		}
 	}
-	if !found {
-		h.entryOK = false
-		h.maxLevel = 0
-		return
-	}
-	h.entry, h.maxLevel = bestID, bestLevel
 }
 
 // repairSome drains up to RepairBudget tombstoned nodes from the repair
@@ -521,54 +563,68 @@ func (h *HNSW) repairSome() {
 	for budget := h.cfg.RepairBudget; budget > 0 && len(h.repairQ) > 0; budget-- {
 		id := h.repairQ[0]
 		h.repairQ = h.repairQ[1:]
-		n, ok := h.nodes[id]
-		if !ok || !n.deleted {
+		s, ok := h.lookup(id)
+		if !ok || !h.nodes[s].deleted {
 			continue // re-inserted or already re-linked
 		}
-		h.relink(n)
+		h.relink(s)
 	}
 }
 
-// relink splices a tombstoned node out of the graph: every live
-// neighbour drops its edge to the dead node, inherits the dead node's
-// other live neighbours as candidate replacements, and re-trims to
-// capacity. The node and its stored vector are then freed.
-func (h *HNSW) relink(n *hnswNode) {
-	for l := 0; l <= n.level; l++ {
-		for _, nbID := range n.links[l] {
-			nb, ok := h.nodes[nbID]
-			if !ok || nb.deleted || l > nb.level {
+// relink splices the tombstoned node in slot s out of the graph: every
+// live neighbour drops its edge to the dead node, inherits the dead
+// node's other live neighbours as candidate replacements, and re-trims
+// to capacity. The node and its stored vector are then freed; the slot
+// is recycled now, or when the last dangling link to it goes.
+func (h *HNSW) relink(s int32) {
+	n := &h.nodes[s]
+	for l := 0; l <= int(n.level); l++ {
+		for _, nbSlot := range n.links[l] {
+			nb := &h.nodes[nbSlot]
+			if nb.level < 0 || nb.deleted || l > int(nb.level) {
 				continue
 			}
-			links := nb.links[l][:0]
+			merged := h.mut.merged[:0]
 			for _, x := range nb.links[l] {
-				if x != n.id {
-					links = append(links, x)
+				if x != s {
+					merged = append(merged, x)
 				}
 			}
 			// Offer the dead node's other live neighbours as
 			// replacements, then keep the closest.
 			for _, x := range n.links[l] {
-				if x == nbID {
+				if x == nbSlot {
 					continue
 				}
-				if xn, ok := h.nodes[x]; ok && !xn.deleted && !containsID(links, x) {
-					links = append(links, x)
+				if xn := &h.nodes[x]; xn.level >= 0 && !xn.deleted && !containsSlot(merged, x) {
+					merged = append(merged, x)
 				}
 			}
-			nb.links[l] = links
-			if base, ok := h.store.exact(nbID); ok && len(nb.links[l]) > h.maxLinks(l) {
-				h.trimLinks(nb, l, base, h.maxLinks(l))
+			h.mut.merged = merged
+			if base, ok := h.exact(nbSlot); ok && len(merged) > h.maxLinks(l) {
+				h.trimLinks(nbSlot, l, base, merged, h.maxLinks(l))
+			} else {
+				h.setLinks(nbSlot, l, merged)
 			}
 		}
 	}
-	delete(h.nodes, n.id)
-	h.store.remove(n.id)
+	for _, list := range n.links {
+		for _, x := range list {
+			h.unref(x)
+		}
+	}
+	if h.pq != nil {
+		h.pq.remove(n.id)
+	} else {
+		h.keyBytes -= int64(8 * len(n.vec))
+	}
+	n.vec, n.links, n.level, n.deleted = nil, nil, vacant, false
+	h.recycle(s)
 }
 
-func containsID(ids []ID, id ID) bool {
-	for _, x := range ids {
-		if x == id {
+func containsSlot(slots []int32, s int32) bool {
+	for _, x := range slots {
+		if x == s {
 			return true
 		}
 	}
@@ -583,7 +639,12 @@ func (h *HNSW) Nearest(key vec.Vector) (Neighbor, bool) {
 
 // NearestProbed implements ProbedSearcher.
 func (h *HNSW) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
-	res, probes := h.KNearestProbed(key, 1)
+	if h.live == 0 {
+		return Neighbor{}, 0, false
+	}
+	sc := h.get()
+	defer h.put(sc)
+	res, probes := h.query(sc, key, 1)
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
@@ -599,27 +660,54 @@ func (h *HNSW) KNearest(key vec.Vector, k int) []Neighbor {
 // KNearestProbed implements ProbedSearcher: probes count the nodes
 // scored by the descent plus the layer-0 expansion.
 func (h *HNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
-	if k <= 0 || !h.entryOK || h.live == 0 {
+	if k <= 0 || h.live == 0 {
 		return nil, 0
 	}
-	score := h.store.scorer(key)
-	visited := 0
-	ef := h.cfg.EfSearch
-	if k > ef {
-		ef = k
+	sc := h.get()
+	defer h.put(sc)
+	res, probes := h.query(sc, key, k)
+	return cloneNeighbors(res), probes
+}
+
+// query answers one k-NN search on a non-empty graph. The neighbours it
+// returns live in sc.
+func (h *HNSW) query(sc *scratch, key vec.Vector, k int) ([]Neighbor, int) {
+	score := h.scorer(key)
+	seed, probes := h.descend(&score, 0)
+	probes += h.searchLayer(sc, &score, seed, max(h.cfg.EfSearch, k), 0)
+	h.countQuery(probes)
+	return h.answer(sc, key, k), probes
+}
+
+// answer turns the result pool of a search into its k nearest
+// neighbours, closest first. With exact scores those are the k best of
+// the pool as they stand. With PQ estimates the k+ReRank best are scored
+// again against uncompressed vectors, sorted by (distance, id) and cut
+// to k, which is what keeps the Dist values truthful for threshold
+// decisions.
+func (h *HNSW) answer(sc *scratch, key vec.Vector, k int) []Neighbor {
+	rescore := h.pq != nil && !h.pq.exactScorer()
+	n := k
+	if rescore {
+		n += h.pq.cfg.ReRank
 	}
-	seed := h.descend(score, &visited)
-	found := h.searchLayer(score, []searchSeed{seed}, ef, 0, &visited)
-	h.countQuery(visited)
-	cands := make([]Neighbor, 0, len(found))
-	for _, f := range found {
-		cands = append(cands, Neighbor{ID: f.id, Dist: f.dist})
+	out := sc.found[:0]
+	for _, c := range sc.results.best(n, &sc.top) {
+		v, ok := h.exact(c.slot)
+		if rescore {
+			c.dist = math.Inf(1)
+			if ok {
+				c.dist = h.metric.Distance(key, v)
+			}
+		}
+		out = append(out, Neighbor{ID: c.id, Key: v, Dist: c.dist})
 	}
-	extra := 0
-	if pq, ok := h.store.(*pqStore); ok {
-		extra = pq.cfg.ReRank
+	sc.found = out
+	if rescore {
+		sortNeighbors(out)
+		out = out[:min(k, len(out))]
 	}
-	return reRank(h.store, h.metric, key, cands, k, extra), visited
+	return out
 }
 
 // Radius implements RadiusSearcher. Like LSH, HNSW range search is
@@ -627,33 +715,24 @@ func (h *HNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 // layer-0 expansion (grown while the frontier keeps finding in-radius
 // nodes), re-ranked exactly so no out-of-radius result is ever invented.
 func (h *HNSW) Radius(key vec.Vector, r float64) []Neighbor {
-	if !h.entryOK || h.live == 0 {
+	if h.live == 0 {
 		return nil
 	}
-	score := h.store.scorer(key)
-	visited := 0
-	ef := h.cfg.EfSearch
-	var found []searchSeed
-	for {
-		seed := h.descend(score, &visited)
-		found = h.searchLayer(score, []searchSeed{seed}, ef, 0, &visited)
+	sc := h.get()
+	defer h.put(sc)
+	score := h.scorer(key)
+	probes := 0
+	for ef := h.cfg.EfSearch; ; ef *= 2 {
+		seed, p := h.descend(&score, 0)
+		probes += p + h.searchLayer(sc, &score, seed, ef, 0)
 		// Grow the pool until the worst kept candidate is outside the
 		// radius (so nothing in-radius was cut) or everything is in.
-		if len(found) < ef || found[len(found)-1].dist > r || ef >= h.live {
+		if pool := sc.results.items; len(pool) < ef || pool[0].dist > r || ef >= h.live {
 			break
 		}
-		ef *= 2
 	}
-	h.countQuery(visited)
-	cands := make([]Neighbor, 0, len(found))
-	for _, f := range found {
-		cands = append(cands, Neighbor{ID: f.id, Dist: f.dist})
-	}
-	extra := 0
-	if pq, ok := h.store.(*pqStore); ok {
-		extra = pq.cfg.ReRank
-	}
-	res := reRank(h.store, h.metric, key, cands, len(cands), extra)
+	h.countQuery(probes)
+	res := h.answer(sc, key, len(sc.results.items))
 	cut := len(res)
 	for i, n := range res {
 		if n.Dist > r {
@@ -661,7 +740,7 @@ func (h *HNSW) Radius(key vec.Vector, r float64) []Neighbor {
 			break
 		}
 	}
-	return res[:cut]
+	return cloneNeighbors(res[:cut])
 }
 
 // Len implements Index.
@@ -672,7 +751,7 @@ func (h *HNSW) Metric() vec.Metric { return h.metric }
 
 // Kind implements Index.
 func (h *HNSW) Kind() Kind {
-	if _, ok := h.store.(*pqStore); ok {
+	if h.pq != nil {
 		return KindHNSWPQ
 	}
 	return KindHNSW

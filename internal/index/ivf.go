@@ -1,9 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -22,11 +23,13 @@ import (
 // decision sees.
 //
 // Like every other kind, IVF is not internally synchronized: the cache
-// guards it with a per-key-type RWMutex. Queries allocate their own
-// candidate buffers, so any number of readers may search concurrently
-// under RLock while mutations take the write lock.
+// guards it with a per-key-type RWMutex. Queries draw their cell ranking
+// and candidate buffer from a pool (see scratchPool), so any number of
+// readers may search concurrently under RLock while mutations take the
+// write lock.
 type IVF struct {
 	probeCounter
+	scratchPool
 	metric vec.Metric
 	cfg    IVFConfig
 	store  vecStore
@@ -293,19 +296,15 @@ type cellDist struct {
 	dist float64
 }
 
-// rankCells orders all cells by distance from the query, counting each
-// centroid comparison as a probe.
-func (iv *IVF) rankCells(key vec.Vector, visited *int) []cellDist {
-	ranked := make([]cellDist, len(iv.centroids))
+// rankCells orders all cells by distance from the query, in sc.
+func (iv *IVF) rankCells(sc *scratch, key vec.Vector) []cellDist {
+	ranked := sc.cells[:0]
 	for c, cent := range iv.centroids {
-		ranked[c] = cellDist{c, iv.metric.Distance(key, cent)}
+		ranked = append(ranked, cellDist{c, iv.metric.Distance(key, cent)})
 	}
-	*visited += len(iv.centroids)
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].dist != ranked[j].dist {
-			return ranked[i].dist < ranked[j].dist
-		}
-		return ranked[i].cell < ranked[j].cell
+	sc.cells = ranked
+	slices.SortFunc(ranked, func(a, b cellDist) int {
+		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.cell, b.cell))
 	})
 	return ranked
 }
@@ -318,7 +317,12 @@ func (iv *IVF) Nearest(key vec.Vector) (Neighbor, bool) {
 
 // NearestProbed implements ProbedSearcher.
 func (iv *IVF) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
-	res, probes := iv.KNearestProbed(key, 1)
+	if iv.Len() == 0 {
+		return Neighbor{}, 0, false
+	}
+	sc := iv.get()
+	defer iv.put(sc)
+	res, probes := iv.query(sc, key, 1)
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
@@ -339,18 +343,27 @@ func (iv *IVF) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || iv.Len() == 0 {
 		return nil, 0
 	}
+	sc := iv.get()
+	defer iv.put(sc)
+	res, probes := iv.query(sc, key, k)
+	return cloneNeighbors(res), probes
+}
+
+// query answers one k-NN search on a non-empty index. The neighbours it
+// returns live in sc.
+func (iv *IVF) query(sc *scratch, key vec.Vector, k int) ([]Neighbor, int) {
 	visited := 0
 	score := iv.store.scorer(key)
-	var cands []Neighbor
+	cands := sc.found[:0]
 	if iv.centroids == nil {
 		for id := range iv.pending {
 			cands = append(cands, Neighbor{ID: id, Dist: score(id)})
 			visited++
 		}
 	} else {
-		ranked := iv.rankCells(key, &visited)
+		visited += len(iv.centroids) // each centroid comparison is a probe
 		scanned := 0
-		for _, rc := range ranked {
+		for _, rc := range iv.rankCells(sc, key) {
 			if scanned >= iv.cfg.NProbe && len(cands) >= k {
 				break
 			}
@@ -361,6 +374,7 @@ func (iv *IVF) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 			scanned++
 		}
 	}
+	sc.found = cands
 	iv.countQuery(visited)
 	extra := 0
 	if pq, ok := iv.store.(*pqStore); ok {

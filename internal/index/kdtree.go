@@ -1,7 +1,6 @@
 package index
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/vec"
@@ -277,29 +276,31 @@ func (t *KDTree) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || t.size == 0 {
 		return nil, 0
 	}
-	h := &maxDistHeap{}
+	// A max-heap: the root is the worst of the k kept so far and is
+	// replaced when a closer node turns up.
+	h := &distHeap{max: true}
 	visited := 0
 	t.search(t.root, key, k, h, &visited)
 	t.countQuery(visited)
-	out := make([]Neighbor, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Neighbor)
+	out := make([]Neighbor, 0, len(h.items))
+	for _, c := range h.sorted() {
+		// byID holds exactly the live nodes, which are all search keeps.
+		out = append(out, Neighbor{ID: c.id, Key: t.byID[c.id].key, Dist: c.dist})
 	}
 	return out, visited
 }
 
-func (t *KDTree) search(n *kdNode, key vec.Vector, k int, h *maxDistHeap, visited *int) {
+func (t *KDTree) search(n *kdNode, key vec.Vector, k int, h *distHeap, visited *int) {
 	if n == nil {
 		return
 	}
 	*visited++
 	if !n.deleted {
-		d := t.metric.Distance(key, n.key)
-		if h.Len() < k {
-			heap.Push(h, Neighbor{ID: n.id, Key: n.key, Dist: d})
-		} else if worst := (*h)[0]; d < worst.Dist || (d == worst.Dist && n.id < worst.ID) {
-			(*h)[0] = Neighbor{ID: n.id, Key: n.key, Dist: d}
-			heap.Fix(h, 0)
+		x := scored{dist: t.metric.Distance(key, n.key), id: n.id}
+		if len(h.items) < k {
+			h.push(x)
+		} else if h.less(h.items[0], x) {
+			h.replaceRoot(x)
 		}
 	}
 	goLeft := axisLess(key, n.key, n.axis)
@@ -312,7 +313,7 @@ func (t *KDTree) search(n *kdNode, key vec.Vector, k int, h *maxDistHeap, visite
 	// current worst candidate (valid for Lp metrics).
 	if second != nil {
 		axDist := axisAbsDiff(key, n.key, n.axis)
-		if !t.prunable || h.Len() < k || axDist <= (*h)[0].Dist {
+		if !t.prunable || len(h.items) < k || axDist <= h.items[0].dist {
 			t.search(second, key, k, h, visited)
 		}
 	}
@@ -337,24 +338,3 @@ func (t *KDTree) Metric() vec.Metric { return t.metric }
 
 // Kind implements Index.
 func (t *KDTree) Kind() Kind { return KindKDTree }
-
-// maxDistHeap is a max-heap of neighbours by distance, so the root is the
-// worst candidate and can be replaced cheaply.
-type maxDistHeap []Neighbor
-
-func (h maxDistHeap) Len() int { return len(h) }
-func (h maxDistHeap) Less(i, j int) bool {
-	if h[i].Dist != h[j].Dist {
-		return h[i].Dist > h[j].Dist
-	}
-	return h[i].ID > h[j].ID
-}
-func (h maxDistHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxDistHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *maxDistHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}

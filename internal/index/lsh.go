@@ -1,9 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -240,7 +241,9 @@ func sortNeighbors(ns []Neighbor) {
 	// total order (Dist, then ID), so the result is deterministic
 	// either way.
 	if len(ns) > 48 {
-		sort.Slice(ns, func(i, j int) bool { return less(ns[i], ns[j]) })
+		slices.SortFunc(ns, func(a, b Neighbor) int {
+			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+		})
 		return
 	}
 	for i := 1; i < len(ns); i++ {

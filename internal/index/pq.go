@@ -323,11 +323,12 @@ func adcScore(t []float64, code []byte, k int, kind adcKind) float64 {
 	}
 }
 
-// vecStore abstracts how an index holds its stored key vectors: flat
-// exact clones, or PQ codes with exact re-rank. Implementations are
-// mutated only under the index's external write lock; scorers built for
-// one query allocate their own state so concurrent readers never share
-// mutable scratch.
+// vecStore abstracts how IVF holds its stored key vectors: flat exact
+// clones, or PQ codes with exact re-rank. (HNSW keeps uncompressed keys
+// in its node table and uses only the pqStore, directly.) Implementations
+// are mutated only under the index's external write lock; a scorer is
+// built per query and owns what it computes (the PQ distance table), so
+// concurrent readers share no mutable state through the store.
 type vecStore interface {
 	// add stores v (already cloned) under id. Caller guarantees id is
 	// not present.
