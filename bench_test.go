@@ -7,11 +7,14 @@ package potluck_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -601,6 +604,78 @@ func BenchmarkCachePut(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMissThenPut times the protocol's miss path at capacity:
+// lookup → miss → put, the put evicting. The shape is the repository
+// benchmark's write-evict workload in process: a 4 096-entry importance
+// cache, 16 384 key clusters drawn Zipf(0.9), a fresh 16-dim point
+// around the drawn centre per request, filled and then aged by 2.5×
+// capacity requests. One op is one request that missed, its put
+// included; requests that hit run between them untimed. ns/round and
+// probes/round are the k-d tree's share of ROADMAP item 1(a): before the
+// miss memo (PR 23) a round walked the tree twice.
+func BenchmarkMissThenPut(b *testing.B) {
+	const capacity, clusters, dim = 4096, 16384, 16
+	rng := rand.New(rand.NewSource(1))
+	centres := make([]vec.Vector, clusters)
+	values := make([][]byte, clusters) // one result per cluster, or the tuner learns that everything matches
+	cdf := make([]float64, clusters)
+	var sum float64
+	for c := range centres {
+		centres[c] = make(vec.Vector, dim)
+		for d := range centres[c] {
+			centres[c][d] = rng.NormFloat64() * 100
+		}
+		values[c] = make([]byte, 256)
+		binary.LittleEndian.PutUint32(values[c], uint32(c))
+		sum += 1 / math.Pow(float64(c+1), 0.9)
+		cdf[c] = sum
+	}
+	cache := core.New(core.Config{MaxEntries: capacity, Policy: core.PolicyImportance, DisableDropout: true})
+	if err := cache.RegisterFunction("f", core.KeyTypeSpec{Name: "k", Index: index.KindKDTree, Dim: dim}); err != nil {
+		b.Fatal(err)
+	}
+	// request runs one request and reports whether it missed (and put).
+	request := func() bool {
+		c := sort.SearchFloat64s(cdf, rng.Float64()*sum)
+		if c >= clusters {
+			c = clusters - 1
+		}
+		key := make(vec.Vector, dim)
+		for d := range key {
+			key[d] = centres[c][d] + rng.NormFloat64()
+		}
+		res, err := cache.Lookup("f", "k", key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Hit {
+			return false
+		}
+		cost := time.Duration(5+c%195) * time.Millisecond
+		if _, err := cache.Put("f", core.PutRequest{Keys: map[string]vec.Vector{"k": key}, Value: values[c], Cost: cost}); err != nil {
+			b.Fatal(err)
+		}
+		return true
+	}
+	for i := 0; i < capacity*4; i++ {
+		request()
+	}
+	probes := func() int64 { return cache.FunctionStats()[0].KeyTypes[0].Probes.Probes }
+	var spent time.Duration
+	var probed int64
+	b.ResetTimer()
+	for rounds := 0; rounds < b.N; {
+		start, before := time.Now(), probes()
+		if request() {
+			spent += time.Since(start)
+			probed += probes() - before
+			rounds++
+		}
+	}
+	b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/round")
+	b.ReportMetric(float64(probed)/float64(b.N), "probes/round")
 }
 
 // BenchmarkLookupParallel measures cache throughput under concurrent

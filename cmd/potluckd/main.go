@@ -325,8 +325,8 @@ func main() {
 			acfg.WhatIf = func() any { return prof.Snapshot() }
 		}
 		admin = &http.Server{
-			Addr:    *adminAddr,
-			Handler: telemetry.AdminHandlerConfig(tel, acfg),
+			Addr:              *adminAddr,
+			Handler:           telemetry.AdminHandlerConfig(tel, acfg),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {

@@ -31,11 +31,13 @@ import (
 //	                   expiry heaps and the entries' heap slots.
 //	                   Writers only; lookups never touch it.
 //	3. keyIndex.mu     (RWMutex, one per key type) — that key type's
-//	                   index structure and member map. Lookups on
-//	                   different functions (or different key types)
-//	                   touch different locks and proceed in parallel.
+//	                   index structure, member map, mutation epoch and
+//	                   mutation log (memo.go). Lookups on different
+//	                   functions (or different key types) touch
+//	                   different locks and proceed in parallel.
 //	Leaf locks (never held while acquiring any of the above):
-//	   Tuner.mu, Reputation.mu, Cache.rngMu (dropout draws).
+//	   Tuner.mu, Reputation.mu, Cache.rngMu (dropout draws),
+//	   missMemo.mu (one per key type: the miss memo's slots).
 //
 // A later lock may be acquired while holding an earlier one, never the
 // reverse. The entry table itself is a sync.Map with lock-free reads,
@@ -306,6 +308,12 @@ type Cache struct {
 	// was nil), hoisted like spans so hot paths test it with one nil
 	// check.
 	tap Tap
+
+	// memoHook is nil outside tests. A test sets it to see every put the
+	// miss memo is about to answer — under ki.mu's read lock, so it can
+	// ask the index what a probe would have said — and to veto the memo,
+	// which makes the put probe.
+	memoHook func(ki *keyIndex, key vec.Vector, m memoAnswer) bool
 }
 
 // entryTable wraps sync.Map with the entry types spelled out.
@@ -357,18 +365,29 @@ type keyIndex struct {
 	// registry; nil when the cache runs without telemetry.
 	lat *telemetry.Histogram
 
-	// mu guards idx and members. Third in the lock order. The idx
-	// POINTER is set at construction and never reassigned, so lockless
-	// reads of its atomic probe counters are safe; the index's
-	// contents still require mu.
+	// mu guards idx, members, epoch and log. Third in the lock order.
+	// The idx POINTER is set at construction and never reassigned, so
+	// lockless reads of its atomic probe counters are safe; the index's
+	// contents still require mu. idx and members are mutated only by
+	// insert and remove (memo.go), which count every mutation in epoch
+	// and keep the last mutationLog of them in log.
 	mu      sync.RWMutex
 	idx     index.Index
 	members map[ID]vec.Vector
+	epoch   uint64
+	log     [mutationLog]mutation
 
-	// probed is idx's per-query probe-count view, resolved once at
-	// construction (all shipped kinds implement it; nil tolerated for
-	// external Index implementations).
-	probed index.ProbedSearcher
+	// probed and replayer are idx's per-query probe-count view and its
+	// exact-neighbour replay, resolved once at construction (all
+	// shipped kinds implement the first, nil tolerated for external
+	// Index implementations; only the exact kinds implement the second).
+	probed   index.ProbedSearcher
+	replayer index.Replayer
+
+	// memo remembers what lookups that missed found, for the puts that
+	// follow them; memoCtr counts how those puts fared. See memo.go.
+	memo    missMemo
+	memoCtr memoCounters
 }
 
 // New constructs a cache from cfg. Invalid policy kinds panic; use
@@ -440,12 +459,14 @@ func (c *Cache) RegisterFunction(fn string, keyTypes ...KeyTypeSpec) error {
 			return fmt.Errorf("core: key type %q: %w", spec.Name, err)
 		}
 		probed, _ := idx.(index.ProbedSearcher)
+		replayer, _ := idx.(index.Replayer)
 		ki := &keyIndex{
-			spec:    spec,
-			idx:     idx,
-			probed:  probed,
-			tuner:   NewTuner(c.cfg.Tuner),
-			members: make(map[ID]vec.Vector),
+			spec:     spec,
+			idx:      idx,
+			probed:   probed,
+			replayer: replayer,
+			tuner:    NewTuner(c.cfg.Tuner),
+			members:  make(map[ID]vec.Vector),
 		}
 		if rs, ok := idx.(index.ResolverSetter); ok {
 			// The members table keeps every key uncompressed under the
@@ -935,34 +956,34 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		ttl = c.cfg.DefaultTTL
 	}
 
-	// Feed Algorithm 1 per key index with the pre-insertion nearest
-	// neighbour. Tuner and reputation table synchronize themselves; the
-	// value comparison (user code) runs with no lock held. The first
-	// resolved key type's neighbour distance and threshold flow into the
-	// put span's decision fields.
+	// Feed Algorithm 1 per key index with the key's nearest neighbour as
+	// of now, before it is inserted: the answer of the lookup that missed
+	// brought up to date where it left a memo, a probe of the index where
+	// not (putNeighbor). Tuner and reputation table synchronize
+	// themselves; the value comparison (user code) runs with no lock
+	// held. The first resolved key type's neighbour distance and
+	// threshold flow into the put span's decision fields.
 	spanDist, spanThreshold, spanSet := -1.0, 0.0, false
 	for i, ki := range kis {
 		if keys[i] == nil {
 			continue
 		}
-		ki.mu.RLock()
-		n, ok := ki.idx.Nearest(keys[i])
-		ki.mu.RUnlock()
+		nid, ndist, ok := c.putNeighbor(ki, keys[i])
 		if traced && !spanSet {
 			spanSet = true
 			spanThreshold = ki.tuner.Threshold()
 			if ok {
-				spanDist = n.Dist
+				spanDist = ndist
 			}
 		}
 		if !ok {
 			ki.tuner.ObservePut(0, false, false)
 			continue
 		}
-		neighbor := c.entryByID(ID(n.ID))
+		neighbor := c.entryByID(ID(nid))
 		same := neighbor != nil && c.equal(neighbor.value, req.Value)
-		within := n.Dist <= ki.tuner.Threshold()
-		ki.tuner.ObservePut(n.Dist, same, true)
+		within := ndist <= ki.tuner.Threshold()
+		ki.tuner.ObservePut(ndist, same, true)
 		if c.rep != nil && neighbor != nil {
 			c.rep.Observe(neighbor.app, within, same)
 			if c.rep.Barred(neighbor.app) {
@@ -1005,14 +1026,9 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	// reverse order would let eviction unlink the entry while its index
 	// insertions are still in flight, leaking index nodes.
 	for i, ki := range kis {
-		if keys[i] == nil {
-			continue
+		if keys[i] != nil {
+			ki.insert(id, keys[i])
 		}
-		ki.mu.Lock()
-		if err := ki.idx.Insert(index.ID(id), keys[i]); err == nil {
-			ki.members[id] = keys[i]
-		}
-		ki.mu.Unlock()
 	}
 	if traced {
 		stages = append(stages, telemetry.SpanStage{
@@ -1160,24 +1176,28 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 			probes = -1
 			n, found = ki.idx.Nearest(key)
 		}
+		epoch := ki.epoch
 		ki.mu.RUnlock()
 		if !found {
+			ki.memo.record(key, n, false, epoch)
 			return nil, nil, -1, probes, false, false
 		}
-		if n.Dist > threshold {
-			return nil, nil, n.Dist, probes, false, false
-		}
-		e := c.entryByID(ID(n.ID))
-		if e == nil {
-			// The index briefly referenced a freed (or not yet
+		var e *entry
+		if n.Dist <= threshold {
+			// nil when the index briefly referenced a freed (or not yet
 			// published) entry; treat as a miss.
-			return nil, nil, n.Dist, probes, false, false
+			e = c.entryByID(ID(n.ID))
 		}
-		if !e.expiresAt.After(now) {
-			return nil, nil, n.Dist, probes, false, true
+		if e != nil && e.expiresAt.After(now) {
+			return e, n.Key, n.Dist, probes, true, false
 		}
-		return e, n.Key, n.Dist, probes, true, false
+		// Not a hit, so a put of this key is likely on its way: leave it
+		// the probe's answer (memo.go).
+		ki.memo.record(key, n, true, epoch)
+		return nil, nil, n.Dist, probes, false, e != nil
 	}
+	// A k > 1 query leaves no memo: its nearest is KNearest's, which
+	// orders by reported distance where Nearest may order by its square.
 	var ns []index.Neighbor
 	ki.mu.RLock()
 	if ki.probed != nil {
@@ -1320,12 +1340,7 @@ func (c *Cache) removeEntryLocked(id ID, expired bool) *entry {
 	c.expiry.Remove(e)
 	c.updateNextExpiryLocked()
 	for _, ki := range e.owners {
-		ki.mu.Lock()
-		if _, ok := ki.members[e.id]; ok {
-			ki.idx.Remove(index.ID(e.id))
-			delete(ki.members, e.id)
-		}
-		ki.mu.Unlock()
+		ki.remove(e.id)
 	}
 	c.bytes.Add(-int64(e.size))
 	c.count.Add(-1)

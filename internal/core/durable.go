@@ -334,12 +334,9 @@ func (c *Cache) restoreEntry(rec *StoreEntry, now time.Time) restoreOutcome {
 		if ki == nil || len(sk.Key) == 0 {
 			continue
 		}
-		ki.mu.Lock()
-		if err := ki.idx.Insert(index.ID(id), sk.Key); err == nil {
-			ki.members[id] = sk.Key
+		if ki.insert(id, sk.Key) {
 			e.owners = append(e.owners, ki)
 		}
-		ki.mu.Unlock()
 	}
 	if len(e.owners) == 0 {
 		return restoredSkipped

@@ -233,13 +233,10 @@ func (c *Cache) ReadSnapshot(r io.Reader) (SnapshotStats, error) {
 			if len(key) == 0 {
 				continue
 			}
-			ki.mu.Lock()
-			if err := ki.idx.Insert(index.ID(id), key); err == nil {
-				ki.members[id] = key
+			if ki.insert(id, key) {
 				e.owners = append(e.owners, ki)
 				inserted = true
 			}
-			ki.mu.Unlock()
 		}
 		if !inserted {
 			stats.Skipped++

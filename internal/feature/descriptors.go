@@ -136,8 +136,8 @@ func hessianResponse(it *imaging.Integral, w, h, l int) *imaging.Gray {
 // and the rows are computed in parallel bands.
 func hessianResponseInto(out *imaging.Gray, it *imaging.Integral, w, h, l int) {
 	area := float64(l * l)
-	lo := l + l/2       // first x (and y) whose boxes are all in bounds
-	hi := l + l/2 + 1   // hi such that coordinate ≤ dim-hi is in bounds
+	lo := l + l/2     // first x (and y) whose boxes are all in bounds
+	hi := l + l/2 + 1 // hi such that coordinate ≤ dim-hi is in bounds
 	imaging.ParallelRows(h, w*h*30, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			interiorY := y >= lo && y <= h-hi

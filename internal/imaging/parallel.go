@@ -109,7 +109,7 @@ func ParallelRows(h, work int, fn func(y0, y1 int)) {
 	for b := 0; b < bands-1; b++ {
 		workerCh <- rowTask{ctx: ctx, y0: b * h / bands, y1: (b + 1) * h / bands}
 	}
-	fn((bands - 1) * h / bands, h)
+	fn((bands-1)*h/bands, h)
 	// Help drain: the queue may hold this call's bands (or another
 	// caller's — running those is just as useful) while all workers are
 	// busy.

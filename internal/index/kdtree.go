@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/vec"
 )
@@ -13,8 +14,10 @@ import (
 // and is exact for the Euclidean, Manhattan and Chebyshev metrics; for
 // other metrics the tree degrades to a full traversal and stays correct.
 //
-// Deletions are tombstoned and the tree is rebuilt when more than half
-// the nodes are dead, giving amortized O(log N) removal.
+// Deletions (and the old node of a replaced id) are tombstoned and the
+// tree is rebuilt, balanced, when more than a quarter of its nodes are
+// dead, giving amortized O(log N) removal. A search walks tombstones
+// like live nodes, so the fraction bounds what a query pays for them.
 type KDTree struct {
 	probeCounter
 	metric   vec.Metric
@@ -23,6 +26,7 @@ type KDTree struct {
 	root     *kdNode
 	size     int // live entries
 	dead     int // tombstoned entries
+	maxDim   int // longest key ever inserted: every node's axis is below it
 	byID     map[ID]*kdNode
 }
 
@@ -54,11 +58,12 @@ func (t *KDTree) Insert(id ID, key vec.Vector) error {
 		return ErrEmptyKey
 	}
 	if old, ok := t.byID[id]; ok && !old.deleted {
-		old.deleted = true
-		t.dead++
-		t.size--
+		t.tombstone(old)
 	}
 	key = key.Clone()
+	if len(key) > t.maxDim {
+		t.maxDim = len(key)
+	}
 	n := &kdNode{id: id, key: key}
 	t.byID[id] = n
 	t.size++
@@ -104,11 +109,21 @@ func (t *KDTree) Remove(id ID) {
 	if !ok || n.deleted {
 		return
 	}
-	n.deleted = true
 	delete(t.byID, id)
+	t.tombstone(n)
+}
+
+// tombstone marks a live node dead and compacts the tree once more than
+// a quarter of its nodes are. The fraction is the knee of {1, 1/2, 1/4,
+// 1/8} on a replay of the write-evict stream (CHANGES.md, PR 23): a
+// rebuild costs O(N log N) and runs once per N/3 removals, so removal
+// stays amortized O(log N), while no miss walks a tree that is up to
+// half dead and mostly grown by inserts.
+func (t *KDTree) tombstone(n *kdNode) {
+	n.deleted = true
 	t.size--
 	t.dead++
-	if t.dead > t.size {
+	if 3*t.dead > t.size {
 		t.rebuild()
 	}
 }
@@ -135,8 +150,9 @@ func buildBalanced(nodes []*kdNode, axis int) *kdNode {
 	if len(nodes) == 0 {
 		return nil
 	}
-	// Median-of-slice by axis using an in-place selection sort around the
-	// midpoint (quickselect would be faster but rebuilds are rare).
+	// The median by axis, by quickselect. Keys equal to the median on
+	// this axis may land on either side of it; the searches only assume
+	// left <= split <= right.
 	mid := len(nodes) / 2
 	quickSelect(nodes, mid, axis)
 	n := nodes[mid]
@@ -180,11 +196,11 @@ func partition(nodes []*kdNode, lo, hi, axis int) int {
 }
 
 // Nearest implements Index. It is a dedicated allocation-free search:
-// Nearest runs on every cache lookup AND every put (the tuner's
-// pre-insert neighbour probe), and going through KNearest(1) would
-// allocate a candidate heap and result slice per call — enough garbage
-// at high concurrency that GC mark assists, a global bottleneck,
-// dominate the runtime.
+// Nearest runs on every cache lookup (and on a put whose miss left no
+// usable memo, see core), and going through KNearest(1) would allocate a
+// candidate heap and result slice per call — enough garbage at high
+// concurrency that GC mark assists, a global bottleneck, dominate the
+// runtime.
 func (t *KDTree) Nearest(key vec.Vector) (Neighbor, bool) {
 	n, _, ok := t.NearestProbed(key)
 	return n, ok
@@ -205,7 +221,25 @@ func (t *KDTree) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 		// instead of at every visited node, and the concrete distance
 		// routine is called directly instead of through the Metric
 		// interface.
-		t.nearestSq(t.root, key, &best, &visited)
+		//
+		// The offsets are a parameter of walk, not a field of q: q.best
+		// is returned, and escape analysis would send anything else
+		// stored in q to the heap with it.
+		q := sqQuery{key: key, best: best}
+		if t.maxDim <= kdStackDims {
+			var off [kdStackDims]float64
+			q.walk(t.root, off[:t.maxDim], 0)
+		} else {
+			pooled := kdOffsets.Get().(*[]float64)
+			if cap(*pooled) < t.maxDim {
+				*pooled = make([]float64, t.maxDim)
+			}
+			off := (*pooled)[:t.maxDim]
+			clear(off)
+			q.walk(t.root, off, 0)
+			kdOffsets.Put(pooled)
+		}
+		best, visited = q.best, q.visited
 		best.Dist = math.Sqrt(best.Dist)
 	} else {
 		t.nearest1(t.root, key, &best, &visited)
@@ -214,30 +248,90 @@ func (t *KDTree) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	return best, visited, true
 }
 
-// nearestSq is nearest1 specialized to squared Euclidean distance;
+// kdStackDims is the key dimension up to which a query's per-axis
+// offsets live on its stack; longer keys borrow them from kdOffsets.
+const kdStackDims = 32
+
+var kdOffsets = sync.Pool{New: func() any { return new([]float64) }}
+
+// kdPruneSlack is the relative margin of the cell bound in sqQuery.walk.
+// The bound and a node's distance are the same sum rounded in different
+// orders: the bound picks up at most three roundings per tree level, the
+// distance one per dimension, so they can disagree by (3·depth + dim)
+// units of 2^-53 — below this margin until a root-to-leaf path is millions
+// of nodes long — and a cell is cut only when the bound clears best by
+// more than the margin.
+const kdPruneSlack = 1e-9
+
+// sqQuery is one nearest-neighbour search in squared Euclidean space;
 // best.Dist holds the squared distance during the descent.
-func (t *KDTree) nearestSq(n *kdNode, key vec.Vector, best *Neighbor, visited *int) {
+type sqQuery struct {
+	key     vec.Vector
+	best    Neighbor
+	visited int
+}
+
+// walk searches the subtree at n, whose cell lies rd (squared) from the
+// query: off[a] is the query's signed offset along axis a from that cell
+// (0 while the query is inside the cell's extent on a) and the squares
+// sum to rd. It is the single-axis search this tree always ran — descend to
+// the query's side first, cross a split only when the split plane is no
+// farther than best — with the incremental cell bound of Arya and Mount
+// on top: crossing a split replaces that axis' offset, the squared
+// distance to the far cell follows in O(1), and the far subtree is cut
+// when even its cell is farther than best. A single axis rarely exceeds
+// best in 16 dimensions; the sum over the axes already crossed does.
+// Every node that could improve best or tie it is still visited, in the
+// same order, so results are those of the single-axis search bit for
+// bit and only the visit count falls.
+func (q *sqQuery) walk(n *kdNode, off []float64, rd float64) {
 	if n == nil {
 		return
 	}
-	*visited++
+	q.visited++
 	if !n.deleted {
-		d := vec.SquaredEuclidean(key, n.key)
-		if d < best.Dist || (d == best.Dist && n.id < best.ID) {
-			*best = Neighbor{ID: n.id, Key: n.key, Dist: d}
+		d := vec.SquaredEuclidean(q.key, n.key)
+		if d < q.best.Dist || (d == q.best.Dist && n.id < q.best.ID) {
+			q.best = Neighbor{ID: n.id, Key: n.key, Dist: d}
 		}
 	}
+	// diff < 0 is axisLess: a difference of floats is zero only when
+	// they are equal.
+	diff := axisDiff(q.key, n.key, n.axis)
 	first, second := n.left, n.right
-	if !axisLess(key, n.key, n.axis) {
+	if !(diff < 0) {
 		first, second = n.right, n.left
 	}
-	t.nearestSq(first, key, best, visited)
-	if second != nil {
-		ax := axisAbsDiff(key, n.key, n.axis)
-		if ax*ax <= best.Dist {
-			t.nearestSq(second, key, best, visited)
-		}
+	q.walk(first, off, rd)
+	if second == nil {
+		return
 	}
+	ax2 := diff * diff
+	if !(ax2 <= q.best.Dist) {
+		return
+	}
+	// The far cell lies beyond this split, which is at least as far
+	// along the axis as the split that gave the current offset, so
+	// ax2 - old*old is never negative and rd only grows down a path.
+	old := off[n.axis]
+	far := rd + (ax2 - old*old)
+	if far <= q.best.Dist*(1+kdPruneSlack) {
+		off[n.axis] = diff
+		q.walk(second, off, far)
+		off[n.axis] = old
+	}
+}
+
+// ReplayInsert implements Replayer with the comparison of the search
+// above. The Euclidean search orders by squared distance and reports the
+// root, and two different squares can share a root, so there a tie in
+// the reported distance is decided only at 0, where the squares tie too.
+func (t *KDTree) ReplayInsert(q vec.Vector, cur Neighbor, found bool, id ID, key vec.Vector) (Neighbor, bool) {
+	if t.euclid {
+		d := math.Sqrt(vec.SquaredEuclidean(q, key))
+		return replayInsert(d, cur, found, id, d == 0)
+	}
+	return replayInsert(t.metric.Distance(q, key), cur, found, id, true)
 }
 
 // nearest1 tracks the single best candidate in place, mirroring
@@ -320,6 +414,12 @@ func (t *KDTree) search(n *kdNode, key vec.Vector, k int, h *distHeap, visited *
 }
 
 func axisAbsDiff(a, b vec.Vector, axis int) float64 {
+	return math.Abs(axisDiff(a, b, axis))
+}
+
+// axisDiff is a[axis] - b[axis], a missing axis reading as 0 like in
+// axisLess.
+func axisDiff(a, b vec.Vector, axis int) float64 {
 	av, bv := 0.0, 0.0
 	if axis < len(a) {
 		av = a[axis]
@@ -327,7 +427,7 @@ func axisAbsDiff(a, b vec.Vector, axis int) float64 {
 	if axis < len(b) {
 		bv = b[axis]
 	}
-	return math.Abs(av - bv)
+	return av - bv
 }
 
 // Len implements Index.

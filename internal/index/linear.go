@@ -56,6 +56,11 @@ func (l *Linear) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	return best, probes, true
 }
 
+// ReplayInsert implements Replayer with NearestProbed's comparison.
+func (l *Linear) ReplayInsert(q vec.Vector, cur Neighbor, found bool, id ID, key vec.Vector) (Neighbor, bool) {
+	return replayInsert(l.metric.Distance(q, key), cur, found, id, true)
+}
+
 // KNearest implements Index.
 func (l *Linear) KNearest(key vec.Vector, k int) []Neighbor {
 	ns, _ := l.KNearestProbed(key, k)

@@ -246,10 +246,10 @@ func (q *quantizer) decode(code []byte) vec.Vector {
 type adcKind int
 
 const (
-	adcSumSq adcKind = iota // Euclidean: sum of squared partials, sqrt at the end
-	adcSum                  // Manhattan: sum of absolute partials
-	adcMax                  // Chebyshev: max of partials
-	adcDecode               // anything else: decode and apply the metric
+	adcSumSq  adcKind = iota // Euclidean: sum of squared partials, sqrt at the end
+	adcSum                   // Manhattan: sum of absolute partials
+	adcMax                   // Chebyshev: max of partials
+	adcDecode                // anything else: decode and apply the metric
 )
 
 func adcKindFor(m vec.Metric) adcKind {
@@ -409,7 +409,7 @@ type pqStore struct {
 	// training (pre-training), making codebooks deterministic.
 	order []ID
 	// recent is a FIFO of ids in full once bounded (resolver mode).
-	recent []ID
+	recent  []ID
 	dim     int
 	trained bool
 }
