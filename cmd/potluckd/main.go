@@ -9,6 +9,7 @@
 //	potluckd [-network unix|tcp] [-addr /run/potluck.sock]
 //	         [-max-entries N] [-max-bytes N] [-ttl 1h]
 //	         [-dropout 0.1] [-policy importance|lru|random|fifo]
+//	         [-warmup 100] [-tighten-k 4] [-gamma 0.8] [-reputation]
 //	         [-max-conns N] [-max-handlers N] [-idle-timeout 2m]
 //	         [-read-timeout 10s] [-write-timeout 10s] [-drain-timeout 5s]
 //	         [-admin-addr 127.0.0.1:9744]
@@ -18,6 +19,9 @@
 //	         [-node-id A] [-peers B=/run/b.sock,C=/run/c.sock]
 //	         [-replicas 2] [-peer-timeout 2s] [-peer-failures 3]
 //	         [-peer-cooldown 5s]
+//	         [-hnsw-m 16] [-hnsw-efc 128] [-hnsw-efs 64]
+//	         [-ivf-cells 256] [-ivf-nprobe 16] [-ivf-train 4096]
+//	         [-pq-subspaces N] [-pq-train 1024] [-pq-rerank 32]
 //	         [-whatif] [-whatif-rate 0.015625]
 //	         [-whatif-capacities 0.25,0.5,1,2,4]
 //	         [-whatif-grid 0,0.25,0.5,0.75,1,1.5,2,3,4]
@@ -45,9 +49,8 @@
 // registration, admission, and removal is appended to a crash-safe
 // segment log, snapshots are taken on -snapshot-interval, and at boot
 // the cache state — entries, per-function counters, and tuner
-// thresholds — is recovered before the socket opens. It subsumes the
-// older -snapshot single-file mechanism, which remains for experiment
-// compatibility.
+// thresholds — is recovered before the socket opens, and a graceful
+// shutdown ends with a final snapshot.
 package main
 
 import (
@@ -86,7 +89,6 @@ func main() {
 		tightenK   = flag.Float64("tighten-k", 4, "threshold tightening divisor (k)")
 		gamma      = flag.Float64("gamma", 0.8, "threshold loosening EWMA weight (γ)")
 		reputation = flag.Bool("reputation", false, "enable the cache-pollution reputation defence")
-		snapshot   = flag.String("snapshot", "", "snapshot file: loaded at boot if present, written at shutdown")
 
 		dataDir       = flag.String("data-dir", "", "durable store directory: segment log + snapshots, recovered at boot (empty = in-memory only)")
 		snapInterval  = flag.Duration("snapshot-interval", time.Minute, "durable store snapshot+compaction cadence")
@@ -223,18 +225,6 @@ func main() {
 			st.Entries, st.Functions, rstats.Duration.Round(time.Millisecond),
 			st.Expired, st.Skipped, rstats.TornTail, rstats.SnapshotUsed)
 	}
-	if *snapshot != "" {
-		if f, err := os.Open(*snapshot); err == nil {
-			st, err := cache.ReadSnapshot(f)
-			f.Close()
-			if err != nil {
-				log.Printf("potluckd: snapshot load: %v", err)
-			} else {
-				log.Printf("potluckd: restored %d entries across %d functions (%d skipped)",
-					st.Entries, st.Functions, st.Skipped)
-			}
-		}
-	}
 	self := *nodeID
 	if self == "" {
 		self = *addr
@@ -351,7 +341,7 @@ func main() {
 	if err := srv.ListenAndServe(ctx, *network, *addr); err != nil {
 		log.Fatalf("potluckd: %v", err)
 	}
-	srv.Close() // drain in-flight requests before snapshotting
+	srv.Close() // drain in-flight requests before the final snapshot
 	if mesh != nil {
 		mesh.Close()
 	}
@@ -369,20 +359,6 @@ func main() {
 		sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
 		admin.Shutdown(sctx)
 		scancel()
-	}
-	if *snapshot != "" {
-		f, err := os.Create(*snapshot)
-		if err != nil {
-			log.Printf("potluckd: snapshot save: %v", err)
-		} else {
-			st, err := cache.WriteSnapshot(f)
-			f.Close()
-			if err != nil {
-				log.Printf("potluckd: snapshot save: %v", err)
-			} else {
-				log.Printf("potluckd: saved %d entries (%d skipped)", st.Entries, st.Skipped)
-			}
-		}
 	}
 	log.Printf("potluckd: shut down")
 }

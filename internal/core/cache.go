@@ -622,7 +622,13 @@ type LookupResult struct {
 // LookupOptions bundles the optional behaviours of a lookup; the zero
 // value is a plain Lookup.
 type LookupOptions struct {
-	// Accept vetoes a candidate hit; see LookupAccept.
+	// Accept, when non-nil, is consulted before committing to a hit: if
+	// it returns false for the candidate value, the lookup is recorded
+	// and reported as a miss, and the entry's access frequency — and
+	// therefore its importance — is left untouched. Callers that can
+	// only consume certain value representations (the wire service can
+	// only ship []byte) use this so an entry the caller never receives
+	// does not earn hit credit.
 	Accept func(value any) bool
 	// Refine post-processes a hit; see LookupRefined.
 	Refine Refiner
@@ -646,19 +652,8 @@ func (c *Cache) LookupOpts(fn, keyType string, key vec.Vector, opts LookupOption
 	return c.lookup(fn, keyType, key, opts)
 }
 
-// LookupAccept behaves like Lookup but consults accept before committing
-// to a hit: if accept returns false for the candidate value, the lookup
-// is recorded and reported as a miss, and the entry's access frequency —
-// and therefore its importance — is left untouched. Callers that can
-// only consume certain value representations (the wire service can only
-// ship []byte) use this so an entry the caller never receives does not
-// earn hit credit. A nil accept behaves exactly like Lookup.
-func (c *Cache) LookupAccept(fn, keyType string, key vec.Vector, accept func(value any) bool) (LookupResult, error) {
-	return c.lookup(fn, keyType, key, LookupOptions{Accept: accept})
-}
-
-// lookup is the shared read path behind Lookup, LookupAccept,
-// LookupRefined, and LookupOpts. It holds no lock while returning.
+// lookup is the shared read path behind Lookup, LookupRefined, and
+// LookupOpts. It holds no lock while returning.
 //
 // Lookups purge on demand: expired entries are filtered at read time,
 // and only when the query actually observes one does the lookup take

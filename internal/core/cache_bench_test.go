@@ -123,22 +123,3 @@ func BenchmarkPutWithEviction(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSnapshotRoundTrip measures persistence cost for 1000 entries.
-func BenchmarkSnapshotRoundTrip(b *testing.B) {
-	cache, _ := benchCache(b, 1000, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf writeCounter
-		if _, err := cache.WriteSnapshot(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type writeCounter struct{ n int }
-
-func (w *writeCounter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}

@@ -519,10 +519,10 @@ func TestLookupAcceptRejectedHitRecordsNoAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := c.LookupAccept("f", "scalar", key, func(v any) bool {
+	res, err := c.LookupOpts("f", "scalar", key, LookupOptions{Accept: func(v any) bool {
 		_, ok := v.([]byte)
 		return ok
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestLookupAcceptRejectedHitRecordsNoAccess(t *testing.T) {
 	}
 
 	// nil accept is exactly Lookup.
-	res, err = c.LookupAccept("f", "scalar", key, nil)
+	res, err = c.LookupOpts("f", "scalar", key, LookupOptions{})
 	if err != nil || !res.Hit {
 		t.Errorf("nil-accept lookup: %+v, %v", res, err)
 	}

@@ -52,7 +52,7 @@ type Store interface {
 
 // StoreKeyType is the serializable form of a KeyTypeSpec: extractors
 // cannot cross a process boundary, and metrics travel by name (only the
-// built-in named metrics survive a restart, like ReadSnapshot).
+// built-in named metrics survive a restart).
 type StoreKeyType struct {
 	Name   string
 	Metric string
@@ -117,6 +117,20 @@ type DurableState struct {
 	// Skipped counts entries left out of the capture because their
 	// value type cannot be persisted (see serializableValue).
 	Skipped int
+}
+
+// serializableValue reports whether a value can be persisted: the one
+// list of value types the durable codec (internal/store) round-trips.
+// Entries holding anything else live until restart and are counted as
+// skipped.
+func serializableValue(v any) bool {
+	switch v.(type) {
+	case nil, bool, int, int8, int16, int32, int64,
+		uint, uint8, uint16, uint32, uint64,
+		float32, float64, string, []byte, vec.Vector:
+		return true
+	}
+	return false
 }
 
 // CaptureState captures the cache's durable state under the documented

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -47,11 +46,7 @@ func TestConcurrentChaos(t *testing.T) {
 				case 0:
 					c.InvalidateRadius("f", "a", key, rng.Float64()*5)
 				case 1:
-					var buf bytes.Buffer
-					if _, err := c.WriteSnapshot(&buf); err != nil {
-						t.Error(err)
-						return
-					}
+					c.CaptureState()
 				case 2:
 					clk.Advance(time.Duration(rng.Intn(100)) * time.Millisecond)
 				case 3:

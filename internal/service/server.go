@@ -656,8 +656,8 @@ func isByteValue(v any) bool {
 }
 
 func (s *Server) handleLookup(req *Request) Reply {
-	// LookupAccept (not Lookup) so an entry this caller can never receive
-	// is a true miss: no hit counted, no access-frequency or importance
+	// The Accept veto makes an entry this caller can never receive a
+	// true miss: no hit counted, no access-frequency or importance
 	// credit for the entry.
 	res, err := s.cache.LookupOpts(req.Function, req.KeyType, req.Key, core.LookupOptions{
 		Accept: isByteValue,

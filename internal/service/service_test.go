@@ -364,39 +364,3 @@ func TestMalformedFrameDropsClientOnly(t *testing.T) {
 		t.Fatalf("healthy client affected: %v", err)
 	}
 }
-
-func TestSpillStore(t *testing.T) {
-	s, err := NewSpillStore(filepath.Join(t.TempDir(), "spill"), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := s.Put([]byte("tiny"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := s.Put(bytes.Repeat([]byte("x"), 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inMem, onDisk := s.Stats()
-	if inMem != 1 || onDisk != 1 {
-		t.Errorf("stats = %d/%d, want 1/1", inMem, onDisk)
-	}
-	v, err := s.Get(small)
-	if err != nil || string(v) != "tiny" {
-		t.Errorf("small get = %q, %v", v, err)
-	}
-	v, err = s.Get(big)
-	if err != nil || len(v) != 100 {
-		t.Errorf("big get = %d bytes, %v", len(v), err)
-	}
-	if err := s.Delete(big); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(big); err == nil {
-		t.Error("deleted entry still readable")
-	}
-	if err := s.Delete(9999); err != nil {
-		t.Errorf("deleting absent entry: %v", err)
-	}
-}

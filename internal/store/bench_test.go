@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -100,5 +101,44 @@ func BenchmarkLogAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec.ID = uint64(i + 1)
 		l.LogPut(rec)
+	}
+}
+
+// BenchmarkSnapshotRoundTrip measures single-file persistence for 1000
+// entries with 16-dim keys: capture, encode and publish with SaveFile,
+// then decode and re-admit into a fresh cache with LoadFile.
+func BenchmarkSnapshotRoundTrip(b *testing.B) {
+	const n = 1000
+	src, _ := newBenchCache(nil)
+	if err := src.RegisterFunction("f", core.KeyTypeSpec{Name: "k", Dim: 16}); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		key := make(vec.Vector, 16)
+		for d := range key {
+			key[d] = float64(i*16 + d)
+		}
+		if _, err := src.Put("f", core.PutRequest{
+			Keys: map[string]vec.Vector{"k": key}, Value: fmt.Sprintf("v%d", i),
+			Cost: time.Millisecond, TTL: 24 * time.Hour,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	path := filepath.Join(b.TempDir(), "cache.snap")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := SaveFile(src, path); err != nil {
+			b.Fatal(err)
+		}
+		dst, _ := newBenchCache(nil)
+		st, err := LoadFile(dst, path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Entries != n {
+			b.Fatalf("loaded %d entries, want %d", st.Entries, n)
+		}
 	}
 }

@@ -109,19 +109,6 @@ func appendValue(b []byte, v any) ([]byte, bool) {
 	return b, false
 }
 
-// PersistableValue reports whether the codec can round-trip v. Core
-// applies the same set in CaptureState; LogPut records with other value
-// types are skipped and counted.
-func PersistableValue(v any) bool {
-	switch v.(type) {
-	case nil, bool, int, int8, int16, int32, int64,
-		uint, uint8, uint16, uint32, uint64,
-		float32, float64, string, []byte, vec.Vector:
-		return true
-	}
-	return false
-}
-
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
@@ -188,6 +175,18 @@ func (r *reader) varint() int64 {
 	}
 	r.off += n
 	return v
+}
+
+// count reads an element count and fails unless the rest of the payload
+// can hold that many elements of at least minBytes each, so a corrupt
+// count never sizes an allocation past a small multiple of the input.
+func (r *reader) count(what string, minBytes int) int {
+	n := r.uvarint()
+	if r.err != nil || n > uint64(len(r.b)-r.off)/uint64(minBytes) {
+		r.fail(what)
+		return 0
+	}
+	return int(n)
 }
 
 func (r *reader) u32() uint32 {
@@ -317,6 +316,10 @@ func appendKeyType(b []byte, kt core.StoreKeyType) []byte {
 	return binary.AppendUvarint(b, uint64(kt.Dim))
 }
 
+// minKeyTypeBytes is the smallest encoded StoreKeyType: three empty
+// strings and a one-byte Dim.
+const minKeyTypeBytes = 4
+
 func (r *reader) keyType() core.StoreKeyType {
 	return core.StoreKeyType{
 		Name:   r.string(),
@@ -328,13 +331,9 @@ func (r *reader) keyType() core.StoreKeyType {
 
 func (r *reader) register() (string, []core.StoreKeyType) {
 	fn := r.string()
-	n := r.uvarint()
-	if r.err != nil || n > uint64(len(r.b)) {
-		r.fail("register key types")
-		return fn, nil
-	}
+	n := r.count("register key types", minKeyTypeBytes)
 	kts := make([]core.StoreKeyType, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		kts = append(kts, r.keyType())
 	}
 	return fn, kts
@@ -378,13 +377,9 @@ func (r *reader) entryBody() core.StoreEntry {
 		LastAccessNanos: r.varint(),
 		ExpiresAtNanos:  r.varint(),
 	}
-	n := r.uvarint()
-	if r.err != nil || n > uint64(len(r.b)) {
-		r.fail("entry keys")
-		return rec
-	}
+	n := r.count("entry keys", 2) // a key is at least two length prefixes
 	rec.Keys = make([]core.StoreKey, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		rec.Keys = append(rec.Keys, core.StoreKey{KeyType: r.string(), Key: r.vector()})
 	}
 	rec.Value = r.value()

@@ -44,9 +44,6 @@ func fsyncDir(dir string) error {
 // file in the same directory, fsync it, rename over path, then fsync
 // the parent directory. On any failure the temp file is removed and
 // path is untouched.
-//
-// Exported for the other temp-file+rename writers in this repo (the
-// service layer's SpillStore) so they share one fsync discipline.
 func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -101,21 +102,14 @@ func (r *reader) snapMetaBody(state *core.DurableState) {
 	state.CapturedAtNanos = r.varint()
 	state.MaxID = r.uvarint()
 	state.Skipped = int(r.uvarint())
-	nf := r.uvarint()
-	if r.err != nil || nf > uint64(len(r.b)) {
-		r.fail("snapshot functions")
-		return
-	}
+	nf := r.count("snapshot functions", 3) // name, puts, key-type count
 	state.Functions = make([]core.DurableFunction, 0, nf)
-	for i := uint64(0); i < nf && r.err == nil; i++ {
+	for i := 0; i < nf && r.err == nil; i++ {
 		df := core.DurableFunction{Name: r.string(), Puts: r.varint()}
-		nk := r.uvarint()
-		if r.err != nil || nk > uint64(len(r.b)) {
-			r.fail("snapshot key types")
-			return
-		}
+		// A key type's fixed-width tuner threshold alone is 8 bytes.
+		nk := r.count("snapshot key types", minKeyTypeBytes+8)
 		df.KeyTypes = make([]core.DurableKeyType, 0, nk)
-		for j := uint64(0); j < nk && r.err == nil; j++ {
+		for j := 0; j < nk && r.err == nil; j++ {
 			df.KeyTypes = append(df.KeyTypes, core.DurableKeyType{
 				StoreKeyType: r.keyType(),
 				Tuner:        r.tunerState(),
@@ -128,16 +122,25 @@ func (r *reader) snapMetaBody(state *core.DurableState) {
 	}
 }
 
-// readSnapshot loads and validates one snapshot file. Any defect —
-// bad magic, torn record, missing footer, count mismatch — invalidates
-// the whole file.
+// readSnapshot loads and validates one snapshot file.
 func readSnapshot(path string) (*core.DurableState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	state, err := decodeSnapshot(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return state, nil
+}
+
+// decodeSnapshot validates and decodes one snapshot image. Any defect —
+// bad magic, torn record, missing footer, count mismatch — invalidates
+// the whole image.
+func decodeSnapshot(data []byte) (*core.DurableState, error) {
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("store: %s: bad snapshot magic", path)
+		return nil, errors.New("bad snapshot magic")
 	}
 	data = data[len(snapMagic):]
 
@@ -147,45 +150,68 @@ func readSnapshot(path string) (*core.DurableState, error) {
 	for {
 		payload, rest, ok, torn := nextRecord(data)
 		if torn {
-			return nil, fmt.Errorf("store: %s: torn snapshot record", path)
+			return nil, errors.New("torn snapshot record")
 		}
 		if !ok {
 			break
 		}
 		data = rest
 		if sawEnd {
-			return nil, fmt.Errorf("store: %s: data after snapshot footer", path)
+			return nil, errors.New("data after snapshot footer")
 		}
 		r := &reader{b: payload}
 		switch typ := r.byte(); typ {
 		case snapMeta:
 			if sawMeta {
-				return nil, fmt.Errorf("store: %s: duplicate snapshot header", path)
+				return nil, errors.New("duplicate snapshot header")
 			}
 			sawMeta = true
 			r.snapMetaBody(state)
 		case snapEntry:
 			if !sawMeta {
-				return nil, fmt.Errorf("store: %s: entry before snapshot header", path)
+				return nil, errors.New("entry before snapshot header")
 			}
 			state.Entries = append(state.Entries, r.entryBody())
 		case snapEnd:
 			sawEnd = true
 			declared = r.uvarint()
 		default:
-			return nil, fmt.Errorf("store: %s: unknown snapshot record type %d", path, typ)
+			return nil, fmt.Errorf("unknown snapshot record type %d", typ)
 		}
 		if r.err != nil {
-			return nil, fmt.Errorf("store: %s: %w", path, r.err)
+			return nil, r.err
 		}
 	}
 	if !sawMeta || !sawEnd {
-		return nil, fmt.Errorf("store: %s: incomplete snapshot (missing %s)", path,
+		return nil, fmt.Errorf("incomplete snapshot (missing %s)",
 			map[bool]string{true: "footer", false: "header"}[sawMeta])
 	}
 	if declared != uint64(len(state.Entries)) {
-		return nil, fmt.Errorf("store: %s: snapshot footer declares %d entries, found %d",
-			path, declared, len(state.Entries))
+		return nil, fmt.Errorf("snapshot footer declares %d entries, found %d",
+			declared, len(state.Entries))
 	}
 	return state, nil
+}
+
+// SaveFile captures c's durable state and publishes it at path as one
+// snapshot file — the single-file persistence for in-process library
+// users who do not run a Log. The write is crash-safe (AtomicWriteFile):
+// after a crash path holds either the previous complete snapshot or the
+// new one. Entries whose value type cannot be persisted are left out.
+func SaveFile(c *core.Cache, path string) error {
+	return writeSnapshot(path, c.CaptureState())
+}
+
+// LoadFile restores the snapshot at path into c through Cache.Restore:
+// entries keep their original IDs and absolute deadlines, so one whose
+// deadline passed while the file sat on disk is dropped (counted
+// Expired), and loading the same file twice — or over a cache already
+// recovered from a Log holding the same entries — admits nothing twice
+// (counted Skipped). A file that fails to decode leaves c untouched.
+func LoadFile(c *core.Cache, path string) (core.RestoreStats, error) {
+	state, err := readSnapshot(path)
+	if err != nil {
+		return core.RestoreStats{}, err
+	}
+	return c.Restore(state)
 }

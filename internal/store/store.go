@@ -257,7 +257,7 @@ func (l *Log) LogRegister(fn string, keyTypes []core.StoreKeyType) {
 
 // LogPut implements core.Store. Entries whose value type the codec
 // cannot persist are skipped and counted — they live until restart,
-// exactly like the legacy gob snapshot's skip set.
+// the same set CaptureState leaves out of a snapshot.
 func (l *Log) LogPut(rec core.StoreEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -38,6 +38,7 @@ import (
 	"repro/internal/feature"
 	"repro/internal/index"
 	"repro/internal/service"
+	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -127,8 +128,9 @@ type (
 	// Tiered chains a local cache with a remote peer service — the
 	// cross-device deduplication of the paper's §7 future work.
 	Tiered = service.Tiered
-	// SnapshotStats reports snapshot persistence coverage.
-	SnapshotStats = core.SnapshotStats
+	// RestoreStats reports what LoadFile re-admitted, dropped as expired,
+	// or skipped.
+	RestoreStats = core.RestoreStats
 	// Refiner adjusts a cached result to the exact current input
 	// (post-lookup incremental computation, §7).
 	Refiner = core.Refiner
@@ -157,6 +159,18 @@ func NewServer(cache *Cache) *Server { return service.NewServer(cache) }
 func Dial(network, addr, app string) (*Client, error) {
 	return service.Dial(network, addr, app)
 }
+
+// SaveFile writes the cache's durable state — functions, tuner state,
+// counters, and every live entry with a persistable value — to one
+// crash-safe snapshot file (see store.SaveFile). A daemon uses potluckd
+// -data-dir instead, which adds a write-ahead log between snapshots.
+func SaveFile(c *Cache, path string) error { return store.SaveFile(c, path) }
+
+// LoadFile restores a SaveFile snapshot into the cache. Entries keep
+// their IDs and absolute expiry deadlines: whatever expired while the
+// file sat on disk is dropped, and loading the same file twice admits
+// nothing twice (see store.LoadFile).
+func LoadFile(c *Cache, path string) (RestoreStats, error) { return store.LoadFile(c, path) }
 
 // StringKey embeds a string into the key space (§4.2's String key
 // support); pair it with IndexTreeMap for lexical ordering.
