@@ -612,9 +612,10 @@ func BenchmarkCachePut(b *testing.B) {
 // cache, 16 384 key clusters drawn Zipf(0.9), a fresh 16-dim point
 // around the drawn centre per request, filled and then aged by 2.5×
 // capacity requests. One op is one request that missed, its put
-// included; requests that hit run between them untimed. ns/round and
-// probes/round are the k-d tree's share of ROADMAP item 1(a): before the
-// miss memo (PR 23) a round walked the tree twice.
+// included; requests that hit run between them untimed. ns/round is the
+// miss path's cost and probes/round the k-d tree's part of it, in row
+// distances evaluated: with the miss memo a round walks the tree once,
+// for the lookup, and the put replays what changed since.
 func BenchmarkMissThenPut(b *testing.B) {
 	const capacity, clusters, dim = 4096, 16384, 16
 	rng := rand.New(rand.NewSource(1))

@@ -2,7 +2,9 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/vec"
@@ -52,6 +54,84 @@ func BenchmarkNearest(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkKDTreeNearest times the k-d tree probe on the tree the
+// repository benchmark's write-evict workload leaves behind: 4 096 live
+// 16-dim keys after 4× that many inserts, each a fresh point (sigma 1)
+// around one of 16 384 cluster centres (sigma 100) drawn Zipf(0.9), at
+// most one entry per cluster, a random victim per insert at capacity.
+// A hit query comes from a cluster that is cached; a miss query from one
+// that is not, so its nearest neighbour lies in some far cluster and the
+// walk prunes little. That walk is what a cache miss pays. probes/op is
+// the index's own count.
+func BenchmarkKDTreeNearest(b *testing.B) {
+	const capacity, clusters, dim, queries = 4096, 16384, 16, 512
+	rng := rand.New(rand.NewSource(1))
+	centres := make([]vec.Vector, clusters)
+	cdf := make([]float64, clusters)
+	var sum float64
+	for c := range centres {
+		centres[c] = make(vec.Vector, dim)
+		for d := range centres[c] {
+			centres[c][d] = rng.NormFloat64() * 100
+		}
+		sum += 1 / math.Pow(float64(c+1), 0.9)
+		cdf[c] = sum
+	}
+	draw := func() int { return min(sort.SearchFloat64s(cdf, rng.Float64()*sum), clusters-1) }
+	point := func(c int) vec.Vector {
+		v := make(vec.Vector, dim)
+		for d := range v {
+			v[d] = centres[c][d] + rng.NormFloat64()
+		}
+		return v
+	}
+	tree := NewKDTree(vec.EuclideanMetric{})
+	cached := make(map[int]bool)
+	var live []ID
+	var liveCluster []int
+	for id := ID(1); id <= 4*capacity; {
+		c := draw()
+		if cached[c] {
+			continue
+		}
+		if len(live) == capacity {
+			i := rng.Intn(len(live))
+			tree.Remove(live[i])
+			delete(cached, liveCluster[i])
+			live[i], liveCluster[i] = live[len(live)-1], liveCluster[len(live)-1]
+			live, liveCluster = live[:len(live)-1], liveCluster[:len(live)-1]
+		}
+		if err := tree.Insert(id, point(c)); err != nil {
+			b.Fatal(err)
+		}
+		cached[c] = true
+		live, liveCluster = append(live, id), append(liveCluster, c)
+		id++
+	}
+	var hits, misses []vec.Vector
+	for len(hits) < queries || len(misses) < queries {
+		c := draw()
+		if cached[c] && len(hits) < queries {
+			hits = append(hits, point(c))
+		} else if !cached[c] && len(misses) < queries {
+			misses = append(misses, point(c))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		qs   []vec.Vector
+	}{{"hit", hits}, {"miss", misses}} {
+		b.Run(tc.name, func(b *testing.B) {
+			probes := 0
+			for i := 0; i < b.N; i++ {
+				_, p, _ := tree.NearestProbed(tc.qs[i%len(tc.qs)])
+				probes += p
+			}
+			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+		})
 	}
 }
 

@@ -2,324 +2,527 @@ package index
 
 import (
 	"math"
-	"sync"
+	"slices"
 
 	"repro/internal/vec"
 )
 
-// KDTree is a k-dimensional tree supporting exact nearest-neighbour
-// search in O(log N) average time for low-to-moderate dimensions
+// KDTree is a bucketed k-d tree supporting exact nearest-neighbour search
 // (paper §3.6: "KD-trees ... support spatial indexing and efficient
-// nearest neighbor and range searches"). Pruning uses per-axis bounds
-// and is exact for the Euclidean, Manhattan and Chebyshev metrics; for
-// other metrics the tree degrades to a full traversal and stays correct.
+// nearest neighbor and range searches").
 //
-// Deletions (and the old node of a replaced id) are tombstoned and the
-// tree is rebuilt, balanced, when more than a quarter of its nodes are
-// dead, giving amortized O(log N) removal. A search walks tombstones
-// like live nodes, so the fraction bounds what a query pays for them.
+// Layout: the nodes live in one slice and name their children by index.
+// Each inner node holds a split axis and value, and every node the
+// bounding box of the rows below it, the boxes stored contiguously. A
+// leaf holds up to kdLeafSize keys row after row in one []float64, with
+// parallel id and key arrays, so a search scans a leaf's rows in place
+// instead of chasing a pointer per key. A search descends to the query's
+// side of each split first and crosses a split only when neither the
+// split plane nor the box on the far side lies farther than the best row
+// so far. Planes and boxes bound the Euclidean, Manhattan and Chebyshev
+// metrics each in its own terms; under any other metric a search scans
+// every row.
+//
+// The boxes are conservative between rebuilds: Insert widens the boxes on
+// its path, but Remove swap-removes a row inside its leaf and leaves every
+// box as it was, so a box may be larger than its rows need, never
+// smaller, which is all a cut requires. A leaf that overflows is rebuilt
+// as a subtree of its own. Once Inserts and Removes since the last build
+// pass size>>kdRebuildShift, the whole tree is rebuilt with median splits
+// on each subtree's widest axis and tight boxes, taking the rows in the
+// order the tree holds them (fixed by the sequence of operations, never
+// by map iteration), so removal stays amortized O(log N).
+//
+// Rows are overwritten in place by Remove and by rebuilds, which run once
+// the cache's read lock is released, so a row never backs Neighbor.Key: a
+// neighbour's key is the clone Insert took of it, immutable from then on.
+// A key whose length differs from the tree's row width (the length of
+// the first key inserted into an empty tree) is kept off the tree in a
+// list that every search of another length scans. The metrics put keys
+// of different lengths at +Inf from each other, so a search of the row
+// width skips that list and any other search skips the rows.
 type KDTree struct {
 	probeCounter
-	metric   vec.Metric
-	prunable bool
-	euclid   bool // metric is Euclidean: Nearest searches in squared space
-	root     *kdNode
-	size     int // live entries
-	dead     int // tombstoned entries
-	maxDim   int // longest key ever inserted: every node's axis is below it
-	byID     map[ID]*kdNode
+	metric vec.Metric
+	norm   kdNorm
+	width  int // row width: the length of every key kept in a leaf
+
+	nodes  []kdNode
+	boxes  []float64 // node i's box: width lows, then width highs, at boxes[2*width*i:]
+	leaves []kdLeaf
+	free   []int32   // leaves for build to take: an overflowed leaf's, or all during a rebuild
+	odd    []kdEntry // entries whose key length is not width
+	where  map[ID]kdSlot
+	size   int // live entries, odd ones included
+	muts   int // Inserts and Removes since the last build
 }
 
+// kdLeafSize is a leaf's row capacity, and kdRebuildShift sets the
+// rebuild point: after size>>kdRebuildShift mutations. Both were chosen by
+// a sweep of BenchmarkMissThenPut (CHANGES.md).
+const (
+	kdLeafSize     = 32
+	kdRebuildShift = 1
+)
+
 type kdNode struct {
-	id          ID
-	key         vec.Vector
-	axis        int
-	left, right *kdNode
-	deleted     bool
+	split       float64 // inner: keys below split on axis descend left
+	axis        int32   // inner: the split axis; -1 marks a leaf
+	left, right int32   // inner: the children; a leaf: its kdLeaf in left
 }
+
+type kdLeaf struct {
+	rows []float64    // len(ids) rows of the tree's width
+	ids  []ID         // the id of each row
+	keys []vec.Vector // the clone Neighbor.Key hands out for each row
+}
+
+// kdSlot is where an entry lives: row of leaf node, or odd[row] when
+// node is -1.
+type kdSlot struct{ node, row int32 }
+
+type kdEntry struct {
+	id  ID
+	key vec.Vector
+}
+
+// kdNorm is how a box bounds the metric from below.
+type kdNorm uint8
+
+const (
+	kdNoBound kdNorm = iota // scan every row
+	kdL2
+	kdL1
+	kdLinf
+)
 
 // NewKDTree returns an empty KD-tree using metric m.
 func NewKDTree(m vec.Metric) *KDTree {
-	var prunable, euclid bool
+	norm := kdNoBound
 	switch m.(type) {
 	case vec.EuclideanMetric:
-		prunable, euclid = true, true
-	case vec.ManhattanMetric, vec.ChebyshevMetric:
-		prunable = true
+		norm = kdL2
+	case vec.ManhattanMetric:
+		norm = kdL1
+	case vec.ChebyshevMetric:
+		norm = kdLinf
 	}
-	return &KDTree{metric: m, prunable: prunable, euclid: euclid, byID: make(map[ID]*kdNode)}
+	return &KDTree{metric: m, norm: norm, where: make(map[ID]kdSlot)}
 }
 
-// Insert implements Index. Empty keys are rejected: the descent below
-// picks the next split axis as (axis+1) mod len(key), which would
-// divide by zero for a zero-dimension key.
+// Insert implements Index. Empty keys are rejected: there is no axis to
+// split them on.
 func (t *KDTree) Insert(id ID, key vec.Vector) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	if old, ok := t.byID[id]; ok && !old.deleted {
-		t.tombstone(old)
+	t.Remove(id)
+	if t.size == 0 {
+		t.width = len(key) // the last Remove rebuilt the tree to nothing
 	}
-	key = key.Clone()
-	if len(key) > t.maxDim {
-		t.maxDim = len(key)
-	}
-	n := &kdNode{id: id, key: key}
-	t.byID[id] = n
+	e := kdEntry{id, key.Clone()}
 	t.size++
-	if t.root == nil {
-		t.root = n
-		return nil
+	if len(key) != t.width {
+		t.where[id] = kdSlot{-1, int32(len(t.odd))}
+		t.odd = append(t.odd, e)
+	} else {
+		t.add(e)
 	}
-	cur := t.root
+	t.mutated()
+	return nil
+}
+
+// add descends by split value to a leaf, widening the boxes on the way,
+// and appends the row there; a full leaf is rebuilt, with the new entry,
+// as a subtree.
+func (t *KDTree) add(e kdEntry) {
+	if len(t.nodes) == 0 {
+		t.build(t.newNode(), []kdEntry{e})
+		return
+	}
+	i := int32(0)
 	for {
-		n.axis = (cur.axis + 1) % len(key)
-		if axisLess(key, cur.key, cur.axis) {
-			if cur.left == nil {
-				cur.left = n
-				return nil
+		t.widen(i, e.key)
+		n := t.nodes[i]
+		if n.axis >= 0 {
+			if e.key[n.axis] < n.split {
+				i = n.left
+			} else {
+				i = n.right
 			}
-			cur = cur.left
-		} else {
-			if cur.right == nil {
-				cur.right = n
-				return nil
-			}
-			cur = cur.right
+			continue
 		}
+		l := &t.leaves[n.left]
+		if len(l.ids) == kdLeafSize {
+			es := append(t.appendLeaf(nil, n.left), e)
+			t.free = append(t.free, n.left)
+			t.build(i, es)
+			return
+		}
+		t.append(i, l, e)
+		return
 	}
 }
 
-// axisLess compares along an axis, tolerating keys of differing
-// dimensionality (shorter keys read as 0 on missing axes).
-func axisLess(a, b vec.Vector, axis int) bool {
-	av, bv := 0.0, 0.0
-	if axis < len(a) {
-		av = a[axis]
-	}
-	if axis < len(b) {
-		bv = b[axis]
-	}
-	return av < bv
+// append adds e as the last row of leaf node i.
+func (t *KDTree) append(i int32, l *kdLeaf, e kdEntry) {
+	t.where[e.id] = kdSlot{i, int32(len(l.ids))}
+	l.rows = append(l.rows, e.key...)
+	l.ids = append(l.ids, e.id)
+	l.keys = append(l.keys, e.key)
 }
 
 // Remove implements Index.
 func (t *KDTree) Remove(id ID) {
-	n, ok := t.byID[id]
-	if !ok || n.deleted {
+	s, ok := t.where[id]
+	if !ok {
 		return
 	}
-	delete(t.byID, id)
-	t.tombstone(n)
+	delete(t.where, id)
+	t.size--
+	if s.node < 0 {
+		last := len(t.odd) - 1
+		if int(s.row) != last {
+			t.odd[s.row] = t.odd[last]
+			t.where[t.odd[s.row].id] = s
+		}
+		t.odd[last] = kdEntry{}
+		t.odd = t.odd[:last]
+	} else {
+		l := &t.leaves[t.nodes[s.node].left]
+		last := len(l.ids) - 1
+		if int(s.row) != last {
+			w := t.width
+			copy(l.rows[int(s.row)*w:][:w], l.rows[last*w:])
+			l.ids[s.row], l.keys[s.row] = l.ids[last], l.keys[last]
+			t.where[l.ids[s.row]] = s
+		}
+		l.keys[last] = nil
+		l.rows, l.ids, l.keys = l.rows[:last*t.width], l.ids[:last], l.keys[:last]
+	}
+	t.mutated()
 }
 
-// tombstone marks a live node dead and compacts the tree once more than
-// a quarter of its nodes are. The fraction is the knee of {1, 1/2, 1/4,
-// 1/8} on a replay of the write-evict stream (CHANGES.md, PR 23): a
-// rebuild costs O(N log N) and runs once per N/3 removals, so removal
-// stays amortized O(log N), while no miss walks a tree that is up to
-// half dead and mostly grown by inserts.
-func (t *KDTree) tombstone(n *kdNode) {
-	n.deleted = true
-	t.size--
-	t.dead++
-	if 3*t.dead > t.size {
+// mutated counts one Insert or Remove and rebuilds once enough have run
+// since the last build. A rebuild costs O(N log N) and runs once per
+// N>>kdRebuildShift mutations, so both stay amortized O(log N).
+func (t *KDTree) mutated() {
+	t.muts++
+	if t.muts > t.size>>kdRebuildShift {
 		t.rebuild()
 	}
 }
 
 func (t *KDTree) rebuild() {
-	nodes := make([]*kdNode, 0, t.size)
-	var collect func(n *kdNode)
-	collect = func(n *kdNode) {
-		if n == nil {
-			return
-		}
-		collect(n.left)
-		if !n.deleted {
-			nodes = append(nodes, n)
-		}
-		collect(n.right)
+	var es []kdEntry
+	if len(t.nodes) > 0 {
+		es = t.collect(0, make([]kdEntry, 0, t.size-len(t.odd)))
 	}
-	collect(t.root)
-	t.root = buildBalanced(nodes, 0)
-	t.dead = 0
+	// Every leaf is free for the build to take, lowest first; the ones it
+	// leaves are dropped.
+	t.free = t.free[:0]
+	for leaf := len(t.leaves) - 1; leaf >= 0; leaf-- {
+		t.free = append(t.free, int32(leaf))
+	}
+	t.nodes, t.boxes = t.nodes[:0], t.boxes[:0]
+	t.muts = 0
+	if len(es) > 0 {
+		t.build(t.newNode(), es)
+	}
+	used := len(t.leaves) - len(t.free)
+	clear(t.leaves[used:])
+	t.leaves, t.free = t.leaves[:used], t.free[:0]
 }
 
-func buildBalanced(nodes []*kdNode, axis int) *kdNode {
-	if len(nodes) == 0 {
-		return nil
+// collect appends the entries below node i, left before right and each
+// leaf's rows in order.
+func (t *KDTree) collect(i int32, es []kdEntry) []kdEntry {
+	n := t.nodes[i]
+	if n.axis < 0 {
+		return t.appendLeaf(es, n.left)
 	}
-	// The median by axis, by quickselect. Keys equal to the median on
-	// this axis may land on either side of it; the searches only assume
-	// left <= split <= right.
-	mid := len(nodes) / 2
-	quickSelect(nodes, mid, axis)
-	n := nodes[mid]
-	dim := len(n.key)
-	next := 0
-	if dim > 0 {
-		next = (axis + 1) % dim
-	}
-	n.axis = axis
-	n.left = buildBalanced(nodes[:mid], next)
-	n.right = buildBalanced(nodes[mid+1:], next)
-	return n
+	return t.collect(n.right, t.collect(n.left, es))
 }
 
-func quickSelect(nodes []*kdNode, k, axis int) {
-	lo, hi := 0, len(nodes)-1
-	for lo < hi {
-		p := partition(nodes, lo, hi, axis)
+func (t *KDTree) appendLeaf(es []kdEntry, leaf int32) []kdEntry {
+	l := &t.leaves[leaf]
+	for r, id := range l.ids {
+		es = append(es, kdEntry{id, l.keys[r]})
+	}
+	return es
+}
+
+// build lays es out as the subtree rooted at node i: a leaf once they fit
+// in one, otherwise a median split on the axis along which their box is
+// widest.
+func (t *KDTree) build(i int32, es []kdEntry) {
+	lo, hi := t.box(i)
+	for a := range lo {
+		lo[a], hi[a] = math.Inf(1), math.Inf(-1)
+	}
+	for _, e := range es {
+		t.widen(i, e.key)
+	}
+	if len(es) <= kdLeafSize {
+		leaf := t.newLeaf()
+		t.nodes[i] = kdNode{axis: -1, left: leaf}
+		for _, e := range es {
+			t.append(i, &t.leaves[leaf], e)
+		}
+		return
+	}
+	axis, spread := 0, math.Inf(-1)
+	for a := range lo {
+		if s := hi[a] - lo[a]; s > spread {
+			axis, spread = a, s
+		}
+	}
+	mid := len(es) / 2
+	selectKth(es, mid, axis)
+	left, right := t.newNode(), t.newNode()
+	t.nodes[i] = kdNode{split: es[mid].key[axis], axis: int32(axis), left: left, right: right}
+	t.build(left, es[:mid])
+	t.build(right, es[mid:])
+}
+
+// selectKth reorders es so that es[k] holds the k-th smallest coordinate
+// on axis, nothing after it smaller and nothing before it larger. The
+// three-way partition keeps runs of equal coordinates, common in real
+// keys, from making it quadratic.
+func selectKth(es []kdEntry, k, axis int) {
+	lo, hi := 0, len(es)
+	for hi-lo > 1 {
+		p := es[lo+(hi-lo)/2].key[axis]
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := es[i].key[axis]; {
+			case v < p:
+				es[lt], es[i] = es[i], es[lt]
+				lt, i = lt+1, i+1
+			case v > p:
+				gt--
+				es[i], es[gt] = es[gt], es[i]
+			default:
+				i++
+			}
+		}
 		switch {
-		case p == k:
-			return
-		case p < k:
-			lo = p + 1
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
 		default:
-			hi = p - 1
+			return
 		}
 	}
 }
 
-func partition(nodes []*kdNode, lo, hi, axis int) int {
-	pivot := nodes[hi].key
-	i := lo
-	for j := lo; j < hi; j++ {
-		if axisLess(nodes[j].key, pivot, axis) {
-			nodes[i], nodes[j] = nodes[j], nodes[i]
-			i++
+func (t *KDTree) newNode() int32 {
+	t.nodes = append(t.nodes, kdNode{})
+	t.boxes = slices.Grow(t.boxes, 2*t.width)[:len(t.boxes)+2*t.width]
+	return int32(len(t.nodes) - 1)
+}
+
+// newLeaf returns an empty leaf: a free one, or a new one.
+func (t *KDTree) newLeaf() int32 {
+	if k := len(t.free); k > 0 {
+		leaf := t.free[k-1]
+		t.free = t.free[:k-1]
+		l := &t.leaves[leaf]
+		clear(l.keys)
+		l.rows, l.ids, l.keys = l.rows[:0], l.ids[:0], l.keys[:0]
+		return leaf
+	}
+	t.leaves = append(t.leaves, kdLeaf{
+		rows: make([]float64, 0, kdLeafSize*t.width),
+		ids:  make([]ID, 0, kdLeafSize),
+		keys: make([]vec.Vector, 0, kdLeafSize),
+	})
+	return int32(len(t.leaves) - 1)
+}
+
+// box returns node i's box, its least and greatest coordinate per axis.
+func (t *KDTree) box(i int32) (lo, hi []float64) {
+	b := t.boxes[int(i)*2*t.width:][:2*t.width]
+	return b[:t.width], b[t.width:]
+}
+
+// widen grows node i's box to hold key.
+func (t *KDTree) widen(i int32, key vec.Vector) {
+	lo, hi := t.box(i)
+	for a, x := range key {
+		if x < lo[a] {
+			lo[a] = x
+		}
+		if x > hi[a] {
+			hi[a] = x
 		}
 	}
-	nodes[i], nodes[hi] = nodes[hi], nodes[i]
-	return i
 }
 
 // Nearest implements Index. It is a dedicated allocation-free search:
 // Nearest runs on every cache lookup (and on a put whose miss left no
 // usable memo, see core), and going through KNearest(1) would allocate a
-// candidate heap and result slice per call — enough garbage at high
-// concurrency that GC mark assists, a global bottleneck, dominate the
-// runtime.
+// result slice per call, enough garbage at high concurrency that GC mark
+// assists, a global bottleneck, dominate the runtime.
 func (t *KDTree) Nearest(key vec.Vector) (Neighbor, bool) {
 	n, _, ok := t.NearestProbed(key)
 	return n, ok
 }
 
-// NearestProbed implements ProbedSearcher: the probe count is the
-// number of tree nodes visited (pruned subtrees excluded).
+// NearestProbed implements ProbedSearcher. The answer is the entry with
+// the least (distance, id), ignoring entries at +Inf.
 func (t *KDTree) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	if t.size == 0 {
 		return Neighbor{}, 0, false
 	}
-	best := Neighbor{Dist: math.Inf(1)}
-	visited := 0
-	if t.euclid {
-		// For the default Euclidean metric, search in squared-distance
-		// space: ordering is preserved (sqrt is monotone), so the same
-		// node wins, but the square root is taken once at the end
-		// instead of at every visited node, and the concrete distance
-		// routine is called directly instead of through the Metric
-		// interface.
-		//
-		// The offsets are a parameter of walk, not a field of q: q.best
-		// is returned, and escape analysis would send anything else
-		// stored in q to the heap with it.
-		q := sqQuery{key: key, best: best}
-		if t.maxDim <= kdStackDims {
-			var off [kdStackDims]float64
-			q.walk(t.root, off[:t.maxDim], 0)
-		} else {
-			pooled := kdOffsets.Get().(*[]float64)
-			if cap(*pooled) < t.maxDim {
-				*pooled = make([]float64, t.maxDim)
-			}
-			off := (*pooled)[:t.maxDim]
-			clear(off)
-			q.walk(t.root, off, 0)
-			kdOffsets.Put(pooled)
+	q := nnQuery{t: t, key: key, best: math.Inf(1)}
+	if len(key) != t.width {
+		for i, e := range t.odd {
+			q.consider(q.dist(e.key), e.id, ^int32(i))
 		}
-		best, visited = q.best, q.visited
-		best.Dist = math.Sqrt(best.Dist)
-	} else {
-		t.nearest1(t.root, key, &best, &visited)
+		q.evals = len(t.odd)
+	} else if len(t.nodes) > 0 {
+		q.walk(0)
 	}
-	t.countQuery(visited)
-	return best, visited, true
+	t.countQuery(q.evals)
+	if math.IsInf(q.best, 1) {
+		return Neighbor{Dist: q.best}, q.evals, true
+	}
+	d := q.best
+	if t.norm == kdL2 {
+		d = math.Sqrt(d)
+	}
+	return t.neighbor(scored{dist: d, id: q.bestID, slot: q.at}), q.evals, true
 }
 
-// kdStackDims is the key dimension up to which a query's per-axis
-// offsets live on its stack; longer keys borrow them from kdOffsets.
-const kdStackDims = 32
-
-var kdOffsets = sync.Pool{New: func() any { return new([]float64) }}
-
-// kdPruneSlack is the relative margin of the cell bound in sqQuery.walk.
-// The bound and a node's distance are the same sum rounded in different
-// orders: the bound picks up at most three roundings per tree level, the
-// distance one per dimension, so they can disagree by (3·depth + dim)
-// units of 2^-53 — below this margin until a root-to-leaf path is millions
-// of nodes long — and a cell is cut only when the bound clears best by
-// more than the margin.
+// kdPruneSlack is the relative margin by which a bound must clear the
+// current limit before a search cuts a subtree. Summed in the order the
+// distance is, each of a box's terms is at most the row's, so in
+// round-to-nearest the box bound never exceeds a row's distance; the
+// margin covers a compiler that fuses the multiply-adds of one sum and
+// not the other.
 const kdPruneSlack = 1e-9
 
-// sqQuery is one nearest-neighbour search in squared Euclidean space;
-// best.Dist holds the squared distance during the descent.
-type sqQuery struct {
-	key     vec.Vector
-	best    Neighbor
-	visited int
+// nnQuery is one nearest-neighbour search. For the default Euclidean
+// metric it runs in squared-distance space: ordering is preserved (sqrt
+// is monotone), so the same entry wins, but the square root is taken once
+// at the end instead of at every row, and the distance routine is called
+// directly instead of through the Metric interface. Only an entry nearer
+// than +Inf can become best: it starts at +Inf with id 0, which no tie
+// can undercut.
+type nnQuery struct {
+	t      *KDTree
+	key    vec.Vector
+	best   float64 // distance (squared, for Euclidean) of the best entry so far
+	bestID ID
+	at     int32 // the best entry's slot, as in search
+	evals  int
 }
 
-// walk searches the subtree at n, whose cell lies rd (squared) from the
-// query: off[a] is the query's signed offset along axis a from that cell
-// (0 while the query is inside the cell's extent on a) and the squares
-// sum to rd. It is the single-axis search this tree always ran — descend to
-// the query's side first, cross a split only when the split plane is no
-// farther than best — with the incremental cell bound of Arya and Mount
-// on top: crossing a split replaces that axis' offset, the squared
-// distance to the far cell follows in O(1), and the far subtree is cut
-// when even its cell is farther than best. A single axis rarely exceeds
-// best in 16 dimensions; the sum over the axes already crossed does.
-// Every node that could improve best or tie it is still visited, in the
-// same order, so results are those of the single-axis search bit for
-// bit and only the visit count falls.
-func (q *sqQuery) walk(n *kdNode, off []float64, rd float64) {
-	if n == nil {
-		return
+func (q *nnQuery) dist(key vec.Vector) float64 {
+	if q.t.norm == kdL2 {
+		return vec.SquaredEuclidean(q.key, key)
 	}
-	q.visited++
-	if !n.deleted {
-		d := vec.SquaredEuclidean(q.key, n.key)
-		if d < q.best.Dist || (d == q.best.Dist && n.id < q.best.ID) {
-			q.best = Neighbor{ID: n.id, Key: n.key, Dist: d}
+	return q.t.metric.Distance(q.key, key)
+}
+
+func (q *nnQuery) consider(d float64, id ID, slot int32) {
+	if d < q.best || (d == q.best && id < q.bestID) {
+		q.best, q.bestID, q.at = d, id, slot
+	}
+}
+
+// walk searches the subtree at node i: a leaf's rows in place; an inner
+// node's child on the query's side of the split, then the other one
+// unless it lies farther than best. Every row that could improve on best
+// or tie it is scanned, so the answer is the least (distance, id) over
+// all rows. Measuring the near child's box as well would cut little and
+// cost as much as the rows it saves.
+func (q *nnQuery) walk(i int32) {
+	t := q.t
+	n := t.nodes[i]
+	if n.axis < 0 {
+		l := &t.leaves[n.left]
+		if t.norm != kdL2 {
+			q.scan(l, n.left)
+			return
 		}
-	}
-	// diff < 0 is axisLess: a difference of floats is zero only when
-	// they are equal.
-	diff := axisDiff(q.key, n.key, n.axis)
-	first, second := n.left, n.right
-	if !(diff < 0) {
-		first, second = n.right, n.left
-	}
-	q.walk(first, off, rd)
-	if second == nil {
+		w := len(q.key)
+		for r, id := range l.ids {
+			q.consider(vec.SquaredEuclidean(q.key, l.rows[r*w:][:w]), id, n.left*kdLeafSize+int32(r))
+		}
+		q.evals += len(l.ids)
 		return
 	}
-	ax2 := diff * diff
-	if !(ax2 <= q.best.Dist) {
-		return
+	near, far := n.left, n.right
+	gap := q.key[n.axis] - n.split
+	if gap >= 0 {
+		near, far = far, near
 	}
-	// The far cell lies beyond this split, which is at least as far
-	// along the axis as the split that gave the current offset, so
-	// ax2 - old*old is never negative and rd only grows down a path.
-	old := off[n.axis]
-	far := rd + (ax2 - old*old)
-	if far <= q.best.Dist*(1+kdPruneSlack) {
-		off[n.axis] = diff
-		q.walk(second, off, far)
-		off[n.axis] = old
+	q.walk(near)
+	if !t.farther(q.key, gap, far, q.best*(1+kdPruneSlack), t.norm == kdL2) {
+		q.walk(far)
 	}
+}
+
+// scan is walk's leaf scan for the metrics other than the Euclidean,
+// through their Distance. With this loop in walk's body as well, a
+// Euclidean miss measured about a fifth slower.
+func (q *nnQuery) scan(l *kdLeaf, leaf int32) {
+	w := len(q.key)
+	for r, id := range l.ids {
+		q.consider(q.t.metric.Distance(q.key, l.rows[r*w:][:w]), id, leaf*kdLeafSize+int32(r))
+	}
+	q.evals += len(l.ids)
+}
+
+// farther reports whether every row below node i, on the far side of a
+// split gap away from key, lies farther than limit: in squared distance
+// when sq is set, in the metric's own terms otherwise. The rows lie
+// beyond the split plane, so its distance bounds theirs too, and a cut
+// the plane decides costs no box.
+func (t *KDTree) farther(key vec.Vector, gap float64, i int32, limit float64, sq bool) bool {
+	switch {
+	case t.norm == kdNoBound:
+		return false
+	case sq:
+		return gap*gap > limit || t.sqBoxDist(key, i) > limit
+	}
+	return math.Abs(gap) > limit || t.boxBound(key, i) > limit
+}
+
+// sqBoxDist is the squared Euclidean distance from key to node i's box,
+// summed in vec.SquaredEuclidean's order. At most one of an axis' two
+// gaps is positive, so their sum is that axis' gap, without a branch.
+func (t *KDTree) sqBoxDist(key vec.Vector, i int32) float64 {
+	lo, hi := t.box(i)
+	lo, hi = lo[:len(key)], hi[:len(key)]
+	var sum float64
+	for a, x := range key {
+		g := max(lo[a]-x, 0) + max(x-hi[a], 0)
+		sum += g * g
+	}
+	return sum
+}
+
+// boxBound is the least distance, in the metric's own terms, from key to
+// any row inside node i's box.
+func (t *KDTree) boxBound(key vec.Vector, i int32) float64 {
+	if t.norm == kdL2 {
+		return math.Sqrt(t.sqBoxDist(key, i))
+	}
+	lo, hi := t.box(i)
+	var sum, most float64
+	for a, x := range key {
+		g := max(lo[a]-x, 0) + max(x-hi[a], 0)
+		sum += g
+		most = max(most, g)
+	}
+	if t.norm == kdL1 {
+		return sum
+	}
+	return most
 }
 
 // ReplayInsert implements Replayer with the comparison of the search
@@ -327,36 +530,102 @@ func (q *sqQuery) walk(n *kdNode, off []float64, rd float64) {
 // root, and two different squares can share a root, so there a tie in
 // the reported distance is decided only at 0, where the squares tie too.
 func (t *KDTree) ReplayInsert(q vec.Vector, cur Neighbor, found bool, id ID, key vec.Vector) (Neighbor, bool) {
-	if t.euclid {
+	if t.norm == kdL2 {
 		d := math.Sqrt(vec.SquaredEuclidean(q, key))
 		return replayInsert(d, cur, found, id, d == 0)
 	}
 	return replayInsert(t.metric.Distance(q, key), cur, found, id, true)
 }
 
-// nearest1 tracks the single best candidate in place, mirroring
-// search()'s traversal order, pruning, and min-ID tie-break.
-func (t *KDTree) nearest1(n *kdNode, key vec.Vector, best *Neighbor, visited *int) {
-	if n == nil {
+// kdQuery is KNearest's and Radius' search, through the metric's
+// Distance: it keeps the k entries with the least (distance, id) among
+// those within r of key.
+type kdQuery struct {
+	t     *KDTree
+	key   vec.Vector
+	k     int
+	r     float64
+	found distHeap // farthest kept at the root
+	evals int
+}
+
+// search runs a kdQuery and returns what it kept, closest first. A slot
+// names a row as leaf*kdLeafSize+row, an odd entry i as ^i.
+func (t *KDTree) search(key vec.Vector, k int, r float64) ([]scored, int) {
+	q := kdQuery{t: t, key: key, k: k, r: r, found: distHeap{max: true}}
+	if len(t.nodes) > 0 {
+		q.walk(0)
+	}
+	for i, e := range t.odd {
+		q.offer(t.metric.Distance(key, e.key), e.id, ^int32(i))
+	}
+	q.evals += len(t.odd)
+	return q.found.sorted(), q.evals
+}
+
+// walk is nnQuery.walk with the limit of a kdQuery. A key of another
+// length than the rows visits every leaf.
+func (q *kdQuery) walk(i int32) {
+	t := q.t
+	n := t.nodes[i]
+	if n.axis < 0 {
+		l := &t.leaves[n.left]
+		w := t.width
+		for r, id := range l.ids {
+			q.offer(t.metric.Distance(q.key, l.rows[r*w:][:w]), id, n.left*kdLeafSize+int32(r))
+		}
+		q.evals += len(l.ids)
 		return
 	}
-	*visited++
-	if !n.deleted {
-		d := t.metric.Distance(key, n.key)
-		if d < best.Dist || (d == best.Dist && n.id < best.ID) {
-			*best = Neighbor{ID: n.id, Key: n.key, Dist: d}
-		}
+	near, far := n.left, n.right
+	if len(q.key) != t.width {
+		q.walk(near)
+		q.walk(far)
+		return
 	}
-	first, second := n.left, n.right
-	if !axisLess(key, n.key, n.axis) {
-		first, second = n.right, n.left
+	gap := q.key[n.axis] - n.split
+	if gap >= 0 {
+		near, far = far, near
 	}
-	t.nearest1(first, key, best, visited)
-	if second != nil {
-		if !t.prunable || axisAbsDiff(key, n.key, n.axis) <= best.Dist {
-			t.nearest1(second, key, best, visited)
-		}
+	q.walk(near)
+	if !t.farther(q.key, gap, far, q.limit()*(1+kdPruneSlack), false) {
+		q.walk(far)
 	}
+}
+
+// limit is the distance beyond which no row can be kept.
+func (q *kdQuery) limit() float64 {
+	if len(q.found.items) < q.k || q.r < q.found.items[0].dist {
+		return q.r
+	}
+	return q.found.items[0].dist
+}
+
+func (q *kdQuery) offer(d float64, id ID, slot int32) {
+	if !(d <= q.r) {
+		return
+	}
+	x := scored{dist: d, id: id, slot: slot}
+	if len(q.found.items) < q.k {
+		q.found.push(x)
+	} else if q.found.less(q.found.items[0], x) {
+		q.found.replaceRoot(x)
+	}
+}
+
+func (t *KDTree) neighbor(x scored) Neighbor {
+	if x.slot < 0 {
+		return Neighbor{ID: x.id, Key: t.odd[^x.slot].key, Dist: x.dist}
+	}
+	return Neighbor{ID: x.id, Key: t.leaves[x.slot/kdLeafSize].keys[x.slot%kdLeafSize], Dist: x.dist}
+}
+
+func (t *KDTree) neighbors(xs []scored) []Neighbor {
+	out := make([]Neighbor, len(xs))
+	for i, x := range xs {
+		out[i] = t.neighbor(x)
+	}
+	return out
 }
 
 // KNearest implements Index.
@@ -370,64 +639,19 @@ func (t *KDTree) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || t.size == 0 {
 		return nil, 0
 	}
-	// A max-heap: the root is the worst of the k kept so far and is
-	// replaced when a closer node turns up.
-	h := &distHeap{max: true}
-	visited := 0
-	t.search(t.root, key, k, h, &visited)
-	t.countQuery(visited)
-	out := make([]Neighbor, 0, len(h.items))
-	for _, c := range h.sorted() {
-		// byID holds exactly the live nodes, which are all search keeps.
-		out = append(out, Neighbor{ID: c.id, Key: t.byID[c.id].key, Dist: c.dist})
-	}
-	return out, visited
+	xs, evals := t.search(key, k, math.Inf(1))
+	t.countQuery(evals)
+	return t.neighbors(xs), evals
 }
 
-func (t *KDTree) search(n *kdNode, key vec.Vector, k int, h *distHeap, visited *int) {
-	if n == nil {
-		return
+// Radius implements RadiusSearcher.
+func (t *KDTree) Radius(key vec.Vector, r float64) []Neighbor {
+	xs, evals := t.search(key, math.MaxInt, r)
+	t.countQuery(evals)
+	if len(xs) == 0 {
+		return nil
 	}
-	*visited++
-	if !n.deleted {
-		x := scored{dist: t.metric.Distance(key, n.key), id: n.id}
-		if len(h.items) < k {
-			h.push(x)
-		} else if h.less(h.items[0], x) {
-			h.replaceRoot(x)
-		}
-	}
-	goLeft := axisLess(key, n.key, n.axis)
-	first, second := n.left, n.right
-	if !goLeft {
-		first, second = n.right, n.left
-	}
-	t.search(first, key, k, h, visited)
-	// Prune the far side when the axis distance already exceeds the
-	// current worst candidate (valid for Lp metrics).
-	if second != nil {
-		axDist := axisAbsDiff(key, n.key, n.axis)
-		if !t.prunable || len(h.items) < k || axDist <= h.items[0].dist {
-			t.search(second, key, k, h, visited)
-		}
-	}
-}
-
-func axisAbsDiff(a, b vec.Vector, axis int) float64 {
-	return math.Abs(axisDiff(a, b, axis))
-}
-
-// axisDiff is a[axis] - b[axis], a missing axis reading as 0 like in
-// axisLess.
-func axisDiff(a, b vec.Vector, axis int) float64 {
-	av, bv := 0.0, 0.0
-	if axis < len(a) {
-		av = a[axis]
-	}
-	if axis < len(b) {
-		bv = b[axis]
-	}
-	return av - bv
+	return t.neighbors(xs)
 }
 
 // Len implements Index.

@@ -7,11 +7,13 @@ import (
 )
 
 // ProbedSearcher is the per-query view of the probe counters: every
-// index kind already computes the number of entries (or tree nodes) it
-// examined to answer a query — it feeds countQuery — so returning that
-// count to the caller is free. Span tracing uses it to attribute probe
-// work to individual lookups instead of only to the aggregate counters.
-// All kinds implement it.
+// index kind already computes the number of entries it examined to
+// answer a query — it feeds countQuery — so returning that count to the
+// caller is free. A probe is one distance evaluated against a stored key
+// (or its code, for the PQ kinds); work that only bounds distances, such
+// as the k-d tree's box tests, is not counted. Span tracing uses the
+// count to attribute probe work to individual lookups instead of only to
+// the aggregate counters. All kinds implement it.
 type ProbedSearcher interface {
 	// NearestProbed is Nearest plus the entries examined by this query.
 	NearestProbed(key vec.Vector) (Neighbor, int, bool)
@@ -20,11 +22,11 @@ type ProbedSearcher interface {
 }
 
 // ProbeStats reports how much work an index has done answering queries:
-// Queries counts Nearest/KNearest/Radius calls, Probes the entries (or
-// tree nodes) examined to answer them. Probes/Queries is the average
-// scan size — the number Table 2 of the paper compares across index
-// kinds (a linear index probes Len() per query, a KD-tree O(log N), an
-// LSH its candidate bucket set). The counters are atomics: indices are
+// Queries counts Nearest/KNearest/Radius calls, Probes the distances
+// evaluated to answer them (see ProbedSearcher). Probes/Queries is the
+// average scan size — the number Table 2 of the paper compares across
+// index kinds (a linear index probes Len() per query, a KD-tree the rows
+// of the leaves it does not cut, an LSH its candidate bucket set). The counters are atomics: indices are
 // queried under a read lock by many goroutines at once, so plain ints
 // would race.
 type ProbeStats struct {

@@ -43,42 +43,6 @@ func (l *Linear) Radius(key vec.Vector, r float64) []Neighbor {
 	return out
 }
 
-// Radius implements RadiusSearcher for the KD-tree with subtree pruning
-// (exact for Lp metrics; full traversal otherwise).
-func (t *KDTree) Radius(key vec.Vector, r float64) []Neighbor {
-	var out []Neighbor
-	visited := 0
-	var walk func(n *kdNode)
-	walk = func(n *kdNode) {
-		if n == nil {
-			return
-		}
-		visited++
-		if !n.deleted {
-			if d := t.metric.Distance(key, n.key); d <= r {
-				out = append(out, Neighbor{ID: n.id, Key: n.key, Dist: d})
-			}
-		}
-		ax := axisAbsDiff(key, n.key, n.axis)
-		goLeft := axisLess(key, n.key, n.axis)
-		if goLeft {
-			walk(n.left)
-			if !t.prunable || ax <= r {
-				walk(n.right)
-			}
-		} else {
-			walk(n.right)
-			if !t.prunable || ax <= r {
-				walk(n.left)
-			}
-		}
-	}
-	walk(t.root)
-	t.countQuery(visited)
-	sortNeighbors(out)
-	return out
-}
-
 // Radius implements RadiusSearcher for LSH: bucket candidates are ranked
 // exactly, and when probing finds nothing the scan fallback keeps the
 // result complete (mirroring KNearest's contract).

@@ -94,7 +94,7 @@ func TestCrashMidSnapshotWrite(t *testing.T) {
 	dir := t.TempDir()
 	c := buildDir(t, dir, 40)
 
-	// Kill point: mid-snapshot. AtomicWriteFile dies before the rename,
+	// Kill point: mid-snapshot. atomicWriteFile dies before the rename,
 	// leaving only a .tmp with a prefix of the data.
 	state := c.CaptureState()
 	full := snapPath(dir, 99)
@@ -397,7 +397,7 @@ func TestCrashEmptyActiveSegment(t *testing.T) {
 func TestAtomicWriteFileFsyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	target := filepath.Join(dir, "out.bin")
-	if err := AtomicWriteFile(target, []byte("v1"), 0o644); err != nil {
+	if err := atomicWriteFile(target, []byte("v1"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -408,7 +408,7 @@ func TestAtomicWriteFileFsyncFailure(t *testing.T) {
 	}()
 
 	syncFile = func(*os.File) error { return boom }
-	if err := AtomicWriteFile(target, []byte("v2"), 0o644); !errors.Is(err, boom) {
+	if err := atomicWriteFile(target, []byte("v2"), 0o644); !errors.Is(err, boom) {
 		t.Fatalf("file-fsync failure not surfaced: %v", err)
 	}
 	if got, _ := os.ReadFile(target); string(got) != "v1" {
@@ -418,13 +418,13 @@ func TestAtomicWriteFileFsyncFailure(t *testing.T) {
 
 	syncFile = func(f *os.File) error { return f.Sync() }
 	syncDir = func(*os.File) error { return boom }
-	if err := AtomicWriteFile(target, []byte("v3"), 0o644); !errors.Is(err, boom) {
+	if err := atomicWriteFile(target, []byte("v3"), 0o644); !errors.Is(err, boom) {
 		t.Fatalf("dir-fsync failure not surfaced: %v", err)
 	}
 	assertNoTempFiles(t, dir)
 
 	syncDir = func(f *os.File) error { return f.Sync() }
-	if err := AtomicWriteFile(target, []byte("v4"), 0o644); err != nil {
+	if err := atomicWriteFile(target, []byte("v4"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(target); string(got) != "v4" {

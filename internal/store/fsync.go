@@ -39,12 +39,12 @@ func fsyncDir(dir string) error {
 	return nil
 }
 
-// AtomicWriteFile publishes data at path so that after a crash the path
+// atomicWriteFile publishes data at path so that after a crash the path
 // either does not exist or holds the complete contents: write to a temp
 // file in the same directory, fsync it, rename over path, then fsync
 // the parent directory. On any failure the temp file is removed and
 // path is untouched.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
+func atomicWriteFile(path string, data []byte, perm os.FileMode) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {

@@ -53,7 +53,7 @@ func (l *Log) Recover() (*core.DurableState, RecoveryStats, error) {
 	}
 
 	// Newest valid snapshot wins; invalid ones (torn by a crash that
-	// beat AtomicWriteFile's rename, or corrupted on disk) fall through
+	// beat atomicWriteFile's rename, or corrupted on disk) fall through
 	// to older generations, and with none left recovery is a pure log
 	// replay from the oldest surviving segment.
 	state := &core.DurableState{}

@@ -20,7 +20,7 @@ import (
 //
 // A snapshot missing its footer, with a count mismatch, or with any
 // torn record is invalid as a whole; recovery falls back to the next
-// older one. Publication goes through AtomicWriteFile, so a crash
+// older one. Publication goes through atomicWriteFile, so a crash
 // mid-write leaves only an ignored .tmp.
 
 // appendFramed frames one payload: length, CRC, payload.
@@ -74,7 +74,7 @@ func writeSnapshot(path string, state *core.DurableState) error {
 	scratch = binary.AppendUvarint(append(scratch[:0], snapEnd), uint64(written))
 	buf = appendFramed(buf, scratch)
 
-	return AtomicWriteFile(path, buf, 0o644)
+	return atomicWriteFile(path, buf, 0o644)
 }
 
 func appendSnapMeta(b []byte, state *core.DurableState) []byte {
@@ -195,7 +195,7 @@ func decodeSnapshot(data []byte) (*core.DurableState, error) {
 
 // SaveFile captures c's durable state and publishes it at path as one
 // snapshot file — the single-file persistence for in-process library
-// users who do not run a Log. The write is crash-safe (AtomicWriteFile):
+// users who do not run a Log. The write is crash-safe (atomicWriteFile):
 // after a crash path holds either the previous complete snapshot or the
 // new one. Entries whose value type cannot be persisted are left out.
 func SaveFile(c *core.Cache, path string) error {
