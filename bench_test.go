@@ -135,7 +135,7 @@ func BenchmarkTable2Lookup(b *testing.B) {
 	cfg := index.DefaultLSHConfig()
 	cfg.BucketWidth = 0.5
 	cfg.Hashes = 8
-	lsh := index.NewLSH(vec.EuclideanMetric{}, dim, cfg)
+	lsh := index.NewLSH(vec.EuclideanMetric{}, cfg)
 	lin := index.NewLinear(vec.EuclideanMetric{})
 	kd := index.NewKDTree(vec.EuclideanMetric{})
 	for i := 0; i < entries; i++ {
@@ -703,7 +703,7 @@ func BenchmarkLookupParallel(b *testing.B) {
 				}
 				if telemetryOn {
 					// Full observability: metric series, latency
-					// histograms, and the event tracer, as potluckd
+					// histograms, and the span recorder, as potluckd
 					// runs with -admin-addr. DESIGN.md records the
 					// measured overhead vs. the telemetry-off run.
 					cfg.Telemetry = telemetry.New()

@@ -35,7 +35,8 @@
 // after recovery.
 //
 // -admin-addr starts an HTTP observability endpoint serving /metrics
-// (Prometheus text), /stats and /trace (JSON), and /debug/pprof/.
+// (Prometheus text), /stats, /trace/spans, /whatif and /debug/explain
+// (JSON), and /debug/pprof/.
 //
 // -whatif attaches the online counterfactual profiler (internal/whatif):
 // lookups are sampled spatially at -whatif-rate and drive ghost caches
@@ -320,7 +321,7 @@ func main() {
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
-			log.Printf("potluckd: admin endpoint on http://%s (/metrics /stats /trace /trace/spans /whatif /debug/explain /debug/pprof/)", *adminAddr)
+			log.Printf("potluckd: admin endpoint on http://%s (/metrics /stats /trace/spans /whatif /debug/explain /debug/pprof/)", *adminAddr)
 			if err := admin.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Printf("potluckd: admin endpoint: %v", err)
 			}

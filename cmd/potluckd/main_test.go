@@ -70,10 +70,10 @@ func TestFlagsAreDocumented(t *testing.T) {
 	}
 }
 
-// TestNoGobOutsideTests keeps PLKSNP01 (internal/store) the only encoding
-// of cache state: no non-test file of the root package, internal/ or
-// cmd/ may import encoding/gob.
-func TestNoGobOutsideTests(t *testing.T) {
+// nonTestGoFiles lists the non-test Go files of the root package,
+// internal/ and cmd/.
+func nonTestGoFiles(t *testing.T) []string {
+	t.Helper()
 	root := filepath.Join("..", "..")
 	files, err := filepath.Glob(filepath.Join(root, "*.go"))
 	if err != nil {
@@ -90,11 +90,21 @@ func TestNoGobOutsideTests(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fset := token.NewFileSet()
+	out := files[:0]
 	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
+		if !strings.HasSuffix(path, "_test.go") {
+			out = append(out, path)
 		}
+	}
+	return out
+}
+
+// TestNoGobOutsideTests keeps PLKSNP01 (internal/store) the only encoding
+// of cache state: no non-test file of the root package, internal/ or
+// cmd/ may import encoding/gob.
+func TestNoGobOutsideTests(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, path := range nonTestGoFiles(t) {
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 		if err != nil {
 			t.Fatal(err)
@@ -104,5 +114,34 @@ func TestNoGobOutsideTests(t *testing.T) {
 				t.Errorf("%s imports encoding/gob", fset.Position(imp.Pos()))
 			}
 		}
+	}
+}
+
+// TestNoEventRingOutsideTests keeps the span recorder the one record of
+// what the cache decided: no non-test file may name the retired event
+// ring — RecordEvent, NewTracer, Tracer, telemetry.Event or an Event*
+// kind, whether declared inside package telemetry or selected from it.
+func TestNoEventRingOutsideTests(t *testing.T) {
+	retired := map[string]bool{"RecordEvent": true, "NewTracer": true, "Tracer": true}
+	fset := token.NewFileSet()
+	for _, path := range nonTestGoFiles(t) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inTelemetry := f.Name.Name == "telemetry"
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "telemetry" && strings.HasPrefix(n.Sel.Name, "Event") {
+					t.Errorf("%s names telemetry.%s", fset.Position(n.Pos()), n.Sel.Name)
+				}
+			case *ast.Ident:
+				if retired[n.Name] || (inTelemetry && strings.HasPrefix(n.Name, "Event")) {
+					t.Errorf("%s names %s", fset.Position(n.Pos()), n.Name)
+				}
+			}
+			return true
+		})
 	}
 }

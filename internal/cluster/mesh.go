@@ -36,8 +36,8 @@ type Config struct {
 	// Local is the node's own cache, used to adopt remote hits.
 	Local *core.Cache
 	// Peers lists the other mesh members. Empty degenerates the mesh to
-	// a single-node cluster: every namespace is self-owned, RemoteLookup
-	// always misses, ReplicatePut is a no-op.
+	// a single-node cluster: every namespace is self-owned,
+	// RemoteMultiLookup always misses, ReplicatePut is a no-op.
 	Peers []PeerSpec
 	// Replicas is K, the owner count per namespace (self included when
 	// self ranks top-K). 0 = 2.
@@ -350,128 +350,50 @@ func (m *Mesh) logf(format string, args ...any) {
 	}
 }
 
-// RemoteLookup resolves one local miss against the namespace's owner
-// peers: the candidates are walked in rendezvous order, the first one
-// whose breaker admits the call answers, and its answer — hit or miss —
-// is final. A transport failure falls through to the next owner, so a
-// freshly-dead primary degrades the lookup, never fails it.
-func (m *Mesh) RemoteLookup(function, keyType string, key vec.Vector, trace uint64) (service.LookupSubReply, bool) {
-	for _, id := range m.Owners(function, keyType) {
-		if id == m.cfg.NodeID {
-			continue
-		}
-		p := m.peers[id]
-		if !p.br.Allow() {
-			continue
-		}
-		start := time.Now()
-		p.reqs.Add(1)
-		res, err := p.client.LookupTraced(function, keyType, key, telemetry.TraceID(trace))
-		p.br.Report(err)
-		if err != nil {
-			p.errs.Add(1)
-			m.recordSpan(start, trace, function, keyType, id, telemetry.OutcomeError, err.Error(), -1, 0)
-			continue
-		}
-		if !res.Hit {
-			m.remoteMisses.Add(1)
-			m.recordSpan(start, trace, function, keyType, id, telemetry.OutcomeMiss, "", res.Distance, res.Threshold)
-			return service.LookupSubReply{}, false
-		}
-		p.hits.Add(1)
-		m.remoteHits.Add(1)
-		m.recordSpan(start, trace, function, keyType, id, telemetry.OutcomeHit, "", res.Distance, res.Threshold)
-		m.adopt([]core.BatchPut{{Function: function, Req: core.PutRequest{
-			Keys:  map[string]vec.Vector{keyType: key},
-			Value: res.Value,
-			TTL:   m.cfg.AdoptTTL,
-			App:   "mesh-adopt",
-			Trace: telemetry.TraceID(trace),
-		}}})
-		return service.LookupSubReply{
-			Hit:       true,
-			Value:     res.Value,
-			Distance:  res.Distance,
-			Threshold: res.Threshold,
-			Trace:     trace,
-		}, true
-	}
-	return service.LookupSubReply{}, false
-}
-
-// RemoteMultiLookup resolves a batch of local misses. Subs are grouped
-// by their first admitted owner so each owner peer receives ONE
-// MultiLookup frame for the whole batch (frames to distinct peers go in
-// parallel), and each frame costs a single breaker Allow/Report. Hits
-// are adopted into the local tier in one batch put.
+// RemoteMultiLookup resolves local misses — one from a single lookup, or
+// a batch — against their namespaces' owner peers. Subs are grouped by
+// their first admitted owner in rendezvous order, so each owner peer
+// receives ONE MultiLookup frame (frames to distinct peers go in
+// parallel), and each frame costs a single breaker Allow/Report. An
+// owner's answer, hit or miss, is final; a frame that fails falls its
+// subs through to their next admitted owner in a further round, so a
+// freshly-dead primary degrades a lookup, never fails it. Hits are
+// adopted into the local tier in one batch put.
 func (m *Mesh) RemoteMultiLookup(subs []service.LookupSub) []service.LookupSubReply {
 	out := make([]service.LookupSubReply, len(subs))
 	if len(m.peers) == 0 {
 		return out
 	}
-	// Admission is decided at most once per peer per batch: Allow may
-	// consume the breaker's single half-open probe slot, so it is only
-	// called when a sub is about to be routed to that peer — every
-	// admitted peer is guaranteed a frame and therefore a Report.
-	admitted := make(map[string]bool)
-	groups := make(map[string][]int)
-	for i, sub := range subs {
-		for _, id := range m.Owners(sub.Function, sub.KeyType) {
-			if id == m.cfg.NodeID {
-				continue
-			}
-			ok, checked := admitted[id]
-			if !checked {
-				ok = m.peers[id].br.Allow()
-				admitted[id] = ok
-			}
-			if ok {
-				groups[id] = append(groups[id], i)
-				break
-			}
+	pending := make([]int, len(subs))
+	for i := range pending {
+		pending[i] = i
+	}
+	// skip holds the peers this batch no longer routes to: refused by
+	// their breaker, or their frame failed. Every round adds the peer of
+	// each failed frame, so the rounds end.
+	skip := make(map[string]bool)
+	for len(pending) > 0 {
+		groups := m.routeLookups(subs, pending, skip)
+		var (
+			wg       sync.WaitGroup
+			mu       sync.Mutex
+			failures []int
+		)
+		for id, idxs := range groups {
+			wg.Add(1)
+			go func(id string, idxs []int) {
+				defer wg.Done()
+				if !m.lookupFrame(m.peers[id], subs, idxs, out) {
+					mu.Lock()
+					skip[id] = true
+					failures = append(failures, idxs...)
+					mu.Unlock()
+				}
+			}(id, idxs)
 		}
+		wg.Wait()
+		pending = failures
 	}
-	var wg sync.WaitGroup
-	for id, idxs := range groups {
-		wg.Add(1)
-		go func(p *peer, idxs []int) {
-			defer wg.Done()
-			fwd := make([]service.LookupSub, len(idxs))
-			for j, i := range idxs {
-				fwd[j] = subs[i]
-			}
-			start := time.Now()
-			p.reqs.Add(1)
-			rres, err := p.client.MultiLookup(fwd)
-			p.br.Report(err)
-			if err != nil {
-				p.errs.Add(1)
-				return
-			}
-			for j, r := range rres {
-				i := idxs[j]
-				if r.Err != nil || !r.Hit {
-					m.remoteMisses.Add(1)
-					m.recordSpan(start, subs[i].Trace, subs[i].Function, subs[i].KeyType,
-						p.spec.ID, telemetry.OutcomeMiss, "", r.Distance, r.Threshold)
-					continue
-				}
-				p.hits.Add(1)
-				m.remoteHits.Add(1)
-				m.recordSpan(start, subs[i].Trace, subs[i].Function, subs[i].KeyType,
-					p.spec.ID, telemetry.OutcomeHit, "", r.Distance, r.Threshold)
-				// Disjoint index sets per group: no lock needed on out.
-				out[i] = service.LookupSubReply{
-					Hit:       true,
-					Value:     r.Value,
-					Distance:  r.Distance,
-					Threshold: r.Threshold,
-					Trace:     subs[i].Trace,
-				}
-			}
-		}(m.peers[id], idxs)
-	}
-	wg.Wait()
 	var adopt []core.BatchPut
 	for i, r := range out {
 		if !r.Hit {
@@ -487,6 +409,75 @@ func (m *Mesh) RemoteMultiLookup(subs []service.LookupSub) []service.LookupSubRe
 	}
 	m.adopt(adopt)
 	return out
+}
+
+// routeLookups groups the pending subs by their first owner peer that is
+// not skipped and whose breaker admits a frame. Admission is decided at
+// most once per peer per round: Allow may consume the breaker's single
+// half-open probe slot, so it is only called when a sub is about to be
+// routed to that peer — every admitted peer is guaranteed a frame and
+// therefore a Report. A refused peer is skipped for the rest of the
+// batch; a sub with no owner left stays a miss.
+func (m *Mesh) routeLookups(subs []service.LookupSub, pending []int, skip map[string]bool) map[string][]int {
+	groups := make(map[string][]int)
+	for _, i := range pending {
+		for _, id := range m.Owners(subs[i].Function, subs[i].KeyType) {
+			if id == m.cfg.NodeID || skip[id] {
+				continue
+			}
+			if _, admitted := groups[id]; !admitted && !m.peers[id].br.Allow() {
+				skip[id] = true
+				continue
+			}
+			groups[id] = append(groups[id], i)
+			break
+		}
+	}
+	return groups
+}
+
+// lookupFrame sends the subs at idxs to p in one MultiLookup frame under
+// p's breaker and writes their hits into out (each frame owns disjoint
+// indexes, so no lock is needed). It reports false when the frame
+// failed, after recording an error span per sub.
+func (m *Mesh) lookupFrame(p *peer, subs []service.LookupSub, idxs []int, out []service.LookupSubReply) bool {
+	fwd := make([]service.LookupSub, len(idxs))
+	for j, i := range idxs {
+		fwd[j] = subs[i]
+	}
+	start := time.Now()
+	p.reqs.Add(1)
+	rres, err := p.client.MultiLookup(fwd)
+	p.br.Report(err)
+	if err != nil {
+		p.errs.Add(1)
+		for _, i := range idxs {
+			m.recordSpan(start, subs[i].Trace, subs[i].Function, subs[i].KeyType,
+				p.spec.ID, telemetry.OutcomeError, err.Error(), -1, 0)
+		}
+		return false
+	}
+	for j, r := range rres {
+		i := idxs[j]
+		if r.Err != nil || !r.Hit {
+			m.remoteMisses.Add(1)
+			m.recordSpan(start, subs[i].Trace, subs[i].Function, subs[i].KeyType,
+				p.spec.ID, telemetry.OutcomeMiss, "", r.Distance, r.Threshold)
+			continue
+		}
+		p.hits.Add(1)
+		m.remoteHits.Add(1)
+		m.recordSpan(start, subs[i].Trace, subs[i].Function, subs[i].KeyType,
+			p.spec.ID, telemetry.OutcomeHit, "", r.Distance, r.Threshold)
+		out[i] = service.LookupSubReply{
+			Hit:       true,
+			Value:     r.Value,
+			Distance:  r.Distance,
+			Threshold: r.Threshold,
+			Trace:     subs[i].Trace,
+		}
+	}
+	return true
 }
 
 // adopt inserts remote hits into the local tier, best-effort: a refused
@@ -603,8 +594,8 @@ func (m *Mesh) recordSpan(start time.Time, trace uint64, function, keyType, peer
 
 // Instrument attaches the mesh to a telemetry hub: per-peer request/hit/
 // error counters and breaker state, mesh-wide remote hit/miss and
-// replication-loss counters, and breaker transitions as both a counter
-// and trace events. Call before Start.
+// replication-loss counters, and breaker transitions by destination
+// state. Call before Start.
 func (m *Mesh) Instrument(tel *telemetry.Telemetry) {
 	m.tel.Store(tel)
 	r := tel.Registry
@@ -630,13 +621,7 @@ func (m *Mesh) Instrument(tel *telemetry.Telemetry) {
 			return 0
 		})
 		id := id
-		p.br.SetNotify(func(from, to string) {
-			transitions.With(id, to).Inc()
-			tel.RecordEvent(telemetry.Event{
-				Kind:   telemetry.EventBreaker,
-				Detail: id + " " + from + "->" + to,
-			})
-		})
+		p.br.SetNotify(func(_, to string) { transitions.With(id, to).Inc() })
 	}
 	r.Counter("potluck_mesh_remote_hits_total",
 		"Local misses resolved by an owner peer.").SetFunc(m.remoteHits.Load)

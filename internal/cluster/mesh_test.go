@@ -166,72 +166,126 @@ func TestPeerLookupNeverFansOut(t *testing.T) {
 
 // TestBreakerDemotionReroutes kills the primary owner and checks the
 // lookup falls through to the next owner, then that the dead peer is
-// skipped outright once its breaker is open.
+// skipped outright once its breaker is open — for single lookups and
+// for a batch, whose misses ride the dead primary's one frame while a
+// second namespace's miss goes to the survivor in parallel.
 func TestBreakerDemotionReroutes(t *testing.T) {
-	a, c := startNode(t, "A"), startNode(t, "C")
-	deadSock := filepath.Join(t.TempDir(), "dead.sock") // never listening
-
-	// Pick a namespace whose rendezvous order tries dead B before live C.
-	var fn string
-	for i := 0; ; i++ {
-		cand := fmt.Sprintf("fn%d", i)
-		var bi, ci int
-		for idx, id := range Owners([]string{"A", "B", "C"}, cand, "feat", 3) {
-			switch id {
-			case "B":
-				bi = idx
-			case "C":
-				ci = idx
+	// namespace picks a function whose rendezvous order tries dead B
+	// before live C (bFirst) or the other way round.
+	namespace := func(bFirst bool) string {
+		for i := 0; ; i++ {
+			cand := fmt.Sprintf("fn%d", i)
+			var bi, ci int
+			for idx, id := range Owners([]string{"A", "B", "C"}, cand, "feat", 3) {
+				switch id {
+				case "B":
+					bi = idx
+				case "C":
+					ci = idx
+				}
+			}
+			if (bi < ci) == bFirst {
+				return cand
 			}
 		}
-		if bi < ci {
-			fn = cand
-			break
-		}
 	}
-	a.register(t, fn)
-	c.register(t, fn)
-	m := newMesh(t, a, "A", 3,
-		PeerSpec{ID: "B", Network: "unix", Addr: deadSock},
-		peerOf(c, "C"))
+	fnB, fnC := namespace(true), namespace(false)
+	type probe struct {
+		fn  string
+		key vec.Vector
+	}
+	cached := []probe{{fnB, vec.Vector{3, 4}}, {fnB, vec.Vector{30, 40}}, {fnC, vec.Vector{5, 6}}}
+	fresh := []probe{{fnB, vec.Vector{103, 4}}, {fnC, vec.Vector{105, 6}}} // cached nowhere
 
-	key := vec.Vector{3, 4}
-	if _, err := c.cache.Put(fn, core.PutRequest{
-		Keys: map[string]vec.Vector{"feat": key}, Value: []byte("survivor"),
-	}); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		// lookup returns each probe's hit value ("" on a miss).
+		lookup func(cl *service.Client, probes []probe) ([]string, error)
+	}{
+		{"lookup", func(cl *service.Client, probes []probe) ([]string, error) {
+			vals := make([]string, len(probes))
+			for i, pr := range probes {
+				res, err := cl.Lookup(pr.fn, "feat", pr.key)
+				if err != nil {
+					return nil, err
+				}
+				if res.Hit {
+					vals[i] = string(res.Value)
+				}
+			}
+			return vals, nil
+		}},
+		{"multilookup", func(cl *service.Client, probes []probe) ([]string, error) {
+			subs := make([]service.LookupSub, len(probes))
+			for i, pr := range probes {
+				subs[i] = service.LookupSub{Function: pr.fn, KeyType: "feat", Key: pr.key}
+			}
+			out, err := cl.MultiLookup(subs)
+			if err != nil {
+				return nil, err
+			}
+			vals := make([]string, len(out))
+			for i, r := range out {
+				if r.Err != nil {
+					return nil, r.Err
+				}
+				if r.Hit {
+					vals[i] = string(r.Value)
+				}
+			}
+			return vals, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, c := startNode(t, "A"), startNode(t, "C")
+			deadSock := filepath.Join(t.TempDir(), "dead.sock") // never listening
+			for _, fn := range []string{fnB, fnC} {
+				a.register(t, fn)
+				c.register(t, fn)
+			}
+			m := newMesh(t, a, "A", 3,
+				PeerSpec{ID: "B", Network: "unix", Addr: deadSock},
+				peerOf(c, "C"))
+			for i, pr := range cached {
+				if _, err := c.cache.Put(pr.fn, core.PutRequest{
+					Keys: map[string]vec.Vector{"feat": pr.key}, Value: []byte(fmt.Sprintf("survivor%d", i)),
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			peerB := func() PeerState {
+				for _, st := range m.Peers() {
+					if st.ID == "B" {
+						return st
+					}
+				}
+				t.Fatal("peer B missing")
+				return PeerState{}
+			}
 
-	cl := dialApp(t, a, "lens")
-	res, err := cl.Lookup(fn, "feat", key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Hit || string(res.Value) != "survivor" {
-		t.Fatalf("lookup with dead primary = %+v, want hit from the surviving owner", res)
-	}
-	var bState PeerState
-	for _, st := range m.Peers() {
-		if st.ID == "B" {
-			bState = st
-		}
-	}
-	if bState.Errs != 1 {
-		t.Fatalf("dead peer errors = %d, want 1 (threshold trips the breaker)", bState.Errs)
-	}
-	if bState.Breaker != service.BreakerOpen {
-		t.Fatalf("dead peer breaker = %s, want open", bState.Breaker)
-	}
+			cl := dialApp(t, a, "lens")
+			vals, err := tc.lookup(cl, cached)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range vals {
+				if want := fmt.Sprintf("survivor%d", i); v != want {
+					t.Fatalf("probe %d with dead primary = %q, want hit %q from the surviving owner", i, v, want)
+				}
+			}
+			if st := peerB(); st.Errs != 1 || st.Breaker != service.BreakerOpen {
+				t.Fatalf("dead peer errors = %d, breaker = %s; want 1 and open (threshold trips the breaker)", st.Errs, st.Breaker)
+			}
 
-	// With the breaker open the dead peer costs nothing: the next lookup
-	// routes straight to the survivor.
-	if _, err := cl.Lookup(fn, "feat", key); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range m.Peers() {
-		if st.ID == "B" && st.Reqs != 1 {
-			t.Fatalf("dead peer frames = %d, want 1 (open breaker must refuse the second)", st.Reqs)
-		}
+			// With the breaker open the dead peer costs nothing: local misses
+			// route straight to the survivor.
+			if _, err := tc.lookup(cl, fresh); err != nil {
+				t.Fatal(err)
+			}
+			if st := peerB(); st.Reqs != 1 {
+				t.Fatalf("dead peer frames = %d, want 1 (open breaker must refuse the rest)", st.Reqs)
+			}
+		})
 	}
 }
 
@@ -352,7 +406,7 @@ func TestHandshakeIdentifiesPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer solo.Close()
-	if _, ok := solo.RemoteLookup("recog", "feat", vec.Vector{1}, 0); ok {
+	if r := solo.RemoteMultiLookup([]service.LookupSub{{Function: "recog", KeyType: "feat", Key: vec.Vector{1}}}); r[0].Hit {
 		t.Fatal("single-node mesh reported a remote hit")
 	}
 	solo.ReplicatePut([]service.PutSub{{Function: "recog"}}) // must be a no-op, not a panic

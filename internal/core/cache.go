@@ -99,8 +99,8 @@ type KeyTypeSpec struct {
 	Metric vec.Metric
 	// Index selects the index structure. Defaults to KD-tree.
 	Index index.Kind
-	// Dim is the expected key dimensionality (used to size LSH
-	// projections; 0 lets the index learn it from the first insert).
+	// Dim is the declared key dimensionality. It allocates nothing:
+	// every index kind learns the dimension from its first insert.
 	Dim int
 	// Extract, when non-nil, derives this key type's key from the raw
 	// input carried by a Put, enabling cross-key-type propagation
@@ -181,8 +181,8 @@ type Config struct {
 	// Telemetry, when non-nil, attaches the cache to a telemetry hub:
 	// per-(function, key type) metric series are exported to its
 	// registry, lookup latencies feed per-series histograms, and
-	// decision events (misses, dropouts, evictions, expirations,
-	// sampled hits) are recorded to its tracer. Nil runs the cache with
+	// decisions (misses, dropouts, errors, sampled hits and puts) are
+	// recorded as spans to its span recorder. Nil runs the cache with
 	// its internal counters only; see telemetry.go for the overhead
 	// budget.
 	Telemetry *telemetry.Telemetry
@@ -662,8 +662,8 @@ func (c *Cache) LookupOpts(fn, keyType string, key vec.Vector, opts LookupOption
 // nothing-expired read therefore never touches the admission lock;
 // routine reclamation is left to puts and the janitor.
 //
-// Span recording follows the tracer's discipline: hits produce a span
-// only when the lookup is traced — forced by a propagated trace ID or
+// Span recording is sampled by outcome: hits produce a span only when
+// the lookup is traced — forced by a propagated trace ID or
 // sampled 1-in-64 off the clock read the lookup already paid for —
 // while misses, dropouts, and errors always produce one (they are the
 // decisions worth debugging and are rare by comparison). Stage clocks
@@ -688,12 +688,6 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 	if out {
 		ki.ctr.dropouts.Add(1)
 		res.Dropout = true
-		if c.tel != nil {
-			c.tel.RecordEvent(telemetry.Event{
-				At: now.UnixNano(), Kind: telemetry.EventDropout,
-				Function: fn, KeyType: keyType, Value: res.Threshold,
-			})
-		}
 		if c.spans != nil {
 			res.Trace = c.recordLookupSpan(ki, fn, keyType, now, spanFields{
 				outcome: telemetry.OutcomeDropout, dist: -1, threshold: res.Threshold,
@@ -726,7 +720,7 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 	}
 	if traced {
 		stages = append(stages, telemetry.SpanStage{
-			Name: telemetry.StageProbe, DurationNs: int64(c.sinceFast(mark)), Probes: probes,
+			Name: telemetry.StageProbe, DurationNs: int64(c.since(mark)), Probes: probes,
 		})
 		mark = c.nowFast()
 	}
@@ -743,16 +737,10 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 		if c.tap != nil {
 			c.tap.TapLookup(fn, keyType, key, dist, res.Threshold, false, now.UnixNano())
 		}
-		if c.tel != nil {
-			c.tel.RecordEvent(telemetry.Event{
-				At: now.UnixNano(), Kind: telemetry.EventMiss,
-				Function: fn, KeyType: keyType, Value: dist, Aux: res.Threshold,
-			})
-		}
 		if c.spans != nil {
 			if traced {
 				stages = append(stages, telemetry.SpanStage{
-					Name: telemetry.StageDecide, DurationNs: int64(c.sinceFast(mark)),
+					Name: telemetry.StageDecide, DurationNs: int64(c.since(mark)),
 				})
 			}
 			res.Trace = c.recordLookupSpan(ki, fn, keyType, now, spanFields{
@@ -772,19 +760,12 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 	if c.tap != nil {
 		c.tap.TapLookup(fn, keyType, key, dist, res.Threshold, true, now.UnixNano())
 	}
-	if c.tel != nil && n&hitTraceSampleMask == 0 {
-		c.tel.RecordEvent(telemetry.Event{
-			At: now.UnixNano(), Kind: telemetry.EventHit,
-			Function: fn, KeyType: keyType, Detail: e.app,
-			Value: dist, Aux: res.Threshold,
-		})
-	}
 	res.Hit = true
 	res.Value = e.value
 	res.Entry = e.snapshot()
 	if traced {
 		stages = append(stages, telemetry.SpanStage{
-			Name: telemetry.StageDecide, DurationNs: int64(c.sinceFast(mark)),
+			Name: telemetry.StageDecide, DurationNs: int64(c.since(mark)),
 		})
 		mark = c.nowFast()
 	}
@@ -796,7 +777,7 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 		res.Value = opts.Refine(res.Value, hitKey.Clone(), key)
 		if traced {
 			stages = append(stages, telemetry.SpanStage{
-				Name: telemetry.StageRefine, DurationNs: int64(c.sinceFast(mark)),
+				Name: telemetry.StageRefine, DurationNs: int64(c.since(mark)),
 			})
 		}
 	}
@@ -870,12 +851,6 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	}
 	if c.rep != nil && c.rep.Barred(req.App) {
 		c.ctr.rejectedPuts.Add(1)
-		if c.tel != nil {
-			c.tel.RecordEvent(telemetry.Event{
-				At: now.UnixNano(), Kind: telemetry.EventBarred,
-				Function: fn, Detail: req.App,
-			})
-		}
 		err := fmt.Errorf("%w: %q", ErrAppBarred, req.App)
 		c.recordPutError(fn, now, req.Trace, err)
 		return 0, err
@@ -927,7 +902,7 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	}
 	if traced {
 		stages = append(stages, telemetry.SpanStage{
-			Name: telemetry.StageResolve, DurationNs: int64(c.sinceFast(mark)),
+			Name: telemetry.StageResolve, DurationNs: int64(c.since(mark)),
 		})
 		mark = c.nowFast()
 	}
@@ -988,7 +963,7 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	}
 	if traced {
 		stages = append(stages, telemetry.SpanStage{
-			Name: telemetry.StageTune, DurationNs: int64(c.sinceFast(mark)),
+			Name: telemetry.StageTune, DurationNs: int64(c.since(mark)),
 		})
 		mark = c.nowFast()
 	}
@@ -1027,7 +1002,7 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	}
 	if traced {
 		stages = append(stages, telemetry.SpanStage{
-			Name: telemetry.StageInsert, DurationNs: int64(c.sinceFast(mark)),
+			Name: telemetry.StageInsert, DurationNs: int64(c.since(mark)),
 		})
 		mark = c.nowFast()
 	}
@@ -1060,7 +1035,7 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	}
 	// Evict before the entry joins the victim heap: the paper replaces
 	// the victim WITH the new entry (§3.6), never the new entry itself.
-	evicted, cause := c.evictLocked(now)
+	evicted, cause := c.evictLocked()
 	c.enqueueLocked(e)
 	c.admitMu.Unlock()
 	fc.stats.puts.Add(1)
@@ -1080,20 +1055,13 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		c.tap.TapPut(fn, tb.kts, tb.keys, uint64(id), size, int64(cost), now.UnixNano())
 		tapBufPool.Put(tb)
 	}
-	if c.tel != nil {
-		c.tel.RecordEvent(telemetry.Event{
-			At: now.UnixNano(), Kind: telemetry.EventPut,
-			Function: fn, Detail: req.App,
-			Value: cost.Seconds(), Aux: float64(size),
-		})
-	}
 	if traced {
 		detail := ""
 		if evicted > 0 {
 			detail = fmt.Sprintf("evicted %d (%s)", evicted, cause)
 		}
 		stages = append(stages, telemetry.SpanStage{
-			Name: telemetry.StageAdmit, DurationNs: int64(c.sinceFast(mark)), Detail: detail,
+			Name: telemetry.StageAdmit, DurationNs: int64(c.since(mark)), Detail: detail,
 		})
 		trace := req.Trace
 		if trace == 0 {
@@ -1296,7 +1264,7 @@ func (c *Cache) overBound() string {
 // the same overflow. Returns how many entries were evicted and which
 // bound first forced it ("entries", "bytes", or ""), so the admitting
 // put's span can name the eviction cause.
-func (c *Cache) evictLocked(now time.Time) (evicted int, cause string) {
+func (c *Cache) evictLocked() (evicted int, cause string) {
 	for c.victims.Len() > 0 {
 		bound := c.overBound()
 		if bound == "" {
@@ -1309,12 +1277,6 @@ func (c *Cache) evictLocked(now time.Time) (evicted int, cause string) {
 		c.removeEntryLocked(e.id, false)
 		evicted++
 		c.ctr.evictions.Add(1)
-		if c.tel != nil {
-			c.tel.RecordEvent(telemetry.Event{
-				At: now.UnixNano(), Kind: telemetry.EventEvict,
-				Detail: e.app, Value: e.meta().Importance(), Aux: float64(e.size),
-			})
-		}
 	}
 	return evicted, cause
 }
@@ -1401,12 +1363,6 @@ func (c *Cache) purgeExpiredLocked(now time.Time) int {
 		c.removeEntryLocked(e.id, true)
 		c.ctr.expirations.Add(1)
 		purged++
-		if c.tel != nil {
-			c.tel.RecordEvent(telemetry.Event{
-				At: now.UnixNano(), Kind: telemetry.EventExpire,
-				Detail: e.app, Value: e.meta().Importance(), Aux: float64(e.size),
-			})
-		}
 	}
 	return purged
 }

@@ -285,7 +285,7 @@ func (c *Cache) Restore(state *DurableState) (RestoreStats, error) {
 		}
 	}
 	c.admitMu.Lock()
-	c.evictLocked(now)
+	c.evictLocked()
 	c.admitMu.Unlock()
 	return stats, nil
 }

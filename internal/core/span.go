@@ -6,39 +6,33 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Span recording for the core lookup/put pipeline. The recording
-// policy mirrors the event tracer's sampling discipline (telemetry.go):
-// hits and puts build a span only when traced — forced by a propagated
-// trace ID or sampled by spanSampleMask — while misses, dropouts, and
-// errors always record one. Detailed (traced) spans carry stage clocks
-// and a tuner snapshot; always-recorded spans carry only the decision
-// fields the lookup computed anyway, so they cost one ring write.
+// Span recording for the core lookup/put pipeline, the cache's only
+// record of its decisions: hits and puts build a span only when traced
+// — forced by a propagated trace ID or sampled by spanSampleMask —
+// while misses, dropouts, and errors always record one (they are the
+// decisions worth debugging and are rare by comparison). Detailed
+// (traced) spans carry stage clocks and a tuner snapshot;
+// always-recorded spans carry only the decision fields the lookup
+// computed anyway, so they cost one ring write.
 
 // spanSampleMask samples locally initiated spans 1-in-64 against the
 // low bits of the lookup's start timestamp — a clock value the lookup
 // has already paid for, so the sampling decision costs one AND and one
-// compare, no extra atomics. 1-in-64 matches hitTraceSampleMask: at
-// that rate the stage clocks (two to four extra monotonic reads) and
-// the tuner.Stats() mutex are amortized into noise on a sub-microsecond
-// lookup.
+// compare, no extra atomics. At 1-in-64 the stage clocks (two to four
+// extra monotonic reads) and the tuner.Stats() mutex are amortized into
+// noise on a sub-microsecond lookup, and hits — the highest-rate
+// outcome — never make the recorder's ring cursor a contention point.
 const spanSampleMask = 63
 
 // nowFast reads the stage clock: the monotonic wall clock when the
 // cache runs on real time, the injected clock otherwise (so tests with
-// fake clocks see consistent span timings).
+// fake clocks see consistent span timings). Stage time since a mark is
+// c.since(mark).
 func (c *Cache) nowFast() time.Time {
 	if c.realClk {
 		return time.Now()
 	}
 	return c.clk.Now()
-}
-
-// sinceFast measures elapsed stage time from a nowFast mark.
-func (c *Cache) sinceFast(t time.Time) time.Duration {
-	if c.realClk {
-		return time.Since(t)
-	}
-	return c.clk.Now().Sub(t)
 }
 
 // spanFields carries the per-call variation of a lookup span so

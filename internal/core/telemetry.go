@@ -16,10 +16,10 @@ import (
 // not telemetry is attached. Attaching a *telemetry.Telemetry via
 // Config.Telemetry adds, per lookup, a sampled latency-histogram
 // observation (1-in-4: a monotonic clock read plus two atomic adds,
-// amortized) and, on selected outcomes, a bounded ring-buffer trace
-// record; everything exported to the metric registry is func-backed
-// (Counter.SetFunc / Gauge.SetFunc) reading the same atomics the cache
-// already maintains, so scrapes never double the bookkeeping.
+// amortized) and, on selected outcomes, a span (span.go); everything
+// exported to the metric registry is func-backed (Counter.SetFunc /
+// Gauge.SetFunc) reading the same atomics the cache already maintains,
+// so scrapes never double the bookkeeping.
 
 // ktCounters is the per-(function, key type) lookup outcome series.
 // Unlike the legacy global counters, misses here EXCLUDE dropouts, so
@@ -39,25 +39,17 @@ type fnCounters struct {
 	puts atomic.Int64
 }
 
-// since measures elapsed time from t, using the monotonic fast path
-// when the cache runs on the wall clock. time.Since reads only the
-// monotonic counter; going through the clock interface would pay a
-// dynamic dispatch plus a full wall+monotonic timestamp on every
-// observed lookup.
+// since measures elapsed time from t (a lookup's start or a nowFast
+// stage mark), using the monotonic fast path when the cache runs on the
+// wall clock. time.Since reads only the monotonic counter; going
+// through the clock interface would pay a dynamic dispatch plus a full
+// wall+monotonic timestamp on every observed lookup.
 func (c *Cache) since(t time.Time) time.Duration {
 	if c.realClk {
 		return time.Since(t)
 	}
 	return c.clk.Now().Sub(t)
 }
-
-// hitTraceSampleMask samples hit events into the tracer 1-in-64: hits
-// are the highest-rate outcome in a healthy cache and tracing each one
-// would make the tracer's ring cursor a global contention point on the
-// lookup path. Misses, dropouts, evictions, and expirations are traced
-// unsampled — they are the events worth debugging and are rare by
-// comparison.
-const hitTraceSampleMask = 63
 
 // latSampleMask samples latency observations 1-in-4. An observation
 // needs an end-of-lookup monotonic clock read (~35ns) plus a histogram

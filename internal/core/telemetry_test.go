@@ -145,8 +145,10 @@ func TestTelemetryCounterCoherence(t *testing.T) {
 			t.Errorf("exposition missing %s", want)
 		}
 	}
-	if tel.Trace.Len() == 0 {
-		t.Error("tracer recorded no events despite misses/dropouts/puts")
+	// Every miss and dropout records a span; sampled hits and puts add
+	// more on top.
+	if got, min := tel.Spans.Len(), uint64(misses+dropouts); got < min {
+		t.Errorf("span recorder holds %d spans, want >= %d (one per miss and dropout)", got, min)
 	}
 }
 

@@ -57,7 +57,7 @@ func runTable2(w io.Writer) error {
 		cfg := index.DefaultLSHConfig()
 		cfg.Hashes = 8
 		cfg.BucketWidth = 0.5
-		lsh := index.NewLSH(vec.EuclideanMetric{}, dim, cfg)
+		lsh := index.NewLSH(vec.EuclideanMetric{}, cfg)
 		lin := index.NewLinear(vec.EuclideanMetric{})
 		keys := make([]vec.Vector, c.entries)
 		for i := 0; i < c.entries; i++ {

@@ -125,9 +125,9 @@ type Options struct {
 }
 
 // New constructs an index of the given kind using metric m and default
-// tuning. Dim is the expected key dimensionality; LSH uses it to size
-// its projections (pass 0 to let the index learn the dimension from the
-// first insert).
+// tuning. Dim is the declared key dimensionality; no kind allocates from
+// it (each learns the dimension from its first insert), so a declared
+// size costs nothing until keys arrive.
 func New(kind Kind, m vec.Metric, dim int) (Index, error) {
 	return NewWithOptions(kind, m, dim, Options{})
 }
@@ -145,7 +145,7 @@ func NewWithOptions(kind Kind, m vec.Metric, dim int, opts Options) (Index, erro
 		if opts.LSH == (LSHConfig{}) {
 			opts.LSH = DefaultLSHConfig()
 		}
-		return NewLSH(m, dim, opts.LSH), nil
+		return NewLSH(m, opts.LSH), nil
 	case KindTreeMap:
 		return NewTreeMap(m), nil
 	case KindHash:

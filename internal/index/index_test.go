@@ -150,7 +150,7 @@ func TestExactIndicesAgreeWithLinear(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		lin := NewLinear(vec.EuclideanMetric{})
 		kd := NewKDTree(vec.EuclideanMetric{})
-		lsh := NewLSH(vec.EuclideanMetric{}, 4, DefaultLSHConfig())
+		lsh := NewLSH(vec.EuclideanMetric{}, DefaultLSHConfig())
 		n := 50 + rng.Intn(100)
 		for i := 0; i < n; i++ {
 			v := randomVec(rng, 4)
@@ -183,7 +183,7 @@ func TestLSHRecallOnClusters(t *testing.T) {
 	// Points in two tight, well-separated clusters: LSH probing must find
 	// the right cluster without the fallback.
 	cfg := DefaultLSHConfig()
-	l := NewLSH(vec.EuclideanMetric{}, 8, cfg)
+	l := NewLSH(vec.EuclideanMetric{}, cfg)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		base := 0.0

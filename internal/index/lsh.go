@@ -42,8 +42,8 @@ type LSH struct {
 	probeCounter
 	metric vec.Metric
 	cfg    LSHConfig
-	dim    int
-	// projections[t][h] is one random direction plus offset.
+	// projections[t][h] is one random direction plus offset, sized from
+	// the first inserted key (nil until then).
 	projections [][]projection
 	tables      []map[string][]ID
 	keys        map[ID]vec.Vector
@@ -55,9 +55,9 @@ type projection struct {
 	offset float64
 }
 
-// NewLSH returns an empty LSH index. If dim is 0 the index sizes its
-// projections lazily from the first inserted key.
-func NewLSH(m vec.Metric, dim int, cfg LSHConfig) *LSH {
+// NewLSH returns an empty LSH index. It sizes its projections from the
+// first inserted key, so an index that is never written allocates none.
+func NewLSH(m vec.Metric, cfg LSHConfig) *LSH {
 	if cfg.Tables <= 0 {
 		cfg.Tables = DefaultLSHConfig().Tables
 	}
@@ -77,14 +77,10 @@ func NewLSH(m vec.Metric, dim int, cfg LSHConfig) *LSH {
 	for i := range l.tables {
 		l.tables[i] = make(map[string][]ID)
 	}
-	if dim > 0 {
-		l.initProjections(dim)
-	}
 	return l
 }
 
 func (l *LSH) initProjections(dim int) {
-	l.dim = dim
 	rng := rand.New(rand.NewSource(l.cfg.Seed))
 	l.projections = make([][]projection, l.cfg.Tables)
 	for t := range l.projections {

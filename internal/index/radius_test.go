@@ -54,7 +54,7 @@ func TestRadiusAgreesWithLinearProperty(t *testing.T) {
 		r := float64(rRaw%40) / 4
 		lin := NewLinear(vec.EuclideanMetric{})
 		kd := NewKDTree(vec.EuclideanMetric{})
-		lsh := NewLSH(vec.EuclideanMetric{}, 3, DefaultLSHConfig())
+		lsh := NewLSH(vec.EuclideanMetric{}, DefaultLSHConfig())
 		for i := 0; i < n; i++ {
 			v := randomVec(rng, 3)
 			lin.Insert(ID(i), v)

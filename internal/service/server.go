@@ -163,14 +163,12 @@ func NewServerConfig(cache *core.Cache, cfg ServerConfig) *Server {
 // whose App name carries PeerAppPrefix came from another mesh node and
 // stay strictly local, so routing can never loop or amplify.
 type RemoteTier interface {
-	// RemoteLookup resolves one local miss against the key's owner
-	// peers. ok reports a remote hit; the reply carries the owner's
-	// value and decision inputs. trace is the span trace ID the lookup
-	// runs under (0 = untraced).
-	RemoteLookup(function, keyType string, key vec.Vector, trace uint64) (LookupSubReply, bool)
-	// RemoteMultiLookup resolves a batch of local misses. The result is
-	// index-aligned with subs; entries that stayed misses have Hit
-	// false.
+	// RemoteMultiLookup resolves local misses (a single lookup's is a
+	// one-sub batch) against their keys' owner peers. The result is
+	// index-aligned with subs; a remote hit carries the owner's value and
+	// decision inputs, and entries that stayed misses have Hit false.
+	// The tier may keep the subs' keys (the mesh adopts remote hits under
+	// them).
 	RemoteMultiLookup(subs []LookupSub) []LookupSubReply
 	// ReplicatePut offers locally admitted puts for K-way replication to
 	// their owner peers. It must not block beyond one peer round trip
@@ -691,9 +689,12 @@ func (s *Server) handleLookup(req *Request) Reply {
 		if trace == 0 {
 			trace = req.Trace
 		}
-		// The tier may keep the key (the mesh adopts remote hits under
-		// it); req.Key is the connection's scratch, so it gets a copy.
-		if sr, ok := s.remote.RemoteLookup(req.Function, req.KeyType, req.Key.Clone(), trace); ok {
+		// The tier may keep the key; req.Key is the connection's scratch,
+		// so it gets a copy.
+		sr := s.remote.RemoteMultiLookup([]LookupSub{{
+			Function: req.Function, KeyType: req.KeyType, Key: req.Key.Clone(), Trace: trace,
+		}})[0]
+		if sr.Hit {
 			reply.Hit = true
 			reply.Value = sr.Value
 			reply.Distance = sr.Distance

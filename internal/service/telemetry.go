@@ -174,8 +174,8 @@ func (c *Client) Instrument(tel *telemetry.Telemetry) {
 }
 
 // Instrument attaches the tiered cache's remote-path health to a
-// telemetry hub: breaker transitions are counted, traced, and the
-// current state plus absorbed remote errors are exported as series.
+// telemetry hub: breaker transitions are counted, and the current
+// state plus absorbed remote errors are exported as series.
 func (t *Tiered) Instrument(tel *telemetry.Telemetry) {
 	r := tel.Registry
 	transitions := r.CounterVec("potluck_breaker_transitions_total",
@@ -191,11 +191,5 @@ func (t *Tiered) Instrument(tel *telemetry.Telemetry) {
 			}
 			return 0
 		})
-	t.breaker().SetNotify(func(from, to string) {
-		transitions.With(to).Inc()
-		tel.RecordEvent(telemetry.Event{
-			Kind:   telemetry.EventBreaker,
-			Detail: from + "->" + to,
-		})
-	})
+	t.breaker().SetNotify(func(_, to string) { transitions.With(to).Inc() })
 }

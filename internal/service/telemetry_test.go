@@ -226,7 +226,7 @@ func TestBreakerNotify(t *testing.T) {
 }
 
 // TestTieredInstrumented checks the breaker wiring: transitions reach
-// the counter vec and the event tracer.
+// the counter vec and the open-state gauge.
 func TestTieredInstrumented(t *testing.T) {
 	tel := telemetry.New()
 	tiered := &Tiered{Local: core.New(testConfig()), FailureThreshold: 1, Cooldown: time.Hour}
@@ -245,15 +245,5 @@ func TestTieredInstrumented(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-	events := tel.Trace.Snapshot()
-	found := false
-	for _, ev := range events {
-		if ev.Kind == telemetry.EventBreaker && ev.Detail == "closed->open" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no breaker event in trace: %+v", events)
 	}
 }

@@ -1,13 +1,3 @@
-// Package telemetry provides the observability substrate for the
-// Potluck service: lock-free latency histograms cheap enough for the
-// hot lookup path, a registry of named counter/gauge/histogram series
-// with per-(function, keyType) labels, a bounded ring-buffer event
-// tracer, and the HTTP admin surface that exposes all of it
-// (Prometheus text format, JSON snapshots, pprof).
-//
-// The package is stdlib-only and imports nothing from the rest of the
-// repository, so every layer (core, index, service, cmd) can depend on
-// it without cycles.
 package telemetry
 
 import (

@@ -12,14 +12,13 @@ import (
 
 // Admin response bounds: JSON bodies are rendered into pooled buffers
 // (so a scrape loop does not churn allocations) and hard-capped, since
-// /trace and /trace/spans payloads scale with ring capacity and an
-// unbounded dump could stall the daemon's admin goroutine on a slow
-// reader.
+// /trace/spans payloads scale with recorder capacity and an unbounded
+// dump could stall the daemon's admin goroutine on a slow reader.
 const (
 	// maxAdminBody caps any single admin JSON response.
 	maxAdminBody = 8 << 20
-	// defaultTraceItems bounds /trace and /trace/spans item counts when
-	// the request does not pass ?n=.
+	// defaultTraceItems bounds /trace/spans item counts when the request
+	// does not pass ?n=.
 	defaultTraceItems = 1024
 )
 
@@ -49,7 +48,6 @@ func AdminHandler(t *Telemetry, stats func() any) http.Handler {
 //	/metrics        Prometheus text exposition of the registry
 //	/stats          JSON snapshot from the stats callback (the daemon
 //	                supplies cache + server state; see service.AdminStats)
-//	/trace          JSON dump of the event ring, oldest first (?n= caps items)
 //	/trace/spans    JSON dump of retained request spans; filters:
 //	                ?fn= ?layer= ?outcome= ?min= (duration) ?trace= (hex) ?n=
 //	/whatif         JSON report of the counterfactual profiler (miss-ratio
@@ -77,18 +75,6 @@ func AdminHandlerConfig(t *Telemetry, cfg AdminConfig) http.Handler {
 			v = t.Registry.Gather()
 		}
 		writeJSON(w, v)
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		events := t.Trace.Snapshot()
-		n := queryInt(r, "n", defaultTraceItems)
-		if len(events) > n {
-			events = events[len(events)-n:]
-		}
-		writeJSON(w, struct {
-			Recorded uint64  `json:"recorded"`
-			Capacity int     `json:"capacity"`
-			Events   []Event `json:"events"`
-		}{t.Trace.Len(), t.Trace.Capacity(), events})
 	})
 	mux.HandleFunc("/trace/spans", func(w http.ResponseWriter, r *http.Request) {
 		f := SpanFilter{
@@ -156,7 +142,7 @@ func AdminHandlerConfig(t *Telemetry, cfg AdminConfig) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("potluckd admin endpoint\n\n/metrics\n/stats\n/trace\n/trace/spans\n/whatif\n/debug/explain\n/debug/pprof/\n"))
+		w.Write([]byte("potluckd admin endpoint\n\n/metrics\n/stats\n/trace/spans\n/whatif\n/debug/explain\n/debug/pprof/\n"))
 	})
 	return noStore(mux)
 }

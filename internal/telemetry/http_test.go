@@ -83,7 +83,6 @@ func getResp(t *testing.T, srv *httptest.Server, path string) (*http.Response, s
 func TestAdminEndpointHeaders(t *testing.T) {
 	tel := New()
 	tel.Registry.Counter("c_total", "c").Inc()
-	tel.Trace.Record(Event{Kind: EventHit})
 	tel.Spans.Record(Span{Trace: 1, Outcome: OutcomeHit})
 	srv := httptest.NewServer(AdminHandlerConfig(tel, AdminConfig{
 		Stats:   func() any { return map[string]int{"x": 1} },
@@ -94,7 +93,6 @@ func TestAdminEndpointHeaders(t *testing.T) {
 	cases := []struct{ path, ctype string }{
 		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
 		{"/stats", "application/json"},
-		{"/trace", "application/json"},
 		{"/trace/spans", "application/json"},
 		{"/debug/explain?fn=f", "application/json"},
 		{"/", "text/plain; charset=utf-8"},
@@ -190,24 +188,68 @@ func TestDebugExplainEndpoint(t *testing.T) {
 	}
 }
 
-// /trace must honour ?n= and keep the most recent events.
+// /trace/spans must honour ?n= and keep the most recent spans.
 func TestTraceEndpointCap(t *testing.T) {
 	tel := New()
-	for i := 0; i < 10; i++ {
-		tel.Trace.Record(Event{Kind: EventPut, Value: float64(i)})
+	for i := 1; i <= 10; i++ {
+		tel.Spans.Record(Span{Trace: TraceID(i), Outcome: OutcomePut, DurationNs: int64(i)})
 	}
 	srv := httptest.NewServer(AdminHandler(tel, nil))
 	defer srv.Close()
-	_, body := getResp(t, srv, "/trace?n=2")
+	_, body := getResp(t, srv, "/trace/spans?n=2")
 	var out struct {
-		Recorded uint64  `json:"recorded"`
-		Events   []Event `json:"events"`
+		Recorded uint64 `json:"recorded"`
+		Spans    []Span `json:"spans"`
 	}
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Recorded != 10 || len(out.Events) != 2 || out.Events[1].Value != 9 {
-		t.Fatalf("capped trace wrong: %+v", out)
+	if out.Recorded != 10 || len(out.Spans) != 2 || out.Spans[1].Trace != 10 {
+		t.Fatalf("capped spans wrong: %+v", out)
+	}
+}
+
+func TestAdminHandler(t *testing.T) {
+	tel := New()
+	tel.Registry.Counter("potluck_test_total", "test").Add(7)
+	srv := httptest.NewServer(AdminHandler(tel, func() any {
+		return map[string]any{"hello": "world"}
+	}))
+	defer srv.Close()
+
+	if resp, body := getResp(t, srv, "/metrics"); resp.StatusCode != 200 || !strings.Contains(body, "potluck_test_total 7") {
+		t.Errorf("/metrics: code=%d body=%q", resp.StatusCode, body)
+	}
+	if resp, body := getResp(t, srv, "/stats"); resp.StatusCode != 200 || !strings.Contains(body, `"hello"`) {
+		t.Errorf("/stats: code=%d body=%q", resp.StatusCode, body)
+	}
+	if resp, _ := getResp(t, srv, "/debug/pprof/cmdline"); resp.StatusCode != 200 {
+		t.Errorf("/debug/pprof/cmdline: code=%d", resp.StatusCode)
+	}
+	// The span recorder is the one record of decisions: the retired
+	// event-ring endpoint must stay gone.
+	for _, path := range []string{"/trace", "/nope"} {
+		if resp, _ := getResp(t, srv, path); resp.StatusCode != 404 {
+			t.Errorf("%s: code=%d, want 404", path, resp.StatusCode)
+		}
+	}
+	if _, body := getResp(t, srv, "/"); strings.Contains(body, "/trace\n") {
+		t.Errorf("index still lists /trace:\n%s", body)
+	}
+}
+
+func TestAdminHandlerNilStats(t *testing.T) {
+	tel := New()
+	tel.Registry.Gauge("g", "g").Set(1)
+	srv := httptest.NewServer(AdminHandler(tel, nil))
+	defer srv.Close()
+	_, body := getResp(t, srv, "/stats")
+	var vals []SeriesValue
+	if err := json.Unmarshal([]byte(body), &vals); err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != 1 || vals[0].Name != "g" {
+		t.Fatalf("fallback stats wrong: %+v", vals)
 	}
 }
 

@@ -11,14 +11,16 @@ import (
 	"time"
 )
 
-// Span tracing: structured per-request records for the lookup pipeline.
+// Span tracing: structured per-request records for the lookup pipeline,
+// and the one record of what the cache decided.
 //
-// Where the event Tracer answers "what happened recently" with flat
-// one-line events, a Span answers "why did THIS lookup do what it did":
-// it carries the request's 64-bit trace ID, per-stage wall times, and
-// the decision inputs of the approximate-matching pipeline (nearest
-// distance, active threshold, tuner state, dropout roll, index probe
-// count). Spans are propagated across the IPC boundary by an optional
+// A Span answers both "what happened recently" and "why did THIS lookup
+// do what it did": it carries the request's 64-bit trace ID, per-stage
+// wall times, and the decision inputs of the approximate-matching
+// pipeline (nearest distance, active threshold, tuner state, dropout
+// roll, index probe count). Aggregates the spans do not carry one by
+// one (evictions, expirations, breaker transitions) are counters on the
+// registry. Spans are propagated across the IPC boundary by an optional
 // trailing trace-ID field in the wire protocol, so client, server, and
 // hub record into their own recorders under one shared ID.
 //
@@ -217,8 +219,10 @@ func (f SpanFilter) match(sp *Span) bool {
 	return true
 }
 
-// spanSlot is one ring cell; same per-slot-mutex discipline as
-// traceSlot (writers only meet on a slot after a full ring wrap).
+// spanSlot is one ring cell. The per-slot mutex makes slot access
+// race-clean while keeping writers independent: two writers only meet
+// on the same slot after the ring has wrapped a full capacity between
+// them, so the lock is effectively uncontended.
 type spanSlot struct {
 	mu sync.Mutex
 	sp Span

@@ -4,14 +4,7 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"repro/internal/telemetry"
 )
-
-// EventWhatIfDivergence is the tracer event kind recorded when a
-// series' predicted-vs-measured hit-rate divergence exceeds tolerance
-// (Value = divergence, Aux = tolerance).
-const EventWhatIfDivergence = "whatif-divergence"
 
 // Report is the /whatif payload: every counterfactual curve plus the
 // sample-coverage numbers needed to judge how much to trust them.
@@ -196,18 +189,11 @@ func (p *Profiler) compute() Report {
 			if math.IsInf(t, 1) {
 				row.CharTimeSeconds = -1
 			}
-			if pr.sampledLookups >= minSamples && div > p.cfg.Tolerance {
-				row.Diverged = true
-				if p.cfg.Telemetry != nil {
-					p.cfg.Telemetry.RecordEvent(telemetry.Event{
-						At: time.Now().UnixNano(), Kind: EventWhatIfDivergence,
-						Function: kt.fn, KeyType: kt.kt,
-						Value: div, Aux: p.cfg.Tolerance,
-					})
+			if pr.sampledLookups >= minSamples {
+				row.Diverged = div > p.cfg.Tolerance
+				if div > r.MaxDivergence {
+					r.MaxDivergence = div
 				}
-			}
-			if pr.sampledLookups >= minSamples && div > r.MaxDivergence {
-				r.MaxDivergence = div
 			}
 			r.Predictions = append(r.Predictions, row)
 		}

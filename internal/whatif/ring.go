@@ -32,11 +32,10 @@ const (
 )
 
 // ring is a bounded multi-producer single-consumer queue (Vyukov-style
-// per-slot sequence numbers, the same discipline as the telemetry
-// tracer's ring). Producers are lookup/put goroutines on the hot path:
-// push never blocks and never allocates — when the consumer falls
-// behind, events are dropped and counted, which for a sampling profiler
-// only lowers the effective sample rate.
+// per-slot sequence numbers). Producers are lookup/put goroutines on
+// the hot path: push never blocks and never allocates — when the
+// consumer falls behind, events are dropped and counted, which for a
+// sampling profiler only lowers the effective sample rate.
 type ring struct {
 	mask  uint64
 	slots []ringSlot

@@ -17,8 +17,9 @@
 //   - A predicted-vs-measured check — the Che-approximation similarity-
 //     cache estimator of Ben Mazziane et al. (PAPERS.md) computed over
 //     the sampled catalog, compared against the measured sampled hit
-//     rate; divergence beyond tolerance raises a gauge and a tracer
-//     event, turning the model into a continuously-checked invariant.
+//     rate; divergence beyond tolerance raises a gauge and flags the
+//     report row, turning the model into a continuously-checked
+//     invariant.
 //
 // Sampling is spatial: a key is sampled iff hash(key) falls under
 // rate·2⁶⁴, so every request for the same key lands on the same side
@@ -95,7 +96,7 @@ type Config struct {
 	// DefaultMaxContents.
 	MaxContents int
 	// Telemetry, when non-nil, receives the profiler's metric series
-	// (potluck_whatif_*) and divergence tracer events.
+	// (potluck_whatif_*).
 	Telemetry *telemetry.Telemetry
 }
 
