@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,12 +49,31 @@ type BatchLookupResult struct {
 // worker group and returns one result per sub-op, index-aligned with
 // reqs.
 func (c *Cache) MultiLookup(reqs []BatchLookup) []BatchLookupResult {
-	out := make([]BatchLookupResult, len(reqs))
-	runBatch(len(reqs), func(i int) {
-		res, err := c.lookup(reqs[i].Function, reqs[i].KeyType, reqs[i].Key, reqs[i].Opts)
-		out[i] = BatchLookupResult{LookupResult: res, Err: err}
-	})
+	return c.MultiLookupInto(nil, reqs)
+}
+
+// MultiLookupInto is MultiLookup writing its results into dst's memory,
+// grown when too small. A caller that reuses dst from batch to batch, as
+// the wire service does for each connection, runs a batch smaller than
+// batchParallelMin (a single lookup, say) without allocating.
+func (c *Cache) MultiLookupInto(dst []BatchLookupResult, reqs []BatchLookup) []BatchLookupResult {
+	out := slices.Grow(dst[:0], len(reqs))[:len(reqs)]
+	if len(reqs) < batchParallelMin {
+		// Not through runBatch: the closure it takes escapes to its
+		// workers, and would be allocated for every batch.
+		for i := range reqs {
+			c.batchLookup(&out[i], &reqs[i])
+		}
+		return out
+	}
+	runBatch(len(reqs), func(i int) { c.batchLookup(&out[i], &reqs[i]) })
 	return out
+}
+
+// batchLookup runs one sub-lookup into its result, in place: a result
+// carries an entry snapshot.
+func (c *Cache) batchLookup(r *BatchLookupResult, q *BatchLookup) {
+	r.LookupResult, r.Err = c.lookup(q.Function, q.KeyType, q.Key, q.Opts)
 }
 
 // BatchPut is one sub-operation of a MultiPut.

@@ -120,6 +120,46 @@ func TestMultiLookupSmallBatches(t *testing.T) {
 	}
 }
 
+// MultiLookupInto answers what MultiLookup does in dst's memory, over
+// stale results of an earlier batch, on the inline path and the fanned-out
+// one, and a reused dst makes a small batch allocation-free.
+func TestMultiLookupIntoReusesDst(t *testing.T) {
+	c := batchTestCache(t)
+	for i := 0; i < 8; i++ {
+		if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{"k": {float64(i), 0}}, Value: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var reqs []BatchLookup
+	for i := 0; i < 8; i++ {
+		reqs = append(reqs, BatchLookup{Function: "f", KeyType: "k", Key: vec.Vector{float64(i), 0}})
+	}
+	reqs = append(reqs, BatchLookup{Function: "nope", KeyType: "k", Key: vec.Vector{1}})
+	dst := c.MultiLookupInto(nil, reqs)
+	for _, n := range []int{1, len(reqs)} {
+		// Reversed, so every slot held a different sub's result before.
+		batch := make([]BatchLookup, n)
+		for i := range batch {
+			batch[i] = reqs[len(reqs)-1-i]
+		}
+		want := c.MultiLookup(batch)
+		got := c.MultiLookupInto(dst, batch)
+		if &got[0] != &dst[0] {
+			t.Errorf("batch of %d: results not written into dst", n)
+		}
+		for i := range want {
+			if got[i].Hit != want[i].Hit || got[i].Value != want[i].Value || got[i].Distance != want[i].Distance ||
+				(got[i].Err == nil) != (want[i].Err == nil) {
+				t.Errorf("batch of %d, sub %d: %+v, MultiLookup says %+v", n, i, got[i], want[i])
+			}
+		}
+	}
+	one := reqs[:1]
+	if allocs := testing.AllocsPerRun(100, func() { dst = c.MultiLookupInto(dst, one) }); allocs != 0 {
+		t.Errorf("a one-sub batch into a reused dst allocates %v times, want 0", allocs)
+	}
+}
+
 // Concurrent MultiLookup/MultiPut batches must be race-free and
 // consistent (run under -race in CI).
 func TestMultiLookupConcurrentBatches(t *testing.T) {

@@ -377,11 +377,8 @@ type keyIndex struct {
 	epoch   uint64
 	log     [mutationLog]mutation
 
-	// probed and replayer are idx's per-query probe-count view and its
-	// exact-neighbour replay, resolved once at construction (all
-	// shipped kinds implement the first, nil tolerated for external
-	// Index implementations; only the exact kinds implement the second).
-	probed   index.ProbedSearcher
+	// replayer is idx's exact-neighbour replay, resolved once at
+	// construction; nil for the kinds that are not exact.
 	replayer index.Replayer
 
 	// memo remembers what lookups that missed found, for the puts that
@@ -458,12 +455,10 @@ func (c *Cache) RegisterFunction(fn string, keyTypes ...KeyTypeSpec) error {
 		if err != nil {
 			return fmt.Errorf("core: key type %q: %w", spec.Name, err)
 		}
-		probed, _ := idx.(index.ProbedSearcher)
 		replayer, _ := idx.(index.Replayer)
 		ki := &keyIndex{
 			spec:     spec,
 			idx:      idx,
-			probed:   probed,
 			replayer: replayer,
 			tuner:    NewTuner(c.cfg.Tuner),
 			members:  make(map[ID]vec.Vector),
@@ -716,7 +711,7 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 		c.maybePurgeExpired(now)
 		var retryProbes int
 		e, hitKey, dist, retryProbes, ok, _ = c.selectHit(ki, key, res.Threshold, now)
-		probes = addProbes(probes, retryProbes)
+		probes += retryProbes
 	}
 	if traced {
 		stages = append(stages, telemetry.SpanStage{
@@ -788,15 +783,6 @@ func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (
 		})
 	}
 	return res, nil
-}
-
-// addProbes combines probe counts across the purge-and-retry requery;
-// -1 (unmeasured) is absorbing.
-func addProbes(a, b int) int {
-	if a < 0 || b < 0 {
-		return -1
-	}
-	return a + b
 }
 
 // PutRequest describes an entry to insert.
@@ -1120,10 +1106,10 @@ func (c *Cache) recordPutError(fn string, start time.Time, trace telemetry.Trace
 
 // selectHit runs the threshold-restricted kNN query and picks the hit
 // entry. It returns the nearest-neighbour distance (-1 if the index is
-// empty), the index probe count for this query (-1 when the index kind
-// does not report per-query probes), and ok=false on a miss. Entries
-// past their expiration time are treated as absent; sawExpired reports
-// that at least one was encountered so the caller can purge and retry.
+// empty), the index probe count for this query, and ok=false on a miss.
+// Entries past their expiration time are treated as absent; sawExpired
+// reports that at least one was encountered so the caller can purge and
+// retry.
 // With LookupK > 1, within-threshold neighbours vote by value equality
 // and the largest group's closest member wins (ties break toward the
 // closer group).
@@ -1133,12 +1119,7 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 		var n index.Neighbor
 		var found bool
 		ki.mu.RLock()
-		if ki.probed != nil {
-			n, probes, found = ki.probed.NearestProbed(key)
-		} else {
-			probes = -1
-			n, found = ki.idx.Nearest(key)
-		}
+		n, probes, found = ki.idx.NearestProbed(key)
 		epoch := ki.epoch
 		ki.mu.RUnlock()
 		if !found {
@@ -1163,12 +1144,7 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 	// orders by reported distance where Nearest may order by its square.
 	var ns []index.Neighbor
 	ki.mu.RLock()
-	if ki.probed != nil {
-		ns, probes = ki.probed.KNearestProbed(key, k)
-	} else {
-		probes = -1
-		ns = ki.idx.KNearest(key, k)
-	}
+	ns, probes = ki.idx.KNearestProbed(key, k)
 	ki.mu.RUnlock()
 	if len(ns) == 0 {
 		return nil, nil, -1, probes, false, false

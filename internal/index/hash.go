@@ -93,7 +93,7 @@ func (h *Hash) Nearest(key vec.Vector) (Neighbor, bool) {
 	return n, ok
 }
 
-// NearestProbed implements ProbedSearcher: an exact hit probes only its
+// NearestProbed implements Index: an exact hit probes only its
 // bucket, the approximate fallback probes every key.
 func (h *Hash) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	if ids := h.buckets[signature(key)]; len(ids) > 0 {
@@ -132,7 +132,7 @@ func (h *Hash) KNearest(key vec.Vector, k int) []Neighbor {
 	return ns
 }
 
-// KNearestProbed implements ProbedSearcher.
+// KNearestProbed implements Index.
 func (h *Hash) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || len(h.keys) == 0 {
 		return nil, 0

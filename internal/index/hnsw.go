@@ -637,7 +637,7 @@ func (h *HNSW) Nearest(key vec.Vector) (Neighbor, bool) {
 	return n, ok
 }
 
-// NearestProbed implements ProbedSearcher.
+// NearestProbed implements Index.
 func (h *HNSW) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	if h.live == 0 {
 		return Neighbor{}, 0, false
@@ -657,7 +657,7 @@ func (h *HNSW) KNearest(key vec.Vector, k int) []Neighbor {
 	return ns
 }
 
-// KNearestProbed implements ProbedSearcher: probes count the nodes
+// KNearestProbed implements Index: probes count the nodes
 // scored by the descent plus the layer-0 expansion.
 func (h *HNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || h.live == 0 {

@@ -505,7 +505,7 @@ func oracleContainsID(ids []ID, id ID) bool {
 	return false
 }
 
-// NearestProbed implements ProbedSearcher.
+// NearestProbed implements Index.
 func (h *oracleHNSW) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	res, probes := h.KNearestProbed(key, 1)
 	if len(res) == 0 {
@@ -514,7 +514,7 @@ func (h *oracleHNSW) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	return res[0], probes, true
 }
 
-// KNearestProbed implements ProbedSearcher: probes count the nodes
+// KNearestProbed implements Index: probes count the nodes
 // scored by the descent plus the layer-0 expansion.
 func (h *oracleHNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || !h.entryOK || h.live == 0 {

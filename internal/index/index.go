@@ -48,6 +48,15 @@ type Index interface {
 	// KNearest returns up to k stored entries closest to key, ordered by
 	// increasing distance.
 	KNearest(key vec.Vector, k int) []Neighbor
+	// NearestProbed is Nearest plus the number of entries this query
+	// examined, and KNearestProbed is KNearest plus the same. A probe is
+	// one distance evaluated against a stored key (or its code, for the
+	// PQ kinds); work that only bounds distances, such as the k-d tree's
+	// box tests, is not counted. Every kind computes the count anyway to
+	// feed ProbeStats, so returning it is free; span tracing uses it to
+	// attribute probe work to individual lookups.
+	NearestProbed(key vec.Vector) (n Neighbor, probes int, ok bool)
+	KNearestProbed(key vec.Vector, k int) (ns []Neighbor, probes int)
 	// Len returns the number of stored entries.
 	Len() int
 	// Metric returns the metric the index orders by.

@@ -315,7 +315,7 @@ func (iv *IVF) Nearest(key vec.Vector) (Neighbor, bool) {
 	return n, ok
 }
 
-// NearestProbed implements ProbedSearcher.
+// NearestProbed implements Index.
 func (iv *IVF) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	if iv.Len() == 0 {
 		return Neighbor{}, 0, false
@@ -335,7 +335,7 @@ func (iv *IVF) KNearest(key vec.Vector, k int) []Neighbor {
 	return ns
 }
 
-// KNearestProbed implements ProbedSearcher: probes count centroid
+// KNearestProbed implements Index: probes count centroid
 // comparisons plus scanned cell members. If the NProbe nearest cells
 // hold fewer than k entries the scan widens until k are found or every
 // cell has been read, so small or skewed indexes never return short.

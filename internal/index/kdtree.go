@@ -370,7 +370,7 @@ func (t *KDTree) Nearest(key vec.Vector) (Neighbor, bool) {
 	return n, ok
 }
 
-// NearestProbed implements ProbedSearcher. The answer is the entry with
+// NearestProbed implements Index. The answer is the entry with
 // the least (distance, id), ignoring entries at +Inf.
 func (t *KDTree) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	if t.size == 0 {
@@ -634,7 +634,7 @@ func (t *KDTree) KNearest(key vec.Vector, k int) []Neighbor {
 	return ns
 }
 
-// KNearestProbed implements ProbedSearcher.
+// KNearestProbed implements Index.
 func (t *KDTree) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || t.size == 0 {
 		return nil, 0

@@ -38,7 +38,7 @@ func (l *Linear) Nearest(key vec.Vector) (Neighbor, bool) {
 	return n, ok
 }
 
-// NearestProbed implements ProbedSearcher: a linear scan always probes
+// NearestProbed implements Index: a linear scan always probes
 // every stored key.
 func (l *Linear) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	probes := len(l.keys)
@@ -67,7 +67,7 @@ func (l *Linear) KNearest(key vec.Vector, k int) []Neighbor {
 	return ns
 }
 
-// KNearestProbed implements ProbedSearcher.
+// KNearestProbed implements Index.
 func (l *Linear) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 {
 		return nil, 0

@@ -185,7 +185,7 @@ func (l *LSH) Nearest(key vec.Vector) (Neighbor, bool) {
 	return res[0], true
 }
 
-// NearestProbed implements ProbedSearcher: the probe count is the
+// NearestProbed implements Index: the probe count is the
 // candidate set size (post full-scan fallback when hashing came up
 // short).
 func (l *LSH) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
@@ -202,7 +202,7 @@ func (l *LSH) KNearest(key vec.Vector, k int) []Neighbor {
 	return ns
 }
 
-// KNearestProbed implements ProbedSearcher.
+// KNearestProbed implements Index.
 func (l *LSH) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || len(l.keys) == 0 {
 		return nil, 0

@@ -229,7 +229,7 @@ func (t *TreeMap) Nearest(key vec.Vector) (Neighbor, bool) {
 	return res[0], true
 }
 
-// NearestProbed implements ProbedSearcher: the probe count is the size
+// NearestProbed implements Index: the probe count is the size
 // of the ordered-neighbourhood candidate window.
 func (t *TreeMap) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	res, probes := t.KNearestProbed(key, 1)
@@ -245,7 +245,7 @@ func (t *TreeMap) KNearest(key vec.Vector, k int) []Neighbor {
 	return ns
 }
 
-// KNearestProbed implements ProbedSearcher.
+// KNearestProbed implements Index.
 func (t *TreeMap) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || t.size == 0 {
 		return nil, 0

@@ -175,7 +175,18 @@ func FuzzServerStream(f *testing.F) {
 		seeds[1],
 		seeds[5],
 	}, nil)
-	for i, seed := range append(seeds, burst) {
+	// A single lookup, a one-sub batch on another key, then a put: every
+	// one of them runs in the connection's scratch, each after another
+	// message type.
+	reuse := bytes.Join([][]byte{
+		seeds[0],
+		frame(EncodeRequest(&Request{Type: MsgLookup, App: "a", Function: "f", KeyType: "k", Key: vec.Vector{1, 2, 3}})),
+		frame(EncodeRequest(&Request{Type: MsgMultiLookup, App: "a", Value: EncodeLookupSubs([]LookupSub{
+			{Function: "f", KeyType: "k", Key: vec.Vector{4, 5}},
+		})})),
+		frame(EncodeRequest(&Request{Type: MsgPut, App: "a", Function: "f", Keys: key, Value: []byte("v")})),
+	}, nil)
+	for i, seed := range append(seeds, burst, reuse) {
 		f.Add(seed, uint64(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -338,7 +339,8 @@ func (d *decoder) vectorInto(dst vec.Vector) vec.Vector {
 }
 
 // sub returns the next length-prefixed sub-frame as a slice of the
-// underlying buffer (no copy).
+// underlying buffer (no copy). Past the buffer's end it returns nil, on
+// which a sub-frame decoder's first read fails.
 func (d *decoder) sub() []byte {
 	n := d.u32()
 	if d.err != nil || uint64(n) > uint64(d.remaining()) {
@@ -449,10 +451,12 @@ func DecodeRequest(buf []byte) (*Request, error) {
 }
 
 // decodeRequest parses a request payload into r, overwriting every field.
-// It keeps nothing of buf. r.Key is decoded into the backing array r
-// already holds, and strings are interned in names when given: the
-// server decodes every request of a connection into one Request, and its
-// handlers keep neither past the reply.
+// r.Key is decoded into the backing array r already holds. With names,
+// the server's decode of every request of a connection into one Request,
+// strings are interned and a batch frame's Value is a slice of buf: the
+// server decodes its sub-operations before it reads the next frame, and
+// keeps neither r nor its Key past the reply. Otherwise nothing of buf is
+// kept.
 func decodeRequest(r *Request, buf []byte, names nameTable) error {
 	d := decoder{buf: buf, names: names}
 	*r = Request{Type: MsgType(d.u8()), Key: r.Key}
@@ -486,7 +490,11 @@ func decodeRequest(r *Request, buf []byte, names nameTable) error {
 			})
 		}
 	}
-	r.Value = d.bytes()
+	if names != nil && (r.Type == MsgMultiLookup || r.Type == MsgMultiPut) {
+		r.Value = d.sub()
+	} else {
+		r.Value = d.bytes()
+	}
 	r.Cost = d.i64()
 	r.Size = d.i64()
 	r.TTL = d.i64()
@@ -642,45 +650,57 @@ func (d *decoder) batchCount() (int, error) {
 	return int(n), nil
 }
 
+// openSub reserves the length prefix of a sub-operation appended to the
+// batch payload; closeSub fills it in once the sub is encoded.
+func (e *encoder) openSub() int {
+	e.u32(0)
+	return len(e.buf)
+}
+func (e *encoder) closeSub(at int) { binary.BigEndian.PutUint32(e.buf[at-4:], uint32(len(e.buf)-at)) }
+
 // EncodeLookupSubs serializes a batch of lookup sub-operations (the
 // Value payload of a MsgMultiLookup envelope).
 func EncodeLookupSubs(subs []LookupSub) []byte {
 	var e encoder
 	e.u32(uint32(len(subs)))
-	var se encoder
 	for _, s := range subs {
-		se.buf = se.buf[:0]
-		se.str(s.Function)
-		se.str(s.KeyType)
-		se.vector(s.Key)
-		se.u64(s.Trace)
-		e.bytes(se.buf)
+		at := e.openSub()
+		e.str(s.Function)
+		e.str(s.KeyType)
+		e.vector(s.Key)
+		e.u64(s.Trace)
+		e.closeSub(at)
 	}
 	return e.buf
 }
 
 // DecodeLookupSubs parses a MsgMultiLookup Value payload.
 func DecodeLookupSubs(buf []byte) ([]LookupSub, error) {
+	return decodeLookupSubs(nil, buf, nil)
+}
+
+// decodeLookupSubs parses a MsgMultiLookup Value payload into dst's
+// memory: the slice, and each sub's Key where its backing array is large
+// enough. Names are interned in names when given. The caller owns dst and
+// keeps none of the keys.
+func decodeLookupSubs(dst []LookupSub, buf []byte, names nameTable) ([]LookupSub, error) {
 	d := decoder{buf: buf}
 	n, err := d.batchCount()
 	if err != nil {
 		return nil, err
 	}
-	subs := make([]LookupSub, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		sd := decoder{buf: d.sub()}
-		subs = append(subs, LookupSub{
+	subs := slices.Grow(dst[:0], n)[:n]
+	for i := range subs {
+		sd := decoder{buf: d.sub(), names: names}
+		subs[i] = LookupSub{
 			Function: sd.str(),
 			KeyType:  sd.str(),
-			Key:      sd.vector(),
+			Key:      sd.vectorInto(subs[i].Key),
 			Trace:    sd.u64(),
-		})
+		}
 		if sd.err != nil {
 			return nil, sd.err
 		}
-	}
-	if d.err != nil {
-		return nil, d.err
 	}
 	return subs, nil
 }
@@ -688,20 +708,25 @@ func DecodeLookupSubs(buf []byte) ([]LookupSub, error) {
 // EncodeLookupSubReplies serializes per-sub lookup outcomes (the Value
 // payload of a MsgReplyMultiLookup envelope).
 func EncodeLookupSubReplies(subs []LookupSubReply) []byte {
-	var e encoder
+	return appendLookupSubReplies(nil, subs)
+}
+
+// appendLookupSubReplies appends the encoding of EncodeLookupSubReplies
+// to dst.
+func appendLookupSubReplies(dst []byte, subs []LookupSubReply) []byte {
+	e := encoder{buf: dst}
 	e.u32(uint32(len(subs)))
-	var se encoder
 	for _, s := range subs {
-		se.buf = se.buf[:0]
-		se.str(s.Error)
-		se.bool(s.Hit)
-		se.bool(s.Dropout)
-		se.bytes(s.Value)
-		se.f64(s.Distance)
-		se.f64(s.Threshold)
-		se.i64(s.MissedAt)
-		se.u64(s.Trace)
-		e.bytes(se.buf)
+		at := e.openSub()
+		e.str(s.Error)
+		e.bool(s.Hit)
+		e.bool(s.Dropout)
+		e.bytes(s.Value)
+		e.f64(s.Distance)
+		e.f64(s.Threshold)
+		e.i64(s.MissedAt)
+		e.u64(s.Trace)
+		e.closeSub(at)
 	}
 	return e.buf
 }
@@ -714,7 +739,7 @@ func DecodeLookupSubReplies(buf []byte) ([]LookupSubReply, error) {
 		return nil, err
 	}
 	subs := make([]LookupSubReply, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n; i++ {
 		sd := decoder{buf: d.sub()}
 		subs = append(subs, LookupSubReply{
 			Error:     sd.str(),
@@ -730,9 +755,6 @@ func DecodeLookupSubReplies(buf []byte) ([]LookupSubReply, error) {
 			return nil, sd.err
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
 	return subs, nil
 }
 
@@ -741,35 +763,41 @@ func DecodeLookupSubReplies(buf []byte) ([]LookupSubReply, error) {
 func EncodePutSubs(subs []PutSub) []byte {
 	var e encoder
 	e.u32(uint32(len(subs)))
-	var se encoder
 	for _, s := range subs {
-		se.buf = se.buf[:0]
-		se.str(s.Function)
-		se.u32(uint32(len(s.Keys)))
+		at := e.openSub()
+		e.str(s.Function)
+		e.u32(uint32(len(s.Keys)))
 		for _, k := range sortedKeys(s.Keys) {
-			se.str(k.name)
-			se.vector(k.key)
+			e.str(k.name)
+			e.vector(k.key)
 		}
-		se.bytes(s.Value)
-		se.i64(s.Cost)
-		se.i64(s.Size)
-		se.i64(s.TTL)
-		se.u64(s.Trace)
-		e.bytes(se.buf)
+		e.bytes(s.Value)
+		e.i64(s.Cost)
+		e.i64(s.Size)
+		e.i64(s.TTL)
+		e.u64(s.Trace)
+		e.closeSub(at)
 	}
 	return e.buf
 }
 
 // DecodePutSubs parses a MsgMultiPut Value payload.
 func DecodePutSubs(buf []byte) ([]PutSub, error) {
+	return decodePutSubs(nil, buf, nil)
+}
+
+// decodePutSubs parses a MsgMultiPut Value payload into dst's slice,
+// interning names in names when given. Keys and values are always fresh:
+// the cache keeps them.
+func decodePutSubs(dst []PutSub, buf []byte, names nameTable) ([]PutSub, error) {
 	d := decoder{buf: buf}
 	n, err := d.batchCount()
 	if err != nil {
 		return nil, err
 	}
-	subs := make([]PutSub, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		sd := decoder{buf: d.sub()}
+	subs := slices.Grow(dst[:0], n)
+	for i := 0; i < n; i++ {
+		sd := decoder{buf: d.sub(), names: names}
 		s := PutSub{Function: sd.str()}
 		if kn := sd.u32(); kn > 0 && sd.err == nil {
 			if uint64(kn) > uint64(sd.remaining()) {
@@ -791,23 +819,24 @@ func DecodePutSubs(buf []byte) ([]PutSub, error) {
 		}
 		subs = append(subs, s)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
 	return subs, nil
 }
 
 // EncodePutSubReplies serializes per-sub put outcomes.
 func EncodePutSubReplies(subs []PutSubReply) []byte {
-	var e encoder
+	return appendPutSubReplies(nil, subs)
+}
+
+// appendPutSubReplies appends the encoding of EncodePutSubReplies to dst.
+func appendPutSubReplies(dst []byte, subs []PutSubReply) []byte {
+	e := encoder{buf: dst}
 	e.u32(uint32(len(subs)))
-	var se encoder
 	for _, s := range subs {
-		se.buf = se.buf[:0]
-		se.str(s.Error)
-		se.u64(s.ID)
-		se.u64(s.Trace)
-		e.bytes(se.buf)
+		at := e.openSub()
+		e.str(s.Error)
+		e.u64(s.ID)
+		e.u64(s.Trace)
+		e.closeSub(at)
 	}
 	return e.buf
 }
@@ -820,7 +849,7 @@ func DecodePutSubReplies(buf []byte) ([]PutSubReply, error) {
 		return nil, err
 	}
 	subs := make([]PutSubReply, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n; i++ {
 		sd := decoder{buf: d.sub()}
 		subs = append(subs, PutSubReply{
 			Error: sd.str(),
@@ -830,9 +859,6 @@ func DecodePutSubReplies(buf []byte) ([]PutSubReply, error) {
 		if sd.err != nil {
 			return nil, sd.err
 		}
-	}
-	if d.err != nil {
-		return nil, d.err
 	}
 	return subs, nil
 }

@@ -168,11 +168,13 @@ type RemoteTier interface {
 	// index-aligned with subs; a remote hit carries the owner's value and
 	// decision inputs, and entries that stayed misses have Hit false.
 	// The tier may keep the subs' keys (the mesh adopts remote hits under
-	// them).
+	// them), but not the slice: the server reuses it.
 	RemoteMultiLookup(subs []LookupSub) []LookupSubReply
 	// ReplicatePut offers locally admitted puts for K-way replication to
 	// their owner peers. It must not block beyond one peer round trip
-	// (the first ack); further fan-out is fire-and-forget.
+	// (the first ack); further fan-out is fire-and-forget. As with
+	// RemoteMultiLookup, the subs' keys and values may be kept, the slice
+	// not.
 	ReplicatePut(subs []PutSub)
 }
 
@@ -344,10 +346,11 @@ type serverConn struct {
 	st   *connState
 
 	frames frameReader // reads through Read below
-	names  nameTable
-	// req is every request of this connection in turn: handlers keep
-	// neither it nor its Key (its other fields are fresh per request).
+	// req is every request of this connection in turn, and sc the memory
+	// its lookups and puts run in: handlers keep neither req nor its Key
+	// (its other fields are fresh per request).
 	req Request
+	sc  scratch
 
 	out    []byte    // replies encoded and not yet written
 	queued int64     // how many
@@ -413,6 +416,16 @@ func (c *serverConn) flush() error {
 	return c.werr
 }
 
+// newServerConn readies one connection's loop state.
+func newServerConn(s *Server, conn net.Conn, st *connState) *serverConn {
+	c := &serverConn{s: s, conn: conn, st: st, sc: scratch{names: make(nameTable)}}
+	c.frames = newFrameReader(c)
+	for i := range c.mean {
+		c.mean[i] = flushBudget
+	}
+	return c
+}
+
 // handleConn serves one application connection; requests on a connection
 // are processed sequentially (Binder transactions are synchronous per
 // caller thread) and in line, each holding a slot of the shared bounded
@@ -424,11 +437,7 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	c := &serverConn{s: s, conn: conn, st: st, names: make(nameTable)}
-	c.frames = newFrameReader(c)
-	for i := range c.mean {
-		c.mean[i] = flushBudget
-	}
+	c := newServerConn(s, conn, st)
 	for {
 		c.armed = partNone
 		payload, err := c.frames.next()
@@ -472,7 +481,7 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 // slow — so a reply never sits behind a slow neighbour's execution.
 func (c *serverConn) serve(payload []byte) error {
 	var reply Reply
-	err := decodeRequest(&c.req, payload, c.names)
+	err := decodeRequest(&c.req, payload, c.sc.names)
 	// A type this build does not know shares a known type's slot; it
 	// costs an error reply, about what the fastest of them does.
 	mean := &c.mean[int(c.req.Type)%len(c.mean)]
@@ -487,7 +496,7 @@ func (c *serverConn) serve(payload []byte) error {
 				return err
 			}
 		}
-		reply = c.s.dispatchBounded(&c.req)
+		reply = c.s.dispatchBounded(&c.req, &c.sc)
 	}
 	end := c.s.now()
 	*mean += (end.Sub(c.now) - *mean) / 4
@@ -502,6 +511,12 @@ func (c *serverConn) serve(payload []byte) error {
 		c.out, _ = AppendReply(c.out, &Reply{Type: MsgReplyError, Error: ErrMessageTooLarge.Error(), Trace: reply.Trace})
 	}
 	c.queued++
+	c.sc.enc = trimBuf(c.sc.enc)
+	if len(payload) > connBufSize {
+		// A frame too large for the read buffer had memory of its own, and
+		// what it grew here goes with it.
+		c.req, c.sc = Request{}, scratch{names: c.sc.names}
+	}
 	return nil
 }
 
@@ -509,7 +524,7 @@ func (c *serverConn) serve(payload []byte) error {
 // instrumented it times the dispatch (handler-pool wait included — queue
 // delay under load is exactly what the latency histogram is for) and
 // counts the outcome.
-func (s *Server) dispatchBounded(req *Request) Reply {
+func (s *Server) dispatchBounded(req *Request, sc *scratch) Reply {
 	var start time.Time
 	if s.met != nil {
 		start = time.Now()
@@ -521,7 +536,7 @@ func (s *Server) dispatchBounded(req *Request) Reply {
 	if s.testHookDispatch != nil {
 		s.testHookDispatch(req)
 	}
-	reply := s.dispatch(req)
+	reply := s.dispatch(req, sc)
 	if s.met != nil {
 		dur := time.Since(start)
 		ser := s.met.ops[opName(req.Type)]
@@ -600,20 +615,16 @@ func isTimeout(err error) bool {
 }
 
 // dispatch executes one request against the cache.
-func (s *Server) dispatch(req *Request) Reply {
+func (s *Server) dispatch(req *Request, sc *scratch) Reply {
 	switch req.Type {
 	case MsgRegister:
 		return s.handleRegister(req)
-	case MsgLookup:
-		return s.handleLookup(req)
-	case MsgPut:
-		return s.handlePut(req)
+	case MsgLookup, MsgMultiLookup:
+		return s.lookup(req, sc)
+	case MsgPut, MsgMultiPut:
+		return s.put(req, sc)
 	case MsgStats:
 		return s.handleStats()
-	case MsgMultiLookup:
-		return s.handleMultiLookup(req)
-	case MsgMultiPut:
-		return s.handleMultiPut(req)
 	case MsgPeerInfo:
 		return s.handlePeerInfo(req)
 	default:
@@ -653,59 +664,6 @@ func isByteValue(v any) bool {
 	return ok
 }
 
-func (s *Server) handleLookup(req *Request) Reply {
-	// The Accept veto makes an entry this caller can never receive a
-	// true miss: no hit counted, no access-frequency or importance
-	// credit for the entry.
-	res, err := s.cache.LookupOpts(req.Function, req.KeyType, req.Key, core.LookupOptions{
-		Accept: isByteValue,
-		Trace:  telemetry.TraceID(req.Trace),
-	})
-	if err != nil {
-		return Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
-	}
-	reply := Reply{
-		Type:      MsgReplyLookup,
-		Hit:       res.Hit,
-		Dropout:   res.Dropout,
-		Distance:  res.Distance,
-		Threshold: res.Threshold,
-		MissedAt:  res.MissedAt.UnixNano(),
-		// Echo the trace the cache recorded under (the request's ID, or
-		// one the cache minted for a sampled lookup) so the caller can
-		// resolve it against /trace/spans.
-		Trace: uint64(res.Trace),
-	}
-	if res.Hit {
-		reply.Value = res.Value.([]byte)
-		return reply
-	}
-	// A local miss from an application falls through to the cluster
-	// tier; dropouts propagate as real misses (the quality control must
-	// stay honest across nodes), and peer-originated lookups never re-fan
-	// (the sender already routed to an owner).
-	if !res.Dropout && s.remote != nil && !IsPeerApp(req.App) {
-		trace := uint64(res.Trace)
-		if trace == 0 {
-			trace = req.Trace
-		}
-		// The tier may keep the key; req.Key is the connection's scratch,
-		// so it gets a copy.
-		sr := s.remote.RemoteMultiLookup([]LookupSub{{
-			Function: req.Function, KeyType: req.KeyType, Key: req.Key.Clone(), Trace: trace,
-		}})[0]
-		if sr.Hit {
-			reply.Hit = true
-			reply.Value = sr.Value
-			reply.Distance = sr.Distance
-			reply.Threshold = sr.Threshold
-			// MissedAt stays the local miss time: the caller's cost
-			// accounting is against this node's clock.
-		}
-	}
-	return reply
-}
-
 // handlePeerInfo answers the mesh handshake with this node's identity.
 func (s *Server) handlePeerInfo(req *Request) Reply {
 	if _, err := DecodePeerInfo(req.Value); err != nil {
@@ -721,144 +679,151 @@ func (s *Server) handlePeerInfo(req *Request) Reply {
 	}
 }
 
-func (s *Server) handlePut(req *Request) Reply {
-	putReq := core.PutRequest{
-		Keys:  req.Keys,
-		Value: req.Value,
-		Cost:  time.Duration(req.Cost),
-		Size:  int(req.Size),
-		TTL:   time.Duration(req.TTL),
-		App:   req.App,
-		Trace: telemetry.TraceID(req.Trace),
-	}
-	id, err := s.cache.Put(req.Function, putReq)
-	if err != nil {
+// scratch is one connection's memory for the lookups or puts of its
+// current request, reused from request to request so that a lookup
+// allocates nothing. A single-op frame is decoded into it as a batch of
+// one. What the cache or the cluster tier may keep is never in it: put
+// keys and values are decoded fresh, and a key forwarded to the tier is a
+// copy.
+type scratch struct {
+	names     nameTable
+	lookups   []LookupSub
+	puts      []PutSub
+	inLookups []core.BatchLookup
+	inPuts    []core.BatchPut
+	results   []core.BatchLookupResult
+	lookupOut []LookupSubReply
+	putOut    []PutSubReply
+	fwd       []LookupSub // local misses offered to the cluster tier
+	fwdAt     []int       // each one's index in lookups
+	admitted  []PutSub    // admitted puts offered for replication
+	enc       []byte      // a batch reply's encoded sub-replies
+}
+
+// lookup runs a request's lookups, a MsgLookup's one or a MsgMultiLookup's
+// batch, through one cache call, and forwards their local misses to the
+// cluster tier in one call. A sub-op's error is its own and never fails a
+// sibling; only an undecodable batch fails the request.
+func (s *Server) lookup(req *Request, sc *scratch) Reply {
+	var subs []LookupSub
+	var err error
+	if req.Type == MsgLookup {
+		// The key is req.Key's memory, into which a later batch may decode
+		// its first sub: neither is read once the reply is queued.
+		subs = append(sc.lookups[:0], LookupSub{Function: req.Function, KeyType: req.KeyType, Key: req.Key, Trace: req.Trace})
+	} else if subs, err = decodeLookupSubs(sc.lookups, req.Value, sc.names); err != nil {
 		return Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
+	}
+	in := sc.inLookups[:0]
+	for _, sub := range subs {
+		// The Accept veto makes an entry this caller can never receive a
+		// true miss: no hit counted, no access-frequency or importance
+		// credit for the entry.
+		in = append(in, core.BatchLookup{Function: sub.Function, KeyType: sub.KeyType, Key: sub.Key,
+			Opts: core.LookupOptions{Accept: isByteValue, Trace: telemetry.TraceID(sub.Trace)}})
+	}
+	// A local miss from an application falls through to the cluster tier;
+	// dropouts propagate as real misses (the quality control must stay
+	// honest across nodes), and peer-originated lookups never re-fan (the
+	// sender already routed to an owner).
+	remote := s.remote != nil && !IsPeerApp(req.App)
+	out, fwd, fwdAt := sc.lookupOut[:0], sc.fwd[:0], sc.fwdAt[:0]
+	results := s.cache.MultiLookupInto(sc.results, in)
+	for i := range results {
+		r := &results[i] // not a copy: a result carries an entry snapshot
+		if r.Err != nil {
+			out = append(out, LookupSubReply{Error: r.Err.Error(), Trace: subs[i].Trace})
+			continue
+		}
+		// Echo the trace the cache recorded under (the request's ID, or one
+		// the cache minted for a sampled lookup) so the caller can resolve
+		// it against /trace/spans.
+		sr := LookupSubReply{Hit: r.Hit, Dropout: r.Dropout, Distance: r.Distance, Threshold: r.Threshold,
+			MissedAt: r.MissedAt.UnixNano(), Trace: uint64(r.Trace)}
+		if r.Hit {
+			sr.Value = r.Value.([]byte)
+		} else if !r.Dropout && remote {
+			// The mesh hop runs under the cache's trace, or the caller's
+			// where the cache recorded none. The tier may keep the key, and
+			// sub.Key is scratch: it gets a copy.
+			trace := sr.Trace
+			if trace == 0 {
+				trace = subs[i].Trace
+			}
+			fwd = append(fwd, LookupSub{Function: subs[i].Function, KeyType: subs[i].KeyType, Key: subs[i].Key.Clone(), Trace: trace})
+			fwdAt = append(fwdAt, i)
+		}
+		out = append(out, sr)
+	}
+	if len(fwd) > 0 {
+		for j, rr := range s.remote.RemoteMultiLookup(fwd) {
+			if rr.Hit {
+				// MissedAt stays the local miss time: the caller's cost
+				// accounting is against this node's clock.
+				sr := &out[fwdAt[j]]
+				sr.Hit, sr.Value, sr.Distance, sr.Threshold = true, rr.Value, rr.Distance, rr.Threshold
+			}
+		}
+	}
+	sc.lookups, sc.inLookups, sc.results, sc.lookupOut, sc.fwd, sc.fwdAt = subs, in, results, out, fwd, fwdAt
+	// Only the reply tells the frame types apart.
+	if req.Type == MsgMultiLookup {
+		sc.enc = appendLookupSubReplies(sc.enc[:0], out)
+		return Reply{Type: MsgReplyMultiLookup, Value: sc.enc, Trace: req.Trace}
+	}
+	if r := &out[0]; r.Error == "" {
+		return Reply{Type: MsgReplyLookup, Hit: r.Hit, Dropout: r.Dropout, Value: r.Value,
+			Distance: r.Distance, Threshold: r.Threshold, MissedAt: r.MissedAt, Trace: r.Trace}
+	}
+	return Reply{Type: MsgReplyError, Error: out[0].Error, Trace: out[0].Trace}
+}
+
+// put runs a request's puts, a MsgPut's one or a MsgMultiPut's batch,
+// through one cache call, and offers the admitted ones to the cluster
+// tier in one call.
+func (s *Server) put(req *Request, sc *scratch) Reply {
+	var subs []PutSub
+	var err error
+	if req.Type == MsgPut {
+		subs = append(sc.puts[:0], PutSub{Function: req.Function, Keys: req.Keys, Value: req.Value,
+			Cost: req.Cost, Size: req.Size, TTL: req.TTL, Trace: req.Trace})
+	} else if subs, err = decodePutSubs(sc.puts, req.Value, sc.names); err != nil {
+		return Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
+	}
+	in := sc.inPuts[:0]
+	for _, sub := range subs {
+		in = append(in, core.BatchPut{Function: sub.Function, Req: core.PutRequest{
+			Keys: sub.Keys, Value: sub.Value, Cost: time.Duration(sub.Cost), Size: int(sub.Size),
+			TTL: time.Duration(sub.TTL), App: req.App, Trace: telemetry.TraceID(sub.Trace),
+		}})
 	}
 	// An admitted application put is offered to the cluster tier for
 	// K-way replication; peer-originated puts (replication traffic) stay
 	// local or the mesh would re-replicate its own writes forever.
-	if s.remote != nil && !IsPeerApp(req.App) {
-		s.remote.ReplicatePut([]PutSub{{
-			Function: req.Function,
-			Keys:     req.Keys,
-			Value:    req.Value,
-			Cost:     req.Cost,
-			Size:     req.Size,
-			TTL:      req.TTL,
-			Trace:    req.Trace,
-		}})
-	}
-	return Reply{Type: MsgReplyPut, ID: uint64(id), Trace: req.Trace}
-}
-
-// handleMultiLookup fans a batch of sub-lookups across the core's
-// worker group. Sub-op errors are reported per sub; only an undecodable
-// batch payload fails the whole request.
-func (s *Server) handleMultiLookup(req *Request) Reply {
-	subs, err := DecodeLookupSubs(req.Value)
-	if err != nil {
-		return Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
-	}
-	batch := make([]core.BatchLookup, len(subs))
-	for i, sub := range subs {
-		batch[i] = core.BatchLookup{
-			Function: sub.Function,
-			KeyType:  sub.KeyType,
-			Key:      sub.Key,
-			Opts: core.LookupOptions{
-				Accept: isByteValue,
-				Trace:  telemetry.TraceID(sub.Trace),
-			},
-		}
-	}
-	results := s.cache.MultiLookup(batch)
-	replies := make([]LookupSubReply, len(results))
-	var missIdx []int
-	for i, r := range results {
+	remote := s.remote != nil && !IsPeerApp(req.App)
+	out, admitted := sc.putOut[:0], sc.admitted[:0]
+	for i, r := range s.cache.MultiPut(in) {
 		if r.Err != nil {
-			replies[i] = LookupSubReply{Error: r.Err.Error(), Trace: subs[i].Trace}
+			out = append(out, PutSubReply{Error: r.Err.Error(), Trace: subs[i].Trace})
 			continue
 		}
-		sr := LookupSubReply{
-			Hit:       r.Hit,
-			Dropout:   r.Dropout,
-			Distance:  r.Distance,
-			Threshold: r.Threshold,
-			MissedAt:  r.MissedAt.UnixNano(),
-			Trace:     uint64(r.Trace),
-		}
-		if r.Hit {
-			sr.Value = r.Value.([]byte)
-		} else if !r.Dropout {
-			missIdx = append(missIdx, i)
-		}
-		replies[i] = sr
-	}
-	// Local misses fall through to the cluster tier in one fan-out; the
-	// mesh groups them by owner so each owner peer sees ONE MultiLookup
-	// frame, not one round trip per miss.
-	if len(missIdx) > 0 && s.remote != nil && !IsPeerApp(req.App) {
-		fwd := make([]LookupSub, len(missIdx))
-		for j, i := range missIdx {
-			fwd[j] = LookupSub{
-				Function: subs[i].Function,
-				KeyType:  subs[i].KeyType,
-				Key:      subs[i].Key,
-				Trace:    replies[i].Trace,
-			}
-		}
-		for j, rr := range s.remote.RemoteMultiLookup(fwd) {
-			if !rr.Hit {
-				continue
-			}
-			i := missIdx[j]
-			replies[i].Hit = true
-			replies[i].Value = rr.Value
-			replies[i].Distance = rr.Distance
-			replies[i].Threshold = rr.Threshold
+		out = append(out, PutSubReply{ID: uint64(r.ID), Trace: subs[i].Trace})
+		if remote {
+			admitted = append(admitted, subs[i])
 		}
 	}
-	return Reply{Type: MsgReplyMultiLookup, Value: EncodeLookupSubReplies(replies), Trace: req.Trace}
-}
-
-// handleMultiPut inserts a batch of sub-puts through the core's worker
-// group, reporting per-sub IDs and errors.
-func (s *Server) handleMultiPut(req *Request) Reply {
-	subs, err := DecodePutSubs(req.Value)
-	if err != nil {
-		return Reply{Type: MsgReplyError, Error: err.Error(), Trace: req.Trace}
-	}
-	batch := make([]core.BatchPut, len(subs))
-	for i, sub := range subs {
-		batch[i] = core.BatchPut{
-			Function: sub.Function,
-			Req: core.PutRequest{
-				Keys:  sub.Keys,
-				Value: sub.Value,
-				Cost:  time.Duration(sub.Cost),
-				Size:  int(sub.Size),
-				TTL:   time.Duration(sub.TTL),
-				App:   req.App,
-				Trace: telemetry.TraceID(sub.Trace),
-			},
-		}
-	}
-	results := s.cache.MultiPut(batch)
-	replies := make([]PutSubReply, len(results))
-	var admitted []PutSub
-	for i, r := range results {
-		if r.Err != nil {
-			replies[i] = PutSubReply{Error: r.Err.Error(), Trace: subs[i].Trace}
-			continue
-		}
-		replies[i] = PutSubReply{ID: uint64(r.ID), Trace: subs[i].Trace}
-		admitted = append(admitted, subs[i])
-	}
-	if len(admitted) > 0 && s.remote != nil && !IsPeerApp(req.App) {
+	if len(admitted) > 0 {
 		s.remote.ReplicatePut(admitted)
 	}
-	return Reply{Type: MsgReplyMultiPut, Value: EncodePutSubReplies(replies), Trace: req.Trace}
+	sc.puts, sc.inPuts, sc.putOut, sc.admitted = subs, in, out, admitted
+	if req.Type == MsgMultiPut {
+		sc.enc = appendPutSubReplies(sc.enc[:0], out)
+		return Reply{Type: MsgReplyMultiPut, Value: sc.enc, Trace: req.Trace}
+	}
+	if out[0].Error == "" {
+		return Reply{Type: MsgReplyPut, ID: out[0].ID, Trace: out[0].Trace}
+	}
+	return Reply{Type: MsgReplyError, Error: out[0].Error, Trace: out[0].Trace}
 }
 
 func (s *Server) handleStats() Reply {
