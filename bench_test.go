@@ -217,8 +217,10 @@ func sweepIndex(b *testing.B, kind index.Kind, n, dim int) (index.Index, vec.Vec
 
 // BenchmarkHNSWNearest times one HNSW probe on the benchmark's
 // index-scale corpus shape (8 000 16-dim entries in 256 clusters, sigma 2
-// around centres drawn with sigma 100, queries 0.5 off a stored entry) at
-// the default pool width and at index-scale's -hnsw-efs 512. Run with
+// around centres drawn with sigma 100) at the default pool width and at
+// index-scale's -hnsw-efs 512, for near queries (0.5 off a stored entry)
+// and for index-scale's far ones (5 000 ± 100 on every axis, nearer no
+// entry than any threshold). probes/op is the index's own count. Run with
 // -benchmem: a probe should not allocate.
 func BenchmarkHNSWNearest(b *testing.B) {
 	const entries, dim, clusters = 8_000, 16, 256
@@ -238,29 +240,44 @@ func BenchmarkHNSWNearest(b *testing.B) {
 			corpus[i][d] = c[d] + rng.NormFloat64()*2
 		}
 	}
-	queries := make([]vec.Vector, 256)
-	for i := range queries {
-		queries[i] = corpus[rng.Intn(entries)].Clone()
-		for d := range queries[i] {
-			queries[i][d] += rng.NormFloat64() * 0.5
+	near := make([]vec.Vector, 256)
+	for i := range near {
+		near[i] = corpus[rng.Intn(entries)].Clone()
+		for d := range near[i] {
+			near[i][d] += rng.NormFloat64() * 0.5
+		}
+	}
+	far := make([]vec.Vector, 256)
+	for i := range far {
+		far[i] = make(vec.Vector, dim)
+		for d := range far[i] {
+			far[i][d] = 5000 + rng.NormFloat64()*100
 		}
 	}
 	for _, efs := range []int{64, 512} {
-		b.Run(fmt.Sprintf("efs%d-8k", efs), func(b *testing.B) {
-			idx := index.NewHNSW(vec.EuclideanMetric{}, index.HNSWConfig{EfSearch: efs})
-			for i, k := range corpus {
-				if err := idx.Insert(index.ID(i+1), k); err != nil {
-					b.Fatal(err)
-				}
+		idx := index.NewHNSW(vec.EuclideanMetric{}, index.HNSWConfig{EfSearch: efs})
+		for i, k := range corpus {
+			if err := idx.Insert(index.ID(i+1), k); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := idx.Nearest(queries[i%len(queries)]); !ok {
-					b.Fatal("no result")
+		}
+		for _, tc := range []struct {
+			suffix  string
+			queries []vec.Vector
+		}{{"", near}, {"-far", far}} {
+			b.Run(fmt.Sprintf("efs%d-8k%s", efs, tc.suffix), func(b *testing.B) {
+				b.ReportAllocs()
+				probes := 0
+				for i := 0; i < b.N; i++ {
+					_, p, ok := idx.NearestProbed(tc.queries[i%len(tc.queries)])
+					if !ok {
+						b.Fatal("no result")
+					}
+					probes += p
 				}
-			}
-		})
+				b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+			})
+		}
 	}
 }
 

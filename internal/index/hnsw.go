@@ -24,10 +24,14 @@ import (
 // RepairBudget nodes per subsequent mutation.
 //
 // The graph is a dense node table: a node lives in a slot, link lists
-// hold slots, and a probe reaches a neighbour's level, tombstone flag
-// and vector by indexing an array. The id-to-slot map is read only by
-// Insert and Remove. Slots are recycled, newest first, so the same
-// insert and remove sequence always lays the table out the same way.
+// hold slots, and what a search reads of a node it scores or expands
+// sits in flat arrays indexed by slot: id, level and tombstone flag in
+// per-slot columns, the key as a row of one []float64, the layer-0 links
+// in one []int32 of fixed stride. Only the key's clone, the upper layers'
+// links and the reference count stay in the node's row. The id-to-slot
+// map is read only by Insert and Remove. Slots are recycled, newest
+// first, so the same insert and remove sequence always lays the table
+// out the same way.
 //
 // Like every other kind, HNSW is not internally synchronized: the cache
 // guards it with a per-key-type RWMutex. Queries draw their visited
@@ -39,8 +43,22 @@ type HNSW struct {
 	scratchPool
 	metric   vec.Metric
 	cfg      HNSWConfig
-	pq       *pqStore // nil: keys are kept uncompressed in the node table
-	keyBytes int64    // bytes of those uncompressed keys
+	pq       *pqStore // nil: keys are kept uncompressed, as rows and clones
+	keyBytes int64    // bytes of those uncompressed keys, both copies
+	ids      []ID
+	levels   []int8 // vacant when negative
+	deleted  []bool // tombstoned: still routes, is never reported
+	// rows holds slot s's key at rows[s*width:][:width], where width is
+	// the first key's length. A key of another length (odd counts them)
+	// is scored from its clone. Empty under a PQ store.
+	rows  []float64
+	width int
+	odd   int
+	// links0 holds slot s's layer-0 links at links0[s*stride:]: their
+	// count, then room for 2M+1 slots, one more than a list may keep, for
+	// the entry addLink appends before it trims.
+	links0   []int32
+	stride   int
 	nodes    []hnswNode
 	slotOf   map[ID]int32
 	free     []int32 // vacant slots nothing links to, reused last-in first-out
@@ -59,21 +77,20 @@ type HNSW struct {
 	}
 }
 
-// hnswNode is one row of the node table. Freeing a node leaves links to
-// it dangling in nodes it had stopped linking back to; they are inert,
-// and come back to life if the same id is inserted again. To keep that
-// meaning a vacant slot holds on to its id, and is recycled for another
-// only once refs shows that no link list mentions it any more.
+// hnswNode is what the node table keeps of a node outside the flat
+// arrays. Freeing a node leaves links to it dangling in nodes it had
+// stopped linking back to; they are inert, and come back to life if the
+// same id is inserted again. To keep that meaning a vacant slot holds on
+// to its id, and is recycled for another only once refs shows that no
+// link list mentions it any more.
 type hnswNode struct {
-	id ID
 	// vec is the uncompressed key (nil under a PQ store): an immutable
 	// clone per entry, because Neighbor.Key hands it to callers who read
-	// it after the lock is gone.
-	vec     vec.Vector
-	links   [][]int32 // per level, neighbour slots
-	refs    int32     // entries of link lists that name this slot
-	level   int8      // vacant when negative
-	deleted bool      // tombstoned: still routes, is never reported
+	// it after the lock is gone, while the slot's row is rewritten when
+	// the slot is recycled.
+	vec   vec.Vector
+	upper [][]int32 // links of levels 1 and up, neighbour slots
+	refs  int32     // entries of link lists that name this slot
 }
 
 const (
@@ -141,6 +158,7 @@ func newHNSW(m vec.Metric, cfg HNSWConfig, pq *pqStore) *HNSW {
 		metric:   m,
 		cfg:      cfg,
 		pq:       pq,
+		stride:   2*cfg.M + 2,
 		slotOf:   make(map[ID]int32),
 		entry:    -1,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -173,36 +191,68 @@ func (h *HNSW) maxLinks(level int) int {
 	return h.cfg.M
 }
 
+// idAt implements slotIDs.
+func (h *HNSW) idAt(s int32) ID { return h.ids[s] }
+
 // lookup finds the slot of a node that is in the graph, live or
 // tombstoned.
 func (h *HNSW) lookup(id ID) (int32, bool) {
 	s, ok := h.slotOf[id]
-	return s, ok && h.nodes[s].level >= 0
+	return s, ok && h.levels[s] >= 0
 }
 
-// exact returns the uncompressed key of the node in slot s.
-func (h *HNSW) exact(s int32) (vec.Vector, bool) {
-	n := &h.nodes[s]
+// exact returns the uncompressed key of the node in occupied slot s:
+// its clone, or what the PQ store holds, resolves or decodes for it.
+func (h *HNSW) exact(s int32) vec.Vector {
 	if h.pq != nil {
-		return h.pq.exact(n.id)
+		v, _ := h.pq.exact(h.ids[s])
+		return v
 	}
-	return n.vec, n.vec != nil
+	return h.nodes[s].vec
+}
+
+// links returns the level-l link list of slot s. A layer-0 list is a
+// window on links0 whose capacity ends at the slot's stride, so that
+// appending to it stays in place.
+func (h *HNSW) links(s int32, l int) []int32 {
+	if l > 0 {
+		return h.nodes[s].upper[l-1]
+	}
+	at := int(s) * h.stride
+	return h.links0[at+1 : at+1+int(h.links0[at]) : at+h.stride]
+}
+
+// storeLinks makes list, which links returned or an append to it, the
+// level-l link list of slot s.
+func (h *HNSW) storeLinks(s int32, l int, list []int32) {
+	if l > 0 {
+		h.nodes[s].upper[l-1] = list
+		return
+	}
+	h.links0[int(s)*h.stride] = int32(len(list))
 }
 
 // hnswScorer estimates the distance from one query to the node in a
-// slot: exactly against the node table, or through the PQ store's
-// per-query estimator, which is keyed by id — one map probe per scored
-// node, where the search loop itself does none. It is the only thing
-// that differs between the two stores' searches.
+// slot: exactly against its row, or through the PQ store's per-query
+// estimator, which is keyed by id — one map probe per scored node, where
+// the search loop itself does none. It is the only thing that differs
+// between the two stores' searches.
 type hnswScorer struct {
-	nodes  []hnswNode
+	levels []int8
+	ids    []ID
+	rows   []float64
+	width  int
+	nodes  []hnswNode // nil unless some key is not a row
 	metric vec.Metric
 	q      vec.Vector
 	byID   func(ID) float64
 }
 
 func (h *HNSW) scorer(q vec.Vector) hnswScorer {
-	s := hnswScorer{nodes: h.nodes, metric: h.metric, q: q}
+	s := hnswScorer{levels: h.levels, ids: h.ids, rows: h.rows, width: h.width, metric: h.metric, q: q}
+	if h.odd > 0 {
+		s.nodes = h.nodes
+	}
 	if h.pq != nil {
 		s.byID = h.pq.scorer(q)
 	}
@@ -212,14 +262,15 @@ func (h *HNSW) scorer(q vec.Vector) hnswScorer {
 // at scores slot s; a vacant slot, reached through a dangling link, is
 // infinitely far.
 func (s *hnswScorer) at(slot int32) float64 {
-	n := &s.nodes[slot]
 	switch {
-	case n.level < 0:
+	case s.levels[slot] < 0:
 		return math.Inf(1)
 	case s.byID != nil:
-		return s.byID(n.id)
+		return s.byID(s.ids[slot])
+	case s.nodes != nil && len(s.nodes[slot].vec) != s.width:
+		return s.metric.Distance(s.q, s.nodes[slot].vec)
 	}
-	return s.metric.Distance(s.q, n.vec)
+	return s.metric.Distance(s.q, s.rows[int(slot)*s.width:][:s.width])
 }
 
 // Insert implements Index.
@@ -227,30 +278,41 @@ func (h *HNSW) Insert(id ID, key vec.Vector) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	if s, ok := h.lookup(id); ok && !h.nodes[s].deleted {
+	if s, ok := h.lookup(id); ok && !h.deleted[s] {
 		h.Remove(id)
 	}
-	if s, ok := h.lookup(id); ok && h.nodes[s].deleted {
+	if s, ok := h.lookup(id); ok && h.deleted[s] {
 		// Re-inserting a tombstoned id: finish its removal now so the
 		// new node starts clean.
 		h.relink(s)
 	}
 	h.repairSome()
 	key = key.Clone()
+	if h.pq == nil && h.width == 0 {
+		h.width = len(key)
+	}
 	s := h.occupy(id)
 	if h.pq != nil {
 		h.pq.add(id, key)
 	} else {
 		h.nodes[s].vec = key
 		h.keyBytes += int64(8 * len(key))
+		if len(key) == h.width {
+			copy(h.rows[int(s)*h.width:], key)
+			h.keyBytes += int64(8 * len(key))
+		} else {
+			h.odd++
+		}
 	}
 	level := h.randomLevel()
-	n := &h.nodes[s]
-	n.level = int8(level)
-	n.links = make([][]int32, level+1)
-	for l := range n.links {
-		// Room for the over-full entry addLink appends before it trims.
-		n.links[l] = make([]int32, 0, h.maxLinks(l)+1)
+	h.levels[s] = int8(level)
+	if level > 0 {
+		upper := make([][]int32, level)
+		for l := range upper {
+			// Room for the over-full entry addLink appends before it trims.
+			upper[l] = make([]int32, 0, h.cfg.M+1)
+		}
+		h.nodes[s].upper = upper
 	}
 	h.live++
 	if h.entry < 0 {
@@ -293,12 +355,31 @@ func (h *HNSW) occupy(id ID) int32 {
 			s, h.free = h.free[last], h.free[:last]
 		} else {
 			s = int32(len(h.nodes))
-			h.nodes = append(h.nodes, hnswNode{})
+			h.nodes = extend(h.nodes, 1)
+			h.ids = extend(h.ids, 1)
+			h.levels = extend(h.levels, 1)
+			h.deleted = extend(h.deleted, 1)
+			h.rows = extend(h.rows, h.width)
+			h.links0 = extend(h.links0, h.stride)
+			h.levels[s] = vacant
 		}
 		h.slotOf[id] = s
-		h.nodes[s].id = id
+		h.ids[s] = id
 	}
 	return s
+}
+
+// extend lengthens s by n zero elements. A full s is copied into twice
+// the room it needs, so that the node table's arrays, which grow a slot
+// at a time, allocate about twice their final size in all, where
+// append's gentler growth at this size would allocate five times.
+func extend[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		t := make([]T, len(s), 2*(len(s)+n))
+		copy(t, s)
+		s = t
+	}
+	return s[:len(s)+n]
 }
 
 // unref drops one link to slot s.
@@ -310,23 +391,23 @@ func (h *HNSW) unref(s int32) {
 // recycle frees slot s for another id once it is vacant and no link
 // list names it.
 func (h *HNSW) recycle(s int32) {
-	if n := &h.nodes[s]; n.refs == 0 && n.level < 0 {
-		delete(h.slotOf, n.id)
+	if h.nodes[s].refs == 0 && h.levels[s] < 0 {
+		delete(h.slotOf, h.ids[s])
 		h.free = append(h.free, s)
 	}
 }
 
-// setLinks replaces the level-l link list of slot s with a copy of list
-// (which must not alias it).
+// setLinks replaces the level-l link list of slot s with a copy of list,
+// which must not alias it and must fit the level's capacity.
 func (h *HNSW) setLinks(s int32, l int, list []int32) {
 	for _, x := range list {
 		h.nodes[x].refs++
 	}
-	old := h.nodes[s].links[l]
+	old := h.links(s, l)
 	for _, x := range old {
 		h.unref(x)
 	}
-	h.nodes[s].links[l] = append(old[:0], list...)
+	h.storeLinks(s, l, append(old[:0], list...))
 }
 
 func (h *HNSW) randomLevel() int {
@@ -340,23 +421,15 @@ func (h *HNSW) randomLevel() int {
 // addLink appends a back-edge from slot s to slot to and trims the
 // neighbor list to capacity, keeping the closest candidates.
 func (h *HNSW) addLink(s int32, level int, to int32) {
-	n := &h.nodes[s]
-	if level > int(n.level) {
+	if level > int(h.levels[s]) {
 		return
 	}
 	h.nodes[to].refs++
-	n.links[level] = append(n.links[level], to)
-	max := h.maxLinks(level)
-	if len(n.links[level]) <= max {
-		return
+	list := append(h.links(s, level), to)
+	h.storeLinks(s, level, list)
+	if max := h.maxLinks(level); len(list) > max {
+		h.trimLinks(s, level, h.exact(s), list, max)
 	}
-	base, ok := h.exact(s)
-	if !ok {
-		h.unref(to)
-		n.links[level] = n.links[level][:max]
-		return
-	}
-	h.trimLinks(s, level, base, n.links[level], max)
 }
 
 // trimLinks re-selects the level's links of slot s from cands with the
@@ -365,25 +438,20 @@ func (h *HNSW) addLink(s int32, level int, to int32) {
 func (h *HNSW) trimLinks(s int32, level int, base vec.Vector, cands []int32, max int) {
 	sorted := h.mut.cands[:0]
 	for _, nb := range cands {
-		if h.nodes[nb].level < 0 {
-			continue
+		if h.levels[nb] >= 0 {
+			sorted = append(sorted, scored{h.metric.Distance(base, h.exact(nb)), nb})
 		}
-		v, ok := h.exact(nb)
-		if !ok {
-			continue
-		}
-		sorted = append(sorted, scored{h.metric.Distance(base, v), h.nodes[nb].id, nb})
 	}
 	h.mut.cands = sorted
 	// Insertion sort: live before dead, then by distance, then id.
 	for i := 1; i < len(sorted); i++ {
 		for j := i; j > 0; j-- {
 			a, b := sorted[j], sorted[j-1]
-			if aDead, bDead := h.nodes[a.slot].deleted, h.nodes[b.slot].deleted; aDead != bDead {
+			if aDead, bDead := h.deleted[a.slot], h.deleted[b.slot]; aDead != bDead {
 				if aDead {
 					break
 				}
-			} else if a.dist > b.dist || (a.dist == b.dist && a.id >= b.id) {
+			} else if a.dist > b.dist || (a.dist == b.dist && h.ids[a.slot] >= h.ids[b.slot]) {
 				break
 			}
 			sorted[j], sorted[j-1] = b, a
@@ -409,21 +477,16 @@ func (h *HNSW) selectFromSorted(base vec.Vector, found []scored, m int, allowDea
 		if len(out) == m {
 			break
 		}
-		n := &h.nodes[f.slot]
-		if n.level < 0 {
+		if h.levels[f.slot] < 0 {
 			continue
 		}
-		if n.deleted {
+		if h.deleted[f.slot] {
 			if allowDead {
 				pruned = append(pruned, f.slot)
 			}
 			continue
 		}
-		v, ok := h.exact(f.slot)
-		if !ok {
-			pruned = append(pruned, f.slot)
-			continue
-		}
+		v := h.exact(f.slot)
 		dq := h.metric.Distance(base, v)
 		diverse := true
 		for _, kv := range kept {
@@ -453,19 +516,18 @@ func (h *HNSW) selectFromSorted(base vec.Vector, found []scored, m int, allowDea
 // every layer above stop, and returns where it ends with the number of
 // nodes it scored.
 func (h *HNSW) descend(score *hnswScorer, stop int) (scored, int) {
-	ep := scored{score.at(h.entry), h.nodes[h.entry].id, h.entry}
+	ep := scored{score.at(h.entry), h.entry}
 	probes := 1
 	for l := h.maxLevel; l > stop; l-- {
 		for improved := true; improved; {
 			improved = false
-			n := &h.nodes[ep.slot]
-			if l > int(n.level) {
+			if l > int(h.levels[ep.slot]) {
 				break
 			}
-			for _, nb := range n.links[l] {
+			for _, nb := range h.nodes[ep.slot].upper[l-1] {
 				probes++
 				if d := score.at(nb); d < ep.dist {
-					ep = scored{d, h.nodes[nb].id, nb}
+					ep = scored{d, nb}
 					improved = true
 				}
 			}
@@ -480,13 +542,13 @@ func (h *HNSW) descend(score *hnswScorer, stop int) (scored, int) {
 // the candidate frontier, never the result set. The results are left in
 // sc.results; the return value is the number of nodes scored.
 func (h *HNSW) searchLayer(sc *scratch, score *hnswScorer, seed scored, ef, level int) int {
-	sc.begin(cap(h.nodes))
-	nodes, visited, epoch := h.nodes, sc.visited, sc.epoch
+	sc.begin(h, cap(h.nodes))
+	levels, deleted, visited, epoch := h.levels, h.deleted, sc.visited, sc.epoch
 	cands, results := &sc.cands, &sc.results
 	visited[seed.slot] = epoch
 	probes := 1
 	cands.push(seed)
-	if n := &nodes[seed.slot]; n.level >= 0 && !n.deleted {
+	if levels[seed.slot] >= 0 && !deleted[seed.slot] {
 		results.push(seed)
 	}
 	for len(cands.items) > 0 {
@@ -494,11 +556,10 @@ func (h *HNSW) searchLayer(sc *scratch, score *hnswScorer, seed scored, ef, leve
 		if len(results.items) >= ef && c.dist > results.items[0].dist {
 			break
 		}
-		n := &nodes[c.slot]
-		if level > int(n.level) {
+		if level > int(levels[c.slot]) {
 			continue
 		}
-		for _, nb := range n.links[level] {
+		for _, nb := range h.links(c.slot, level) {
 			if visited[nb] == epoch {
 				continue
 			}
@@ -509,10 +570,9 @@ func (h *HNSW) searchLayer(sc *scratch, score *hnswScorer, seed scored, ef, leve
 			if full && !(d < results.items[0].dist) {
 				continue
 			}
-			nn := &nodes[nb]
-			x := scored{d, nn.id, nb}
+			x := scored{d, nb}
 			cands.push(x)
-			if nn.level < 0 || nn.deleted {
+			if levels[nb] < 0 || deleted[nb] {
 				continue
 			}
 			if full {
@@ -528,10 +588,10 @@ func (h *HNSW) searchLayer(sc *scratch, score *hnswScorer, seed scored, ef, leve
 // Remove implements Index: tombstone now, re-link lazily.
 func (h *HNSW) Remove(id ID) {
 	s, ok := h.lookup(id)
-	if !ok || h.nodes[s].deleted {
+	if !ok || h.deleted[s] {
 		return
 	}
-	h.nodes[s].deleted = true
+	h.deleted[s] = true
 	h.live--
 	h.repairQ = append(h.repairQ, id)
 	if h.entry == s {
@@ -545,13 +605,12 @@ func (h *HNSW) Remove(id ID) {
 // depend on which slots the nodes happen to sit in).
 func (h *HNSW) electEntry() {
 	h.entry, h.maxLevel = -1, 0
-	for s := range h.nodes {
-		n := &h.nodes[s]
-		if n.level < 0 || n.deleted {
+	for s, level := range h.levels {
+		if level < 0 || h.deleted[s] {
 			continue
 		}
-		if h.entry < 0 || int(n.level) > h.maxLevel || (int(n.level) == h.maxLevel && n.id < h.nodes[h.entry].id) {
-			h.entry, h.maxLevel = int32(s), int(n.level)
+		if h.entry < 0 || int(level) > h.maxLevel || (int(level) == h.maxLevel && h.ids[s] < h.ids[h.entry]) {
+			h.entry, h.maxLevel = int32(s), int(level)
 		}
 	}
 }
@@ -564,7 +623,7 @@ func (h *HNSW) repairSome() {
 		id := h.repairQ[0]
 		h.repairQ = h.repairQ[1:]
 		s, ok := h.lookup(id)
-		if !ok || !h.nodes[s].deleted {
+		if !ok || !h.deleted[s] {
 			continue // re-inserted or already re-linked
 		}
 		h.relink(s)
@@ -577,48 +636,53 @@ func (h *HNSW) repairSome() {
 // to capacity. The node and its stored vector are then freed; the slot
 // is recycled now, or when the last dangling link to it goes.
 func (h *HNSW) relink(s int32) {
-	n := &h.nodes[s]
-	for l := 0; l <= int(n.level); l++ {
-		for _, nbSlot := range n.links[l] {
-			nb := &h.nodes[nbSlot]
-			if nb.level < 0 || nb.deleted || l > int(nb.level) {
+	level := int(h.levels[s])
+	for l := 0; l <= level; l++ {
+		dead := h.links(s, l)
+		for _, nb := range dead {
+			if h.levels[nb] < 0 || h.deleted[nb] || l > int(h.levels[nb]) {
 				continue
 			}
 			merged := h.mut.merged[:0]
-			for _, x := range nb.links[l] {
+			for _, x := range h.links(nb, l) {
 				if x != s {
 					merged = append(merged, x)
 				}
 			}
 			// Offer the dead node's other live neighbours as
 			// replacements, then keep the closest.
-			for _, x := range n.links[l] {
-				if x == nbSlot {
-					continue
-				}
-				if xn := &h.nodes[x]; xn.level >= 0 && !xn.deleted && !containsSlot(merged, x) {
+			for _, x := range dead {
+				if x != nb && h.levels[x] >= 0 && !h.deleted[x] && !containsSlot(merged, x) {
 					merged = append(merged, x)
 				}
 			}
 			h.mut.merged = merged
-			if base, ok := h.exact(nbSlot); ok && len(merged) > h.maxLinks(l) {
-				h.trimLinks(nbSlot, l, base, merged, h.maxLinks(l))
+			if max := h.maxLinks(l); len(merged) > max {
+				h.trimLinks(nb, l, h.exact(nb), merged, max)
 			} else {
-				h.setLinks(nbSlot, l, merged)
+				h.setLinks(nb, l, merged)
 			}
 		}
 	}
-	for _, list := range n.links {
-		for _, x := range list {
+	for l := 0; l <= level; l++ {
+		for _, x := range h.links(s, l) {
 			h.unref(x)
 		}
 	}
+	n := &h.nodes[s]
 	if h.pq != nil {
-		h.pq.remove(n.id)
+		h.pq.remove(h.ids[s])
 	} else {
 		h.keyBytes -= int64(8 * len(n.vec))
+		if len(n.vec) == h.width {
+			h.keyBytes -= int64(8 * len(n.vec))
+		} else {
+			h.odd--
+		}
 	}
-	n.vec, n.links, n.level, n.deleted = nil, nil, vacant, false
+	h.links0[int(s)*h.stride] = 0
+	n.vec, n.upper = nil, nil
+	h.levels[s], h.deleted[s] = vacant, false
 	h.recycle(s)
 }
 
@@ -693,14 +757,11 @@ func (h *HNSW) answer(sc *scratch, key vec.Vector, k int) []Neighbor {
 	}
 	out := sc.found[:0]
 	for _, c := range sc.results.best(n, &sc.top) {
-		v, ok := h.exact(c.slot)
+		v := h.exact(c.slot)
 		if rescore {
-			c.dist = math.Inf(1)
-			if ok {
-				c.dist = h.metric.Distance(key, v)
-			}
+			c.dist = h.metric.Distance(key, v)
 		}
-		out = append(out, Neighbor{ID: c.id, Key: v, Dist: c.dist})
+		out = append(out, Neighbor{ID: h.ids[c.slot], Key: v, Dist: c.dist})
 	}
 	sc.found = out
 	if rescore {

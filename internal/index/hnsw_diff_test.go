@@ -32,6 +32,20 @@ func TestHNSWMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+	// Keys of another length than the first are kept off the rows and
+	// scored from their clones.
+	for seed := 1; seed <= 2; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("hnsw/mixed/seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			d := newDiffRun(t, KindHNSW, 64, int64(seed))
+			d.mixed = true
+			d.run(ops)
+			if d.got.odd == 0 {
+				t.Error("no key of another length was live at the end")
+			}
+		})
+	}
 }
 
 // diffRun is one side-by-side replay.
@@ -50,6 +64,7 @@ type diffRun struct {
 	// and an id going back into its own vacant, still-referenced slot.
 	tenant             map[int32]ID
 	recycled, returned bool
+	mixed              bool // a tenth of the keys and queries are half as long
 }
 
 const diffDim = 8
@@ -91,7 +106,11 @@ func (d *diffRun) point() vec.Vector {
 		return d.ref[d.live[d.rng.Intn(len(d.live))]].Clone()
 	}
 	c := d.centres[d.rng.Intn(len(d.centres))]
-	v := make(vec.Vector, diffDim)
+	dim := diffDim
+	if d.mixed && d.rng.Intn(10) == 0 {
+		dim /= 2
+	}
+	v := make(vec.Vector, dim)
 	for j := range v {
 		v[j] = c[j] + d.rng.NormFloat64()
 	}
@@ -104,7 +123,7 @@ func (d *diffRun) insert(id ID) {
 		d.live = append(d.live, id)
 	}
 	d.ref[id] = v
-	if s, ok := d.got.slotOf[id]; ok && d.got.nodes[s].level < 0 {
+	if s, ok := d.got.slotOf[id]; ok && d.got.levels[s] < 0 {
 		d.returned = true
 	}
 	if err := d.got.Insert(id, v); err != nil {
@@ -171,7 +190,9 @@ func (d *diffRun) run(ops int) {
 			d.radius(d.rng.Float64() * 4)
 		}
 		d.nearest()
-		d.sameGraph()
+		if err := d.sameGraph(); err != nil {
+			d.t.Fatalf("op %d: %v", d.op, err)
+		}
 	}
 	if !d.recycled || !d.returned {
 		d.t.Errorf("stream too tame: slot recycled for another id %v, id returned to its dangling slot %v", d.recycled, d.returned)
@@ -229,64 +250,171 @@ func (d *diffRun) same(what string, got, want []Neighbor) {
 
 // sameGraph compares the two structures node by node and link by link
 // (dangling links included: a vacant slot keeps the id they name), and
-// checks the node table's own bookkeeping.
-func (d *diffRun) sameGraph() {
+// checks the node table's own bookkeeping and its flat arrays.
+func (d *diffRun) sameGraph() error {
 	g, w := d.got, d.want
 	if g.Len() != w.live || g.Len() != len(d.ref) {
-		d.t.Fatalf("op %d: Len = %d, oracle %d, reference %d", d.op, g.Len(), w.live, len(d.ref))
+		return fmt.Errorf("Len = %d, oracle %d, reference %d", g.Len(), w.live, len(d.ref))
 	}
-	if (g.entry >= 0) != w.entryOK || (w.entryOK && (g.nodes[g.entry].id != w.entry || g.maxLevel != w.maxLevel)) {
-		d.t.Fatalf("op %d: entry slot %d level %d, oracle entry %d (ok %v) level %d", d.op, g.entry, g.maxLevel, w.entry, w.entryOK, w.maxLevel)
+	if (g.entry >= 0) != w.entryOK || (w.entryOK && (g.ids[g.entry] != w.entry || g.maxLevel != w.maxLevel)) {
+		return fmt.Errorf("entry slot %d level %d, oracle entry %d (ok %v) level %d", g.entry, g.maxLevel, w.entry, w.entryOK, w.maxLevel)
 	}
-	if g.KeyBytes() != w.store.keyBytes() {
-		d.t.Fatalf("op %d: KeyBytes = %d, oracle %d", d.op, g.KeyBytes(), w.store.keyBytes())
+	if err := checkHNSW(g); err != nil {
+		return err
+	}
+	// A flat store keeps a key twice: its clone, and for a key of the
+	// row width its row.
+	wantBytes := w.store.keyBytes()
+	if g.pq == nil {
+		for s, n := range g.nodes {
+			if g.levels[s] >= 0 && len(n.vec) == g.width {
+				wantBytes += int64(8 * g.width)
+			}
+		}
+	}
+	if g.KeyBytes() != wantBytes {
+		return fmt.Errorf("KeyBytes = %d, oracle %d plus rows = %d", g.KeyBytes(), w.store.keyBytes(), wantBytes)
 	}
 	refs := make([]int32, len(g.nodes))
 	occupied := 0
 	for s := range g.nodes {
-		n := &g.nodes[s]
-		if at, ok := g.slotOf[n.id]; n.level >= 0 || n.refs > 0 {
+		id, level, slot := g.ids[s], int(g.levels[s]), int32(s)
+		if at, ok := g.slotOf[id]; level >= 0 || g.nodes[s].refs > 0 {
 			if !ok || int(at) != s {
-				d.t.Fatalf("op %d: slot %d holds id %d but slotOf says %d (%v)", d.op, s, n.id, at, ok)
+				return fmt.Errorf("slot %d holds id %d but slotOf says %d (%v)", s, id, at, ok)
 			}
 		}
-		if n.level < 0 {
-			if n.links != nil || n.vec != nil || n.deleted {
-				d.t.Fatalf("op %d: vacant slot %d still holds a node's state", d.op, s)
-			}
+		if level < 0 {
 			continue
 		}
 		occupied++
-		wn, ok := w.nodes[n.id]
-		if !ok || wn.level != int(n.level) || wn.deleted != n.deleted {
-			d.t.Fatalf("op %d: node %d (level %d, deleted %v) differs from the oracle's %+v", d.op, n.id, n.level, n.deleted, wn)
+		wn, ok := w.nodes[id]
+		if !ok || wn.level != level || wn.deleted != g.deleted[s] {
+			return fmt.Errorf("node %d (level %d, deleted %v) differs from the oracle's %+v", id, level, g.deleted[s], wn)
 		}
-		for l, list := range n.links {
+		for l := 0; l <= level; l++ {
+			list := g.links(slot, l)
 			if len(list) != len(wn.links[l]) {
-				d.t.Fatalf("op %d: node %d level %d has %d links, oracle %d", d.op, n.id, l, len(list), len(wn.links[l]))
+				return fmt.Errorf("node %d level %d has %d links, oracle %d", id, l, len(list), len(wn.links[l]))
 			}
 			for i, x := range list {
 				refs[x]++
-				if g.nodes[x].id != wn.links[l][i] {
-					d.t.Fatalf("op %d: node %d level %d link %d names id %d, oracle %d", d.op, n.id, l, i, g.nodes[x].id, wn.links[l][i])
+				if g.ids[x] != wn.links[l][i] {
+					return fmt.Errorf("node %d level %d link %d names id %d, oracle %d", id, l, i, g.ids[x], wn.links[l][i])
 				}
 			}
 		}
 	}
 	if occupied != len(w.nodes) {
-		d.t.Fatalf("op %d: %d occupied slots, oracle has %d nodes", d.op, occupied, len(w.nodes))
+		return fmt.Errorf("%d occupied slots, oracle has %d nodes", occupied, len(w.nodes))
 	}
 	for s, want := range refs {
 		if g.nodes[s].refs != want {
-			d.t.Fatalf("op %d: slot %d counts %d references, %d links name it", d.op, s, g.nodes[s].refs, want)
+			return fmt.Errorf("slot %d counts %d references, %d links name it", s, g.nodes[s].refs, want)
 		}
+	}
+	return nil
+}
+
+// checkHNSW checks the node table's invariants that hold whatever the
+// graph: the per-slot columns and the flat arrays span the table, every
+// occupied flat-store row equals its node's clone bit for bit, no
+// layer-0 count exceeds the stride's room, a vacant slot holds no node
+// state and no links, and a free slot is vacant and unreferenced.
+func checkHNSW(g *HNSW) error {
+	n := len(g.nodes)
+	if len(g.ids) != n || len(g.levels) != n || len(g.deleted) != n || len(g.rows) != n*g.width || len(g.links0) != n*g.stride {
+		return fmt.Errorf("%d slots, but columns of %d ids, %d levels, %d flags, %d row values (width %d), %d link words (stride %d)",
+			n, len(g.ids), len(g.levels), len(g.deleted), len(g.rows), g.width, len(g.links0), g.stride)
+	}
+	if g.pq != nil && g.width != 0 {
+		return fmt.Errorf("a PQ store keeps rows of width %d", g.width)
+	}
+	odd := 0
+	for s, node := range g.nodes {
+		count := g.links0[s*g.stride]
+		if count < 0 || int(count) > 2*g.cfg.M+1 {
+			return fmt.Errorf("slot %d counts %d layer-0 links, room for %d", s, count, 2*g.cfg.M+1)
+		}
+		if g.levels[s] < 0 {
+			if count != 0 || node.upper != nil || node.vec != nil || g.deleted[s] {
+				return fmt.Errorf("vacant slot %d still holds a node's state (%d layer-0 links)", s, count)
+			}
+			continue
+		}
+		if len(node.upper) != int(g.levels[s]) {
+			return fmt.Errorf("slot %d at level %d has %d upper link lists", s, g.levels[s], len(node.upper))
+		}
+		if g.pq != nil {
+			continue
+		}
+		if len(node.vec) != g.width {
+			odd++
+			continue
+		}
+		if row := g.rows[s*g.width:][:g.width]; !sameBits(row, node.vec) {
+			return fmt.Errorf("slot %d's row %v is not its key %v", s, row, node.vec)
+		}
+	}
+	if odd != g.odd {
+		return fmt.Errorf("%d keys are not rows, odd counts %d", odd, g.odd)
 	}
 	for _, s := range g.free {
-		if n := &g.nodes[s]; n.level >= 0 || n.refs != 0 {
-			d.t.Fatalf("op %d: free slot %d is occupied or referenced (level %d, refs %d)", d.op, s, n.level, n.refs)
+		if g.levels[s] >= 0 || g.nodes[s].refs != 0 {
+			return fmt.Errorf("free slot %d is occupied or referenced (level %d, refs %d)", s, g.levels[s], g.nodes[s].refs)
 		}
 	}
-	if len(g.slotOf)+len(g.free) != len(g.nodes) {
-		d.t.Fatalf("op %d: %d mapped + %d free slots, table has %d", d.op, len(g.slotOf), len(g.free), len(g.nodes))
+	if len(g.slotOf)+len(g.free) != n {
+		return fmt.Errorf("%d mapped + %d free slots, table has %d", len(g.slotOf), len(g.free), n)
+	}
+	return nil
+}
+
+// TestHNSWGraphCheckCatchesScribbles: the check TestHNSWMatchesOracle
+// runs after every operation must fail on a row one ulp off its node's
+// key, on a layer-0 count one too high in a live slot and on one in a
+// vacant slot, each on its own, and pass again once each is undone.
+func TestHNSWGraphCheckCatchesScribbles(t *testing.T) {
+	d := newDiffRun(t, KindHNSW, 64, 2)
+	for len(d.live) < 300 {
+		d.insert(d.next)
+		d.next++
+	}
+	for i := 0; i < 60; i++ {
+		d.remove(d.live[d.rng.Intn(len(d.live))])
+	}
+	if err := d.sameGraph(); err != nil {
+		t.Fatal(err)
+	}
+	g := d.got
+	live, empty := g.slotOf[d.live[0]], int32(-1)
+	for s, level := range g.levels {
+		if level < 0 {
+			empty = int32(s)
+			break
+		}
+	}
+	if empty < 0 {
+		t.Fatal("no vacant slot after 60 removals")
+	}
+	mustFail := func(what string, scribble, undo func()) {
+		scribble()
+		if err := d.sameGraph(); err == nil {
+			t.Errorf("the check passed %s", what)
+		} else {
+			t.Logf("%s: %v", what, err)
+		}
+		undo()
+	}
+	row := g.rows[int(live)*g.width:][:g.width]
+	saved := row[3]
+	mustFail("a row one ulp off its key",
+		func() { row[3] = math.Nextafter(saved, math.Inf(1)) }, func() { row[3] = saved })
+	for what, s := range map[string]int32{"a live slot's layer-0 count one too high": live, "a vacant slot counting a layer-0 link": empty} {
+		count := &g.links0[int(s)*g.stride]
+		mustFail(what, func() { *count++ }, func() { *count-- })
+	}
+	if err := d.sameGraph(); err != nil {
+		t.Fatalf("after undoing the scribbles: %v", err)
 	}
 }

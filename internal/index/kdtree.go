@@ -393,7 +393,7 @@ func (t *KDTree) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	if t.norm == kdL2 {
 		d = math.Sqrt(d)
 	}
-	return t.neighbor(scored{dist: d, id: q.bestID, slot: q.at}), q.evals, true
+	return t.neighbor(scored{dist: d, slot: q.at}), q.evals, true
 }
 
 // kdPruneSlack is the relative margin by which a bound must clear the
@@ -552,12 +552,12 @@ type kdQuery struct {
 // search runs a kdQuery and returns what it kept, closest first. A slot
 // names a row as leaf*kdLeafSize+row, an odd entry i as ^i.
 func (t *KDTree) search(key vec.Vector, k int, r float64) ([]scored, int) {
-	q := kdQuery{t: t, key: key, k: k, r: r, found: distHeap{max: true}}
+	q := kdQuery{t: t, key: key, k: k, r: r, found: distHeap{ids: t, max: true}}
 	if len(t.nodes) > 0 {
 		q.walk(0)
 	}
 	for i, e := range t.odd {
-		q.offer(t.metric.Distance(key, e.key), e.id, ^int32(i))
+		q.offer(t.metric.Distance(key, e.key), ^int32(i))
 	}
 	q.evals += len(t.odd)
 	return q.found.sorted(), q.evals
@@ -571,8 +571,8 @@ func (q *kdQuery) walk(i int32) {
 	if n.axis < 0 {
 		l := &t.leaves[n.left]
 		w := t.width
-		for r, id := range l.ids {
-			q.offer(t.metric.Distance(q.key, l.rows[r*w:][:w]), id, n.left*kdLeafSize+int32(r))
+		for r := range l.ids {
+			q.offer(t.metric.Distance(q.key, l.rows[r*w:][:w]), n.left*kdLeafSize+int32(r))
 		}
 		q.evals += len(l.ids)
 		return
@@ -601,11 +601,11 @@ func (q *kdQuery) limit() float64 {
 	return q.found.items[0].dist
 }
 
-func (q *kdQuery) offer(d float64, id ID, slot int32) {
+func (q *kdQuery) offer(d float64, slot int32) {
 	if !(d <= q.r) {
 		return
 	}
-	x := scored{dist: d, id: id, slot: slot}
+	x := scored{dist: d, slot: slot}
 	if len(q.found.items) < q.k {
 		q.found.push(x)
 	} else if q.found.less(q.found.items[0], x) {
@@ -613,11 +613,21 @@ func (q *kdQuery) offer(d float64, id ID, slot int32) {
 	}
 }
 
+// idAt implements slotIDs over search's slots.
+func (t *KDTree) idAt(slot int32) ID {
+	if slot < 0 {
+		return t.odd[^slot].id
+	}
+	return t.leaves[slot/kdLeafSize].ids[slot%kdLeafSize]
+}
+
 func (t *KDTree) neighbor(x scored) Neighbor {
 	if x.slot < 0 {
-		return Neighbor{ID: x.id, Key: t.odd[^x.slot].key, Dist: x.dist}
+		e := &t.odd[^x.slot]
+		return Neighbor{ID: e.id, Key: e.key, Dist: x.dist}
 	}
-	return Neighbor{ID: x.id, Key: t.leaves[x.slot/kdLeafSize].keys[x.slot%kdLeafSize], Dist: x.dist}
+	l, r := &t.leaves[x.slot/kdLeafSize], x.slot%kdLeafSize
+	return Neighbor{ID: l.ids[r], Key: l.keys[r], Dist: x.dist}
 }
 
 func (t *KDTree) neighbors(xs []scored) []Neighbor {

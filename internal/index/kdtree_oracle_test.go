@@ -237,21 +237,25 @@ func (t *refKDTree) KNearest(key vec.Vector, k int) []Neighbor {
 	if k <= 0 || t.size == 0 {
 		return nil
 	}
-	h := &distHeap{max: true}
-	t.search(t.root, key, k, h)
+	// A heap item's slot is the index of its id in seen.
+	var seen idColumn
+	h := &distHeap{ids: &seen, max: true}
+	t.search(t.root, key, k, h, &seen)
 	out := make([]Neighbor, 0, len(h.items))
 	for _, c := range h.sorted() {
-		out = append(out, Neighbor{ID: c.id, Key: t.byID[c.id].key, Dist: c.dist})
+		id := seen[c.slot]
+		out = append(out, Neighbor{ID: id, Key: t.byID[id].key, Dist: c.dist})
 	}
 	return out
 }
 
-func (t *refKDTree) search(n *refKDNode, key vec.Vector, k int, h *distHeap) {
+func (t *refKDTree) search(n *refKDNode, key vec.Vector, k int, h *distHeap, seen *idColumn) {
 	if n == nil {
 		return
 	}
 	if !n.deleted {
-		x := scored{dist: t.metric.Distance(key, n.key), id: n.id}
+		*seen = append(*seen, n.id)
+		x := scored{dist: t.metric.Distance(key, n.key), slot: int32(len(*seen) - 1)}
 		if len(h.items) < k {
 			h.push(x)
 		} else if h.less(h.items[0], x) {
@@ -262,10 +266,10 @@ func (t *refKDTree) search(n *refKDNode, key vec.Vector, k int, h *distHeap) {
 	if !axisLess(key, n.key, n.axis) {
 		first, second = n.right, n.left
 	}
-	t.search(first, key, k, h)
+	t.search(first, key, k, h, seen)
 	if second != nil {
 		if !t.prunable || len(h.items) < k || axisAbsDiff(key, n.key, n.axis) <= h.items[0].dist {
-			t.search(second, key, k, h)
+			t.search(second, key, k, h, seen)
 		}
 	}
 }
@@ -663,9 +667,6 @@ func TestKDTreeReplacementsStayBounded(t *testing.T) {
 // TestKDTreeNearestDoesNotAllocate pins an allocation-free Nearest at
 // 16 dimensions and at 768.
 func TestKDTreeNearestDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	for _, dim := range []int{16, 768} {
 		rng := rand.New(rand.NewSource(3))
 		tree := NewKDTree(vec.EuclideanMetric{})
