@@ -76,6 +76,19 @@ var (
 	ErrAppBarred = errors.New("core: application barred by reputation system")
 )
 
+// Registration bounds: RegisterFunction, the one door the wire and
+// Restore both pass through, refuses a key type or a function that no
+// request could ever serve, before it builds any index.
+const (
+	// MaxKeyDim bounds a declared key length. A key of this many float64
+	// values is 8 MiB, so a request carrying one fits in a wire frame
+	// (16 MiB) with room to spare.
+	MaxKeyDim = 1 << 20
+	// MaxKeyTypes caps the key types of one function, across all of its
+	// registrations.
+	MaxKeyTypes = 64
+)
+
 // DefaultTTL is the paper's default entry validity period ("the timeout
 // is currently set to be an hour", §3.6).
 const DefaultTTL = time.Hour
@@ -99,8 +112,10 @@ type KeyTypeSpec struct {
 	Metric vec.Metric
 	// Index selects the index structure. Defaults to KD-tree.
 	Index index.Kind
-	// Dim is the declared key dimensionality. It allocates nothing:
-	// every index kind learns the dimension from its first insert.
+	// Dim is every key's length (at most MaxKeyDim). Lookups and puts
+	// with a key of another length are refused with an error wrapping
+	// vec.ErrDimensionMismatch. Zero lets the first key a put admits set
+	// the length. It allocates nothing.
 	Dim int
 	// Extract, when non-nil, derives this key type's key from the raw
 	// input carried by a Put, enabling cross-key-type propagation
@@ -356,6 +371,10 @@ type functionCache struct {
 
 type keyIndex struct {
 	spec KeyTypeSpec
+	// width is every key's length: spec.Dim when declared, else the
+	// length of the first key a put admits, set once. Zero until then.
+	// admit is the only code that reads it.
+	width atomic.Int64
 	// tuner synchronizes itself (its own mutex is the single point of
 	// coordination); it is never called with any cache lock held.
 	tuner *Tuner
@@ -436,12 +455,18 @@ func (c *Cache) RegisterFunction(fn string, keyTypes ...KeyTypeSpec) error {
 	if len(keyTypes) == 0 {
 		return errors.New("core: at least one key type is required")
 	}
+	if len(keyTypes) > MaxKeyTypes {
+		return fmt.Errorf("core: %d key types, at most %d", len(keyTypes), MaxKeyTypes)
+	}
 	specs := make([]KeyTypeSpec, 0, len(keyTypes))
 	seen := make(map[string]struct{}, len(keyTypes))
 	for _, spec := range keyTypes {
 		spec = spec.withDefaults()
 		if spec.Name == "" {
 			return errors.New("core: key type with empty name")
+		}
+		if spec.Dim > MaxKeyDim {
+			return fmt.Errorf("core: key type %q: Dim %d over %d", spec.Name, spec.Dim, MaxKeyDim)
 		}
 		if _, dup := seen[spec.Name]; dup {
 			continue // first spec wins, like re-registration
@@ -462,6 +487,9 @@ func (c *Cache) RegisterFunction(fn string, keyTypes ...KeyTypeSpec) error {
 			replayer: replayer,
 			tuner:    NewTuner(c.cfg.Tuner),
 			members:  make(map[ID]vec.Vector),
+		}
+		if spec.Dim > 0 {
+			ki.width.Store(int64(spec.Dim))
 		}
 		if rs, ok := idx.(index.ResolverSetter); ok {
 			// The members table keeps every key uncompressed under the
@@ -499,6 +527,10 @@ func (c *Cache) RegisterFunction(fn string, keyTypes ...KeyTypeSpec) error {
 		fc.order = append(fc.order, spec.Name)
 		fc.kis = append(fc.kis, built[i])
 		added = append(added, built[i])
+	}
+	if len(fc.kis) > MaxKeyTypes {
+		c.funcsMu.Unlock()
+		return fmt.Errorf("core: function %q would have %d key types, at most %d", fn, len(fc.kis), MaxKeyTypes)
 	}
 	c.funcs[fn] = fc
 	if c.store != nil && !c.restoring.Load() {
@@ -636,7 +668,8 @@ type LookupOptions struct {
 // Lookup queries the cache for fn's result keyed by key under keyType
 // (§3.4). On a hit the entry's access frequency — and therefore its
 // importance — is updated. Lookup errors only for unregistered
-// functions or key types.
+// functions or key types, and for a key of another length than the key
+// type's (see KeyTypeSpec.Dim).
 func (c *Cache) Lookup(fn, keyType string, key vec.Vector) (LookupResult, error) {
 	return c.lookup(fn, keyType, key, LookupOptions{})
 }
@@ -668,6 +701,9 @@ func (c *Cache) LookupOpts(fn, keyType string, key vec.Vector, opts LookupOption
 func (c *Cache) lookup(fn, keyType string, key vec.Vector, opts LookupOptions) (LookupResult, error) {
 	now := c.clk.Now()
 	ki, err := c.keyIndexFor(fn, keyType)
+	if err == nil {
+		err = ki.admit(key, false)
+	}
 	if err != nil {
 		if c.spans != nil {
 			c.recordLookupSpan(nil, fn, keyType, now, spanFields{
@@ -844,9 +880,9 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 
 	// Resolve one key per key type (parallel to kis; nil = skipped).
 	// Extractors are application code and run with no lock held. All
-	// keys are validated before any state — index, tuner, or entry
-	// table — is touched. The fixed-size buffer keeps the common case
-	// (a handful of key types) off the heap.
+	// keys pass the door (admit) before any state — index, tuner, or
+	// entry table — is touched. The fixed-size buffer keeps the common
+	// case (a handful of key types) off the heap.
 	var keysBuf [4]vec.Vector
 	var keys []vec.Vector
 	if len(kis) > len(keysBuf) {
@@ -856,31 +892,27 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	}
 	resolved := 0
 	for i, ki := range kis {
-		if k, ok := req.Keys[fc.order[i]]; ok {
-			if len(k) == 0 {
-				err := fmt.Errorf("%w: key type %q", ErrEmptyKey, fc.order[i])
-				c.recordPutError(fn, now, req.Trace, err)
-				return 0, err
+		k, explicit := req.Keys[fc.order[i]]
+		if !explicit {
+			if ki.spec.Extract == nil || req.Raw == nil {
+				continue
 			}
-			keys[i] = k
-			resolved++
-			continue
-		}
-		if ki.spec.Extract != nil && req.Raw != nil {
-			k, err := ki.spec.Extract(req.Raw)
-			if err != nil {
+			var err error
+			if k, err = ki.spec.Extract(req.Raw); err != nil {
 				err = fmt.Errorf("core: extracting %q key: %w", fc.order[i], err)
 				c.recordPutError(fn, now, req.Trace, err)
 				return 0, err
 			}
-			if len(k) == 0 {
-				err := fmt.Errorf("%w: key type %q (extracted)", ErrEmptyKey, fc.order[i])
-				c.recordPutError(fn, now, req.Trace, err)
-				return 0, err
-			}
-			keys[i] = k
-			resolved++
 		}
+		if err := ki.admit(k, true); err != nil {
+			if !explicit {
+				err = fmt.Errorf("%w (extracted)", err)
+			}
+			c.recordPutError(fn, now, req.Trace, err)
+			return 0, err
+		}
+		keys[i] = k
+		resolved++
 	}
 	if resolved == 0 {
 		c.recordPutError(fn, now, req.Trace, ErrNoKey)

@@ -208,7 +208,8 @@ type RestoreStats struct {
 	// deadline passed (typically while the process was down).
 	Expired int
 	// Skipped counts entries dropped for other reasons: unknown
-	// function, no usable key, or an ID already live in the cache.
+	// function, no usable key (none non-empty and of its key type's
+	// length), or an ID already live in the cache.
 	Skipped int
 }
 
@@ -344,11 +345,8 @@ func (c *Cache) restoreEntry(rec *StoreEntry, now time.Time) restoreOutcome {
 		e.lastAccess.Store(now.UnixNano())
 	}
 	for _, sk := range rec.Keys {
-		ki := fc.keyTypes[sk.KeyType]
-		if ki == nil || len(sk.Key) == 0 {
-			continue
-		}
-		if ki.insert(id, sk.Key) {
+		// insert's door refuses an empty key or one of another length.
+		if ki := fc.keyTypes[sk.KeyType]; ki != nil && ki.insert(id, sk.Key) {
 			e.owners = append(e.owners, ki)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -107,8 +108,8 @@ func slotOf(key vec.Vector) int {
 }
 
 // record remembers that Nearest(key) answered (n, found) at epoch. A
-// distance that is not finite (a key of another dimension, NaN) is not
-// worth remembering: the kinds disagree on what such a neighbour is.
+// distance that is not finite (a coordinate that is infinite or NaN) is
+// not worth remembering: the kinds disagree on what such a neighbour is.
 func (m *missMemo) record(key vec.Vector, n index.Neighbor, found bool, epoch uint64) {
 	if found && !(n.Dist <= math.MaxFloat64) {
 		return
@@ -137,15 +138,43 @@ func (m *missMemo) recall(key vec.Vector) (memoAnswer, bool) {
 	return s.memoAnswer, true
 }
 
+// admit is the door every key of the key type passes: lookups, puts
+// and restored entries. A put's key must not be empty, and a key of any
+// op must have the key type's length (keyIndex.width); the first key a
+// put admits sets that length when no Dim was declared, by one
+// compare-and-swap, so of two racing first puts of different lengths
+// exactly one wins. A lookup before any put sets nothing: the index is
+// empty. This is the only length check: no index kind needs one.
+func (ki *keyIndex) admit(key vec.Vector, put bool) error {
+	n := int64(len(key))
+	if put && n == 0 {
+		return fmt.Errorf("%w: key type %q", ErrEmptyKey, ki.spec.Name)
+	}
+	w := ki.width.Load()
+	if w == 0 {
+		if !put || ki.width.CompareAndSwap(0, n) {
+			return nil
+		}
+		w = ki.width.Load() // another put's first key won
+	}
+	if w == n {
+		return nil
+	}
+	return fmt.Errorf("%w: key type %q has keys of length %d, not %d", vec.ErrDimensionMismatch, ki.spec.Name, w, n)
+}
+
 // insert and remove are the only code that may mutate ki.idx and
 // ki.members (TestOneDoorToTheIndex greps for any other): each mutation
 // moves the epoch and enters the log under the same write lock, so a
 // reader holding mu sees an index, an epoch and a log that agree.
 
 // insert adds (id, key) to the index and the member table, reporting
-// whether the index took it (it rejects an empty key). key is kept, not
-// copied, as it always was.
+// whether the door and the index took it: a restored key of another
+// length is refused here. key is kept, not copied, as it always was.
 func (ki *keyIndex) insert(id ID, key vec.Vector) bool {
+	if ki.admit(key, true) != nil {
+		return false
+	}
 	ki.mu.Lock()
 	defer ki.mu.Unlock()
 	if err := ki.idx.Insert(index.ID(id), key); err != nil {

@@ -48,12 +48,11 @@ type HNSW struct {
 	ids      []ID
 	levels   []int8 // vacant when negative
 	deleted  []bool // tombstoned: still routes, is never reported
-	// rows holds slot s's key at rows[s*width:][:width], where width is
-	// the first key's length. A key of another length (odd counts them)
-	// is scored from its clone. Empty under a PQ store.
-	rows  []float64
+	// width is every key's length, the first key's: Insert refuses any
+	// other, and a query of another length finds nothing. rows holds slot
+	// s's key at rows[s*width:][:width]; it is empty under a PQ store.
 	width int
-	odd   int
+	rows  []float64
 	// links0 holds slot s's layer-0 links at links0[s*stride:]: their
 	// count, then room for 2M+1 slots, one more than a list may keep, for
 	// the entry addLink appends before it trims.
@@ -242,7 +241,6 @@ type hnswScorer struct {
 	ids    []ID
 	rows   []float64
 	width  int
-	nodes  []hnswNode // nil unless some key is not a row
 	metric vec.Metric
 	q      vec.Vector
 	byID   func(ID) float64
@@ -250,9 +248,6 @@ type hnswScorer struct {
 
 func (h *HNSW) scorer(q vec.Vector) hnswScorer {
 	s := hnswScorer{levels: h.levels, ids: h.ids, rows: h.rows, width: h.width, metric: h.metric, q: q}
-	if h.odd > 0 {
-		s.nodes = h.nodes
-	}
 	if h.pq != nil {
 		s.byID = h.pq.scorer(q)
 	}
@@ -267,16 +262,19 @@ func (s *hnswScorer) at(slot int32) float64 {
 		return math.Inf(1)
 	case s.byID != nil:
 		return s.byID(s.ids[slot])
-	case s.nodes != nil && len(s.nodes[slot].vec) != s.width:
-		return s.metric.Distance(s.q, s.nodes[slot].vec)
 	}
 	return s.metric.Distance(s.q, s.rows[int(slot)*s.width:][:s.width])
 }
 
 // Insert implements Index.
 func (h *HNSW) Insert(id ID, key vec.Vector) error {
-	if len(key) == 0 {
+	switch {
+	case len(key) == 0:
 		return ErrEmptyKey
+	case h.width == 0:
+		h.width = len(key)
+	case len(key) != h.width:
+		return vec.ErrDimensionMismatch
 	}
 	if s, ok := h.lookup(id); ok && !h.deleted[s] {
 		h.Remove(id)
@@ -288,21 +286,13 @@ func (h *HNSW) Insert(id ID, key vec.Vector) error {
 	}
 	h.repairSome()
 	key = key.Clone()
-	if h.pq == nil && h.width == 0 {
-		h.width = len(key)
-	}
 	s := h.occupy(id)
 	if h.pq != nil {
 		h.pq.add(id, key)
 	} else {
 		h.nodes[s].vec = key
-		h.keyBytes += int64(8 * len(key))
-		if len(key) == h.width {
-			copy(h.rows[int(s)*h.width:], key)
-			h.keyBytes += int64(8 * len(key))
-		} else {
-			h.odd++
-		}
+		copy(h.rows[int(s)*h.width:], key)
+		h.keyBytes += 2 * int64(8*len(key)) // the clone and the row
 	}
 	level := h.randomLevel()
 	h.levels[s] = int8(level)
@@ -359,7 +349,9 @@ func (h *HNSW) occupy(id ID) int32 {
 			h.ids = extend(h.ids, 1)
 			h.levels = extend(h.levels, 1)
 			h.deleted = extend(h.deleted, 1)
-			h.rows = extend(h.rows, h.width)
+			if h.pq == nil {
+				h.rows = extend(h.rows, h.width)
+			}
 			h.links0 = extend(h.links0, h.stride)
 			h.levels[s] = vacant
 		}
@@ -673,12 +665,7 @@ func (h *HNSW) relink(s int32) {
 	if h.pq != nil {
 		h.pq.remove(h.ids[s])
 	} else {
-		h.keyBytes -= int64(8 * len(n.vec))
-		if len(n.vec) == h.width {
-			h.keyBytes -= int64(8 * len(n.vec))
-		} else {
-			h.odd--
-		}
+		h.keyBytes -= 2 * int64(8*len(n.vec))
 	}
 	h.links0[int(s)*h.stride] = 0
 	n.vec, n.upper = nil, nil
@@ -703,7 +690,7 @@ func (h *HNSW) Nearest(key vec.Vector) (Neighbor, bool) {
 
 // NearestProbed implements Index.
 func (h *HNSW) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
-	if h.live == 0 {
+	if h.live == 0 || len(key) != h.width {
 		return Neighbor{}, 0, false
 	}
 	sc := h.get()
@@ -724,7 +711,7 @@ func (h *HNSW) KNearest(key vec.Vector, k int) []Neighbor {
 // KNearestProbed implements Index: probes count the nodes
 // scored by the descent plus the layer-0 expansion.
 func (h *HNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
-	if k <= 0 || h.live == 0 {
+	if k <= 0 || h.live == 0 || len(key) != h.width {
 		return nil, 0
 	}
 	sc := h.get()
@@ -776,7 +763,7 @@ func (h *HNSW) answer(sc *scratch, key vec.Vector, k int) []Neighbor {
 // layer-0 expansion (grown while the frontier keeps finding in-radius
 // nodes), re-ranked exactly so no out-of-radius result is ever invented.
 func (h *HNSW) Radius(key vec.Vector, r float64) []Neighbor {
-	if h.live == 0 {
+	if h.live == 0 || len(key) != h.width {
 		return nil
 	}
 	sc := h.get()

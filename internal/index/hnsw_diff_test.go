@@ -16,10 +16,12 @@ import (
 // two must hold the same graph and give the same answer: identical ids,
 // bit-identical distances, identical probe counts.
 func TestHNSWMatchesOracle(t *testing.T) {
+	// Short mode runs fewer seeds, not shorter streams: at 600 ops the
+	// default-config seed never brings an id back to its dangling slot.
 	ops := 2000
 	seeds := 8
 	if testing.Short() {
-		ops, seeds = 600, 2
+		seeds = 2
 	}
 	for _, kind := range []Kind{KindHNSW, KindHNSWPQ} {
 		for _, efs := range []int{16, 64, 512} {
@@ -31,20 +33,6 @@ func TestHNSWMatchesOracle(t *testing.T) {
 				})
 			}
 		}
-	}
-	// Keys of another length than the first are kept off the rows and
-	// scored from their clones.
-	for seed := 1; seed <= 2; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("hnsw/mixed/seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			d := newDiffRun(t, KindHNSW, 64, int64(seed))
-			d.mixed = true
-			d.run(ops)
-			if d.got.odd == 0 {
-				t.Error("no key of another length was live at the end")
-			}
-		})
 	}
 }
 
@@ -64,7 +52,6 @@ type diffRun struct {
 	// and an id going back into its own vacant, still-referenced slot.
 	tenant             map[int32]ID
 	recycled, returned bool
-	mixed              bool // a tenth of the keys and queries are half as long
 }
 
 const diffDim = 8
@@ -106,11 +93,7 @@ func (d *diffRun) point() vec.Vector {
 		return d.ref[d.live[d.rng.Intn(len(d.live))]].Clone()
 	}
 	c := d.centres[d.rng.Intn(len(d.centres))]
-	dim := diffDim
-	if d.mixed && d.rng.Intn(10) == 0 {
-		dim /= 2
-	}
-	v := make(vec.Vector, dim)
+	v := make(vec.Vector, diffDim)
 	for j := range v {
 		v[j] = c[j] + d.rng.NormFloat64()
 	}
@@ -262,15 +245,10 @@ func (d *diffRun) sameGraph() error {
 	if err := checkHNSW(g); err != nil {
 		return err
 	}
-	// A flat store keeps a key twice: its clone, and for a key of the
-	// row width its row.
+	// A flat store keeps a key twice: its clone and its row.
 	wantBytes := w.store.keyBytes()
 	if g.pq == nil {
-		for s, n := range g.nodes {
-			if g.levels[s] >= 0 && len(n.vec) == g.width {
-				wantBytes += int64(8 * g.width)
-			}
-		}
+		wantBytes *= 2
 	}
 	if g.KeyBytes() != wantBytes {
 		return fmt.Errorf("KeyBytes = %d, oracle %d plus rows = %d", g.KeyBytes(), w.store.keyBytes(), wantBytes)
@@ -317,20 +295,20 @@ func (d *diffRun) sameGraph() error {
 }
 
 // checkHNSW checks the node table's invariants that hold whatever the
-// graph: the per-slot columns and the flat arrays span the table, every
-// occupied flat-store row equals its node's clone bit for bit, no
-// layer-0 count exceeds the stride's room, a vacant slot holds no node
-// state and no links, and a free slot is vacant and unreferenced.
+// graph: the per-slot columns and the flat arrays span the table (a PQ
+// store keeps no rows), every occupied flat-store row equals its node's
+// clone bit for bit, no layer-0 count exceeds the stride's room, a vacant
+// slot holds no node state and no links, and a free slot is vacant and
+// unreferenced.
 func checkHNSW(g *HNSW) error {
-	n := len(g.nodes)
-	if len(g.ids) != n || len(g.levels) != n || len(g.deleted) != n || len(g.rows) != n*g.width || len(g.links0) != n*g.stride {
+	n, rowWidth := len(g.nodes), g.width
+	if g.pq != nil {
+		rowWidth = 0
+	}
+	if len(g.ids) != n || len(g.levels) != n || len(g.deleted) != n || len(g.rows) != n*rowWidth || len(g.links0) != n*g.stride {
 		return fmt.Errorf("%d slots, but columns of %d ids, %d levels, %d flags, %d row values (width %d), %d link words (stride %d)",
-			n, len(g.ids), len(g.levels), len(g.deleted), len(g.rows), g.width, len(g.links0), g.stride)
+			n, len(g.ids), len(g.levels), len(g.deleted), len(g.rows), rowWidth, len(g.links0), g.stride)
 	}
-	if g.pq != nil && g.width != 0 {
-		return fmt.Errorf("a PQ store keeps rows of width %d", g.width)
-	}
-	odd := 0
 	for s, node := range g.nodes {
 		count := g.links0[s*g.stride]
 		if count < 0 || int(count) > 2*g.cfg.M+1 {
@@ -348,16 +326,9 @@ func checkHNSW(g *HNSW) error {
 		if g.pq != nil {
 			continue
 		}
-		if len(node.vec) != g.width {
-			odd++
-			continue
-		}
 		if row := g.rows[s*g.width:][:g.width]; !sameBits(row, node.vec) {
 			return fmt.Errorf("slot %d's row %v is not its key %v", s, row, node.vec)
 		}
-	}
-	if odd != g.odd {
-		return fmt.Errorf("%d keys are not rows, odd counts %d", odd, g.odd)
 	}
 	for _, s := range g.free {
 		if g.levels[s] >= 0 || g.nodes[s].refs != 0 {

@@ -136,7 +136,11 @@ type Options struct {
 // New constructs an index of the given kind using metric m and default
 // tuning. Dim is the declared key dimensionality; no kind allocates from
 // it (each learns the dimension from its first insert), so a declared
-// size costs nothing until keys arrive.
+// size costs nothing until keys arrive. Every key of one index has one
+// length: core checks it at its door, the k-d tree, HNSW, IVF, their PQ
+// variants and LSH refuse a key of another length with
+// vec.ErrDimensionMismatch and find nothing for a query of one, and the
+// other kinds rank such a key at +Inf, as the metrics do.
 func New(kind Kind, m vec.Metric, dim int) (Index, error) {
 	return NewWithOptions(kind, m, dim, Options{})
 }

@@ -43,7 +43,7 @@ type IVF struct {
 	// any member (stale after removals — still a valid upper bound).
 	cellRadius []float64
 	cellOf     map[ID]int
-	dim        int
+	dim        int  // every key's length, the first key's; Insert refuses any other
 	triangle   bool // metric satisfies the triangle inequality
 }
 
@@ -128,15 +128,17 @@ func (iv *IVF) KeyBytes() int64 { return iv.store.keyBytes() }
 
 // Insert implements Index.
 func (iv *IVF) Insert(id ID, key vec.Vector) error {
-	if len(key) == 0 {
+	switch {
+	case len(key) == 0:
 		return ErrEmptyKey
+	case iv.dim == 0:
+		iv.dim = len(key)
+	case len(key) != iv.dim:
+		return vec.ErrDimensionMismatch
 	}
 	iv.Remove(id)
 	key = key.Clone()
 	iv.store.add(id, key)
-	if iv.dim == 0 {
-		iv.dim = len(key)
-	}
 	if iv.centroids == nil {
 		iv.pending[id] = struct{}{}
 		iv.order = append(iv.order, id)
@@ -171,12 +173,10 @@ func (iv *IVF) train() {
 	samples := make([]vec.Vector, 0, len(iv.order))
 	ids := make([]ID, 0, len(iv.order))
 	for _, id := range iv.order {
-		v, ok := iv.store.exact(id)
-		if !ok || len(v) != iv.dim {
-			continue
+		if v, ok := iv.store.exact(id); ok {
+			samples = append(samples, v)
+			ids = append(ids, id)
 		}
-		samples = append(samples, v)
-		ids = append(ids, id)
 	}
 	if len(samples) == 0 {
 		return
@@ -190,20 +190,6 @@ func (iv *IVF) train() {
 	iv.cellRadius = make([]float64, len(iv.centroids))
 	for i, id := range ids {
 		iv.assign(id, samples[i])
-	}
-	// Entries whose dimensionality differs from the trained space cannot
-	// be assigned by distance; they join cell 0 with an unbounded radius
-	// so every radius query still reaches them.
-	for _, id := range iv.order {
-		if _, ok := iv.cellOf[id]; ok {
-			continue
-		}
-		if _, ok := iv.pending[id]; !ok {
-			continue
-		}
-		iv.cells[0] = append(iv.cells[0], id)
-		iv.cellOf[id] = 0
-		iv.cellRadius[0] = math.Inf(1)
 	}
 	iv.pending = make(map[ID]struct{})
 	iv.order = nil
@@ -317,7 +303,7 @@ func (iv *IVF) Nearest(key vec.Vector) (Neighbor, bool) {
 
 // NearestProbed implements Index.
 func (iv *IVF) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
-	if iv.Len() == 0 {
+	if iv.Len() == 0 || len(key) != iv.dim {
 		return Neighbor{}, 0, false
 	}
 	sc := iv.get()
@@ -340,7 +326,7 @@ func (iv *IVF) KNearest(key vec.Vector, k int) []Neighbor {
 // hold fewer than k entries the scan widens until k are found or every
 // cell has been read, so small or skewed indexes never return short.
 func (iv *IVF) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
-	if k <= 0 || iv.Len() == 0 {
+	if k <= 0 || iv.Len() == 0 || len(key) != iv.dim {
 		return nil, 0
 	}
 	sc := iv.get()
@@ -390,7 +376,7 @@ func (iv *IVF) query(sc *scratch, key vec.Vector, k int) ([]Neighbor, int) {
 // Distances are re-ranked exactly before the radius cut, so no
 // out-of-radius result is ever returned.
 func (iv *IVF) Radius(key vec.Vector, r float64) []Neighbor {
-	if iv.Len() == 0 {
+	if iv.Len() == 0 || len(key) != iv.dim {
 		return nil
 	}
 	visited := 0

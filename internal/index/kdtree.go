@@ -36,24 +36,21 @@ import (
 // Rows are overwritten in place by Remove and by rebuilds, which run once
 // the cache's read lock is released, so a row never backs Neighbor.Key: a
 // neighbour's key is the clone Insert took of it, immutable from then on.
-// A key whose length differs from the tree's row width (the length of
-// the first key inserted into an empty tree) is kept off the tree in a
-// list that every search of another length scans. The metrics put keys
-// of different lengths at +Inf from each other, so a search of the row
-// width skips that list and any other search skips the rows.
+// Every key has the row width, the length of the first key inserted into
+// an empty tree: Insert refuses any other, and a search of another length
+// finds nothing.
 type KDTree struct {
 	probeCounter
 	metric vec.Metric
 	norm   kdNorm
-	width  int // row width: the length of every key kept in a leaf
+	width  int // row width: the length of every key
 
 	nodes  []kdNode
 	boxes  []float64 // node i's box: width lows, then width highs, at boxes[2*width*i:]
 	leaves []kdLeaf
-	free   []int32   // leaves for build to take: an overflowed leaf's, or all during a rebuild
-	odd    []kdEntry // entries whose key length is not width
+	free   []int32 // leaves for build to take: an overflowed leaf's, or all during a rebuild
 	where  map[ID]kdSlot
-	size   int // live entries, odd ones included
+	size   int // live entries
 	muts   int // Inserts and Removes since the last build
 }
 
@@ -77,8 +74,7 @@ type kdLeaf struct {
 	keys []vec.Vector // the clone Neighbor.Key hands out for each row
 }
 
-// kdSlot is where an entry lives: row of leaf node, or odd[row] when
-// node is -1.
+// kdSlot is where an entry lives: row of leaf node.
 type kdSlot struct{ node, row int32 }
 
 type kdEntry struct {
@@ -111,23 +107,19 @@ func NewKDTree(m vec.Metric) *KDTree {
 }
 
 // Insert implements Index. Empty keys are rejected: there is no axis to
-// split them on.
+// split them on. So is a key of another length than the tree's rows.
 func (t *KDTree) Insert(id ID, key vec.Vector) error {
-	if len(key) == 0 {
+	switch {
+	case len(key) == 0:
 		return ErrEmptyKey
+	case t.size == 0:
+		t.width = len(key) // the last Remove rebuilt the tree to nothing
+	case len(key) != t.width:
+		return vec.ErrDimensionMismatch
 	}
 	t.Remove(id)
-	if t.size == 0 {
-		t.width = len(key) // the last Remove rebuilt the tree to nothing
-	}
-	e := kdEntry{id, key.Clone()}
 	t.size++
-	if len(key) != t.width {
-		t.where[id] = kdSlot{-1, int32(len(t.odd))}
-		t.odd = append(t.odd, e)
-	} else {
-		t.add(e)
-	}
+	t.add(kdEntry{id, key.Clone()})
 	t.mutated()
 	return nil
 }
@@ -180,26 +172,16 @@ func (t *KDTree) Remove(id ID) {
 	}
 	delete(t.where, id)
 	t.size--
-	if s.node < 0 {
-		last := len(t.odd) - 1
-		if int(s.row) != last {
-			t.odd[s.row] = t.odd[last]
-			t.where[t.odd[s.row].id] = s
-		}
-		t.odd[last] = kdEntry{}
-		t.odd = t.odd[:last]
-	} else {
-		l := &t.leaves[t.nodes[s.node].left]
-		last := len(l.ids) - 1
-		if int(s.row) != last {
-			w := t.width
-			copy(l.rows[int(s.row)*w:][:w], l.rows[last*w:])
-			l.ids[s.row], l.keys[s.row] = l.ids[last], l.keys[last]
-			t.where[l.ids[s.row]] = s
-		}
-		l.keys[last] = nil
-		l.rows, l.ids, l.keys = l.rows[:last*t.width], l.ids[:last], l.keys[:last]
+	l := &t.leaves[t.nodes[s.node].left]
+	last := len(l.ids) - 1
+	if int(s.row) != last {
+		w := t.width
+		copy(l.rows[int(s.row)*w:][:w], l.rows[last*w:])
+		l.ids[s.row], l.keys[s.row] = l.ids[last], l.keys[last]
+		t.where[l.ids[s.row]] = s
 	}
+	l.keys[last] = nil
+	l.rows, l.ids, l.keys = l.rows[:last*t.width], l.ids[:last], l.keys[:last]
 	t.mutated()
 }
 
@@ -216,7 +198,7 @@ func (t *KDTree) mutated() {
 func (t *KDTree) rebuild() {
 	var es []kdEntry
 	if len(t.nodes) > 0 {
-		es = t.collect(0, make([]kdEntry, 0, t.size-len(t.odd)))
+		es = t.collect(0, make([]kdEntry, 0, t.size))
 	}
 	// Every leaf is free for the build to take, lowest first; the ones it
 	// leaves are dropped.
@@ -373,18 +355,11 @@ func (t *KDTree) Nearest(key vec.Vector) (Neighbor, bool) {
 // NearestProbed implements Index. The answer is the entry with
 // the least (distance, id), ignoring entries at +Inf.
 func (t *KDTree) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
-	if t.size == 0 {
+	if t.size == 0 || len(key) != t.width {
 		return Neighbor{}, 0, false
 	}
 	q := nnQuery{t: t, key: key, best: math.Inf(1)}
-	if len(key) != t.width {
-		for i, e := range t.odd {
-			q.consider(q.dist(e.key), e.id, ^int32(i))
-		}
-		q.evals = len(t.odd)
-	} else if len(t.nodes) > 0 {
-		q.walk(0)
-	}
+	q.walk(0)
 	t.countQuery(q.evals)
 	if math.IsInf(q.best, 1) {
 		return Neighbor{Dist: q.best}, q.evals, true
@@ -418,13 +393,6 @@ type nnQuery struct {
 	bestID ID
 	at     int32 // the best entry's slot, as in search
 	evals  int
-}
-
-func (q *nnQuery) dist(key vec.Vector) float64 {
-	if q.t.norm == kdL2 {
-		return vec.SquaredEuclidean(q.key, key)
-	}
-	return q.t.metric.Distance(q.key, key)
 }
 
 func (q *nnQuery) consider(d float64, id ID, slot int32) {
@@ -550,21 +518,17 @@ type kdQuery struct {
 }
 
 // search runs a kdQuery and returns what it kept, closest first. A slot
-// names a row as leaf*kdLeafSize+row, an odd entry i as ^i.
+// names a row as leaf*kdLeafSize+row. A key of another length than the
+// rows keeps nothing.
 func (t *KDTree) search(key vec.Vector, k int, r float64) ([]scored, int) {
 	q := kdQuery{t: t, key: key, k: k, r: r, found: distHeap{ids: t, max: true}}
-	if len(t.nodes) > 0 {
+	if len(t.nodes) > 0 && len(key) == t.width {
 		q.walk(0)
 	}
-	for i, e := range t.odd {
-		q.offer(t.metric.Distance(key, e.key), ^int32(i))
-	}
-	q.evals += len(t.odd)
 	return q.found.sorted(), q.evals
 }
 
-// walk is nnQuery.walk with the limit of a kdQuery. A key of another
-// length than the rows visits every leaf.
+// walk is nnQuery.walk with the limit of a kdQuery.
 func (q *kdQuery) walk(i int32) {
 	t := q.t
 	n := t.nodes[i]
@@ -578,11 +542,6 @@ func (q *kdQuery) walk(i int32) {
 		return
 	}
 	near, far := n.left, n.right
-	if len(q.key) != t.width {
-		q.walk(near)
-		q.walk(far)
-		return
-	}
 	gap := q.key[n.axis] - n.split
 	if gap >= 0 {
 		near, far = far, near
@@ -615,17 +574,10 @@ func (q *kdQuery) offer(d float64, slot int32) {
 
 // idAt implements slotIDs over search's slots.
 func (t *KDTree) idAt(slot int32) ID {
-	if slot < 0 {
-		return t.odd[^slot].id
-	}
 	return t.leaves[slot/kdLeafSize].ids[slot%kdLeafSize]
 }
 
 func (t *KDTree) neighbor(x scored) Neighbor {
-	if x.slot < 0 {
-		e := &t.odd[^x.slot]
-		return Neighbor{ID: e.id, Key: e.key, Dist: x.dist}
-	}
 	l, r := &t.leaves[x.slot/kdLeafSize], x.slot%kdLeafSize
 	return Neighbor{ID: l.ids[r], Key: l.keys[r], Dist: x.dist}
 }

@@ -301,7 +301,7 @@ func (t *refKDTree) Radius(key vec.Vector, r float64) []Neighbor {
 }
 
 // checkKDTree verifies the bucketed tree's own invariants: every stored
-// id sits in exactly one row (or the odd list) where its slot says, each
+// id sits in exactly one row, where its slot says, each
 // row holds its entry's key bit for bit, every box contains every row
 // below it, every row lies on its side of each split above it, and Len
 // counts them all.
@@ -357,12 +357,6 @@ func checkKDTree(t *KDTree) error {
 			return err
 		}
 	}
-	for i, e := range t.odd {
-		if seen[e.id] || len(e.key) == t.width || t.where[e.id] != (kdSlot{-1, int32(i)}) {
-			return fmt.Errorf("odd entry %d (id %d, len %d) misplaced", i, e.id, len(e.key))
-		}
-		seen[e.id] = true
-	}
 	if len(seen) != t.size || len(t.where) != t.size || t.Len() != t.size {
 		return fmt.Errorf("%d entries stored, %d in where, Len %d", len(seen), len(t.where), t.Len())
 	}
@@ -397,44 +391,36 @@ func sameNeighbors(a, b []Neighbor) bool {
 // and forced rebuilds against the tree and the reference at once, with
 // coordinates on a coarse grid so that duplicate coordinates, duplicate
 // keys and exact distance ties are the common case rather than the
-// exception. A mixed stream draws a third of its keys, and of its
-// queries, at another length.
+// exception.
 type kdStream struct {
-	t     *testing.T
-	rng   *rand.Rand
-	dim   int
-	grid  int
-	mixed bool
-	tree  *KDTree
-	ref   *refKDTree
-	live  []ID
-	keys  map[ID]vec.Vector
-	next  ID
+	t    *testing.T
+	rng  *rand.Rand
+	dim  int
+	grid int
+	tree *KDTree
+	ref  *refKDTree
+	live []ID
+	keys map[ID]vec.Vector
+	next ID
 }
 
-func newKDStream(t *testing.T, m vec.Metric, dim, grid int, mixed bool, seed int64) *kdStream {
+func newKDStream(t *testing.T, m vec.Metric, dim, grid int, seed int64) *kdStream {
 	return &kdStream{
-		t: t, rng: rand.New(rand.NewSource(seed)), dim: dim, grid: grid, mixed: mixed,
+		t: t, rng: rand.New(rand.NewSource(seed)), dim: dim, grid: grid,
 		tree: NewKDTree(m), ref: newRefKDTree(m), keys: make(map[ID]vec.Vector),
 	}
 }
 
 func (s *kdStream) point() vec.Vector {
-	dim := s.dim
-	if s.mixed && s.rng.Intn(3) == 0 {
-		dim = 1 + s.dim/2
-	}
 	// Half the points reuse a stored key with a few coordinates moved:
 	// clusters, as the cache's keys are, and more ties.
-	v := make(vec.Vector, dim)
+	v := make(vec.Vector, s.dim)
 	if len(s.live) > 0 && s.rng.Intn(2) == 0 {
-		if k := s.keys[s.live[s.rng.Intn(len(s.live))]]; len(k) == dim {
-			copy(v, k)
-			for i := 0; i < 1+dim/8; i++ {
-				v[s.rng.Intn(dim)] = float64(s.rng.Intn(s.grid))
-			}
-			return v
+		copy(v, s.keys[s.live[s.rng.Intn(len(s.live))]])
+		for i := 0; i < 1+s.dim/8; i++ {
+			v[s.rng.Intn(s.dim)] = float64(s.rng.Intn(s.grid))
 		}
+		return v
 	}
 	for i := range v {
 		v[i] = float64(s.rng.Intn(s.grid))
@@ -537,30 +523,28 @@ func (s *kdStream) check(op string, n int) {
 // TestKDTreeMatchesSingleAxisSearch replays seeded streams against the
 // reference tree's single-axis searches after every operation: Euclidean
 // at dims 1 to 768, Manhattan and Chebyshev, whose boxes bound their own
-// metric, and a stream mixing key lengths.
+// metric. Every key of a tree has one length (core refuses any other at
+// its door), so no stream mixes lengths.
 func TestKDTreeMatchesSingleAxisSearch(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		metric         vec.Metric
 		dim, grid, ops int
-		mixed          bool
 	}{
-		{"dim1", vec.EuclideanMetric{}, 1, 6, 1500, false},
-		{"dim2", vec.EuclideanMetric{}, 2, 4, 1500, false},
-		{"dim3", vec.EuclideanMetric{}, 3, 3, 1500, false},
-		{"dim16", vec.EuclideanMetric{}, 16, 3, 1500, false},
-		{"dim64", vec.EuclideanMetric{}, 64, 2, 600, false},
-		{"dim768", vec.EuclideanMetric{}, 768, 2, 150, false},
-		{"manhattan", vec.ManhattanMetric{}, 4, 3, 1500, false},
-		{"chebyshev", vec.ChebyshevMetric{}, 4, 3, 1500, false},
-		{"cosine", vec.CosineMetric{}, 3, 3, 600, false},
-		{"mixed", vec.EuclideanMetric{}, 4, 3, 1500, true},
-		{"mixed-manhattan", vec.ManhattanMetric{}, 4, 3, 1000, true},
+		{"dim1", vec.EuclideanMetric{}, 1, 6, 1500},
+		{"dim2", vec.EuclideanMetric{}, 2, 4, 1500},
+		{"dim3", vec.EuclideanMetric{}, 3, 3, 1500},
+		{"dim16", vec.EuclideanMetric{}, 16, 3, 1500},
+		{"dim64", vec.EuclideanMetric{}, 64, 2, 600},
+		{"dim768", vec.EuclideanMetric{}, 768, 2, 150},
+		{"manhattan", vec.ManhattanMetric{}, 4, 3, 1500},
+		{"chebyshev", vec.ChebyshevMetric{}, 4, 3, 1500},
+		{"cosine", vec.CosineMetric{}, 3, 3, 600},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 8; seed++ {
-				s := newKDStream(t, tc.metric, tc.dim, tc.grid, tc.mixed, seed)
+				s := newKDStream(t, tc.metric, tc.dim, tc.grid, seed)
 				for n := 0; n < tc.ops; n++ {
 					s.check(s.step(), n)
 				}
@@ -573,7 +557,7 @@ func TestKDTreeMatchesSingleAxisSearch(t *testing.T) {
 // one axis must fail the invariant check, and the searches that trust it
 // must part from the reference.
 func TestKDTreeOracleCatchesShrunkenBox(t *testing.T) {
-	s := newKDStream(t, vec.EuclideanMetric{}, 4, 3, false, 1)
+	s := newKDStream(t, vec.EuclideanMetric{}, 4, 3, 1)
 	for s.tree.Len() < 400 {
 		s.step()
 	}

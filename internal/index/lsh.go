@@ -42,6 +42,9 @@ type LSH struct {
 	probeCounter
 	metric vec.Metric
 	cfg    LSHConfig
+	// dim is every key's length, the first key's: Insert refuses any
+	// other, and a query of another length finds nothing.
+	dim int
 	// projections[t][h] is one random direction plus offset, sized from
 	// the first inserted key (nil until then).
 	projections [][]projection
@@ -81,6 +84,7 @@ func NewLSH(m vec.Metric, cfg LSHConfig) *LSH {
 }
 
 func (l *LSH) initProjections(dim int) {
+	l.dim = dim
 	rng := rand.New(rand.NewSource(l.cfg.Seed))
 	l.projections = make([][]projection, l.cfg.Tables)
 	for t := range l.projections {
@@ -101,12 +105,8 @@ func (l *LSH) bucketKey(table int, key vec.Vector) string {
 	buf := make([]byte, 0, len(hs)*4)
 	for _, p := range hs {
 		var dot float64
-		n := len(key)
-		if len(p.dir) < n {
-			n = len(p.dir)
-		}
-		for i := 0; i < n; i++ {
-			dot += key[i] * p.dir[i]
+		for i, x := range key {
+			dot += x * p.dir[i]
 		}
 		b := int32(math.Floor((dot + p.offset) / l.cfg.BucketWidth))
 		buf = append(buf, byte(b), byte(b>>8), byte(b>>16), byte(b>>24))
@@ -116,8 +116,11 @@ func (l *LSH) bucketKey(table int, key vec.Vector) string {
 
 // Insert implements Index.
 func (l *LSH) Insert(id ID, key vec.Vector) error {
-	if len(key) == 0 {
+	switch {
+	case len(key) == 0:
 		return ErrEmptyKey
+	case l.projections != nil && len(key) != l.dim:
+		return vec.ErrDimensionMismatch
 	}
 	if _, ok := l.keys[id]; ok {
 		l.Remove(id)
@@ -162,10 +165,11 @@ func (l *LSH) Remove(id ID) {
 	delete(l.keys, id)
 }
 
-// candidates gathers the ids sharing any bucket with key.
+// candidates gathers the ids sharing any bucket with key: none for a key
+// of another length.
 func (l *LSH) candidates(key vec.Vector) map[ID]struct{} {
 	out := make(map[ID]struct{})
-	if l.projections == nil {
+	if l.projections == nil || len(key) != l.dim {
 		return out
 	}
 	for t := range l.tables {
@@ -204,7 +208,7 @@ func (l *LSH) KNearest(key vec.Vector, k int) []Neighbor {
 
 // KNearestProbed implements Index.
 func (l *LSH) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
-	if k <= 0 || len(l.keys) == 0 {
+	if k <= 0 || len(l.keys) == 0 || len(key) != l.dim {
 		return nil, 0
 	}
 	cand := l.candidates(key)

@@ -393,9 +393,9 @@ func (f *flatStore) keyBytes() int64   { return f.bytes }
 // pqStore stores PQ codes for every entry plus uncompressed vectors for
 // re-ranking: all of them when self-contained, or only the KeepRecent
 // most recent when a KeyResolver supplies exact vectors externally.
-// Vectors whose dimensionality differs from the trained codec stay
-// uncompressed (the codec cannot encode them; metrics return +Inf across
-// dimensions anyway, so such entries are corner cases by construction).
+// Every vector has one length, the first one's: the index that owns the
+// store refuses any other before it gets here, and asks no query of
+// another length.
 type pqStore struct {
 	metric   vec.Metric
 	kind     adcKind
@@ -455,10 +455,6 @@ func (p *pqStore) add(id ID, v vec.Vector) {
 		}
 		return
 	}
-	if len(v) != p.dim {
-		p.addFull(id, v) // unencodable; kept exact
-		return
-	}
 	p.codes[id] = p.codec.encode(v)
 	if p.resolver == nil {
 		p.addFull(id, v)
@@ -481,12 +477,10 @@ func (p *pqStore) train() {
 	samples := make([]vec.Vector, 0, len(p.order))
 	ids := make([]ID, 0, len(p.order))
 	for _, id := range p.order {
-		v, ok := p.full[id]
-		if !ok || len(v) != p.dim {
-			continue
+		if v, ok := p.full[id]; ok {
+			samples = append(samples, v)
+			ids = append(ids, id)
 		}
-		samples = append(samples, v)
-		ids = append(ids, id)
 	}
 	if len(samples) == 0 {
 		return
@@ -525,9 +519,6 @@ func (p *pqStore) shrinkFull() {
 		if _, ok := keep[id]; ok {
 			continue
 		}
-		if _, encoded := p.codes[id]; !encoded {
-			continue // unencodable vectors must stay exact
-		}
 		p.fullB -= int64(8 * len(v))
 		delete(p.full, id)
 	}
@@ -563,7 +554,7 @@ func (p *pqStore) exact(id ID) (vec.Vector, bool) {
 }
 
 func (p *pqStore) scorer(q vec.Vector) func(id ID) float64 {
-	if !p.trained || len(q) != p.dim {
+	if !p.trained {
 		return func(id ID) float64 {
 			v, ok := p.exact(id)
 			if !ok {

@@ -159,30 +159,3 @@ func TestPQStoreUntrainedIsExact(t *testing.T) {
 		}
 	}
 }
-
-// TestPQStoreMixedDimensionSafety: vectors whose dimensionality differs
-// from the trained codec stay exact and retrievable.
-func TestPQStoreMixedDimensionSafety(t *testing.T) {
-	st := newPQStore(vec.EuclideanMetric{}, PQConfig{TrainSize: 64})
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 64; i++ {
-		st.add(ID(i), randomVec(rng, 8).Clone())
-	}
-	if !st.trained {
-		t.Fatal("store did not train at TrainSize")
-	}
-	odd := vec.Vector{1, 2, 3}
-	st.add(ID(999), odd.Clone())
-	got, ok := st.exact(ID(999))
-	if !ok || len(got) != 3 || got[0] != 1 {
-		t.Fatalf("mixed-dim vector lost: %v ok=%v", got, ok)
-	}
-	score := st.scorer(randomVec(rng, 8))
-	if d := score(ID(999)); !math.IsInf(d, 1) {
-		t.Fatalf("cross-dimension distance = %v, want +Inf", d)
-	}
-	st.remove(ID(999))
-	if _, ok := st.exact(ID(999)); ok {
-		t.Fatal("removed mixed-dim vector still present")
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,9 +15,101 @@ import (
 	"repro/internal/vec"
 )
 
+// allocBound is FuzzDecodeSnapshot's: decoding n bytes may allocate 32n,
+// which covers the densest legal input (an empty string or vector is 4
+// bytes on the wire and a 16- or 24-byte header in memory), plus 64 KiB
+// of slack for whatever else the process allocates meanwhile.
+func allocBound(n int) uint64 { return uint64(32*n + 64<<10) }
+
+// allocated returns how many bytes run allocated.
+func allocated(run func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// checkDecodeAllocs decodes payload the way the server does, a batch's
+// sub-operations included, within allocBound.
+func checkDecodeAllocs(t *testing.T, payload []byte) {
+	t.Helper()
+	var r Request
+	names := make(nameTable)
+	got := allocated(func() {
+		if decodeRequest(&r, payload, names) != nil {
+			return
+		}
+		switch r.Type {
+		case MsgMultiLookup:
+			decodeLookupSubs(nil, r.Value, names)
+		case MsgMultiPut:
+			decodePutSubs(nil, r.Value, names)
+		}
+	})
+	if limit := allocBound(len(payload)); got > limit {
+		t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(payload), got, limit)
+	}
+}
+
+// TestDecodeBoundsCountsByBytesLeft: a request's key-map and key-type
+// counts, and a batch put's key-map counts, size their map or list before
+// a byte of it is read, so each must be bounded by what the bytes left
+// can hold. A 1 MiB frame claiming half a million elements is refused
+// within the fuzzers' allocation bound; bounded by the frame's whole
+// length instead, the key-type list alone would take 56 times the frame.
+func TestDecodeBoundsCountsByBytesLeft(t *testing.T) {
+	const size = 1 << 20
+	count := func(head []byte, n uint32) []byte {
+		buf := binary.BigEndian.AppendUint32(head, n)
+		return append(buf, make([]byte, size-len(buf))...)
+	}
+	envelope := []byte{byte(MsgRegister)}
+	for i := 0; i < 4; i++ { // empty App, Function, KeyType, Key
+		envelope = binary.BigEndian.AppendUint32(envelope, 0)
+	}
+	keyMap := count(append([]byte(nil), envelope...), size/2)
+	keyTypes := count(binary.BigEndian.AppendUint32(append([]byte(nil), envelope...), 0), size/2)
+	// One put sub: its length, an empty function name, then the key-map
+	// count.
+	sub := binary.BigEndian.AppendUint32(nil, 1)
+	sub = binary.BigEndian.AppendUint32(sub, size-8)
+	sub = binary.BigEndian.AppendUint32(sub, 0)
+	subKeyMap := count(sub, size/2)
+	for name, payload := range map[string][]byte{"key map": keyMap, "key-type list": keyTypes} {
+		if err := decodeRequest(new(Request), payload, nil); err == nil {
+			t.Errorf("%s: a count of %d in %d bytes decoded", name, size/2, size)
+		}
+		checkDecodeAllocs(t, payload)
+	}
+	var err error
+	got := allocated(func() { _, err = decodePutSubs(nil, subKeyMap, nil) })
+	if err == nil {
+		t.Errorf("sub key map: a count of %d in %d bytes decoded", size/2, size)
+	}
+	if limit := allocBound(size); got > limit {
+		t.Errorf("sub key map: decoding %d bytes allocated %d (limit %d)", size, got, limit)
+	}
+}
+
+// TestMaxKeyDimFitsAFrame: a key of core's largest declarable length
+// travels in a lookup and in a put, each one frame.
+func TestMaxKeyDimFitsAFrame(t *testing.T) {
+	key := make(vec.Vector, core.MaxKeyDim)
+	for _, r := range []*Request{
+		{Type: MsgLookup, App: "a", Function: "f", KeyType: "k", Key: key},
+		{Type: MsgPut, App: "a", Function: "f", Keys: map[string]vec.Vector{"k": key}, Value: make([]byte, 1<<10)},
+	} {
+		if _, err := AppendRequest(nil, r); err != nil {
+			t.Errorf("%v of a %d-length key: %v", r.Type, core.MaxKeyDim, err)
+		}
+	}
+}
+
 // FuzzDecodeRequest hardens the wire decoder against arbitrary bytes:
-// it must never panic, and anything it accepts must re-encode and
-// re-decode to the same structure (decode∘encode idempotence).
+// it must never panic nor allocate out of proportion to its input, and
+// anything it accepts must re-encode and re-decode to the same structure
+// (decode∘encode idempotence).
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(EncodeRequest(&Request{Type: MsgLookup, Function: "f", KeyType: "k", Key: vec.Vector{1, 2}}))
 	f.Add(EncodeRequest(&Request{
@@ -43,6 +136,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(hostileVectorFrame(0x20000001)) // 8*n overflows int32
 	f.Add(hostileVectorFrame(0xFFFFFFFF))
 	f.Add(hostileMapCountFrame(0xFFFFFFFF))
+	f.Add(hostileMapCountFrame(64))
+	// A register frame claiming more key types than its bytes hold.
+	f.Add(binary.BigEndian.AppendUint32(hostileMapCountFrame(0)[:21], 4096))
 	// Batch envelopes ride through DecodeRequest as opaque Value bytes;
 	// seed one so the fuzzer explores the envelope path too.
 	f.Add(EncodeRequest(&Request{
@@ -50,6 +146,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		Value: EncodeLookupSubs([]LookupSub{{Function: "f", KeyType: "k", Key: vec.Vector{1}}}),
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeAllocs(t, data)
 		req, err := DecodeRequest(data)
 		if err != nil {
 			return
@@ -147,6 +244,7 @@ func frame(payload []byte) []byte {
 // one frame to a read. That delivery never has a second request buffered,
 // so it is the loop with nothing coalesced: the reference for what
 // bursts, split headers and frames straddling two reads may not change.
+// Decoding each frame stays within FuzzDecodeRequest's allocation bound.
 func FuzzServerStream(f *testing.F) {
 	seeds := [][]byte{
 		frame(EncodeRequest(&Request{
@@ -186,10 +284,34 @@ func FuzzServerStream(f *testing.F) {
 		})})),
 		frame(EncodeRequest(&Request{Type: MsgPut, App: "a", Function: "f", Keys: key, Value: []byte("v")})),
 	}, nil)
-	for i, seed := range append(seeds, burst, reuse) {
+	// Registrations the cache refuses: a declared length past
+	// core.MaxKeyDim, and one key type more than core.MaxKeyTypes; then a
+	// put and a lookup of keys of two lengths on a key type of length 2.
+	refused := bytes.Join([][]byte{
+		frame(EncodeRequest(&Request{
+			Type: MsgRegister, Function: "g",
+			KeyTypes: []KeyTypeDef{{Name: "big", Dim: core.MaxKeyDim + 1}},
+		})),
+		frame(EncodeRequest(&Request{
+			Type: MsgRegister, Function: "g",
+			KeyTypes: make([]KeyTypeDef, core.MaxKeyTypes+1),
+		})),
+		frame(EncodeRequest(&Request{
+			Type: MsgRegister, Function: "f",
+			KeyTypes: []KeyTypeDef{{Name: "k", Dim: 2}},
+		})),
+		frame(EncodeRequest(&Request{Type: MsgPut, App: "a", Function: "f", Keys: map[string]vec.Vector{"k": {1, 2, 3}}, Value: []byte("v")})),
+		frame(EncodeRequest(&Request{Type: MsgLookup, App: "a", Function: "f", KeyType: "k", Key: vec.Vector{1}})),
+	}, nil)
+	for i, seed := range append(seeds, burst, reuse, refused) {
 		f.Add(seed, uint64(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {
+		for _, chunk := range frameChunks(data) {
+			if n := len(chunk) - 4; n >= 0 && uint64(n) == uint64(binary.BigEndian.Uint32(chunk)) {
+				checkDecodeAllocs(t, chunk[4:])
+			}
+		}
 		want := serveScript(t, frameChunks(data))
 		got := serveScript(t, randomChunks(data, cuts))
 		if len(got) != len(want) {

@@ -441,6 +441,14 @@ func sortedKeys(m map[string]vec.Vector) []namedKey {
 	return out
 }
 
+// The least bytes one element of a request's key map (a name and a
+// vector, each behind a u32 length) and of its key-type list (three
+// strings and a u32 Dim) encode in.
+const (
+	minKeyEntry   = 4 + 4
+	minKeyTypeDef = 3*4 + 4
+)
+
 // DecodeRequest parses a request payload.
 func DecodeRequest(buf []byte) (*Request, error) {
 	r := new(Request)
@@ -464,10 +472,12 @@ func decodeRequest(r *Request, buf []byte, names nameTable) error {
 	r.Function = d.str()
 	r.KeyType = d.str()
 	r.Key = d.vectorInto(r.Key)
+	// A count is bounded by what the rest of the payload can hold at the
+	// least bytes one element encodes in, compared in uint64 so a hostile
+	// count cannot wrap on 32-bit platforms: the map and list are sized by
+	// it before a byte of them is read.
 	if n := d.u32(); n > 0 {
-		// Each entry takes ≥ 8 bytes; cheap sanity bound, compared in
-		// uint64 so a hostile count cannot wrap on 32-bit platforms.
-		if uint64(n) > uint64(len(buf)) {
+		if uint64(n)*minKeyEntry > uint64(d.remaining()) {
 			return errors.New("service: corrupt key map length")
 		}
 		r.Keys = make(map[string]vec.Vector, n)
@@ -477,7 +487,7 @@ func decodeRequest(r *Request, buf []byte, names nameTable) error {
 		}
 	}
 	if n := d.u32(); n > 0 {
-		if uint64(n) > uint64(len(buf)) {
+		if uint64(n)*minKeyTypeDef > uint64(d.remaining()) {
 			return errors.New("service: corrupt key type list length")
 		}
 		r.KeyTypes = make([]KeyTypeDef, 0, n)
@@ -800,7 +810,7 @@ func decodePutSubs(dst []PutSub, buf []byte, names nameTable) ([]PutSub, error) 
 		sd := decoder{buf: d.sub(), names: names}
 		s := PutSub{Function: sd.str()}
 		if kn := sd.u32(); kn > 0 && sd.err == nil {
-			if uint64(kn) > uint64(sd.remaining()) {
+			if uint64(kn)*minKeyEntry > uint64(sd.remaining()) {
 				return nil, errors.New("service: corrupt sub key map length")
 			}
 			s.Keys = make(map[string]vec.Vector, kn)

@@ -364,3 +364,59 @@ func TestMalformedFrameDropsClientOnly(t *testing.T) {
 		t.Fatalf("healthy client affected: %v", err)
 	}
 }
+
+// TestWireRefusesKeyOfAnotherLength: a single lookup or put, and a
+// one-sub batch of either, whose key has another length than its key
+// type's is refused with core's dimension-mismatch error, and the cache's
+// Stats, Len and tuner are left as they were.
+func TestWireRefusesKeyOfAnotherLength(t *testing.T) {
+	srv, sock := startServer(t, testConfig())
+	cl, err := Dial("unix", sock, "lens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Register("f", KeyTypeDef{Name: "k", Dim: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Put("f", map[string]vec.Vector{"k": {1, 2}}, []byte("v"), PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	stats, tuner := srv.cache.Stats(), mustTunerStats(t, srv.cache)
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), vec.ErrDimensionMismatch.Error()) {
+			t.Errorf("%s: err = %v, want a dimension mismatch", what, err)
+		}
+	}
+	key := vec.Vector{1, 2, 3}
+	_, err = cl.Lookup("f", "k", key)
+	refused("Lookup", err)
+	_, err = cl.Put("f", map[string]vec.Vector{"k": key}, []byte("w"), PutOptions{})
+	refused("Put", err)
+	lrs, err := cl.MultiLookup([]LookupSub{{Function: "f", KeyType: "k", Key: key}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("one-sub MultiLookup", lrs[0].Err)
+	prs, err := cl.MultiPut([]PutSub{{Function: "f", Keys: map[string]vec.Vector{"k": key}, Value: []byte("w")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("one-sub MultiPut", prs[0].Err)
+	if got := srv.cache.Stats(); got != stats {
+		t.Errorf("Stats moved across refused ops: %+v, then %+v", stats, got)
+	}
+	if got := mustTunerStats(t, srv.cache); got.Puts != tuner.Puts || srv.cache.Len() != 1 {
+		t.Errorf("tuner puts %d, then %d; Len %d, want 1", tuner.Puts, got.Puts, srv.cache.Len())
+	}
+}
+
+func mustTunerStats(t *testing.T, c *core.Cache) core.TunerStats {
+	t.Helper()
+	st, err := c.TunerStats("f", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}

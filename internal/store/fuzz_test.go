@@ -110,7 +110,8 @@ func decodeAndRestore(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	// Any declared Dim restores: no index allocates from it.
+	// No index allocates from a declared Dim, and core refuses one past
+	// core.MaxKeyDim.
 	c, _ := newCache(nil, time.Unix(0, 0))
 	st, err := c.Restore(state)
 	if err == nil && st.Entries > len(state.Entries) {

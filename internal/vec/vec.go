@@ -150,7 +150,8 @@ func ToString(v Vector) string {
 type Metric interface {
 	// Distance returns the distance between a and b. Implementations
 	// return +Inf for vectors of mismatched dimensions rather than
-	// panicking, so that heterogeneous indices degrade gracefully.
+	// panicking. The cache never compares such vectors: every key of a
+	// key type has one length, checked once at core's door.
 	Distance(a, b Vector) float64
 	// Name returns a short stable identifier used in wire messages
 	// and experiment output.

@@ -138,11 +138,7 @@ func (g *ghost) lookup(kt ktKey, key vec.Vector, keyHash uint64, threshold float
 		if e == nil {
 			continue
 		}
-		k := e.keyFor(kt)
-		if len(k) != len(key) {
-			continue
-		}
-		if d := euclid.Distance(k, key); d < bestDist {
+		if d := euclid.Distance(e.keyFor(kt), key); d < bestDist {
 			bestDist = d
 			best = e
 		}

@@ -173,7 +173,10 @@ func SaveFile(c *Cache, path string) error { return store.SaveFile(c, path) }
 func LoadFile(c *Cache, path string) (RestoreStats, error) { return store.LoadFile(c, path) }
 
 // StringKey embeds a string into the key space (§4.2's String key
-// support); pair it with IndexTreeMap for lexical ordering.
+// support); pair it with IndexTreeMap for lexical ordering. The key is
+// as long as the string, and every key of a key type has one length
+// (KeyTypeSpec.Dim), so a key type takes strings of one length: pad
+// shorter ones to it.
 func StringKey(s string) Vector { return vec.FromString(s) }
 
 // KeyString recovers a string from a StringKey embedding.
