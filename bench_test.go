@@ -269,7 +269,7 @@ func BenchmarkHNSWNearest(b *testing.B) {
 				b.ReportAllocs()
 				probes := 0
 				for i := 0; i < b.N; i++ {
-					_, p, ok := idx.NearestProbed(tc.queries[i%len(tc.queries)])
+					_, p, ok := idx.NearestWithin(tc.queries[i%len(tc.queries)], math.Inf(1))
 					if !ok {
 						b.Fatal("no result")
 					}

@@ -630,7 +630,9 @@ type LookupResult struct {
 	// Value is the cached result (nil on miss).
 	Value any
 	// Distance is the distance to the nearest neighbour examined, or -1
-	// if the index was empty or the query dropped out.
+	// if no entry lies within the search radius (SearchRadius·Threshold
+	// once Threshold is above 0; at 0 the radius is unbounded, so the
+	// index was empty) or the query dropped out.
 	Distance float64
 	// Threshold is the similarity threshold in force at lookup time.
 	Threshold float64
@@ -944,22 +946,25 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		ttl = c.cfg.DefaultTTL
 	}
 
-	// Feed Algorithm 1 per key index with the key's nearest neighbour as
-	// of now, before it is inserted: the answer of the lookup that missed
-	// brought up to date where it left a memo, a probe of the index where
-	// not (putNeighbor). Tuner and reputation table synchronize
-	// themselves; the value comparison (user code) runs with no lock
-	// held. The first resolved key type's neighbour distance and
-	// threshold flow into the put span's decision fields.
+	// Feed Algorithm 1 per key index with the key's nearest neighbour
+	// within the search radius as of now, before it is inserted: the
+	// answer of the lookup that missed brought up to date where it left a
+	// memo, a probe of the index where not (putNeighbor). With nothing
+	// within the radius the tuner observes no neighbour, as for an empty
+	// index. Tuner and reputation table synchronize themselves; the value
+	// comparison (user code) runs with no lock held. The first resolved
+	// key type's neighbour distance and threshold flow into the put span's
+	// decision fields.
 	spanDist, spanThreshold, spanSet := -1.0, 0.0, false
 	for i, ki := range kis {
 		if keys[i] == nil {
 			continue
 		}
-		nid, ndist, ok := c.putNeighbor(ki, keys[i])
+		threshold := ki.tuner.Threshold()
+		nid, ndist, ok := c.putNeighbor(ki, keys[i], searchRadius(threshold))
 		if traced && !spanSet {
 			spanSet = true
-			spanThreshold = ki.tuner.Threshold()
+			spanThreshold = threshold
 			if ok {
 				spanDist = ndist
 			}
@@ -970,7 +975,7 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		}
 		neighbor := c.entryByID(ID(nid))
 		same := neighbor != nil && c.equal(neighbor.value, req.Value)
-		within := ndist <= ki.tuner.Threshold()
+		within := ndist <= threshold
 		ki.tuner.ObservePut(ndist, same, true)
 		if c.rep != nil && neighbor != nil {
 			c.rep.Observe(neighbor.app, within, same)
@@ -1137,8 +1142,9 @@ func (c *Cache) recordPutError(fn string, start time.Time, trace telemetry.Trace
 }
 
 // selectHit runs the threshold-restricted kNN query and picks the hit
-// entry. It returns the nearest-neighbour distance (-1 if the index is
-// empty), the index probe count for this query, and ok=false on a miss.
+// entry. It returns the nearest-neighbour distance (-1 if no entry lies
+// within the search radius, see SearchRadius), the index probe count for
+// this query, and ok=false on a miss.
 // Entries past their expiration time are treated as absent; sawExpired
 // reports that at least one was encountered so the caller can purge and
 // retry.
@@ -1150,12 +1156,13 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 	if k <= 1 {
 		var n index.Neighbor
 		var found bool
+		r := searchRadius(threshold)
 		ki.mu.RLock()
-		n, probes, found = ki.idx.NearestProbed(key)
+		n, probes, found = ki.idx.NearestWithin(key, r)
 		epoch := ki.epoch
 		ki.mu.RUnlock()
 		if !found {
-			ki.memo.record(key, n, false, epoch)
+			ki.memo.record(key, n, false, r, epoch)
 			return nil, nil, -1, probes, false, false
 		}
 		var e *entry
@@ -1169,7 +1176,7 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 		}
 		// Not a hit, so a put of this key is likely on its way: leave it
 		// the probe's answer (memo.go).
-		ki.memo.record(key, n, true, epoch)
+		ki.memo.record(key, n, true, r, epoch)
 		return nil, nil, n.Dist, probes, false, e != nil
 	}
 	// A k > 1 query leaves no memo: its nearest is KNearest's, which

@@ -112,7 +112,11 @@ func flipText(sp telemetry.Span) string {
 		return fmt.Sprintf("hit: distance %.6g <= threshold %.6g; a threshold below %.6g would have made this a miss",
 			sp.Distance, sp.Threshold, sp.Distance)
 	case telemetry.OutcomeMiss:
-		if sp.Distance < 0 {
+		switch {
+		case sp.Distance < 0 && sp.Threshold > 0:
+			return fmt.Sprintf("miss: no entry within %g·T = %.6g (threshold %.6g), the search radius; a threshold above the nearest entry's distance would have made this a hit",
+				float64(SearchRadius), SearchRadius*sp.Threshold, sp.Threshold)
+		case sp.Distance < 0:
 			return "miss: index empty, no neighbour to compare; any insert would have been probed"
 		}
 		if sp.Distance <= sp.Threshold {
@@ -128,7 +132,11 @@ func flipText(sp telemetry.Span) string {
 		}
 		return "dropout: the random-dropout coin skipped the cache (§3.4)"
 	case telemetry.OutcomePut:
-		if sp.Distance < 0 {
+		switch {
+		case sp.Distance < 0 && sp.Threshold > 0:
+			return fmt.Sprintf("put: no entry within %g·T = %.6g (threshold %.6g), the search radius; tuner observed no neighbour",
+				float64(SearchRadius), SearchRadius*sp.Threshold, sp.Threshold)
+		case sp.Distance < 0:
 			return "put: first entry for this key type; tuner observed no neighbour"
 		}
 		return fmt.Sprintf("put: nearest neighbour at distance %.6g under threshold %.6g fed the tuner",

@@ -23,22 +23,30 @@ import (
 
 // probeOracle is the memo's differential oracle: installed as the cache's
 // memoHook, it runs — for every put the memo is about to answer, under
-// the same read lock — the probe Put ran before there was a memo, and
-// fails the test on any difference in (found, id, distance bits). With
+// the same read lock — the probe Put would run without a memo,
+// NearestWithin(key, c·T now), and fails the test on any difference in
+// (found, id, distance bits). On one goroutine the tuner cannot move
+// between the put's read and the hook, so the radius the memo answers
+// for must be exactly searchRadius of the threshold now; with others
+// tuning concurrently only the answer for that radius is checked. With
 // use false it also vetoes the memo, which turns the cache into its own
 // reference: every put probes.
 type probeOracle struct {
-	t    *testing.T
-	use  bool
-	mu   sync.Mutex
-	uses int
+	t          *testing.T
+	use        bool
+	concurrent bool
+	mu         sync.Mutex
+	uses       int
 }
 
 func (o *probeOracle) hook(ki *keyIndex, key vec.Vector, m memoAnswer) bool {
-	n, ok := ki.idx.Nearest(key)
+	if r := searchRadius(ki.tuner.Threshold()); !o.concurrent && m.radius != r {
+		o.t.Errorf("%s: memo answers for radius %v, the threshold's is %v", ki.spec.Index, m.radius, r)
+	}
+	n, _, ok := ki.idx.NearestWithin(key, m.radius)
 	if ok != m.found || (ok && (n.ID != m.nid || math.Float64bits(n.Dist) != math.Float64bits(m.dist))) {
-		o.t.Errorf("%s: memo answers (%d, %v, %v) for %v, a probe (%d, %v, %v)",
-			ki.spec.Index, m.nid, m.dist, m.found, key, n.ID, n.Dist, ok)
+		o.t.Errorf("%s: memo answers (%d, %v, %v) within %v for %v, a probe (%d, %v, %v)",
+			ki.spec.Index, m.nid, m.dist, m.found, m.radius, key, n.ID, n.Dist, ok)
 	}
 	o.mu.Lock()
 	o.uses++
@@ -353,7 +361,7 @@ func TestMemoChangesNothing(t *testing.T) {
 func TestMemoMatchesProbeConcurrently(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(1000, 0))
 	c := New(Config{Clock: clk, MaxEntries: 64, DropoutRate: 0.1, Seed: 3, Tuner: TunerConfig{WarmupZ: 10}, DefaultTTL: 30 * time.Second})
-	o := &probeOracle{t: t, use: true}
+	o := &probeOracle{t: t, use: true, concurrent: true}
 	c.memoHook = o.hook
 	if err := c.RegisterFunction("f", KeyTypeSpec{Name: "a", Dim: 3}); err != nil {
 		t.Fatal(err)
@@ -438,7 +446,7 @@ func TestMemoPathsDoNotAllocate(t *testing.T) {
 			}
 		}
 		before := ki.memoCtr.stats()
-		if allocs := testing.AllocsPerRun(100, func() { c.putNeighbor(ki, q) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { c.putNeighbor(ki, q, math.Inf(1)) }); allocs != 0 {
 			t.Errorf("dim %d: the memo-answered neighbour step allocates %v times, want 0", dim, allocs)
 		}
 		after := ki.memoCtr.stats()
@@ -507,16 +515,113 @@ func TestMemoOverflowProbes(t *testing.T) {
 		put(float64(2000 + i))
 	}
 	ki, _ := c.keyIndexFor("f", "a")
-	if _, _, ok := c.putNeighbor(ki, q); !ok || ki.memoCtr.stats().Memo != 1 {
+	if _, _, ok := c.putNeighbor(ki, q, math.Inf(1)); !ok || ki.memoCtr.stats().Memo != 1 {
 		t.Fatalf("a memo exactly one log behind must still replay: %+v", ki.memoCtr.stats())
 	}
 	put(5000)
-	if id, dist, ok := c.putNeighbor(ki, q); !ok || id != 1 || dist != 1000 {
+	if id, dist, ok := c.putNeighbor(ki, q, math.Inf(1)); !ok || id != 1 || dist != 1000 {
 		t.Fatalf("neighbour (%d, %v, %v), want entry 1 at 1000", id, dist, ok)
 	}
 	if st := ki.memoCtr.stats(); st.ProbeOverflow != 1 || st.Memo != 1 {
 		t.Fatalf("want one overflow and one memo answer, got %+v", st)
 	}
+}
+
+// TestMemoUnderTheBound walks the memo through the search radius moving
+// under it, on a k-d tree of 2-dim keys along one axis, with the oracle
+// checking every memo answer against NearestWithin(key, c·T now).
+func TestMemoUnderTheBound(t *testing.T) {
+	setup := func(t *testing.T) (*Cache, *keyIndex) {
+		c := New(Config{DisableDropout: true})
+		c.memoHook = (&probeOracle{t: t, use: true}).hook
+		if err := c.RegisterFunction("f", KeyTypeSpec{Name: "a", Dim: 2}); err != nil {
+			t.Fatal(err)
+		}
+		ki, err := c.keyIndexFor("f", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, ki
+	}
+	put := func(t *testing.T, c *Cache, x float64, value string) {
+		if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{"a": {x, 0}}, Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss := func(t *testing.T, c *Cache, x, dist float64) {
+		if res, err := c.Lookup("f", "a", vec.Vector{x, 0}); err != nil || res.Hit || res.Distance != dist {
+			t.Fatalf("lookup %v: %+v %v, want a miss at distance %v", x, res, err, dist)
+		}
+	}
+	tuner := func(c *Cache) TunerStats {
+		ts, _ := c.TunerStats("f", "a")
+		return ts
+	}
+	// loosened is Algorithm 1's EWMA at the default γ, in float64 as the
+	// tuner computes it.
+	loosened := func(dist, threshold float64) float64 {
+		gamma := 0.8
+		return (1-gamma)*dist + gamma*threshold
+	}
+
+	t.Run("threshold grows between lookup and put", func(t *testing.T) {
+		c, ki := setup(t)
+		put(t, c, 0, "x")
+		c.ForceThreshold("f", "a", 1)
+		miss(t, c, 10, -1) // nothing within 4
+		c.ForceThreshold("f", "a", 5)
+		// The memo searched 4 and found nothing; within 20 the entry at 10
+		// may lie, so the put probes, finds it and loosens toward it.
+		put(t, c, 10, "x")
+		if st := ki.memoCtr.stats(); st.ProbeStale != 1 || st.Memo != 0 {
+			t.Errorf("a memo that found nothing within a smaller radius answered: %+v", st)
+		}
+		if ts := tuner(c); ts.Threshold != loosened(10, 5) || ts.Loosenings != 1 {
+			t.Errorf("the probe within 20 did not feed the neighbour at 10: %+v", ts)
+		}
+		// The other way: the memo found 13 at 3 within 4·1.5, and the
+		// threshold fell to 0.5: within 2 there is nothing.
+		put(t, c, 13, "y")
+		c.ForceThreshold("f", "a", 1.5)
+		miss(t, c, 16, 3)
+		c.ForceThreshold("f", "a", 0.5)
+		if _, _, ok := c.putNeighbor(ki, vec.Vector{16, 0}, searchRadius(0.5)); ok || ki.memoCtr.stats().Memo != 1 {
+			t.Errorf("memo neighbour beyond the shrunken radius: ok %v, %+v", ok, ki.memoCtr.stats())
+		}
+	})
+
+	t.Run("insert lands beyond R after the miss", func(t *testing.T) {
+		c, ki := setup(t)
+		put(t, c, 0, "a")
+		c.ForceThreshold("f", "a", 1)
+		miss(t, c, 10, -1)
+		put(t, c, 15, "b") // nearer than 0 to 10, but 5 away: beyond 4
+		q := vec.Vector{10, 0}
+		if _, _, ok := c.putNeighbor(ki, q, searchRadius(1)); ok {
+			t.Error("the replay took an insert beyond the radius")
+		}
+		put(t, c, 12, "c") // 2 away: within
+		if id, dist, ok := c.putNeighbor(ki, q, searchRadius(1)); !ok || id != 3 || dist != 2 {
+			t.Errorf("neighbour (%d, %v, %v), want entry 3 at 2", id, dist, ok)
+		}
+		if st := ki.memoCtr.stats(); st.Memo != 2 || st.Replayed != 1+2 {
+			t.Errorf("want both answers replayed from the memo: %+v", st)
+		}
+		if ts := tuner(c); ts.Threshold != 1 {
+			t.Errorf("different-valued neighbours moved the threshold: %+v", ts)
+		}
+	})
+
+	t.Run("active tuner at zero still loosens", func(t *testing.T) {
+		c, _ := setup(t)
+		put(t, c, 0, "x")
+		c.ForceThreshold("f", "a", 0)
+		miss(t, c, 10, 10) // unbounded at T = 0
+		put(t, c, 10, "x")
+		if ts := tuner(c); ts.Threshold != loosened(10, 0) || ts.Loosenings != 1 {
+			t.Errorf("a same-valued neighbour at 10 did not loosen a zero threshold: %+v", ts)
+		}
+	})
 }
 
 // TestOneDoorToTheIndex parses the package's non-test files and fails on

@@ -78,8 +78,8 @@ func TestLookupForcedTraceRecordsDetailedSpan(t *testing.T) {
 func TestLookupMissAlwaysRetained(t *testing.T) {
 	c, tel := newTracedCache(t)
 	c.Put("f", PutRequest{Keys: map[string]vec.Vector{"scalar": {0}}, Value: 1})
-	c.ForceThreshold("f", "scalar", 0.1)
-	res, err := c.Lookup("f", "scalar", vec.Vector{5})
+	c.ForceThreshold("f", "scalar", 1)
+	res, err := c.Lookup("f", "scalar", vec.Vector{3}) // beyond T, within 4·T
 	if err != nil || res.Hit {
 		t.Fatalf("lookup: %+v %v", res, err)
 	}
@@ -90,7 +90,7 @@ func TestLookupMissAlwaysRetained(t *testing.T) {
 	if len(spans) != 1 || spans[0].Outcome != telemetry.OutcomeMiss {
 		t.Fatalf("miss span: %+v", spans)
 	}
-	if spans[0].Distance != 5 || spans[0].Threshold != 0.1 {
+	if spans[0].Distance != 3 || spans[0].Threshold != 1 {
 		t.Fatalf("miss decision fields: %+v", spans[0])
 	}
 }
@@ -171,7 +171,7 @@ func TestPutErrorSpanRetained(t *testing.T) {
 func TestExplainNearThresholdMiss(t *testing.T) {
 	c, _ := newTracedCache(t)
 	c.Put("f", PutRequest{Keys: map[string]vec.Vector{"scalar": {0}}, Value: 1})
-	c.ForceThreshold("f", "scalar", 0.1)
+	c.ForceThreshold("f", "scalar", 0.2)
 	id := telemetry.NewTraceID()
 	res, err := c.LookupOpts("f", "scalar", vec.Vector{0.5}, LookupOptions{Trace: id})
 	if err != nil || res.Hit {
@@ -188,14 +188,41 @@ func TestExplainNearThresholdMiss(t *testing.T) {
 	if d.Trace != id || d.Outcome != telemetry.OutcomeMiss {
 		t.Fatalf("top decision: %+v", d)
 	}
-	if !strings.Contains(d.Flip, "distance 0.5 > threshold 0.1") {
+	if !strings.Contains(d.Flip, "distance 0.5 > threshold 0.2") {
 		t.Fatalf("flip text missing the comparison: %q", d.Flip)
 	}
 	if !strings.Contains(d.Flip, "a threshold above 0.5 would have made this a hit") {
 		t.Fatalf("flip text missing the flip condition: %q", d.Flip)
 	}
-	if len(rep.KeyTypes) != 1 || rep.KeyTypes[0].Tuner.Threshold != 0.1 {
+	if len(rep.KeyTypes) != 1 || rep.KeyTypes[0].Tuner.Threshold != 0.2 {
 		t.Fatalf("key type context: %+v", rep.KeyTypes)
+	}
+}
+
+// Beyond the search radius a miss and the put after it report no
+// neighbour (distance -1), and explain says the bound, not an empty index.
+func TestExplainBoundedMiss(t *testing.T) {
+	c, _ := newTracedCache(t)
+	c.Put("f", PutRequest{Keys: map[string]vec.Vector{"scalar": {0}}, Value: 1})
+	c.ForceThreshold("f", "scalar", 0.1)
+	res, err := c.LookupOpts("f", "scalar", vec.Vector{5}, LookupOptions{Trace: telemetry.NewTraceID()})
+	if err != nil || res.Hit || res.Distance != -1 {
+		t.Fatalf("lookup beyond 4·T: %+v %v, want a miss at distance -1", res, err)
+	}
+	if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{"scalar": {5}}, Value: 1, Trace: telemetry.NewTraceID()}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Explain("f", 2)
+	if err != nil || len(rep.Decisions) != 2 {
+		t.Fatalf("report: %+v %v", rep, err)
+	}
+	for i, want := range []string{"put: no entry within 4·T = 0.4 (threshold 0.1)", "miss: no entry within 4·T = 0.4 (threshold 0.1)"} {
+		if d := rep.Decisions[i]; d.Distance != -1 || !strings.HasPrefix(d.Flip, want) {
+			t.Errorf("decision %d: distance %v, flip %q; want -1 and %q", i, d.Distance, d.Flip, want)
+		}
+	}
+	if ts, _ := c.TunerStats("f", "scalar"); ts.Threshold != 0.1 || ts.Loosenings != 0 {
+		t.Errorf("a put with no neighbour within 4·T moved the tuner: %+v", ts)
 	}
 }
 

@@ -82,6 +82,28 @@ func (t *Tuner) Threshold() float64 {
 	return math.Float64frombits(t.thr.Load())
 }
 
+// SearchRadius is how far, in thresholds, a lookup or a put looks for a
+// neighbour once the tuner is active with a threshold T > 0: within
+// SearchRadius·T only. Beyond T Algorithm 1 acts on a neighbour only when
+// it holds the same value (it loosens T toward it, and the reputation
+// table rewards its app), so a bounded search changes one thing: a
+// same-valued neighbour beyond SearchRadius·T no longer loosens T, and
+// one loosening grows T at most (1-γ)·SearchRadius + γ times (1.6× at the
+// defaults). 4 is the largest multiple of the what-if sweep's default
+// grid, which therefore stays exact.
+const SearchRadius = 4
+
+// searchRadius is how far a probe under threshold T looks: SearchRadius·T,
+// or everywhere while T is 0. That covers warm-up, whose threshold choice
+// (WarmupThreshold) needs far different-valued distances, and an active
+// tuner at 0, which must still be able to loosen.
+func searchRadius(threshold float64) float64 {
+	if threshold > 0 {
+		return SearchRadius * threshold
+	}
+	return math.Inf(1)
+}
+
 // setThresholdLocked updates the threshold and its atomic mirror;
 // caller holds t.mu.
 func (t *Tuner) setThresholdLocked(v float64) {

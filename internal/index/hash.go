@@ -89,17 +89,17 @@ func (h *Hash) Remove(id ID) {
 // approximate queries, but degrading to a scan keeps the cache correct
 // if an application registers one anyway).
 func (h *Hash) Nearest(key vec.Vector) (Neighbor, bool) {
-	n, _, ok := h.NearestProbed(key)
+	n, _, ok := h.NearestWithin(key, math.Inf(1))
 	return n, ok
 }
 
-// NearestProbed implements Index: an exact hit probes only its
-// bucket, the approximate fallback probes every key.
-func (h *Hash) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
+// NearestWithin implements Index: an exact hit probes only its bucket,
+// the approximate fallback probes every key.
+func (h *Hash) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	if ids := h.buckets[signature(key)]; len(ids) > 0 {
 		h.countQuery(len(ids))
 		id := minID(ids)
-		return Neighbor{ID: id, Key: h.keys[id], Dist: 0}, len(ids), true
+		return within(Neighbor{ID: id, Key: h.keys[id], Dist: 0}, len(ids), true, r)
 	}
 	probes := len(h.keys)
 	h.countQuery(probes)
@@ -110,10 +110,7 @@ func (h *Hash) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 			best = Neighbor{ID: id, Key: kv, Dist: d}
 		}
 	}
-	if best.Dist < 0 {
-		return Neighbor{}, probes, false
-	}
-	return best, probes, true
+	return within(best, probes, best.Dist >= 0, r)
 }
 
 func minID(ids []ID) ID {

@@ -684,12 +684,12 @@ func containsSlot(slots []int32, s int32) bool {
 
 // Nearest implements Index.
 func (h *HNSW) Nearest(key vec.Vector) (Neighbor, bool) {
-	n, _, ok := h.NearestProbed(key)
+	n, _, ok := h.NearestWithin(key, math.Inf(1))
 	return n, ok
 }
 
-// NearestProbed implements Index.
-func (h *HNSW) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
+// NearestWithin implements Index.
+func (h *HNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	if h.live == 0 || len(key) != h.width {
 		return Neighbor{}, 0, false
 	}
@@ -699,7 +699,7 @@ func (h *HNSW) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
-	return res[0], probes, true
+	return within(res[0], probes, true, r)
 }
 
 // KNearest implements Index.

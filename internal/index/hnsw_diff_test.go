@@ -190,8 +190,8 @@ func (d *diffRun) query() vec.Vector {
 
 func (d *diffRun) nearest() {
 	q := d.query()
-	got, gotProbes, gotOK := d.got.NearestProbed(q)
-	want, wantProbes, wantOK := d.want.NearestProbed(q)
+	got, gotProbes, gotOK := d.got.NearestWithin(q, math.Inf(1))
+	want, wantProbes, wantOK := d.want.NearestWithin(q, math.Inf(1))
 	if gotOK != wantOK || gotProbes != wantProbes {
 		d.t.Fatalf("op %d: Nearest ok/probes = %v/%d, oracle %v/%d", d.op, gotOK, gotProbes, wantOK, wantProbes)
 	}

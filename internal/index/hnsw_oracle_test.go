@@ -505,13 +505,13 @@ func oracleContainsID(ids []ID, id ID) bool {
 	return false
 }
 
-// NearestProbed implements Index.
-func (h *oracleHNSW) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
+// NearestWithin implements Index.
+func (h *oracleHNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	res, probes := h.KNearestProbed(key, 1)
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
-	return res[0], probes, true
+	return within(res[0], probes, true, r)
 }
 
 // KNearestProbed implements Index: probes count the nodes

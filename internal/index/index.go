@@ -48,14 +48,19 @@ type Index interface {
 	// KNearest returns up to k stored entries closest to key, ordered by
 	// increasing distance.
 	KNearest(key vec.Vector, k int) []Neighbor
-	// NearestProbed is Nearest plus the number of entries this query
-	// examined, and KNearestProbed is KNearest plus the same. A probe is
-	// one distance evaluated against a stored key (or its code, for the
-	// PQ kinds); work that only bounds distances, such as the k-d tree's
-	// box tests, is not counted. Every kind computes the count anyway to
-	// feed ProbeStats, so returning it is free; span tracing uses it to
+	// NearestWithin is Nearest for a caller that can use a neighbour only
+	// within r of key: it answers what Nearest answers when that lies at
+	// Dist <= r, and ok=false otherwise, so r = +Inf is Nearest. The k-d
+	// tree starts its search at the bound and scans only what could lie
+	// within it, so a far miss costs about the one leaf its descent
+	// reaches; every other kind searches as Nearest does and filters.
+	// KNearestProbed is KNearest plus the probe count. A probe is one
+	// distance evaluated against a stored key (or its code, for the PQ
+	// kinds); work that only bounds distances, such as the k-d tree's box
+	// tests, is not counted. Every kind computes the count anyway to feed
+	// ProbeStats, so returning it is free; span tracing uses it to
 	// attribute probe work to individual lookups.
-	NearestProbed(key vec.Vector) (n Neighbor, probes int, ok bool)
+	NearestWithin(key vec.Vector, r float64) (n Neighbor, probes int, ok bool)
 	KNearestProbed(key vec.Vector, k int) (ns []Neighbor, probes int)
 	// Len returns the number of stored entries.
 	Len() int
@@ -68,6 +73,15 @@ type Index interface {
 	// the counters are atomics, safe to read while other goroutines
 	// query under the cache's read lock.
 	ProbeStats() ProbeStats
+}
+
+// within is NearestWithin for the kinds that filter an unbounded search:
+// (n, ok) from Nearest, kept only while n lies within r.
+func within(n Neighbor, probes int, ok bool, r float64) (Neighbor, int, bool) {
+	if !ok || n.Dist > r {
+		return Neighbor{}, probes, false
+	}
+	return n, probes, true
 }
 
 // Replayer is implemented by the kinds whose Nearest is the exact

@@ -65,7 +65,9 @@ func BenchmarkNearest(b *testing.B) {
 // A hit query comes from a cluster that is cached; a miss query from one
 // that is not, so its nearest neighbour lies in some far cluster and the
 // walk prunes little. That walk is what a cache miss pays. probes/op is
-// the index's own count.
+// the index's own count. miss-bounded is the miss as core probes it once
+// the tuner is active: within 4× write-evict's threshold (9.19), so the
+// walk stops at what could lie that near.
 func BenchmarkKDTreeNearest(b *testing.B) {
 	const capacity, clusters, dim, queries = 4096, 16384, 16, 512
 	rng := rand.New(rand.NewSource(1))
@@ -123,11 +125,12 @@ func BenchmarkKDTreeNearest(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		qs   []vec.Vector
-	}{{"hit", hits}, {"miss", misses}} {
+		r    float64
+	}{{"hit", hits, math.Inf(1)}, {"miss", misses, math.Inf(1)}, {"miss-bounded", misses, 4 * 9.194401154677344}} {
 		b.Run(tc.name, func(b *testing.B) {
 			probes := 0
 			for i := 0; i < b.N; i++ {
-				_, p, _ := tree.NearestProbed(tc.qs[i%len(tc.qs)])
+				_, p, _ := tree.NearestWithin(tc.qs[i%len(tc.qs)], tc.r)
 				probes += p
 			}
 			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")

@@ -297,12 +297,12 @@ func (iv *IVF) rankCells(sc *scratch, key vec.Vector) []cellDist {
 
 // Nearest implements Index.
 func (iv *IVF) Nearest(key vec.Vector) (Neighbor, bool) {
-	n, _, ok := iv.NearestProbed(key)
+	n, _, ok := iv.NearestWithin(key, math.Inf(1))
 	return n, ok
 }
 
-// NearestProbed implements Index.
-func (iv *IVF) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
+// NearestWithin implements Index.
+func (iv *IVF) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	if iv.Len() == 0 || len(key) != iv.dim {
 		return Neighbor{}, 0, false
 	}
@@ -312,7 +312,7 @@ func (iv *IVF) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
-	return res[0], probes, true
+	return within(res[0], probes, true, r)
 }
 
 // KNearest implements Index.

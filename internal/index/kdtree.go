@@ -348,25 +348,41 @@ func (t *KDTree) widen(i int32, key vec.Vector) {
 // result slice per call, enough garbage at high concurrency that GC mark
 // assists, a global bottleneck, dominate the runtime.
 func (t *KDTree) Nearest(key vec.Vector) (Neighbor, bool) {
-	n, _, ok := t.NearestProbed(key)
+	n, _, ok := t.NearestWithin(key, math.Inf(1))
 	return n, ok
 }
 
-// NearestProbed implements Index. The answer is the entry with
-// the least (distance, id), ignoring entries at +Inf.
-func (t *KDTree) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
-	if t.size == 0 || len(key) != t.width {
+// NearestWithin implements Index. The answer is the entry with the least
+// (distance, id), ignoring entries at +Inf. The search starts with best
+// just above r (r² for the Euclidean metric), as if an entry lay there,
+// so it descends to one leaf and crosses a split only toward rows that
+// could lie within r. The least entry below that start is the least of
+// all whenever the least of all lies within r, and reported only then;
+// starting above r, by the prune's slack and one ulp, keeps an entry at
+// exactly r.
+func (t *KDTree) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
+	if t.size == 0 || len(key) != t.width || !(r >= 0) {
 		return Neighbor{}, 0, false
 	}
-	q := nnQuery{t: t, key: key, best: math.Inf(1)}
+	start := r
+	if t.norm == kdL2 {
+		start = r * r
+	}
+	q := nnQuery{t: t, key: key, best: math.Nextafter(start*(1+kdPruneSlack), math.Inf(1)), at: -1}
 	q.walk(0)
 	t.countQuery(q.evals)
-	if math.IsInf(q.best, 1) {
-		return Neighbor{Dist: q.best}, q.evals, true
+	if q.at < 0 {
+		if math.IsInf(r, 1) {
+			return Neighbor{Dist: r}, q.evals, true // every row at +Inf
+		}
+		return Neighbor{}, q.evals, false
 	}
 	d := q.best
 	if t.norm == kdL2 {
 		d = math.Sqrt(d)
+	}
+	if d > r {
+		return Neighbor{}, q.evals, false
 	}
 	return t.neighbor(scored{dist: d, slot: q.at}), q.evals, true
 }
@@ -384,14 +400,14 @@ const kdPruneSlack = 1e-9
 // is monotone), so the same entry wins, but the square root is taken once
 // at the end instead of at every row, and the distance routine is called
 // directly instead of through the Metric interface. Only an entry nearer
-// than +Inf can become best: it starts at +Inf with id 0, which no tie
-// can undercut.
+// than the start can become best: it starts above the radius with id 0,
+// which no tie can undercut.
 type nnQuery struct {
 	t      *KDTree
 	key    vec.Vector
 	best   float64 // distance (squared, for Euclidean) of the best entry so far
 	bestID ID
-	at     int32 // the best entry's slot, as in search
+	at     int32 // the best entry's slot, as in search; -1 until one is found
 	evals  int
 }
 

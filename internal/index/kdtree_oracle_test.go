@@ -171,9 +171,9 @@ func refQuickSelect(nodes []*refKDNode, k, axis int) {
 	}
 }
 
-// NearestProbed is the single-axis search: in squared space for the
-// Euclidean metric, in the metric's own terms otherwise.
-func (t *refKDTree) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
+// NearestWithin is the single-axis search, in squared space for the
+// Euclidean metric and in the metric's own terms otherwise, filtered by r.
+func (t *refKDTree) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	if t.size == 0 {
 		return Neighbor{}, 0, false
 	}
@@ -185,7 +185,7 @@ func (t *refKDTree) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 	} else {
 		t.nearest1(t.root, key, &best, &visited)
 	}
-	return best, visited, true
+	return within(best, visited, true, r)
 }
 
 func refNearestSq(n *refKDNode, key vec.Vector, best *Neighbor, visited *int) {
@@ -480,15 +480,19 @@ func (s *kdStream) queries() []vec.Vector {
 	return qs
 }
 
-// diverge compares the tree with the reference on q: Nearest on (ok, ID,
-// distance bits, key), KNearest(5) and a Radius reaching past the third
-// neighbour. It describes the first difference, or returns "".
+// diverge compares the tree with the reference on q: NearestWithin on
+// (ok, ID, distance bits, key) unbounded, at 0, at the nearest distance
+// itself and just below it, KNearest(5) and a Radius reaching past the
+// third neighbour. It describes the first difference, or returns "".
 func (s *kdStream) diverge(q vec.Vector) string {
-	got, _, gotOK := s.tree.NearestProbed(q)
-	want, _, wantOK := s.ref.NearestProbed(q)
-	if gotOK != wantOK || !sameNeighbors([]Neighbor{got}, []Neighbor{want}) {
-		return fmt.Sprintf("Nearest(%v) = (%d, %x, %v, %v), reference (%d, %x, %v, %v)",
-			q, got.ID, math.Float64bits(got.Dist), got.Key, gotOK, want.ID, math.Float64bits(want.Dist), want.Key, wantOK)
+	nearest, _, _ := s.ref.NearestWithin(q, math.Inf(1))
+	for _, r := range []float64{math.Inf(1), 0, nearest.Dist, math.Nextafter(nearest.Dist, 0)} {
+		got, _, gotOK := s.tree.NearestWithin(q, r)
+		want, _, wantOK := s.ref.NearestWithin(q, r)
+		if gotOK != wantOK || !sameNeighbors([]Neighbor{got}, []Neighbor{want}) {
+			return fmt.Sprintf("NearestWithin(%v, %v) = (%d, %x, %v, %v), reference (%d, %x, %v, %v)",
+				q, r, got.ID, math.Float64bits(got.Dist), got.Key, gotOK, want.ID, math.Float64bits(want.Dist), want.Key, wantOK)
+		}
 	}
 	gotK, wantK := s.tree.KNearest(q, 5), s.ref.KNearest(q, 5)
 	if !sameNeighbors(gotK, wantK) {
@@ -605,8 +609,8 @@ func TestKDTreePrunesMoreThanSingleAxis(t *testing.T) {
 	var got, want int
 	for i := 0; i < 200; i++ {
 		q := randomVec(rng, 16)
-		_, g, _ := tree.NearestProbed(q)
-		_, w, _ := ref.NearestProbed(q)
+		_, g, _ := tree.NearestWithin(q, math.Inf(1))
+		_, w, _ := ref.NearestWithin(q, math.Inf(1))
 		got, want = got+g, want+w
 	}
 	if got >= want {
@@ -689,7 +693,7 @@ func TestKDTreeConcurrentReadersGetSerialAnswers(t *testing.T) {
 		k5     ID
 	}
 	ask := func(q vec.Vector) (answer, vec.Vector) {
-		n, probes, _ := tree.NearestProbed(q)
+		n, probes, _ := tree.NearestWithin(q, math.Inf(1))
 		k := tree.KNearest(q, 5)
 		return answer{n.ID, math.Float64bits(n.Dist), probes, k[len(k)-1].ID}, n.Key
 	}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/vec"
@@ -34,13 +35,13 @@ func (l *Linear) Remove(id ID) { delete(l.keys, id) }
 
 // Nearest implements Index.
 func (l *Linear) Nearest(key vec.Vector) (Neighbor, bool) {
-	n, _, ok := l.NearestProbed(key)
+	n, _, ok := l.NearestWithin(key, math.Inf(1))
 	return n, ok
 }
 
-// NearestProbed implements Index: a linear scan always probes
-// every stored key.
-func (l *Linear) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
+// NearestWithin implements Index: a linear scan always probes every
+// stored key.
+func (l *Linear) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	probes := len(l.keys)
 	l.countQuery(probes)
 	best := Neighbor{Dist: -1}
@@ -50,13 +51,10 @@ func (l *Linear) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
 			best = Neighbor{ID: id, Key: k, Dist: d}
 		}
 	}
-	if best.Dist < 0 {
-		return Neighbor{}, probes, false
-	}
-	return best, probes, true
+	return within(best, probes, best.Dist >= 0, r)
 }
 
-// ReplayInsert implements Replayer with NearestProbed's comparison.
+// ReplayInsert implements Replayer with NearestWithin's comparison.
 func (l *Linear) ReplayInsert(q vec.Vector, cur Neighbor, found bool, id ID, key vec.Vector) (Neighbor, bool) {
 	return replayInsert(l.metric.Distance(q, key), cur, found, id, true)
 }

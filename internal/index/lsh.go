@@ -189,15 +189,14 @@ func (l *LSH) Nearest(key vec.Vector) (Neighbor, bool) {
 	return res[0], true
 }
 
-// NearestProbed implements Index: the probe count is the
-// candidate set size (post full-scan fallback when hashing came up
-// short).
-func (l *LSH) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
+// NearestWithin implements Index: the probe count is the candidate set
+// size (post full-scan fallback when hashing came up short).
+func (l *LSH) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	res, probes := l.KNearestProbed(key, 1)
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
-	return res[0], probes, true
+	return within(res[0], probes, true, r)
 }
 
 // KNearest implements Index.

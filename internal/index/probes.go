@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // ProbeStats reports how much work an index has done answering queries:
 // Queries counts Nearest/KNearest/Radius calls, Probes the distances
-// evaluated to answer them (see Index.NearestProbed). Probes/Queries is the
+// evaluated to answer them (see Index.NearestWithin). Probes/Queries is the
 // average scan size — the number Table 2 of the paper compares across
 // index kinds (a linear index probes Len() per query, a KD-tree the rows
 // of the leaves it does not cut, an LSH its candidate bucket set). The counters are atomics: indices are

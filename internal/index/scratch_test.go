@@ -93,7 +93,7 @@ func TestHNSWConcurrentReadersGetSerialAnswers(t *testing.T) {
 		k5     ID
 	}
 	ask := func(q vec.Vector) (answer, []Neighbor) {
-		n, probes, _ := h.NearestProbed(q)
+		n, probes, _ := h.NearestWithin(q, math.Inf(1))
 		k := h.KNearest(q, 5)
 		return answer{n.ID, math.Float64bits(n.Dist), probes, k[len(k)-1].ID}, append(k, n)
 	}

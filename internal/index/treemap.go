@@ -229,14 +229,14 @@ func (t *TreeMap) Nearest(key vec.Vector) (Neighbor, bool) {
 	return res[0], true
 }
 
-// NearestProbed implements Index: the probe count is the size
-// of the ordered-neighbourhood candidate window.
-func (t *TreeMap) NearestProbed(key vec.Vector) (Neighbor, int, bool) {
+// NearestWithin implements Index: the probe count is the size of the
+// ordered-neighbourhood candidate window.
+func (t *TreeMap) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	res, probes := t.KNearestProbed(key, 1)
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
-	return res[0], probes, true
+	return within(res[0], probes, true, r)
 }
 
 // KNearest implements Index.

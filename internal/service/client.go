@@ -552,7 +552,7 @@ type LookupResult struct {
 	Hit       bool
 	Dropout   bool
 	Value     []byte
-	Distance  float64
+	Distance  float64 // -1: no entry within 4·Threshold (an empty index at 0), or a dropout
 	Threshold float64
 	// MissedAt is the server clock time of a miss; pass it back to Put
 	// so the service can compute the computation overhead.

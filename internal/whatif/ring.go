@@ -17,7 +17,7 @@ type event struct {
 	key      vec.Vector
 	keyTypes []string     // put events: resolved key types (parallel to keys)
 	keys     []vec.Vector // put events: resolved keys
-	dist     float64      // lookup events: NN distance (-1 = index empty)
+	dist     float64      // lookup events: NN distance (-1 = none within the search radius)
 	thresh   float64      // lookup events: live tuner threshold
 	hit      bool
 	id       uint64 // put events: entry id

@@ -85,6 +85,8 @@ type Config struct {
 	Multiples []float64
 	// Grid is the threshold-sweep multiplier grid; default 0, ¼, ½, ¾,
 	// 1, 1½, 2, 3, 4 (0 = exact-match-only, 1 = the live threshold).
+	// Points above core.SearchRadius (4) are lower bounds: the cache
+	// searches no farther.
 	Grid []float64
 	// Tolerance is the predicted-vs-measured divergence beyond which
 	// the profiler flags a series; default DefaultTolerance.
