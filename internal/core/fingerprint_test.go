@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/index"
 	"repro/internal/vec"
 )
 
@@ -220,6 +221,107 @@ func TestSceneCutFingerprint(t *testing.T) {
 	want := fingerprint{hits: 3352, misses: 287, dropouts: 361, puts: 648, evictions: 648, threshold: 0x403550b1ae2b7a08}
 	if got != want {
 		t.Errorf("scene-cut decisions moved:\n got %+v (threshold %v)\nwant %+v (threshold %v)",
+			got, math.Float64frombits(got.threshold), want, math.Float64frombits(want.threshold))
+	}
+}
+
+// indexScaleStream is the repo benchmark's index-scale data, copied from
+// bench/workloads.go: 8 000 16-dim keys around 256 centres (sigma 2
+// around centres drawn at sigma 100), valued by cluster, and 4 096
+// queries, each 0.5 off a stored key and labelled with its cluster, or
+// one in twenty a far point (5 000 ± 100 on every axis) whose label no
+// entry has.
+func indexScaleStream(seed int64) (corpus, queries []fingerprintOp) {
+	const (
+		entries, dim, clusters, nq = 8000, 16, 256, 4096
+		farShare                   = 0.05
+	)
+	rng := rand.New(rand.NewSource(seed))
+	centres := make([]vec.Vector, clusters)
+	for i := range centres {
+		centres[i] = make(vec.Vector, dim)
+		for d := range centres[i] {
+			centres[i][d] = rng.NormFloat64() * 100
+		}
+	}
+	corpus = make([]fingerprintOp, entries)
+	for i := range corpus {
+		c := rng.Intn(clusters)
+		key := make(vec.Vector, dim)
+		for d := range key {
+			key[d] = centres[c][d] + rng.NormFloat64()*2
+		}
+		corpus[i] = fingerprintOp{key: key, value: fingerprintValue(uint32(c), 4), cost: 10 * time.Millisecond}
+	}
+	queries = make([]fingerprintOp, nq)
+	for i := range queries {
+		key := make(vec.Vector, dim)
+		if rng.Float64() < farShare {
+			for d := range key {
+				key[d] = 5000 + rng.NormFloat64()*100
+			}
+			queries[i] = fingerprintOp{key: key, value: fingerprintValue(math.MaxUint32, 4)}
+			continue
+		}
+		j := rng.Intn(entries)
+		for d := range key {
+			key[d] = corpus[j].key[d] + rng.NormFloat64()*0.5
+		}
+		queries[i] = fingerprintOp{key: key, value: corpus[j].value}
+	}
+	return corpus, queries
+}
+
+// TestIndexScaleFingerprint replays the index-scale benchmark's data at
+// seed 1 on its cache configuration (HNSW at EfSearch 512): the corpus is
+// put, then the queries are looked up three times over with no put on a
+// miss, as the benchmark's window runs them. Every query near the corpus
+// has its own cluster within a few units while clusters lie ~570 apart,
+// so a search that stops at what lies within the bound it is given
+// decides as the full one does.
+func TestIndexScaleFingerprint(t *testing.T) {
+	corpus, queries := indexScaleStream(1)
+	clk := clock.NewVirtual(time.Unix(1000, 0))
+	c := New(Config{Clock: clk, IndexOptions: index.Options{HNSW: index.HNSWConfig{EfSearch: 512}}})
+	spec := KeyTypeSpec{Name: "vec", Index: "hnsw", Dim: 16}
+	if err := c.RegisterFunction("f", spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range corpus {
+		clk.Advance(time.Millisecond)
+		if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{spec.Name: o.key}, Value: o.value, Cost: o.cost, App: "bench"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got fingerprint
+	for pass := 0; pass < 3; pass++ {
+		for _, o := range queries {
+			clk.Advance(time.Millisecond)
+			res, err := c.Lookup("f", spec.Name, o.key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case res.Hit:
+				got.hits++
+				if !bytes.Equal(res.Value.([]byte), o.value) {
+					got.wrong++
+				}
+			case res.Dropout:
+				got.dropouts++
+			default:
+				got.misses++
+			}
+		}
+	}
+	ts, err := c.TunerStats("f", spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.threshold = math.Float64bits(ts.Threshold)
+	want := fingerprint{hits: 10427, misses: 631, dropouts: 1230, threshold: 0x402f3f91983c5522}
+	if got != want {
+		t.Errorf("index-scale decisions moved:\n got %+v (threshold %v)\nwant %+v (threshold %v)",
 			got, math.Float64frombits(got.threshold), want, math.Float64frombits(want.threshold))
 	}
 }
