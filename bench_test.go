@@ -220,8 +220,10 @@ func sweepIndex(b *testing.B, kind index.Kind, n, dim int) (index.Index, vec.Vec
 // around centres drawn with sigma 100) at the default pool width and at
 // index-scale's -hnsw-efs 512, for near queries (0.5 off a stored entry)
 // and for index-scale's far ones (5 000 ± 100 on every axis, nearer no
-// entry than any threshold). probes/op is the index's own count. Run with
-// -benchmem: a probe should not allocate.
+// entry than any threshold), unbounded and, as core probes once the
+// tuner is active, within R = 4·T (-r4T) and 8·T (-r8T) for T = 15.6,
+// the threshold index-scale learns. probes/op is the index's own count.
+// Run with -benchmem: a probe should not allocate.
 func BenchmarkHNSWNearest(b *testing.B) {
 	const entries, dim, clusters = 8_000, 16, 256
 	rng := rand.New(rand.NewSource(18))
@@ -261,16 +263,22 @@ func BenchmarkHNSWNearest(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		const threshold = 15.6
 		for _, tc := range []struct {
 			suffix  string
 			queries []vec.Vector
-		}{{"", near}, {"-far", far}} {
+			r       float64
+		}{
+			{"", near, math.Inf(1)}, {"-far", far, math.Inf(1)},
+			{"-r4T", near, 4 * threshold}, {"-far-r4T", far, 4 * threshold},
+			{"-r8T", near, 8 * threshold}, {"-far-r8T", far, 8 * threshold},
+		} {
 			b.Run(fmt.Sprintf("efs%d-8k%s", efs, tc.suffix), func(b *testing.B) {
 				b.ReportAllocs()
 				probes := 0
 				for i := 0; i < b.N; i++ {
-					_, p, ok := idx.NearestWithin(tc.queries[i%len(tc.queries)], math.Inf(1))
-					if !ok {
+					_, p, ok := idx.NearestWithin(tc.queries[i%len(tc.queries)], tc.r)
+					if !ok && math.IsInf(tc.r, 1) {
 						b.Fatal("no result")
 					}
 					probes += p

@@ -26,8 +26,10 @@ import (
 // found nothing within a radius smaller than R (the threshold grew since)
 // means the put probes. Replay is exact only where Nearest is the true
 // metric neighbour (index.Replayer: k-d tree, linear scan); every other
-// kind uses a memo only while the epoch has not moved. Nothing here is
-// visible to callers:
+// kind uses a memo only while the epoch has not moved, and a neighbour
+// it found only at the radius it searched: HNSW stops its search once it
+// holds an answer within the radius, so within another it may find
+// another. Nothing here is visible to callers:
 // no ticket to carry, no wire field, and every entry point that puts
 // after a lookup of the same key — library, single and batch wire ops,
 // mesh replica puts — is served.
@@ -61,7 +63,7 @@ type neighborSource int
 const (
 	fromMemo      neighborSource = iota // the memo, brought up to date
 	probeAbsent                         // no memo: a dropout, a put no lookup preceded, a slot lost to another miss
-	probeStale                          // the memo's neighbour was removed, the kind cannot replay, or the radius grew past a memo that found nothing
+	probeStale                          // the memo's neighbour was removed, the kind cannot replay, the radius grew past a memo that found nothing, or moved after a kind that cannot replay found a neighbour
 	probeOverflow                       // more mutations since the miss than the log holds
 	numNeighborSources
 )
@@ -241,15 +243,17 @@ func (c *Cache) putNeighbor(ki *keyIndex, key vec.Vector, r float64) (id index.I
 // while m's neighbour survives it stays nearest among the former, and
 // when m found none, none of the former lies within m.radius, so where
 // that is at least r the answer is the nearest of m's neighbour and the
-// inserts, kept only if it lies within r. Caller holds ki.mu.
+// inserts, kept only if it lies within r. A kind that cannot replay
+// answers from m only at its epoch, and, where m found a neighbour, only
+// at its radius. Caller holds ki.mu.
 func (ki *keyIndex) replay(key vec.Vector, m *memoAnswer, r float64) neighborSource {
 	behind := ki.epoch - m.epoch
 	switch {
 	case !m.found && m.radius < r:
 		return probeStale
-	case behind == 0: // nothing to replay; the filter by r below still applies
-	case ki.replayer == nil:
+	case ki.replayer == nil && (behind > 0 || m.found && m.radius != r):
 		return probeStale
+	case behind == 0: // nothing to replay; the filter by r below still applies
 	case behind > mutationLog:
 		return probeOverflow
 	}

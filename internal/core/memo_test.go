@@ -624,6 +624,65 @@ func TestMemoUnderTheBound(t *testing.T) {
 	})
 }
 
+// TestMemoRadiusMovesUnderHNSW: HNSW stops its search once it holds an
+// answer within the radius, so what it finds within one radius is not
+// always what it finds within another. On a small, loosely linked graph
+// over overlapping clusters the threshold is moved between each lookup
+// and the put for its key, with no mutation in between: the memo must
+// answer only what a probe at the put's radius answers (the oracle checks
+// each), which leaves it a neighbour it found only at the radius it
+// searched, and "nothing" only at a radius no larger.
+func TestMemoRadiusMovesUnderHNSW(t *testing.T) {
+	c := New(Config{DisableDropout: true, IndexOptions: index.Options{HNSW: index.HNSWConfig{M: 4, EfConstruction: 16, EfSearch: 8}}})
+	c.memoHook = (&probeOracle{t: t, use: true}).hook
+	if err := c.RegisterFunction("f", KeyTypeSpec{Name: "a", Index: index.KindHNSW, Dim: 8}); err != nil {
+		t.Fatal(err)
+	}
+	ki, err := c.keyIndexFor("f", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	centres := make([]vec.Vector, 40)
+	for i := range centres {
+		centres[i] = make(vec.Vector, 8)
+		for d := range centres[i] {
+			centres[i][d] = rng.NormFloat64() * 100
+		}
+	}
+	around := func(c vec.Vector, sigma float64) vec.Vector {
+		v := c.Clone()
+		for d := range v {
+			v[d] += rng.NormFloat64() * sigma
+		}
+		return v
+	}
+	var corpus []vec.Vector
+	for i := 0; i < 3000; i++ {
+		k := around(centres[rng.Intn(len(centres))], 30)
+		if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{"a": k}, Value: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, k)
+	}
+	thresholds := []float64{1.25, 2.5, 5, 10, 15, 25}
+	for i := 0; i < 2000 && !t.Failed(); i++ {
+		q := around(corpus[rng.Intn(len(corpus))], 20)
+		c.ForceThreshold("f", "a", thresholds[rng.Intn(len(thresholds))])
+		if res, err := c.Lookup("f", "a", q); err != nil || res.Hit {
+			continue
+		}
+		moved := thresholds[rng.Intn(len(thresholds))]
+		c.ForceThreshold("f", "a", moved)
+		c.putNeighbor(ki, q, searchRadius(moved))
+	}
+	st := ki.memoCtr.stats()
+	t.Logf("%+v", st)
+	if st.Memo < 100 || st.ProbeStale < 100 {
+		t.Errorf("too few memo answers or stale memos to show anything: %+v", st)
+	}
+}
+
 // TestOneDoorToTheIndex parses the package's non-test files and fails on
 // any mutation of a key index's idx or members outside keyIndex.insert
 // and keyIndex.remove: a mutation that skipped the epoch and the log

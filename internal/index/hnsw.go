@@ -16,6 +16,16 @@ import (
 // so approximation affects WHICH neighbours are found, never the
 // distance values a threshold decision sees.
 //
+// A caller that can use only a neighbour within r (NearestWithin, as
+// core's lookup and put probes ask once the threshold tuner is active)
+// gets a search that stops widening once it holds one: on a clustered
+// workload the query's own cluster answers it, and the rest of the
+// efSearch-wide pool, filled from clusters far beyond r, is never
+// scored. It finds an answer within r for exactly the queries the
+// unbounded search does, though now and then a farther one. Only exact
+// scores are bounded: under PQ an estimate beyond r does not show the
+// true distance is, so that search runs unbounded and is filtered.
+//
 // Removal is tombstone-based: a removed node keeps routing traffic until
 // an amortized re-link pass (a few nodes per mutation, under the write
 // lock the cache already holds) splices its live neighbours together and
@@ -313,7 +323,7 @@ func (h *HNSW) Insert(id ID, key vec.Vector) error {
 	// Greedy descent through layers above the new node's level.
 	ep, _ := h.descend(&score, level)
 	for l := min(level, h.maxLevel); l >= 0; l-- {
-		h.searchLayer(sc, &score, ep, h.cfg.EfConstruction, l)
+		h.searchLayer(sc, &score, ep, h.cfg.EfConstruction, l, math.Inf(1))
 		found := sc.results.sorted()
 		// A stable copy: a new node can find itself, through dangling
 		// links to an earlier holder of its id, and addLink then rewrites
@@ -531,21 +541,34 @@ func (h *HNSW) descend(score *hnswScorer, stop int) (scored, int) {
 // searchLayer runs the bounded best-first search of one layer from seed:
 // expand the closest unexpanded candidate, keep the ef best results seen.
 // Tombstoned nodes are traversed (they still route) but reported only to
-// the candidate frontier, never the result set. The results are left in
-// sc.results; the return value is the number of nodes scored.
-func (h *HNSW) searchLayer(sc *scratch, score *hnswScorer, seed scored, ef, level int) int {
+// the candidate frontier, never the result set.
+//
+// r is how far off a result can be of use. The search runs unbounded
+// until a live node within r is in the results, the seed included, so
+// that a descent which ended in another cluster still finds its way to
+// the query's own; from then on a node farther than r is neither a
+// candidate nor a result, and the expansion stops at the first candidate
+// beyond r. r = +Inf is the unbounded search, probe for probe.
+//
+// The results are left in sc.results; the return value is the number of
+// nodes scored.
+func (h *HNSW) searchLayer(sc *scratch, score *hnswScorer, seed scored, ef, level int, r float64) int {
 	sc.begin(h, cap(h.nodes))
 	levels, deleted, visited, epoch := h.levels, h.deleted, sc.visited, sc.epoch
 	cands, results := &sc.cands, &sc.results
+	bound := math.Inf(1)
 	visited[seed.slot] = epoch
 	probes := 1
 	cands.push(seed)
 	if levels[seed.slot] >= 0 && !deleted[seed.slot] {
 		results.push(seed)
+		if seed.dist <= r {
+			bound = r
+		}
 	}
 	for len(cands.items) > 0 {
 		c := cands.pop()
-		if len(results.items) >= ef && c.dist > results.items[0].dist {
+		if c.dist > bound || len(results.items) >= ef && c.dist > results.items[0].dist {
 			break
 		}
 		if level > int(levels[c.slot]) {
@@ -559,13 +582,16 @@ func (h *HNSW) searchLayer(sc *scratch, score *hnswScorer, seed scored, ef, leve
 			probes++
 			d := score.at(nb)
 			full := len(results.items) >= ef
-			if full && !(d < results.items[0].dist) {
+			if d > bound || full && !(d < results.items[0].dist) {
 				continue
 			}
 			x := scored{d, nb}
 			cands.push(x)
 			if levels[nb] < 0 || deleted[nb] {
 				continue
+			}
+			if d <= r {
+				bound = r
 			}
 			if full {
 				results.replaceRoot(x)
@@ -688,14 +714,22 @@ func (h *HNSW) Nearest(key vec.Vector) (Neighbor, bool) {
 	return n, ok
 }
 
-// NearestWithin implements Index.
+// NearestWithin implements Index. Over the flat store the layer-0 search
+// is bounded by r once it holds an answer within r (see searchLayer).
+// Over a PQ store it is not: an estimate beyond r does not show that the
+// true distance is, so the search runs unbounded and its answer is
+// filtered.
 func (h *HNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	if h.live == 0 || len(key) != h.width {
 		return Neighbor{}, 0, false
 	}
 	sc := h.get()
 	defer h.put(sc)
-	res, probes := h.query(sc, key, 1)
+	bound := r
+	if h.pq != nil {
+		bound = math.Inf(1)
+	}
+	res, probes := h.query(sc, key, 1, bound)
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
@@ -716,16 +750,16 @@ func (h *HNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 	}
 	sc := h.get()
 	defer h.put(sc)
-	res, probes := h.query(sc, key, k)
+	res, probes := h.query(sc, key, k, math.Inf(1))
 	return cloneNeighbors(res), probes
 }
 
-// query answers one k-NN search on a non-empty graph. The neighbours it
-// returns live in sc.
-func (h *HNSW) query(sc *scratch, key vec.Vector, k int) ([]Neighbor, int) {
+// query answers one k-NN search on a non-empty graph, its layer-0 search
+// bounded by r. The neighbours it returns live in sc.
+func (h *HNSW) query(sc *scratch, key vec.Vector, k int, r float64) ([]Neighbor, int) {
 	score := h.scorer(key)
 	seed, probes := h.descend(&score, 0)
-	probes += h.searchLayer(sc, &score, seed, max(h.cfg.EfSearch, k), 0)
+	probes += h.searchLayer(sc, &score, seed, max(h.cfg.EfSearch, k), 0, r)
 	h.countQuery(probes)
 	return h.answer(sc, key, k), probes
 }
@@ -772,7 +806,7 @@ func (h *HNSW) Radius(key vec.Vector, r float64) []Neighbor {
 	probes := 0
 	for ef := h.cfg.EfSearch; ; ef *= 2 {
 		seed, p := h.descend(&score, 0)
-		probes += p + h.searchLayer(sc, &score, seed, ef, 0)
+		probes += p + h.searchLayer(sc, &score, seed, ef, 0, math.Inf(1))
 		// Grow the pool until the worst kept candidate is outside the
 		// radius (so nothing in-radius was cut) or everything is in.
 		if pool := sc.results.items; len(pool) < ef || pool[0].dist > r || ef >= h.live {

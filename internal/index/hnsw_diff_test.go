@@ -13,8 +13,9 @@ import (
 // TestHNSWMatchesOracle replays seeded streams of inserts, re-inserts,
 // removals and queries against the node-table HNSW and the map-based
 // reference it replaced (hnsw_oracle_test.go). After every operation the
-// two must hold the same graph and give the same answer: identical ids,
-// bit-identical distances, identical probe counts.
+// two must hold the same graph and give the same answer, bounded and
+// unbounded: identical ids, bit-identical distances, identical probe
+// counts.
 func TestHNSWMatchesOracle(t *testing.T) {
 	// Short mode runs fewer seeds, not shorter streams: at 600 ops the
 	// default-config seed never brings an id back to its dangling slot.
@@ -188,15 +189,29 @@ func (d *diffRun) query() vec.Vector {
 	return q
 }
 
+// diffMidRadius lies between a query's nearest neighbour in its own
+// cluster (a few units off) and the other clusters (tens of units off).
+const diffMidRadius = 6
+
+// nearest asks both sides for one query's nearest neighbour within 0,
+// within the exact nearest distance, within diffMidRadius and unbounded.
+// The flat store bounds its search by each radius (none reaches the
+// PQ store's), so the bounded searches are compared probe for probe too.
 func (d *diffRun) nearest() {
 	q := d.query()
-	got, gotProbes, gotOK := d.got.NearestWithin(q, math.Inf(1))
-	want, wantProbes, wantOK := d.want.NearestWithin(q, math.Inf(1))
-	if gotOK != wantOK || gotProbes != wantProbes {
-		d.t.Fatalf("op %d: Nearest ok/probes = %v/%d, oracle %v/%d", d.op, gotOK, gotProbes, wantOK, wantProbes)
+	exact := math.Inf(1)
+	for _, v := range d.ref {
+		exact = min(exact, d.got.metric.Distance(q, v))
 	}
-	if gotOK {
-		d.same("Nearest", []Neighbor{got}, []Neighbor{want})
+	for _, r := range []float64{0, exact, diffMidRadius, math.Inf(1)} {
+		got, gotProbes, gotOK := d.got.NearestWithin(q, r)
+		want, wantProbes, wantOK := d.want.NearestWithin(q, r)
+		if gotOK != wantOK || gotProbes != wantProbes {
+			d.t.Fatalf("op %d: NearestWithin(q, %v) ok/probes = %v/%d, oracle %v/%d", d.op, r, gotOK, gotProbes, wantOK, wantProbes)
+		}
+		if gotOK {
+			d.same(fmt.Sprintf("NearestWithin(q, %v)", r), []Neighbor{got}, []Neighbor{want})
+		}
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 // node table: nodes in a map keyed by id, link lists of ids, a map as
 // the visited set, container/heap for the frontier and the result pool,
 // every result drained and re-ranked. It is kept, test-only and
-// otherwise unchanged, as the reference the differential test in
-// hnsw_diff_test.go replays the same operations against: the two must
-// agree on every id, every distance bit and every probe count.
+// otherwise unchanged but for the bound NearestWithin gives its layer-0
+// search, as the reference the differential test in hnsw_diff_test.go
+// replays the same operations against: the two must agree on every id,
+// every distance bit and every probe count.
 type oracleHNSW struct {
 	probeCounter
 	metric   vec.Metric
@@ -100,7 +101,7 @@ func (h *oracleHNSW) Insert(id ID, key vec.Vector) error {
 		top = h.maxLevel
 	}
 	for l := top; l >= 0; l-- {
-		found := h.searchLayer(score, []oracleSeed{{ep, epDist}}, h.cfg.EfConstruction, l, nil)
+		found := h.searchLayer(score, []oracleSeed{{ep, epDist}}, h.cfg.EfConstruction, l, math.Inf(1), nil)
 		neighbors := h.selectNeighbors(key, found, h.cfg.M)
 		n.links[l] = neighbors
 		for _, nb := range neighbors {
@@ -317,12 +318,16 @@ func (s *oracleMaxHeap) Pop() interface{} {
 // searchLayer runs the bounded best-first search of one layer: expand
 // the closest unexpanded candidate, keep the ef best results seen.
 // Tombstoned nodes are traversed (they still route) but reported only to
-// the candidate frontier, never the result set. Returns results sorted
-// by (dist, id). visited, when non-nil, accumulates the probe count.
-func (h *oracleHNSW) searchLayer(score func(ID) float64, seeds []oracleSeed, ef, level int, visited *int) []oracleSeed {
+// the candidate frontier, never the result set. Once a live node within
+// r has entered the results (a seed counts), r bounds the search: a node
+// farther than r is neither a candidate nor a result, and the expansion
+// stops at the first candidate beyond r. Returns results sorted by
+// (dist, id). visited, when non-nil, accumulates the probe count.
+func (h *oracleHNSW) searchLayer(score func(ID) float64, seeds []oracleSeed, ef, level int, r float64, visited *int) []oracleSeed {
 	seen := make(map[ID]struct{}, ef*4)
 	cands := make(oracleMinHeap, 0, ef)
 	results := make(oracleMaxHeap, 0, ef)
+	bounded := false
 	for _, s := range seeds {
 		if _, dup := seen[s.id]; dup {
 			continue
@@ -334,10 +339,14 @@ func (h *oracleHNSW) searchLayer(score func(ID) float64, seeds []oracleSeed, ef,
 		heap.Push(&cands, s)
 		if n, ok := h.nodes[s.id]; ok && !n.deleted {
 			heap.Push(&results, s)
+			bounded = bounded || s.dist <= r
 		}
 	}
 	for cands.Len() > 0 {
 		c := heap.Pop(&cands).(oracleSeed)
+		if bounded && c.dist > r {
+			break
+		}
 		if results.Len() >= ef && c.dist > results[0].dist {
 			break
 		}
@@ -354,10 +363,14 @@ func (h *oracleHNSW) searchLayer(score func(ID) float64, seeds []oracleSeed, ef,
 				*visited++
 			}
 			d := score(nb)
+			if bounded && d > r {
+				continue
+			}
 			if results.Len() < ef || d < results[0].dist {
 				heap.Push(&cands, oracleSeed{nb, d})
 				if nn, ok := h.nodes[nb]; ok && !nn.deleted {
 					heap.Push(&results, oracleSeed{nb, d})
+					bounded = bounded || d <= r
 					if results.Len() > ef {
 						heap.Pop(&results)
 					}
@@ -505,9 +518,15 @@ func oracleContainsID(ids []ID, id ID) bool {
 	return false
 }
 
-// NearestWithin implements Index.
+// NearestWithin implements Index: over the flat store the layer-0
+// search is bounded by r, over a PQ store it is not, and either answer is
+// filtered.
 func (h *oracleHNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
-	res, probes := h.KNearestProbed(key, 1)
+	bound := math.Inf(1)
+	if _, flat := h.store.(*flatStore); flat {
+		bound = r
+	}
+	res, probes := h.kNearest(key, 1, bound)
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
@@ -517,6 +536,11 @@ func (h *oracleHNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bo
 // KNearestProbed implements Index: probes count the nodes
 // scored by the descent plus the layer-0 expansion.
 func (h *oracleHNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
+	return h.kNearest(key, k, math.Inf(1))
+}
+
+// kNearest is KNearestProbed with the layer-0 search bounded by r.
+func (h *oracleHNSW) kNearest(key vec.Vector, k int, r float64) ([]Neighbor, int) {
 	if k <= 0 || !h.entryOK || h.live == 0 {
 		return nil, 0
 	}
@@ -527,7 +551,7 @@ func (h *oracleHNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 		ef = k
 	}
 	seed := h.descend(score, &visited)
-	found := h.searchLayer(score, []oracleSeed{seed}, ef, 0, &visited)
+	found := h.searchLayer(score, []oracleSeed{seed}, ef, 0, r, &visited)
 	h.countQuery(visited)
 	cands := make([]Neighbor, 0, len(found))
 	for _, f := range found {
@@ -554,7 +578,7 @@ func (h *oracleHNSW) Radius(key vec.Vector, r float64) []Neighbor {
 	var found []oracleSeed
 	for {
 		seed := h.descend(score, &visited)
-		found = h.searchLayer(score, []oracleSeed{seed}, ef, 0, &visited)
+		found = h.searchLayer(score, []oracleSeed{seed}, ef, 0, math.Inf(1), &visited)
 		// Grow the pool until the worst kept candidate is outside the
 		// radius (so nothing in-radius was cut) or everything is in.
 		if len(found) < ef || found[len(found)-1].dist > r || ef >= h.live {

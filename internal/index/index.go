@@ -49,11 +49,15 @@ type Index interface {
 	// increasing distance.
 	KNearest(key vec.Vector, k int) []Neighbor
 	// NearestWithin is Nearest for a caller that can use a neighbour only
-	// within r of key: it answers what Nearest answers when that lies at
-	// Dist <= r, and ok=false otherwise, so r = +Inf is Nearest. The k-d
+	// within r of key: ok=false says it found none within r, and r = +Inf
+	// is Nearest. Every kind but HNSW over uncompressed keys answers what
+	// Nearest answers when that lies at Dist <= r, bit for bit: the k-d
 	// tree starts its search at the bound and scans only what could lie
 	// within it, so a far miss costs about the one leaf its descent
-	// reaches; every other kind searches as Nearest does and filters.
+	// reaches, and the other kinds search as Nearest does and filter. HNSW
+	// over uncompressed keys stops widening its search once it holds an
+	// answer within r: it finds one for exactly the queries Nearest
+	// answers within r, but not always Nearest's own.
 	// KNearestProbed is KNearest plus the probe count. A probe is one
 	// distance evaluated against a stored key (or its code, for the PQ
 	// kinds); work that only bounds distances, such as the k-d tree's box
@@ -75,8 +79,9 @@ type Index interface {
 	ProbeStats() ProbeStats
 }
 
-// within is NearestWithin for the kinds that filter an unbounded search:
-// (n, ok) from Nearest, kept only while n lies within r.
+// within keeps a search's answer (n, ok) only while n lies within r: it
+// is NearestWithin for the kinds that filter an unbounded search, and the
+// last step of HNSW's bounded one, which may end with nothing within r.
 func within(n Neighbor, probes int, ok bool, r float64) (Neighbor, int, bool) {
 	if !ok || n.Dist > r {
 		return Neighbor{}, probes, false

@@ -67,7 +67,8 @@ func BenchmarkNearest(b *testing.B) {
 // walk prunes little. That walk is what a cache miss pays. probes/op is
 // the index's own count. miss-bounded is the miss as core probes it once
 // the tuner is active: within 4× write-evict's threshold (9.19), so the
-// walk stops at what could lie that near.
+// walk stops at what could lie that near; miss-bounded8 is the same
+// within 8×.
 func BenchmarkKDTreeNearest(b *testing.B) {
 	const capacity, clusters, dim, queries = 4096, 16384, 16, 512
 	rng := rand.New(rand.NewSource(1))
@@ -126,7 +127,7 @@ func BenchmarkKDTreeNearest(b *testing.B) {
 		name string
 		qs   []vec.Vector
 		r    float64
-	}{{"hit", hits, math.Inf(1)}, {"miss", misses, math.Inf(1)}, {"miss-bounded", misses, 4 * 9.194401154677344}} {
+	}{{"hit", hits, math.Inf(1)}, {"miss", misses, math.Inf(1)}, {"miss-bounded", misses, 4 * 9.194401154677344}, {"miss-bounded8", misses, 8 * 9.194401154677344}} {
 		b.Run(tc.name, func(b *testing.B) {
 			probes := 0
 			for i := 0; i < b.N; i++ {

@@ -11,10 +11,14 @@ import (
 )
 
 // indexScaleGraph builds flat HNSW over the benchmark's index-scale
-// corpus shape: 16-dim entries in 256 clusters, sigma 2 around centres
-// drawn with sigma 100. Queries sit 0.5 off a stored entry.
-func indexScaleGraph(t testing.TB, n int) (*HNSW, []vec.Vector) {
-	rng := rand.New(rand.NewSource(18))
+// corpus shape from seed: n 16-dim entries in 256 clusters, sigma 2
+// around centres drawn with sigma 100, ids 1 to n in slots 0 to n-1. Of
+// its nq queries a share far lies at 5 000 ± 100 on every axis, nearer
+// no entry than any threshold, and the rest sit 0.5 off a stored entry.
+// At n = 8 000 and a far share of 0.05 the keys and queries are the
+// benchmark's own for the same seed.
+func indexScaleGraph(t testing.TB, n int, seed int64, nq int, far float64) (*HNSW, []vec.Vector) {
+	rng := rand.New(rand.NewSource(seed))
 	corpus := clusteredCorpus(rng, n, 16, 256, 2)
 	h := NewHNSW(vec.EuclideanMetric{}, HNSWConfig{})
 	for i, k := range corpus {
@@ -22,8 +26,15 @@ func indexScaleGraph(t testing.TB, n int) (*HNSW, []vec.Vector) {
 			t.Fatal(err)
 		}
 	}
-	queries := make([]vec.Vector, 64)
+	queries := make([]vec.Vector, nq)
 	for i := range queries {
+		if far > 0 && rng.Float64() < far {
+			queries[i] = make(vec.Vector, 16)
+			for d := range queries[i] {
+				queries[i][d] = 5000 + rng.NormFloat64()*100
+			}
+			continue
+		}
 		queries[i] = corpus[rng.Intn(n)].Clone()
 		for d := range queries[i] {
 			queries[i][d] += rng.NormFloat64() * 0.5
@@ -33,8 +44,9 @@ func indexScaleGraph(t testing.TB, n int) (*HNSW, []vec.Vector) {
 }
 
 // TestHNSWProbeDoesNotAllocate pins what the node table and the scratch
-// pool are for: a flat-store Nearest allocates nothing (2 is the
-// ceiling; 0 is what it measures), an Insert only its key's clone and,
+// pool are for: a flat-store Nearest allocates nothing, unbounded or
+// within 4× index-scale's threshold (2 is the ceiling; 0 is what it
+// measures), an Insert only its key's clone and,
 // for about one node in sixteen, the upper layers' link lists (2 is the
 // ceiling; 1 is what it measures, table growth included).
 func TestHNSWProbeDoesNotAllocate(t *testing.T) {
@@ -45,17 +57,19 @@ func TestHNSWProbeDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
 		n = 2000
 	}
-	h, queries := indexScaleGraph(t, n)
+	h, queries := indexScaleGraph(t, n, 18, 64, 0)
 	for _, efs := range []int{64, 512} {
-		h.cfg.EfSearch = efs
-		i := 0
-		allocs := testing.AllocsPerRun(200, func() {
-			h.Nearest(queries[i%len(queries)])
-			i++
-		})
-		t.Logf("efs %d: %.0f allocs per Nearest", efs, allocs)
-		if allocs > 2 {
-			t.Errorf("efs %d: %.0f allocs per Nearest, want <= 2", efs, allocs)
+		for _, r := range []float64{math.Inf(1), 4 * 15.6} {
+			h.cfg.EfSearch = efs
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				h.NearestWithin(queries[i%len(queries)], r)
+				i++
+			})
+			t.Logf("efs %d: %.0f allocs per NearestWithin(q, %v)", efs, allocs, r)
+			if allocs > 2 {
+				t.Errorf("efs %d: %.0f allocs per NearestWithin(q, %v), want <= 2", efs, allocs, r)
+			}
 		}
 	}
 	next := ID(n + 1)
@@ -79,7 +93,7 @@ func TestHNSWProbeDoesNotAllocate(t *testing.T) {
 // handed must survive that unchanged.
 func TestHNSWConcurrentReadersGetSerialAnswers(t *testing.T) {
 	const n = 2000
-	h, queries := indexScaleGraph(t, n)
+	h, queries := indexScaleGraph(t, n, 18, 64, 0)
 	rng := rand.New(rand.NewSource(30))
 	live := make([]ID, 0, n)
 	for id := ID(1); id <= n; id++ {
@@ -183,16 +197,16 @@ func jitter(rng *rand.Rand, v vec.Vector) vec.Vector {
 // stale stamps that equal the epoch after the wrap: the wrap must wipe
 // them, or the search would take every node for already seen.
 func TestVisitedEpochWrapClears(t *testing.T) {
-	h, queries := indexScaleGraph(t, 500)
+	h, queries := indexScaleGraph(t, 500, 18, 64, 0)
 	for _, q := range queries[:8] {
-		want, wantProbes := h.query(newScratch(), q, 3)
+		want, wantProbes := h.query(newScratch(), q, 3, math.Inf(1))
 		sc := newScratch()
 		sc.begin(h, cap(h.nodes))
 		for i := range sc.visited {
 			sc.visited[i] = 1
 		}
 		sc.epoch = math.MaxUint32
-		got, gotProbes := h.query(sc, q, 3)
+		got, gotProbes := h.query(sc, q, 3, math.Inf(1))
 		if sc.epoch != 1 {
 			t.Fatalf("epoch after the wrap = %d, want 1", sc.epoch)
 		}

@@ -111,3 +111,78 @@ func TestKDTreeNearestWithinScansLess(t *testing.T) {
 	}
 	t.Logf("median rows scanned per far miss: %d unbounded, %d within 36.8", full[50], bounded[50])
 }
+
+// TestHNSWNearestWithinRecall holds HNSW's bounded search to the
+// unbounded one on the index-scale benchmark's keys and queries (8 000
+// entries, 4 096 queries, one in twenty far, EfSearch 512) at radii 20
+// and 60, about 4·T for the threshold that workload learns. The bounded
+// search must find an answer within r for the same queries, agree with
+// an exact scan's NearestWithin on all but at most 2 in 4 096 more
+// queries than the unbounded search does, and score at most a third as
+// many nodes. The bound is for exact scores only: over the first 2 000
+// keys, HNSW-PQ's answer and probe count are its unbounded search's,
+// filtered.
+func TestHNSWNearestWithinRecall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a recall measurement learns nothing under the race detector")
+	}
+	seeds := []int64{1, 2, 7}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	const n, nq, nPQ = 8000, 4096, 2000
+	radii := []float64{20, 60}
+	inf := math.Inf(1)
+	for _, seed := range seeds {
+		h, queries := indexScaleGraph(t, n, seed, nq, 0.05)
+		h.cfg.EfSearch = 512
+		lin := NewLinear(h.metric)
+		pq := NewHNSWPQ(h.metric, HNSWConfig{EfSearch: 512}, PQConfig{TrainSize: 512})
+		for s, node := range h.nodes {
+			lin.Insert(h.ids[s], node.vec)
+			if s < nPQ {
+				pq.Insert(h.ids[s], node.vec)
+			}
+		}
+		agree, agreeFull := make([]int, len(radii)), make([]int, len(radii))
+		probes, probesFull := make([]int, len(radii)), 0
+		for i, q := range queries {
+			exact, _ := lin.Nearest(q)
+			full, pFull, _ := h.NearestWithin(q, inf)
+			probesFull += pFull
+			pqFull, pqPFull, _ := pq.NearestWithin(q, inf)
+			for j, r := range radii {
+				exactOK, fullOK := exact.Dist <= r, full.Dist <= r
+				got, p, ok := h.NearestWithin(q, r)
+				if ok != fullOK {
+					t.Fatalf("seed %d r %v query %d: found within r %v bounded, %v unbounded", seed, r, i, ok, fullOK)
+				}
+				if ok == exactOK && (!ok || got.Dist == exact.Dist) {
+					agree[j]++
+				}
+				if fullOK == exactOK && (!fullOK || full.Dist == exact.Dist) {
+					agreeFull[j]++
+				}
+				probes[j] += p
+				if i%8 != 0 {
+					continue
+				}
+				pqGot, pqP, pqOK := pq.NearestWithin(q, r)
+				if pqOK != (pqFull.Dist <= r) || pqP != pqPFull || (pqOK && (pqGot.ID != pqFull.ID || pqGot.Dist != pqFull.Dist)) {
+					t.Fatalf("seed %d r %v query %d: HNSW-PQ within r = (%d, %v, %v) in %d probes; unbounded (%d, %v) in %d",
+						seed, r, i, pqGot.ID, pqGot.Dist, pqOK, pqP, pqFull.ID, pqFull.Dist, pqPFull)
+				}
+			}
+		}
+		for j, r := range radii {
+			t.Logf("seed %d r %v: exact answers %d bounded, %d unbounded, of %d; mean probes %.1f bounded, %.1f unbounded",
+				seed, r, agree[j], agreeFull[j], nq, float64(probes[j])/nq, float64(probesFull)/nq)
+			if agree[j] < agreeFull[j]-2 {
+				t.Errorf("seed %d r %v: the bounded search agrees with an exact scan on %d queries, the unbounded on %d", seed, r, agree[j], agreeFull[j])
+			}
+			if 3*probes[j] > probesFull {
+				t.Errorf("seed %d r %v: %d probes bounded, more than a third of %d unbounded", seed, r, probes[j], probesFull)
+			}
+		}
+	}
+}
