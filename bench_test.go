@@ -639,8 +639,8 @@ func BenchmarkCachePut(b *testing.B) {
 // capacity requests. One op is one request that missed, its put
 // included; requests that hit run between them untimed. ns/round is the
 // miss path's cost and probes/round the k-d tree's part of it, in row
-// distances evaluated: with the miss memo a round walks the tree once,
-// for the lookup, and the put replays what changed since.
+// distances evaluated: a round probes the tree twice, once for the
+// lookup and once for the put's neighbour, each within 4·T.
 func BenchmarkMissThenPut(b *testing.B) {
 	const capacity, clusters, dim = 4096, 16384, 16
 	rng := rand.New(rand.NewSource(1))

@@ -31,13 +31,12 @@ import (
 //	                   expiry heaps and the entries' heap slots.
 //	                   Writers only; lookups never touch it.
 //	3. keyIndex.mu     (RWMutex, one per key type) — that key type's
-//	                   index structure, member map, mutation epoch and
-//	                   mutation log (memo.go). Lookups on different
-//	                   functions (or different key types) touch
-//	                   different locks and proceed in parallel.
+//	                   index structure and member map (door.go).
+//	                   Lookups on different functions (or different
+//	                   key types) touch different locks and proceed in
+//	                   parallel.
 //	Leaf locks (never held while acquiring any of the above):
-//	   Tuner.mu, Reputation.mu, Cache.rngMu (dropout draws),
-//	   missMemo.mu (one per key type: the miss memo's slots).
+//	   Tuner.mu, Reputation.mu, Cache.rngMu (dropout draws).
 //
 // A later lock may be acquired while holding an earlier one, never the
 // reverse. The entry table itself is a sync.Map with lock-free reads,
@@ -323,12 +322,6 @@ type Cache struct {
 	// was nil), hoisted like spans so hot paths test it with one nil
 	// check.
 	tap Tap
-
-	// memoHook is nil outside tests. A test sets it to see every put the
-	// miss memo is about to answer — under ki.mu's read lock, so it can
-	// ask the index what a probe would have said — and to veto the memo,
-	// which makes the put probe.
-	memoHook func(ki *keyIndex, key vec.Vector, m memoAnswer) bool
 }
 
 // entryTable wraps sync.Map with the entry types spelled out.
@@ -384,26 +377,14 @@ type keyIndex struct {
 	// registry; nil when the cache runs without telemetry.
 	lat *telemetry.Histogram
 
-	// mu guards idx, members, epoch and log. Third in the lock order.
-	// The idx POINTER is set at construction and never reassigned, so
-	// lockless reads of its atomic probe counters are safe; the index's
-	// contents still require mu. idx and members are mutated only by
-	// insert and remove (memo.go), which count every mutation in epoch
-	// and keep the last mutationLog of them in log.
+	// mu guards idx and members. Third in the lock order. The idx
+	// POINTER is set at construction and never reassigned, so lockless
+	// reads of its atomic probe counters are safe; the index's contents
+	// still require mu. idx and members are mutated only by insert and
+	// remove (door.go).
 	mu      sync.RWMutex
 	idx     index.Index
 	members map[ID]vec.Vector
-	epoch   uint64
-	log     [mutationLog]mutation
-
-	// replayer is idx's exact-neighbour replay, resolved once at
-	// construction; nil for the kinds that are not exact.
-	replayer index.Replayer
-
-	// memo remembers what lookups that missed found, for the puts that
-	// follow them; memoCtr counts how those puts fared. See memo.go.
-	memo    missMemo
-	memoCtr memoCounters
 }
 
 // New constructs a cache from cfg. Invalid policy kinds panic; use
@@ -480,13 +461,11 @@ func (c *Cache) RegisterFunction(fn string, keyTypes ...KeyTypeSpec) error {
 		if err != nil {
 			return fmt.Errorf("core: key type %q: %w", spec.Name, err)
 		}
-		replayer, _ := idx.(index.Replayer)
 		ki := &keyIndex{
-			spec:     spec,
-			idx:      idx,
-			replayer: replayer,
-			tuner:    NewTuner(c.cfg.Tuner),
-			members:  make(map[ID]vec.Vector),
+			spec:    spec,
+			idx:     idx,
+			tuner:   NewTuner(c.cfg.Tuner),
+			members: make(map[ID]vec.Vector),
 		}
 		if spec.Dim > 0 {
 			ki.width.Store(int64(spec.Dim))
@@ -947,14 +926,12 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	}
 
 	// Feed Algorithm 1 per key index with the key's nearest neighbour
-	// within the search radius as of now, before it is inserted: the
-	// answer of the lookup that missed brought up to date where it left a
-	// memo, a probe of the index where not (putNeighbor). With nothing
-	// within the radius the tuner observes no neighbour, as for an empty
-	// index. Tuner and reputation table synchronize themselves; the value
-	// comparison (user code) runs with no lock held. The first resolved
-	// key type's neighbour distance and threshold flow into the put span's
-	// decision fields.
+	// within the search radius as of now, before it is inserted
+	// (putNeighbor). With nothing within the radius the tuner observes no
+	// neighbour, as for an empty index. Tuner and reputation table
+	// synchronize themselves; the value comparison (user code) runs with
+	// no lock held. The first resolved key type's neighbour distance and
+	// threshold flow into the put span's decision fields.
 	spanDist, spanThreshold, spanSet := -1.0, 0.0, false
 	for i, ki := range kis {
 		if keys[i] == nil {
@@ -1117,6 +1094,15 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	return id, nil
 }
 
+// putNeighbor returns what ki.idx.NearestWithin(key, r) answers at this
+// instant: the pre-insertion neighbour Algorithm 1 is fed.
+func (c *Cache) putNeighbor(ki *keyIndex, key vec.Vector, r float64) (id index.ID, dist float64, ok bool) {
+	ki.mu.RLock()
+	n, _, ok := ki.idx.NearestWithin(key, r)
+	ki.mu.RUnlock()
+	return n.ID, n.Dist, ok
+}
+
 // recordPutError records an always-retained error span for a rejected
 // put (no-op when spans are detached). Put errors are rare and are
 // exactly the decisions an operator greps /trace/spans for.
@@ -1159,10 +1145,8 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 		r := searchRadius(threshold)
 		ki.mu.RLock()
 		n, probes, found = ki.idx.NearestWithin(key, r)
-		epoch := ki.epoch
 		ki.mu.RUnlock()
 		if !found {
-			ki.memo.record(key, n, false, r, epoch)
 			return nil, nil, -1, probes, false, false
 		}
 		var e *entry
@@ -1174,13 +1158,8 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 		if e != nil && e.expiresAt.After(now) {
 			return e, n.Key, n.Dist, probes, true, false
 		}
-		// Not a hit, so a put of this key is likely on its way: leave it
-		// the probe's answer (memo.go).
-		ki.memo.record(key, n, true, r, epoch)
 		return nil, nil, n.Dist, probes, false, e != nil
 	}
-	// A k > 1 query leaves no memo: its nearest is KNearest's, which
-	// orders by reported distance where Nearest may order by its square.
 	var ns []index.Neighbor
 	ki.mu.RLock()
 	ns, probes = ki.idx.KNearestProbed(key, k)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -549,4 +551,137 @@ func TestLookupAcceptRejectedHitRecordsNoAccess(t *testing.T) {
 	if err != nil || !res.Hit {
 		t.Errorf("nil-accept lookup: %+v, %v", res, err)
 	}
+}
+
+// TestMissAndPutNeighborDoNotAllocate: a lookup that misses, and a put's
+// neighbour probe, allocate nothing, at small keys and large.
+func TestMissAndPutNeighborDoNotAllocate(t *testing.T) {
+	for _, dim := range []int{16, 768} {
+		c := New(Config{DisableDropout: true, MaxEntries: 64})
+		if err := c.RegisterFunction("f", KeyTypeSpec{Name: "a", Dim: dim}); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(dim)))
+		point := func() vec.Vector {
+			v := make(vec.Vector, dim)
+			for i := range v {
+				v[i] = rng.NormFloat64() * 100
+			}
+			return v
+		}
+		for i := 0; i < 64; i++ {
+			if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{"a": point()}, Value: i, Size: 8}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ki, err := c.keyIndexFor("f", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := point()
+		if allocs := testing.AllocsPerRun(100, func() {
+			if res, _ := c.Lookup("f", "a", q); res.Hit {
+				t.Fatal("expected a miss")
+			}
+		}); allocs != 0 {
+			t.Errorf("dim %d: a lookup miss allocates %v times, want 0", dim, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, _, ok := c.putNeighbor(ki, q, math.Inf(1)); !ok {
+				t.Fatal("no neighbour in an unbounded probe of 64 entries")
+			}
+		}); allocs != 0 {
+			t.Errorf("dim %d: the put's neighbour probe allocates %v times, want 0", dim, allocs)
+		}
+	}
+}
+
+// TestPutNeighborUnderTheBound: a put feeds Algorithm 1 the neighbour
+// within 4·T as T stands when it puts, whatever radius the lookup before
+// it searched. On a k-d tree of 2-dim keys along one axis.
+func TestPutNeighborUnderTheBound(t *testing.T) {
+	setup := func(t *testing.T) (*Cache, *keyIndex) {
+		c := New(Config{DisableDropout: true})
+		if err := c.RegisterFunction("f", KeyTypeSpec{Name: "a", Dim: 2}); err != nil {
+			t.Fatal(err)
+		}
+		ki, err := c.keyIndexFor("f", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, ki
+	}
+	put := func(t *testing.T, c *Cache, x float64, value string) {
+		if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{"a": {x, 0}}, Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss := func(t *testing.T, c *Cache, x, dist float64) {
+		if res, err := c.Lookup("f", "a", vec.Vector{x, 0}); err != nil || res.Hit || res.Distance != dist {
+			t.Fatalf("lookup %v: %+v %v, want a miss at distance %v", x, res, err, dist)
+		}
+	}
+	tuner := func(c *Cache) TunerStats {
+		ts, _ := c.TunerStats("f", "a")
+		return ts
+	}
+	// loosened is Algorithm 1's EWMA at the default γ, in float64 as the
+	// tuner computes it.
+	loosened := func(dist, threshold float64) float64 {
+		gamma := 0.8
+		return (1-gamma)*dist + gamma*threshold
+	}
+
+	t.Run("threshold grows between lookup and put", func(t *testing.T) {
+		c, ki := setup(t)
+		put(t, c, 0, "x")
+		c.ForceThreshold("f", "a", 1)
+		miss(t, c, 10, -1) // nothing within 4
+		c.ForceThreshold("f", "a", 5)
+		// Within 20 the entry at 10 lies: the put finds it and loosens
+		// toward it.
+		put(t, c, 10, "x")
+		if ts := tuner(c); ts.Threshold != loosened(10, 5) || ts.Loosenings != 1 {
+			t.Errorf("the probe within 20 did not feed the neighbour at 10: %+v", ts)
+		}
+		// The other way: the lookup found 13 at 3 within 4·1.5, and the
+		// threshold fell to 0.5: within 2 there is nothing.
+		put(t, c, 13, "y")
+		c.ForceThreshold("f", "a", 1.5)
+		miss(t, c, 16, 3)
+		c.ForceThreshold("f", "a", 0.5)
+		if id, dist, ok := c.putNeighbor(ki, vec.Vector{16, 0}, searchRadius(0.5)); ok {
+			t.Errorf("neighbour (%d, %v) beyond the shrunken radius", id, dist)
+		}
+	})
+
+	t.Run("insert lands beyond R after the miss", func(t *testing.T) {
+		c, ki := setup(t)
+		put(t, c, 0, "a")
+		c.ForceThreshold("f", "a", 1)
+		miss(t, c, 10, -1)
+		put(t, c, 15, "b") // nearer than 0 to 10, but 5 away: beyond 4
+		q := vec.Vector{10, 0}
+		if id, dist, ok := c.putNeighbor(ki, q, searchRadius(1)); ok {
+			t.Errorf("neighbour (%d, %v) beyond the radius", id, dist)
+		}
+		put(t, c, 12, "c") // 2 away: within
+		if id, dist, ok := c.putNeighbor(ki, q, searchRadius(1)); !ok || id != 3 || dist != 2 {
+			t.Errorf("neighbour (%d, %v, %v), want entry 3 at 2", id, dist, ok)
+		}
+		if ts := tuner(c); ts.Threshold != 1 {
+			t.Errorf("different-valued neighbours moved the threshold: %+v", ts)
+		}
+	})
+
+	t.Run("active tuner at zero still loosens", func(t *testing.T) {
+		c, _ := setup(t)
+		put(t, c, 0, "x")
+		c.ForceThreshold("f", "a", 0)
+		miss(t, c, 10, 10) // unbounded at T = 0
+		put(t, c, 10, "x")
+		if ts := tuner(c); ts.Threshold != loosened(10, 0) || ts.Loosenings != 1 {
+			t.Errorf("a same-valued neighbour at 10 did not loosen a zero threshold: %+v", ts)
+		}
+	})
 }

@@ -71,8 +71,6 @@ type telemetryVecs struct {
 	idxQueries *telemetry.CounterVec
 	idxProbes  *telemetry.CounterVec
 	puts       *telemetry.CounterVec
-	neighbor   *telemetry.CounterVec
-	replayed   *telemetry.CounterVec
 }
 
 // initTelemetry registers the cache's metric families and global
@@ -99,12 +97,6 @@ func (c *Cache) initTelemetry() {
 		puts: r.CounterVec("potluck_puts_total",
 			"Accepted cache insertions by function.",
 			"function"),
-		neighbor: r.CounterVec("potluck_put_neighbor_total",
-			"Puts by where the new key's pre-insertion neighbour came from: the miss memo (memo), or an index probe because the key had no memo (probe_absent), the memo's neighbour was removed or the index kind cannot replay (probe_stale), or more mutations had passed than the log holds (probe_overflow).",
-			"function", "keytype", "source"),
-		replayed: r.CounterVec("potluck_put_neighbor_replayed_total",
-			"Index mutations replayed to bring miss memos up to date.",
-			"function", "keytype"),
 	}
 	r.Gauge("potluck_cache_entries", "Live cache entries.").
 		SetFunc(func() float64 { return float64(c.count.Load()) })
@@ -141,10 +133,6 @@ func (c *Cache) wireFunctionTelemetry(fn string, stats *fnCounters, added []*key
 		kind := string(ki.spec.Index)
 		c.vecs.idxQueries.With(fn, kt, kind).SetFunc(func() int64 { return ki.idx.ProbeStats().Queries })
 		c.vecs.idxProbes.With(fn, kt, kind).SetFunc(func() int64 { return ki.idx.ProbeStats().Probes })
-		for src, name := range neighborSourceNames {
-			c.vecs.neighbor.With(fn, kt, name).SetFunc(ki.memoCtr.source[src].Load)
-		}
-		c.vecs.replayed.With(fn, kt).SetFunc(ki.memoCtr.replayed.Load)
 		ki.lat = c.vecs.latency.With(fn, kt)
 	}
 }
@@ -160,34 +148,10 @@ type KeyTypeStats struct {
 	Dropouts  int64            `json:"dropouts"`
 	Threshold float64          `json:"threshold"`
 	Probes    index.ProbeStats `json:"probes"`
-	// PutNeighbor counts this key type's puts by where the new key's
-	// pre-insertion neighbour came from (memo.go).
-	PutNeighbor PutNeighborStats `json:"putNeighbor"`
 	// Latency summarizes the lookup-latency histogram (observations
 	// sampled 1-in-4, see latSampleMask); nil when the cache runs
 	// without telemetry attached.
 	Latency *telemetry.LatencySummary `json:"latency,omitempty"`
-}
-
-// PutNeighborStats is the miss memo's scoreboard: puts answered by the
-// memo, puts that probed the index and why, and the index mutations
-// replayed to bring memos up to date.
-type PutNeighborStats struct {
-	Memo          int64 `json:"memo"`
-	ProbeAbsent   int64 `json:"probeAbsent"`
-	ProbeStale    int64 `json:"probeStale"`
-	ProbeOverflow int64 `json:"probeOverflow"`
-	Replayed      int64 `json:"replayed"`
-}
-
-func (m *memoCounters) stats() PutNeighborStats {
-	return PutNeighborStats{
-		Memo:          m.source[fromMemo].Load(),
-		ProbeAbsent:   m.source[probeAbsent].Load(),
-		ProbeStale:    m.source[probeStale].Load(),
-		ProbeOverflow: m.source[probeOverflow].Load(),
-		Replayed:      m.replayed.Load(),
-	}
 }
 
 // FunctionStats is a point-in-time snapshot of one function's metric
@@ -224,15 +188,14 @@ func (c *Cache) FunctionStats() []FunctionStats {
 			n := ki.idx.Len()
 			ki.mu.RUnlock()
 			ks := KeyTypeStats{
-				KeyType:     fc.order[i],
-				IndexKind:   ki.spec.Index,
-				IndexLen:    n,
-				Hits:        ki.ctr.hits.Load(),
-				Misses:      ki.ctr.misses.Load(),
-				Dropouts:    ki.ctr.dropouts.Load(),
-				Threshold:   ki.tuner.Threshold(),
-				Probes:      ki.idx.ProbeStats(),
-				PutNeighbor: ki.memoCtr.stats(),
+				KeyType:   fc.order[i],
+				IndexKind: ki.spec.Index,
+				IndexLen:  n,
+				Hits:      ki.ctr.hits.Load(),
+				Misses:    ki.ctr.misses.Load(),
+				Dropouts:  ki.ctr.dropouts.Load(),
+				Threshold: ki.tuner.Threshold(),
+				Probes:    ki.idx.ProbeStats(),
 			}
 			if ki.lat != nil {
 				sum := ki.lat.Snapshot().Summary()

@@ -9,7 +9,6 @@ package index
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/vec"
 )
@@ -87,41 +86,6 @@ func within(n Neighbor, probes int, ok bool, r float64) (Neighbor, int, bool) {
 		return Neighbor{}, probes, false
 	}
 	return n, probes, true
-}
-
-// Replayer is implemented by the kinds whose Nearest is the exact
-// metric neighbour (k-d tree, linear scan). For those an answer stays
-// the answer while other entries are removed, and an insert can only
-// replace it with the inserted entry, so a caller that remembers an
-// answer and logs the mutations since (core's miss memo) can bring it
-// up to date with one distance per insert instead of a search.
-type Replayer interface {
-	// ReplayInsert returns what Nearest(q) answers once (id, key) is
-	// inserted, given that it answered (cur, found) before and cur is
-	// still stored. Only ID and Dist of the result mean anything. It
-	// decides the way the kind's own search does, ties included; ok is
-	// false where it cannot without searching (a distance that is not
-	// finite, or a tie it cannot see the search's side of).
-	ReplayInsert(q vec.Vector, cur Neighbor, found bool, id ID, key vec.Vector) (next Neighbor, ok bool)
-}
-
-// replayInsert is ReplayInsert given d, the distance the kind would
-// report for the inserted key: the exact kinds order by (distance, id).
-// tiesExact says a tie in d is a tie in what the kind's search compares.
-func replayInsert(d float64, cur Neighbor, found bool, id ID, tiesExact bool) (Neighbor, bool) {
-	switch {
-	case !(d <= math.MaxFloat64):
-		return Neighbor{}, false
-	case !found || d < cur.Dist:
-		return Neighbor{ID: id, Dist: d}, true
-	case d > cur.Dist:
-		return cur, true
-	case !tiesExact:
-		return Neighbor{}, false
-	case id < cur.ID:
-		return Neighbor{ID: id, Dist: d}, true
-	}
-	return cur, true
 }
 
 // Kind names an index structure, used when applications register key

@@ -56,7 +56,8 @@ type KDTree struct {
 
 // kdLeafSize is a leaf's row capacity, and kdRebuildShift sets the
 // rebuild point: after size>>kdRebuildShift mutations. Both were chosen by
-// a sweep of BenchmarkMissThenPut (CHANGES.md).
+// a sweep of BenchmarkMissThenPut (CHANGES.md) while a round walked the
+// tree once, unbounded; a round now runs two bounded probes.
 const (
 	kdLeafSize     = 32
 	kdRebuildShift = 1
@@ -343,10 +344,10 @@ func (t *KDTree) widen(i int32, key vec.Vector) {
 }
 
 // Nearest implements Index. It is a dedicated allocation-free search:
-// Nearest runs on every cache lookup (and on a put whose miss left no
-// usable memo, see core), and going through KNearest(1) would allocate a
-// result slice per call, enough garbage at high concurrency that GC mark
-// assists, a global bottleneck, dominate the runtime.
+// it runs on every cache lookup and again on every put, for the new
+// key's neighbour (see core), and going through KNearest(1) would
+// allocate a result slice per call, enough garbage at high concurrency
+// that GC mark assists, a global bottleneck, dominate the runtime.
 func (t *KDTree) Nearest(key vec.Vector) (Neighbor, bool) {
 	n, _, ok := t.NearestWithin(key, math.Inf(1))
 	return n, ok
@@ -507,18 +508,6 @@ func (t *KDTree) boxBound(key vec.Vector, i int32) float64 {
 		return sum
 	}
 	return most
-}
-
-// ReplayInsert implements Replayer with the comparison of the search
-// above. The Euclidean search orders by squared distance and reports the
-// root, and two different squares can share a root, so there a tie in
-// the reported distance is decided only at 0, where the squares tie too.
-func (t *KDTree) ReplayInsert(q vec.Vector, cur Neighbor, found bool, id ID, key vec.Vector) (Neighbor, bool) {
-	if t.norm == kdL2 {
-		d := math.Sqrt(vec.SquaredEuclidean(q, key))
-		return replayInsert(d, cur, found, id, d == 0)
-	}
-	return replayInsert(t.metric.Distance(q, key), cur, found, id, true)
 }
 
 // kdQuery is KNearest's and Radius' search, through the metric's

@@ -768,56 +768,3 @@ func TestKDTreeConcurrentReadersGetSerialAnswers(t *testing.T) {
 		}
 	}
 }
-
-// TestReplayInsertMatchesSearch checks Replayer against the search it
-// stands in for: remember Nearest(q), insert, and the replayed answer
-// must be what Nearest(q) says now, bit for bit, whenever it claims to
-// know. Coordinates on a grid make ties and duplicates common.
-func TestReplayInsertMatchesSearch(t *testing.T) {
-	for _, kind := range []Kind{KindKDTree, KindLinear} {
-		for _, m := range []vec.Metric{vec.EuclideanMetric{}, vec.ManhattanMetric{}} {
-			rng := rand.New(rand.NewSource(11))
-			idx, err := New(kind, m, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp := idx.(Replayer)
-			grid := func() vec.Vector {
-				return vec.Vector{float64(rng.Intn(4)), float64(rng.Intn(4)), float64(rng.Intn(4))}
-			}
-			decided := 0
-			for id := ID(1); id <= 400; id++ {
-				q, key := grid(), grid()
-				if rng.Intn(4) == 0 {
-					q[0] += 0.5
-				}
-				cur, found := idx.Nearest(q)
-				// Half the inserts take an id below the current answer's,
-				// so a tie goes either way.
-				ins := id + 1000
-				if rng.Intn(2) == 0 {
-					ins = 1000 - id
-				}
-				next, ok := rp.ReplayInsert(q, cur, found, ins, key)
-				idx.Insert(ins, key)
-				want, _ := idx.Nearest(q)
-				if !ok {
-					continue
-				}
-				decided++
-				if next.ID != want.ID || math.Float64bits(next.Dist) != math.Float64bits(want.Dist) {
-					t.Fatalf("%s/%s insert %d: replay says (%d, %v), Nearest (%d, %v)",
-						kind, m.Name(), id, next.ID, next.Dist, want.ID, want.Dist)
-				}
-				if rng.Intn(3) == 0 {
-					// Remove something other than the answer: it must not
-					// matter to the next round.
-					idx.Remove(ins + 1)
-				}
-			}
-			if decided < 300 {
-				t.Fatalf("%s/%s: only %d of 400 replays decided", kind, m.Name(), decided)
-			}
-		}
-	}
-}

@@ -54,11 +54,6 @@ func (l *Linear) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) 
 	return within(best, probes, best.Dist >= 0, r)
 }
 
-// ReplayInsert implements Replayer with NearestWithin's comparison.
-func (l *Linear) ReplayInsert(q vec.Vector, cur Neighbor, found bool, id ID, key vec.Vector) (Neighbor, bool) {
-	return replayInsert(l.metric.Distance(q, key), cur, found, id, true)
-}
-
 // KNearest implements Index.
 func (l *Linear) KNearest(key vec.Vector, k int) []Neighbor {
 	ns, _ := l.KNearestProbed(key, k)
