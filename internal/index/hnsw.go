@@ -26,6 +26,16 @@ import (
 // scores are bounded: under PQ an estimate beyond r does not show the
 // true distance is, so that search runs unbounded and is filtered.
 //
+// A miss with nothing within r would still pay the whole efSearch-wide
+// search, so over either store HNSW keeps the box of every key inserted
+// since it was last empty, widened by Insert and left as it is by
+// Remove: a box that may be larger than the live keys need, never
+// smaller. When the box lies farther than r from a query, by the k-d
+// tree's cut (see boxNorm.outside), no key can lie within r, and
+// NearestWithin and Radius answer "none" without scoring a node: one
+// query of zero probes. r = +Inf, and a metric no box bounds, never
+// certify, so Insert, KNearest and the unbounded probes search as before.
+//
 // Removal is tombstone-based: a removed node keeps routing traffic until
 // an amortized re-link pass (a few nodes per mutation, under the write
 // lock the cache already holds) splices its live neighbours together and
@@ -52,6 +62,7 @@ type HNSW struct {
 	probeCounter
 	scratchPool
 	metric   vec.Metric
+	norm     boxNorm
 	cfg      HNSWConfig
 	pq       *pqStore // nil: keys are kept uncompressed, as rows and clones
 	keyBytes int64    // bytes of those uncompressed keys, both copies
@@ -63,6 +74,9 @@ type HNSW struct {
 	// s's key at rows[s*width:][:width]; it is empty under a PQ store.
 	width int
 	rows  []float64
+	// lo and hi are the least and greatest coordinate, axis by axis, of
+	// every key inserted since the graph was last empty.
+	lo, hi []float64
 	// links0 holds slot s's layer-0 links at links0[s*stride:]: their
 	// count, then room for 2M+1 slots, one more than a list may keep, for
 	// the entry addLink appends before it trims.
@@ -165,6 +179,7 @@ func newHNSW(m vec.Metric, cfg HNSWConfig, pq *pqStore) *HNSW {
 	cfg = cfg.withDefaults()
 	h := &HNSW{
 		metric:   m,
+		norm:     boxNormOf(m),
 		cfg:      cfg,
 		pq:       pq,
 		stride:   2*cfg.M + 2,
@@ -283,6 +298,7 @@ func (h *HNSW) Insert(id ID, key vec.Vector) error {
 		return ErrEmptyKey
 	case h.width == 0:
 		h.width = len(key)
+		h.lo, h.hi = make([]float64, h.width), make([]float64, h.width)
 	case len(key) != h.width:
 		return vec.ErrDimensionMismatch
 	}
@@ -295,6 +311,10 @@ func (h *HNSW) Insert(id ID, key vec.Vector) error {
 		h.relink(s)
 	}
 	h.repairSome()
+	if h.live == 0 {
+		emptyBox(h.lo, h.hi)
+	}
+	widen(h.lo, h.hi, key)
 	key = key.Clone()
 	s := h.occupy(id)
 	if h.pq != nil {
@@ -714,13 +734,18 @@ func (h *HNSW) Nearest(key vec.Vector) (Neighbor, bool) {
 	return n, ok
 }
 
-// NearestWithin implements Index. Over the flat store the layer-0 search
+// NearestWithin implements Index. A query whose box bound exceeds r is
+// answered "none" with no search. Over the flat store the layer-0 search
 // is bounded by r once it holds an answer within r (see searchLayer).
 // Over a PQ store it is not: an estimate beyond r does not show that the
 // true distance is, so the search runs unbounded and its answer is
 // filtered.
 func (h *HNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	if h.live == 0 || len(key) != h.width {
+		return Neighbor{}, 0, false
+	}
+	if h.norm.outside(h.lo, h.hi, key, r) {
+		h.countQuery(0)
 		return Neighbor{}, 0, false
 	}
 	sc := h.get()
@@ -796,8 +821,13 @@ func (h *HNSW) answer(sc *scratch, key vec.Vector, k int) []Neighbor {
 // approximate: it reports the within-radius subset of an ef-bounded
 // layer-0 expansion (grown while the frontier keeps finding in-radius
 // nodes), re-ranked exactly so no out-of-radius result is ever invented.
+// A query whose box bound exceeds r finds nothing without a search.
 func (h *HNSW) Radius(key vec.Vector, r float64) []Neighbor {
 	if h.live == 0 || len(key) != h.width {
+		return nil
+	}
+	if h.norm.outside(h.lo, h.hi, key, r) {
+		h.countQuery(0)
 		return nil
 	}
 	sc := h.get()

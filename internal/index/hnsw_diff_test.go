@@ -13,9 +13,11 @@ import (
 // TestHNSWMatchesOracle replays seeded streams of inserts, re-inserts,
 // removals and queries against the node-table HNSW and the map-based
 // reference it replaced (hnsw_oracle_test.go). After every operation the
-// two must hold the same graph and give the same answer, bounded and
-// unbounded: identical ids, bit-identical distances, identical probe
-// counts.
+// two must hold the same graph and the same box, and give the same
+// answer, bounded and unbounded, searched or certified by the box:
+// identical ids, bit-identical distances, identical probe counts. About
+// one query in ten lies far from every cluster, where the box answers a
+// bounded query without a search.
 func TestHNSWMatchesOracle(t *testing.T) {
 	// Short mode runs fewer seeds, not shorter streams: at 600 ops the
 	// default-config seed never brings an id back to its dangling slot.
@@ -50,9 +52,10 @@ type diffRun struct {
 	centres []vec.Vector
 	op      int
 	// What the stream has exercised: a slot recycled for a different id,
-	// and an id going back into its own vacant, still-referenced slot.
-	tenant             map[int32]ID
-	recycled, returned bool
+	// an id going back into its own vacant, still-referenced slot, and a
+	// query the box answered.
+	tenant                        map[int32]ID
+	recycled, returned, certified bool
 }
 
 const diffDim = 8
@@ -178,8 +181,9 @@ func (d *diffRun) run(ops int) {
 			d.t.Fatalf("op %d: %v", d.op, err)
 		}
 	}
-	if !d.recycled || !d.returned {
-		d.t.Errorf("stream too tame: slot recycled for another id %v, id returned to its dangling slot %v", d.recycled, d.returned)
+	if !d.recycled || !d.returned || !d.certified {
+		d.t.Errorf("stream too tame: slot recycled for another id %v, id returned to its dangling slot %v, a query certified by the box %v",
+			d.recycled, d.returned, d.certified)
 	}
 }
 
@@ -189,6 +193,24 @@ func (d *diffRun) query() vec.Vector {
 	return q
 }
 
+// far returns a query at least 100 off every centre, and so far beyond
+// diffMidRadius from every key, which lie a few units off theirs.
+func (d *diffRun) far() vec.Vector {
+	for {
+		q := make(vec.Vector, diffDim)
+		for j := range q {
+			q[j] = d.rng.NormFloat64() * 150
+		}
+		near := false
+		for _, c := range d.centres {
+			near = near || d.got.metric.Distance(q, c) < 100
+		}
+		if !near {
+			return q
+		}
+	}
+}
+
 // diffMidRadius lies between a query's nearest neighbour in its own
 // cluster (a few units off) and the other clusters (tens of units off).
 const diffMidRadius = 6
@@ -196,9 +218,14 @@ const diffMidRadius = 6
 // nearest asks both sides for one query's nearest neighbour within 0,
 // within the exact nearest distance, within diffMidRadius and unbounded.
 // The flat store bounds its search by each radius (none reaches the
-// PQ store's), so the bounded searches are compared probe for probe too.
+// PQ store's), and either side may answer a bounded query from its box,
+// so the bounded searches are compared probe for probe too. One query in
+// ten is far.
 func (d *diffRun) nearest() {
 	q := d.query()
+	if d.rng.Intn(10) == 0 {
+		q = d.far()
+	}
 	exact := math.Inf(1)
 	for _, v := range d.ref {
 		exact = min(exact, d.got.metric.Distance(q, v))
@@ -212,6 +239,7 @@ func (d *diffRun) nearest() {
 		if gotOK {
 			d.same(fmt.Sprintf("NearestWithin(q, %v)", r), []Neighbor{got}, []Neighbor{want})
 		}
+		d.certified = d.certified || !gotOK && gotProbes == 0 && len(d.ref) > 0
 	}
 }
 
@@ -227,6 +255,9 @@ func (d *diffRun) knearest(k int) {
 
 func (d *diffRun) radius(r float64) {
 	q := d.query()
+	if d.rng.Intn(4) == 0 {
+		q = d.far()
+	}
 	d.same("Radius", d.got.Radius(q, r), d.want.Radius(q, r))
 	if got, want := d.got.ProbeStats(), d.want.ProbeStats(); got != want {
 		d.t.Fatalf("op %d: probe stats after Radius = %+v, oracle %+v", d.op, got, want)
@@ -259,6 +290,9 @@ func (d *diffRun) sameGraph() error {
 	}
 	if err := checkHNSW(g); err != nil {
 		return err
+	}
+	if w.live > 0 && (!sameBits(g.lo, w.lo) || !sameBits(g.hi, w.hi)) {
+		return fmt.Errorf("box %v to %v, oracle %v to %v", g.lo, g.hi, w.lo, w.hi)
 	}
 	// A flat store keeps a key twice: its clone and its row.
 	wantBytes := w.store.keyBytes()
@@ -313,8 +347,9 @@ func (d *diffRun) sameGraph() error {
 // graph: the per-slot columns and the flat arrays span the table (a PQ
 // store keeps no rows), every occupied flat-store row equals its node's
 // clone bit for bit, no layer-0 count exceeds the stride's room, a vacant
-// slot holds no node state and no links, and a free slot is vacant and
-// unreferenced.
+// slot holds no node state and no links, a free slot is vacant and
+// unreferenced, and every live key whose exact value the index holds lies
+// inside the box.
 func checkHNSW(g *HNSW) error {
 	n, rowWidth := len(g.nodes), g.width
 	if g.pq != nil {
@@ -338,6 +373,11 @@ func checkHNSW(g *HNSW) error {
 		if len(node.upper) != int(g.levels[s]) {
 			return fmt.Errorf("slot %d at level %d has %d upper link lists", s, g.levels[s], len(node.upper))
 		}
+		if !g.deleted[s] {
+			if err := inBox(g, s); err != nil {
+				return err
+			}
+		}
 		if g.pq != nil {
 			continue
 		}
@@ -356,10 +396,33 @@ func checkHNSW(g *HNSW) error {
 	return nil
 }
 
+// inBox checks that the key in slot s lies inside the box, a NaN
+// coordinate excepted. Under a PQ store only a key kept whole or
+// resolvable is known exactly.
+func inBox(g *HNSW, s int) error {
+	key := g.nodes[s].vec
+	if g.pq != nil {
+		var ok bool
+		if key, ok = g.pq.full[g.ids[s]]; !ok && g.pq.resolver != nil {
+			key, ok = g.pq.resolver(g.ids[s])
+		}
+		if !ok {
+			return nil
+		}
+	}
+	for a, x := range key {
+		if x < g.lo[a] || x > g.hi[a] {
+			return fmt.Errorf("slot %d's key %v lies outside the box on axis %d: %v not in [%v, %v]", s, key, a, x, g.lo[a], g.hi[a])
+		}
+	}
+	return nil
+}
+
 // TestHNSWGraphCheckCatchesScribbles: the check TestHNSWMatchesOracle
 // runs after every operation must fail on a row one ulp off its node's
 // key, on a layer-0 count one too high in a live slot and on one in a
-// vacant slot, each on its own, and pass again once each is undone.
+// vacant slot, and on a box one ulp too tight for a live key, each on its
+// own, and pass again once each is undone.
 func TestHNSWGraphCheckCatchesScribbles(t *testing.T) {
 	d := newDiffRun(t, KindHNSW, 64, 2)
 	for len(d.live) < 300 {
@@ -400,6 +463,13 @@ func TestHNSWGraphCheckCatchesScribbles(t *testing.T) {
 		count := &g.links0[int(s)*g.stride]
 		mustFail(what, func() { *count++ }, func() { *count-- })
 	}
+	least := math.Inf(1)
+	for _, id := range d.live {
+		least = min(least, d.ref[id][0])
+	}
+	savedLo := g.lo[0]
+	mustFail("a box one ulp inside a live key",
+		func() { g.lo[0] = math.Nextafter(least, math.Inf(1)) }, func() { g.lo[0] = savedLo })
 	if err := d.sameGraph(); err != nil {
 		t.Fatalf("after undoing the scribbles: %v", err)
 	}

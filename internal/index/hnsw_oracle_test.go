@@ -13,9 +13,10 @@ import (
 // the visited set, container/heap for the frontier and the result pool,
 // every result drained and re-ranked. It is kept, test-only and
 // otherwise unchanged but for the bound NearestWithin gives its layer-0
-// search, as the reference the differential test in hnsw_diff_test.go
-// replays the same operations against: the two must agree on every id,
-// every distance bit and every probe count.
+// search and the box that answers a query beyond it without one, as the
+// reference the differential test in hnsw_diff_test.go replays the same
+// operations against: the two must agree on every id, every distance bit
+// and every probe count.
 type oracleHNSW struct {
 	probeCounter
 	metric   vec.Metric
@@ -29,6 +30,9 @@ type oracleHNSW struct {
 	levelMul float64
 	repairQ  []ID // tombstoned nodes awaiting re-link
 	live     int
+	// lo and hi are the least and greatest coordinate, axis by axis, of
+	// every key inserted since the graph was last empty.
+	lo, hi []float64
 }
 
 type oracleNode struct {
@@ -79,6 +83,20 @@ func (h *oracleHNSW) Insert(id ID, key vec.Vector) error {
 		h.relink(n)
 	}
 	h.repairSome()
+	if h.live == 0 {
+		h.lo, h.hi = make([]float64, len(key)), make([]float64, len(key))
+		for a := range key {
+			h.lo[a], h.hi[a] = math.Inf(1), math.Inf(-1)
+		}
+	}
+	for a, x := range key {
+		if x < h.lo[a] {
+			h.lo[a] = x
+		}
+		if x > h.hi[a] {
+			h.hi[a] = x
+		}
+	}
 	key = key.Clone()
 	h.store.add(id, key)
 	level := h.randomLevel()
@@ -518,10 +536,35 @@ func oracleContainsID(ids []ID, id ID) bool {
 	return false
 }
 
-// NearestWithin implements Index: over the flat store the layer-0
-// search is bounded by r, over a PQ store it is not, and either answer is
-// filtered.
+// outside is HNSW's certificate written out again for the Euclidean
+// metric, the only one the differential streams use: the squared gaps
+// from key to the box, summed axis by axis, exceed r² by kdPruneSlack.
+func (h *oracleHNSW) outside(key vec.Vector, r float64) bool {
+	if _, ok := h.metric.(vec.EuclideanMetric); !ok || h.live == 0 {
+		return false
+	}
+	var sum float64
+	for a, x := range key {
+		gap := 0.0
+		if x < h.lo[a] {
+			gap = h.lo[a] - x
+		} else if x > h.hi[a] {
+			gap = x - h.hi[a]
+		}
+		sum += gap * gap
+	}
+	return sum > r*r*(1+kdPruneSlack)
+}
+
+// NearestWithin implements Index: a query the box shows to have nothing
+// within r is answered without a search; otherwise over the flat store
+// the layer-0 search is bounded by r, over a PQ store it is not, and
+// either answer is filtered.
 func (h *oracleHNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
+	if h.outside(key, r) {
+		h.countQuery(0)
+		return Neighbor{}, 0, false
+	}
 	bound := math.Inf(1)
 	if _, flat := h.store.(*flatStore); flat {
 		bound = r
@@ -570,6 +613,10 @@ func (h *oracleHNSW) kNearest(key vec.Vector, k int, r float64) ([]Neighbor, int
 // nodes), re-ranked exactly so no out-of-radius result is ever invented.
 func (h *oracleHNSW) Radius(key vec.Vector, r float64) []Neighbor {
 	if !h.entryOK || h.live == 0 {
+		return nil
+	}
+	if h.outside(key, r) {
+		h.countQuery(0)
 		return nil
 	}
 	score := h.store.scorer(key)

@@ -56,7 +56,10 @@ type Index interface {
 	// reaches, and the other kinds search as Nearest does and filter. HNSW
 	// over uncompressed keys stops widening its search once it holds an
 	// answer within r: it finds one for exactly the queries Nearest
-	// answers within r, but not always Nearest's own.
+	// answers within r, but not always Nearest's own. HNSW over either
+	// store first checks the box of its keys: a query whose box bound
+	// exceeds r has no key within r, and is answered ok=false with 0
+	// probes, without a search.
 	// KNearestProbed is KNearest plus the probe count. A probe is one
 	// distance evaluated against a stored key (or its code, for the PQ
 	// kinds); work that only bounds distances, such as the k-d tree's box

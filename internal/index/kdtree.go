@@ -42,7 +42,7 @@ import (
 type KDTree struct {
 	probeCounter
 	metric vec.Metric
-	norm   kdNorm
+	norm   boxNorm
 	width  int // row width: the length of every key
 
 	nodes  []kdNode
@@ -83,28 +83,9 @@ type kdEntry struct {
 	key vec.Vector
 }
 
-// kdNorm is how a box bounds the metric from below.
-type kdNorm uint8
-
-const (
-	kdNoBound kdNorm = iota // scan every row
-	kdL2
-	kdL1
-	kdLinf
-)
-
 // NewKDTree returns an empty KD-tree using metric m.
 func NewKDTree(m vec.Metric) *KDTree {
-	norm := kdNoBound
-	switch m.(type) {
-	case vec.EuclideanMetric:
-		norm = kdL2
-	case vec.ManhattanMetric:
-		norm = kdL1
-	case vec.ChebyshevMetric:
-		norm = kdLinf
-	}
-	return &KDTree{metric: m, norm: norm, where: make(map[ID]kdSlot)}
+	return &KDTree{metric: m, norm: boxNormOf(m), where: make(map[ID]kdSlot)}
 }
 
 // Insert implements Index. Empty keys are rejected: there is no axis to
@@ -135,7 +116,8 @@ func (t *KDTree) add(e kdEntry) {
 	}
 	i := int32(0)
 	for {
-		t.widen(i, e.key)
+		lo, hi := t.box(i)
+		widen(lo, hi, e.key)
 		n := t.nodes[i]
 		if n.axis >= 0 {
 			if e.key[n.axis] < n.split {
@@ -240,11 +222,9 @@ func (t *KDTree) appendLeaf(es []kdEntry, leaf int32) []kdEntry {
 // widest.
 func (t *KDTree) build(i int32, es []kdEntry) {
 	lo, hi := t.box(i)
-	for a := range lo {
-		lo[a], hi[a] = math.Inf(1), math.Inf(-1)
-	}
+	emptyBox(lo, hi)
 	for _, e := range es {
-		t.widen(i, e.key)
+		widen(lo, hi, e.key)
 	}
 	if len(es) <= kdLeafSize {
 		leaf := t.newLeaf()
@@ -330,19 +310,6 @@ func (t *KDTree) box(i int32) (lo, hi []float64) {
 	return b[:t.width], b[t.width:]
 }
 
-// widen grows node i's box to hold key.
-func (t *KDTree) widen(i int32, key vec.Vector) {
-	lo, hi := t.box(i)
-	for a, x := range key {
-		if x < lo[a] {
-			lo[a] = x
-		}
-		if x > hi[a] {
-			hi[a] = x
-		}
-	}
-}
-
 // Nearest implements Index. It is a dedicated allocation-free search:
 // it runs on every cache lookup and again on every put, for the new
 // key's neighbour (see core), and going through KNearest(1) would
@@ -366,7 +333,7 @@ func (t *KDTree) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) 
 		return Neighbor{}, 0, false
 	}
 	start := r
-	if t.norm == kdL2 {
+	if t.norm == boxL2 {
 		start = r * r
 	}
 	q := nnQuery{t: t, key: key, best: math.Nextafter(start*(1+kdPruneSlack), math.Inf(1)), at: -1}
@@ -379,7 +346,7 @@ func (t *KDTree) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) 
 		return Neighbor{}, q.evals, false
 	}
 	d := q.best
-	if t.norm == kdL2 {
+	if t.norm == boxL2 {
 		d = math.Sqrt(d)
 	}
 	if d > r {
@@ -387,14 +354,6 @@ func (t *KDTree) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) 
 	}
 	return t.neighbor(scored{dist: d, slot: q.at}), q.evals, true
 }
-
-// kdPruneSlack is the relative margin by which a bound must clear the
-// current limit before a search cuts a subtree. Summed in the order the
-// distance is, each of a box's terms is at most the row's, so in
-// round-to-nearest the box bound never exceeds a row's distance; the
-// margin covers a compiler that fuses the multiply-adds of one sum and
-// not the other.
-const kdPruneSlack = 1e-9
 
 // nnQuery is one nearest-neighbour search. For the default Euclidean
 // metric it runs in squared-distance space: ordering is preserved (sqrt
@@ -429,7 +388,7 @@ func (q *nnQuery) walk(i int32) {
 	n := t.nodes[i]
 	if n.axis < 0 {
 		l := &t.leaves[n.left]
-		if t.norm != kdL2 {
+		if t.norm != boxL2 {
 			q.scan(l, n.left)
 			return
 		}
@@ -446,7 +405,7 @@ func (q *nnQuery) walk(i int32) {
 		near, far = far, near
 	}
 	q.walk(near)
-	if !t.farther(q.key, gap, far, q.best*(1+kdPruneSlack), t.norm == kdL2) {
+	if !t.farther(q.key, gap, far, q.best*(1+kdPruneSlack), t.norm == boxL2) {
 		q.walk(far)
 	}
 }
@@ -469,45 +428,13 @@ func (q *nnQuery) scan(l *kdLeaf, leaf int32) {
 // the plane decides costs no box.
 func (t *KDTree) farther(key vec.Vector, gap float64, i int32, limit float64, sq bool) bool {
 	switch {
-	case t.norm == kdNoBound:
+	case t.norm == noBoxBound:
 		return false
-	case sq:
-		return gap*gap > limit || t.sqBoxDist(key, i) > limit
-	}
-	return math.Abs(gap) > limit || t.boxBound(key, i) > limit
-}
-
-// sqBoxDist is the squared Euclidean distance from key to node i's box,
-// summed in vec.SquaredEuclidean's order. At most one of an axis' two
-// gaps is positive, so their sum is that axis' gap, without a branch.
-func (t *KDTree) sqBoxDist(key vec.Vector, i int32) float64 {
-	lo, hi := t.box(i)
-	lo, hi = lo[:len(key)], hi[:len(key)]
-	var sum float64
-	for a, x := range key {
-		g := max(lo[a]-x, 0) + max(x-hi[a], 0)
-		sum += g * g
-	}
-	return sum
-}
-
-// boxBound is the least distance, in the metric's own terms, from key to
-// any row inside node i's box.
-func (t *KDTree) boxBound(key vec.Vector, i int32) float64 {
-	if t.norm == kdL2 {
-		return math.Sqrt(t.sqBoxDist(key, i))
+	case sq && gap*gap > limit, !sq && math.Abs(gap) > limit:
+		return true
 	}
 	lo, hi := t.box(i)
-	var sum, most float64
-	for a, x := range key {
-		g := max(lo[a]-x, 0) + max(x-hi[a], 0)
-		sum += g
-		most = max(most, g)
-	}
-	if t.norm == kdL1 {
-		return sum
-	}
-	return most
+	return t.norm.farther(lo, hi, key, limit, sq)
 }
 
 // kdQuery is KNearest's and Radius' search, through the metric's

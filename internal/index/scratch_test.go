@@ -46,7 +46,8 @@ func indexScaleGraph(t testing.TB, n int, seed int64, nq int, far float64) (*HNS
 // TestHNSWProbeDoesNotAllocate pins what the node table and the scratch
 // pool are for: a flat-store Nearest allocates nothing, unbounded or
 // within 4× index-scale's threshold (2 is the ceiling; 0 is what it
-// measures), an Insert only its key's clone and,
+// measures), a far probe the box answers nothing at all (0 is the
+// ceiling), an Insert only its key's clone and,
 // for about one node in sixteen, the upper layers' link lists (2 is the
 // ceiling; 1 is what it measures, table growth included).
 func TestHNSWProbeDoesNotAllocate(t *testing.T) {
@@ -71,6 +72,16 @@ func TestHNSWProbeDoesNotAllocate(t *testing.T) {
 				t.Errorf("efs %d: %.0f allocs per NearestWithin(q, %v), want <= 2", efs, allocs, r)
 			}
 		}
+	}
+	far := make(vec.Vector, 16)
+	for d := range far {
+		far[d] = 5000
+	}
+	if _, probes, ok := h.NearestWithin(far, 4*15.6); ok || probes != 0 {
+		t.Fatalf("a far probe scored %d nodes (found %v); the box should answer it", probes, ok)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { h.NearestWithin(far, 4*15.6) }); allocs != 0 {
+		t.Errorf("%.0f allocs per certified far probe, want 0", allocs)
 	}
 	next := ID(n + 1)
 	allocs := testing.AllocsPerRun(200, func() {

@@ -119,9 +119,11 @@ func TestKDTreeNearestWithinScansLess(t *testing.T) {
 // search must find an answer within r for the same queries, agree with
 // an exact scan's NearestWithin on all but at most 2 in 4 096 more
 // queries than the unbounded search does, and score at most a third as
-// many nodes. The bound is for exact scores only: over the first 2 000
-// keys, HNSW-PQ's answer and probe count are its unbounded search's,
-// filtered.
+// many nodes. Every far query lies beyond the keys' box, so it must be
+// answered with 0 probes, and an exact scan must find nothing within r of
+// it; no near query may be. The search bound is for exact scores only:
+// over the first 2 000 keys, HNSW-PQ's answer is its unbounded search's,
+// filtered, and so is its probe count wherever the box does not answer.
 func TestHNSWNearestWithinRecall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a recall measurement learns nothing under the race detector")
@@ -151,11 +153,16 @@ func TestHNSWNearestWithinRecall(t *testing.T) {
 			full, pFull, _ := h.NearestWithin(q, inf)
 			probesFull += pFull
 			pqFull, pqPFull, _ := pq.NearestWithin(q, inf)
+			isFar := q[0] > 1000 // indexScaleGraph's far queries sit near 5 000
 			for j, r := range radii {
 				exactOK, fullOK := exact.Dist <= r, full.Dist <= r
 				got, p, ok := h.NearestWithin(q, r)
 				if ok != fullOK {
 					t.Fatalf("seed %d r %v query %d: found within r %v bounded, %v unbounded", seed, r, i, ok, fullOK)
+				}
+				if certified := !ok && p == 0; certified != isFar || certified && exactOK {
+					t.Fatalf("seed %d r %v query %d (far %v): %d probes, found %v; an exact scan found %v at %v",
+						seed, r, i, isFar, p, ok, exact.ID, exact.Dist)
 				}
 				if ok == exactOK && (!ok || got.Dist == exact.Dist) {
 					agree[j]++
@@ -168,7 +175,10 @@ func TestHNSWNearestWithinRecall(t *testing.T) {
 					continue
 				}
 				pqGot, pqP, pqOK := pq.NearestWithin(q, r)
-				if pqOK != (pqFull.Dist <= r) || pqP != pqPFull || (pqOK && (pqGot.ID != pqFull.ID || pqGot.Dist != pqFull.Dist)) {
+				if isFar != (pqP == 0) {
+					t.Fatalf("seed %d r %v query %d (far %v): HNSW-PQ scored %d nodes", seed, r, i, isFar, pqP)
+				}
+				if pqOK != (pqFull.Dist <= r) || !isFar && pqP != pqPFull || (pqOK && (pqGot.ID != pqFull.ID || pqGot.Dist != pqFull.Dist)) {
 					t.Fatalf("seed %d r %v query %d: HNSW-PQ within r = (%d, %v, %v) in %d probes; unbounded (%d, %v) in %d",
 						seed, r, i, pqGot.ID, pqGot.Dist, pqOK, pqP, pqFull.ID, pqFull.Dist, pqPFull)
 				}

@@ -213,18 +213,19 @@ func (ManhattanMetric) Name() string { return "manhattan" }
 // ChebyshevMetric is the L∞ distance.
 type ChebyshevMetric struct{}
 
-// Distance implements Metric.
+// Distance implements Metric. A NaN coordinate makes it NaN, as it makes
+// the Euclidean and Manhattan distances: skipping the axis instead would
+// put a key with a NaN coordinate near a query however far apart the two
+// lie on that axis, where no bounding box can see it.
 func (ChebyshevMetric) Distance(a, b Vector) float64 {
 	if len(a) != len(b) {
 		return math.Inf(1)
 	}
-	var max float64
+	var most float64
 	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > max {
-			max = d
-		}
+		most = max(most, math.Abs(a[i]-b[i]))
 	}
-	return max
+	return most
 }
 
 // Name implements Metric.

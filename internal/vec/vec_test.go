@@ -94,6 +94,20 @@ func TestManhattanAndChebyshev(t *testing.T) {
 	}
 }
 
+// TestNaNCoordinateMakesEveryLpDistanceNaN: a NaN coordinate on either
+// side, on any axis, makes each Lp distance NaN, never within a bound.
+func TestNaNCoordinateMakesEveryLpDistanceNaN(t *testing.T) {
+	for _, m := range []Metric{EuclideanMetric{}, ManhattanMetric{}, ChebyshevMetric{}} {
+		for axis := 0; axis < 3; axis++ {
+			a, b := Vector{0, 0, 0}, Vector{1, -2, 3}
+			a[axis] = math.NaN()
+			if got, back := m.Distance(a, b), m.Distance(b, a); !math.IsNaN(got) || !math.IsNaN(back) {
+				t.Errorf("%s with NaN on axis %d = %v and %v, want NaN", m.Name(), axis, got, back)
+			}
+		}
+	}
+}
+
 func TestCosine(t *testing.T) {
 	m := CosineMetric{}
 	if got := m.Distance(Vector{1, 0}, Vector{2, 0}); math.Abs(got) > 1e-12 {
