@@ -994,10 +994,12 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	// not the entry record treats it as a miss, and a racing invalidation
 	// or purge finds nothing to remove, so the put orders after it. The
 	// reverse order would let eviction unlink the entry while its index
-	// insertions are still in flight, leaking index nodes.
+	// insertions are still in flight, leaking index nodes. From here on
+	// keys holds core's own copies, so the log and the tap see what the
+	// index holds, whatever the caller later does with its arrays.
 	for i, ki := range kis {
 		if keys[i] != nil {
-			ki.insert(id, keys[i])
+			keys[i] = ki.insert(id, keys[i])
 		}
 	}
 	if traced {

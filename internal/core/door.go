@@ -37,20 +37,24 @@ func (ki *keyIndex) admit(key vec.Vector, put bool) error {
 // both under the same write lock, so a reader holding mu sees an index
 // and a member table that agree.
 
-// insert adds (id, key) to the index and the member table, reporting
-// whether the door and the index took it: a restored key of another
-// length is refused here. key is kept, not copied, as it always was.
-func (ki *keyIndex) insert(id ID, key vec.Vector) bool {
+// insert adds (id, key) to the index and the member table and returns
+// the copy of key they now share, or nil when the door or the index
+// refused it: a restored key of another length is refused here. This is
+// the one clone of a key on its way to an index (TestOneCloneOfEachKey):
+// the caller may reuse key's array at once, the index borrows the clone
+// under its Insert contract, and nothing writes to the clone again.
+func (ki *keyIndex) insert(id ID, key vec.Vector) vec.Vector {
 	if ki.admit(key, true) != nil {
-		return false
+		return nil
 	}
+	owned := key.Clone()
 	ki.mu.Lock()
 	defer ki.mu.Unlock()
-	if err := ki.idx.Insert(index.ID(id), key); err != nil {
-		return false
+	if err := ki.idx.Insert(index.ID(id), owned); err != nil {
+		return nil
 	}
-	ki.members[id] = key
-	return true
+	ki.members[id] = owned
+	return owned
 }
 
 // remove drops id from the index and the member table if it is there.

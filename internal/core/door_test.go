@@ -327,3 +327,286 @@ func TestNoMissMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOneCloneOfEachKey keeps one owned copy of each key. In this
+// package, keyIndex.insert clones the key once and hands that clone to
+// both the index and the member table, and no caller of insert clones
+// the key it passes. In internal/index, no Insert path copies the key it
+// was given into a fresh slice: the test follows the key from every
+// Insert through the package's calls (by name, so every method of that
+// name counts) and fails on a Clone of it, a slices.Clone, or a copy or
+// append of it into nil, make(...) or a literal. Copying it into a scan
+// row an index already holds (h.rows, a leaf's rows) is allowed.
+func TestOneCloneOfEachKey(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(glob string) []*ast.File {
+		names, err := filepath.Glob(glob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		return files
+	}
+
+	// Core: the door clones once, and passes that clone on.
+	doors := 0
+	for _, f := range parse("*.go") {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			if fn.Recv != nil && fn.Name.Name == "insert" {
+				doors++
+				checkDoorClones(t, fset, fn)
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 2 {
+					return true
+				}
+				if name, isSel := callee(call); isSel && name == "insert" && freshCopy(call.Args[1], nil, func(ast.Expr) bool { return true }) {
+					t.Errorf("%s: %s clones a key on its way to keyIndex.insert, which clones it", fset.Position(call.Pos()), fn.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+	if doors != 1 {
+		t.Errorf("found %d keyIndex.insert methods, want 1", doors)
+	}
+
+	// Index: follow each Insert's key.
+	funcs := map[string][]*ast.FuncDecl{}
+	for _, f := range parse("../index/*.go") {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				funcs[fn.Name.Name] = append(funcs[fn.Name.Name], fn)
+			}
+		}
+	}
+	tainted := map[*ast.FuncDecl]map[string]bool{}
+	var work []*ast.FuncDecl
+	taint := func(fn *ast.FuncDecl, param int) {
+		i := 0
+		for _, field := range fn.Type.Params.List {
+			for _, name := range field.Names {
+				if i == param && !tainted[fn][name.Name] {
+					if tainted[fn] == nil {
+						tainted[fn] = map[string]bool{}
+					}
+					tainted[fn][name.Name] = true
+					work = append(work, fn)
+				}
+				i++
+			}
+		}
+	}
+	for _, fn := range funcs["Insert"] {
+		taint(fn, 1)
+	}
+	if len(work) != 7 {
+		t.Errorf("found %d Insert methods in internal/index, want 7 (hash, HNSW, IVF, k-d tree, linear, LSH, tree map)", len(work))
+	}
+	reported := map[token.Pos]bool{} // a function is walked again for each newly tainted parameter
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		keys := tainted[fn]
+		mentions := func(e ast.Expr) bool { return mentionsAny(e, keys) }
+		// What the key flows into within the body; twice covers an
+		// assignment that precedes its source in the text.
+		for pass := 0; pass < 2; pass++ {
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for i, lhs := range x.Lhs {
+						id, ok := lhs.(*ast.Ident)
+						if ok && (len(x.Rhs) == 1 && mentions(x.Rhs[0]) || len(x.Rhs) == len(x.Lhs) && mentions(x.Rhs[i])) {
+							keys[id.Name] = true
+						}
+					}
+				case *ast.RangeStmt:
+					if mentions(x.X) {
+						for _, e := range []ast.Expr{x.Key, x.Value} {
+							if id, ok := e.(*ast.Ident); ok {
+								keys[id.Name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		fresh := freshNames(fn.Body)
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if freshCopy(call, fresh, mentions) && !reported[call.Pos()] {
+				reported[call.Pos()] = true
+				t.Errorf("%s: %s copies the key an Insert was given into a fresh slice; the index borrows it", fset.Position(call.Pos()), fn.Name.Name)
+			}
+			if name, _ := callee(call); name != "" {
+				for i, arg := range call.Args {
+					if mentions(arg) {
+						for _, g := range funcs[name] {
+							taint(g, i)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// checkDoorClones holds keyIndex.insert to one Clone, whose result is
+// what it passes to idx.Insert and stores in members.
+func checkDoorClones(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl) {
+	t.Helper()
+	var owned string
+	clones, uses := 0, 0
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			if isClone(x) {
+				clones++
+			}
+		case *ast.AssignStmt:
+			call, isCall := x.Rhs[0].(*ast.CallExpr)
+			id, isID := x.Lhs[0].(*ast.Ident)
+			if isCall && isID && isClone(call) {
+				owned = id.Name
+			}
+		}
+		return true
+	})
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		var passed ast.Expr
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Insert" && selects(sel.X, "idx") && len(x.Args) == 2 {
+				passed = x.Args[1]
+			}
+		case *ast.AssignStmt:
+			if ix, ok := x.Lhs[0].(*ast.IndexExpr); ok && selects(ix.X, "members") {
+				passed = x.Rhs[0]
+			}
+		}
+		if passed != nil {
+			uses++
+			if id, ok := passed.(*ast.Ident); !ok || owned == "" || id.Name != owned {
+				t.Errorf("%s: keyIndex.insert passes on something other than its clone of the key", fset.Position(passed.Pos()))
+			}
+		}
+		return true
+	})
+	if clones != 1 || uses != 2 {
+		t.Errorf("%s: keyIndex.insert clones %d times and passes a key on %d times, want 1 and 2 (idx.Insert, members)", fset.Position(fn.Pos()), clones, uses)
+	}
+}
+
+// isClone reports whether call calls a method or function named Clone.
+func isClone(call *ast.CallExpr) bool {
+	name, _ := callee(call)
+	return name == "Clone"
+}
+
+// callee names what call calls: a function, or a method after its
+// selector (isSel).
+func callee(call *ast.CallExpr) (name string, isSel bool) {
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		return f.Name, false
+	case *ast.SelectorExpr:
+		return f.Sel.Name, true
+	}
+	return "", false
+}
+
+// freshCopy reports whether e copies a value that mentions accepts into
+// a new slice: v.Clone(), slices.Clone(v), append(fresh, v...) or
+// copy(fresh, v), where fresh is nil, a conversion of nil, make(...), a
+// composite literal, or a name in names that the body assigns one of
+// those to.
+func freshCopy(e ast.Expr, names map[string]bool, mentions func(ast.Expr) bool) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	name, isSel := callee(call)
+	switch {
+	case name == "Clone" && isSel && len(call.Args) == 0:
+		return mentions(call.Fun.(*ast.SelectorExpr).X)
+	case name == "Clone" && len(call.Args) == 1:
+		return mentions(call.Args[0])
+	case (name == "append" && call.Ellipsis.IsValid() || name == "copy") && !isSel && len(call.Args) == 2:
+		return isFresh(call.Args[0], names) && mentions(call.Args[1])
+	}
+	return false
+}
+
+// isFresh reports whether e is a slice nothing else holds yet.
+func isFresh(e ast.Expr, names map[string]bool) bool {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name == "nil" || names[x.Name]
+	case *ast.CompositeLit:
+		return true
+	case *ast.CallExpr:
+		if name, isSel := callee(x); name == "make" && !isSel {
+			return true
+		}
+		return len(x.Args) == 1 && isFresh(x.Args[0], names) // a conversion
+	}
+	return false
+}
+
+// freshNames are the names body assigns a fresh slice to.
+func freshNames(body *ast.BlockStmt) map[string]bool {
+	names := map[string]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if x, ok := n.(*ast.AssignStmt); ok && len(x.Lhs) == len(x.Rhs) {
+			for i, lhs := range x.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && isFresh(x.Rhs[i], names) {
+					names[id.Name] = true
+				}
+			}
+		}
+		return true
+	})
+	return names
+}
+
+// mentionsAny reports whether e reads a variable named in names. A
+// selector's field name and a literal's field key are not variables.
+func mentionsAny(e ast.Expr, names map[string]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			found = found || mentionsAny(x.X, names)
+			return false
+		case *ast.KeyValueExpr:
+			found = found || mentionsAny(x.Value, names)
+			return false
+		case *ast.Ident:
+			found = found || names[x.Name]
+		}
+		return !found
+	})
+	return found
+}

@@ -346,7 +346,7 @@ func (c *Cache) restoreEntry(rec *StoreEntry, now time.Time) restoreOutcome {
 	}
 	for _, sk := range rec.Keys {
 		// insert's door refuses an empty key or one of another length.
-		if ki := fc.keyTypes[sk.KeyType]; ki != nil && ki.insert(id, sk.Key) {
+		if ki := fc.keyTypes[sk.KeyType]; ki != nil && ki.insert(id, sk.Key) != nil {
 			e.owners = append(e.owners, ki)
 		}
 	}

@@ -53,7 +53,6 @@ func (h *Hash) Insert(id ID, key vec.Vector) error {
 	if _, ok := h.keys[id]; ok {
 		h.Remove(id)
 	}
-	key = key.Clone()
 	s := signature(key)
 	h.keys[id] = key
 	h.sig[id] = s

@@ -47,11 +47,11 @@ import (
 // hold slots, and what a search reads of a node it scores or expands
 // sits in flat arrays indexed by slot: id, level and tombstone flag in
 // per-slot columns, the key as a row of one []float64, the layer-0 links
-// in one []int32 of fixed stride. Only the key's clone, the upper layers'
-// links and the reference count stay in the node's row. The id-to-slot
-// map is read only by Insert and Remove. Slots are recycled, newest
-// first, so the same insert and remove sequence always lays the table
-// out the same way.
+// in one []int32 of fixed stride. Only the key Insert was given, the
+// upper layers' links and the reference count stay in the node's row.
+// The id-to-slot map is read only by Insert and Remove. Slots are
+// recycled, newest first, so the same insert and remove sequence always
+// lays the table out the same way.
 //
 // Like every other kind, HNSW is not internally synchronized: the cache
 // guards it with a per-key-type RWMutex. Queries draw their visited
@@ -64,8 +64,8 @@ type HNSW struct {
 	metric   vec.Metric
 	norm     boxNorm
 	cfg      HNSWConfig
-	pq       *pqStore // nil: keys are kept uncompressed, as rows and clones
-	keyBytes int64    // bytes of those uncompressed keys, both copies
+	pq       *pqStore // nil: keys are kept uncompressed, as rows
+	keyBytes int64    // bytes of those rows; the keys they copy are the caller's
 	ids      []ID
 	levels   []int8 // vacant when negative
 	deleted  []bool // tombstoned: still routes, is never reported
@@ -107,10 +107,10 @@ type HNSW struct {
 // to its id, and is recycled for another only once refs shows that no
 // link list mentions it any more.
 type hnswNode struct {
-	// vec is the uncompressed key (nil under a PQ store): an immutable
-	// clone per entry, because Neighbor.Key hands it to callers who read
-	// it after the lock is gone, while the slot's row is rewritten when
-	// the slot is recycled.
+	// vec is the key Insert was given (nil under a PQ store), borrowed
+	// and never written: Neighbor.Key hands it to callers who read it
+	// after the lock is gone, while the slot's row is rewritten when the
+	// slot is recycled.
 	vec   vec.Vector
 	upper [][]int32 // links of levels 1 and up, neighbour slots
 	refs  int32     // entries of link lists that name this slot
@@ -226,7 +226,7 @@ func (h *HNSW) lookup(id ID) (int32, bool) {
 }
 
 // exact returns the uncompressed key of the node in occupied slot s:
-// its clone, or what the PQ store holds, resolves or decodes for it.
+// the key Insert was given, or what the PQ store holds, resolves or decodes.
 func (h *HNSW) exact(s int32) vec.Vector {
 	if h.pq != nil {
 		v, _ := h.pq.exact(h.ids[s])
@@ -315,14 +315,13 @@ func (h *HNSW) Insert(id ID, key vec.Vector) error {
 		emptyBox(h.lo, h.hi)
 	}
 	widen(h.lo, h.hi, key)
-	key = key.Clone()
 	s := h.occupy(id)
 	if h.pq != nil {
 		h.pq.add(id, key)
 	} else {
 		h.nodes[s].vec = key
 		copy(h.rows[int(s)*h.width:], key)
-		h.keyBytes += 2 * int64(8*len(key)) // the clone and the row
+		h.keyBytes += int64(8 * len(key))
 	}
 	level := h.randomLevel()
 	h.levels[s] = int8(level)
@@ -711,7 +710,7 @@ func (h *HNSW) relink(s int32) {
 	if h.pq != nil {
 		h.pq.remove(h.ids[s])
 	} else {
-		h.keyBytes -= 2 * int64(8*len(n.vec))
+		h.keyBytes -= int64(8 * len(n.vec))
 	}
 	h.links0[int(s)*h.stride] = 0
 	n.vec, n.upper = nil, nil

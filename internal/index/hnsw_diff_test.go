@@ -294,13 +294,10 @@ func (d *diffRun) sameGraph() error {
 	if w.live > 0 && (!sameBits(g.lo, w.lo) || !sameBits(g.hi, w.hi)) {
 		return fmt.Errorf("box %v to %v, oracle %v to %v", g.lo, g.hi, w.lo, w.hi)
 	}
-	// A flat store keeps a key twice: its clone and its row.
-	wantBytes := w.store.keyBytes()
-	if g.pq == nil {
-		wantBytes *= 2
-	}
-	if g.KeyBytes() != wantBytes {
-		return fmt.Errorf("KeyBytes = %d, oracle %d plus rows = %d", g.KeyBytes(), w.store.keyBytes(), wantBytes)
+	// A flat store counts a key once, as its row: the key itself is the
+	// caller's.
+	if g.KeyBytes() != w.store.keyBytes() {
+		return fmt.Errorf("KeyBytes = %d, oracle %d", g.KeyBytes(), w.store.keyBytes())
 	}
 	refs := make([]int32, len(g.nodes))
 	occupied := 0
@@ -346,7 +343,7 @@ func (d *diffRun) sameGraph() error {
 // checkHNSW checks the node table's invariants that hold whatever the
 // graph: the per-slot columns and the flat arrays span the table (a PQ
 // store keeps no rows), every occupied flat-store row equals its node's
-// clone bit for bit, no layer-0 count exceeds the stride's room, a vacant
+// key bit for bit, no layer-0 count exceeds the stride's room, a vacant
 // slot holds no node state and no links, a free slot is vacant and
 // unreferenced, and every live key whose exact value the index holds lies
 // inside the box.

@@ -23,7 +23,8 @@ var ErrEmptyKey = errors.New("index: empty key vector")
 // cache core and are stable for the lifetime of the entry.
 type ID uint64
 
-// Neighbor is one result of a nearest-neighbour query.
+// Neighbor is one result of a nearest-neighbour query. Key is the slice
+// Insert was given for ID, never a copy or a scan row: no one writes it.
 type Neighbor struct {
 	ID   ID
 	Key  vec.Vector
@@ -36,7 +37,9 @@ type Neighbor struct {
 // RWMutex (reads under RLock, mutations under Lock).
 type Index interface {
 	// Insert adds a key under id. Inserting an existing id replaces its
-	// key. Empty keys are rejected with ErrEmptyKey.
+	// key. Empty keys are rejected with ErrEmptyKey. The index keeps key,
+	// not a copy, and hands it back in Neighbor.Key: the caller must not
+	// modify it afterwards (core clones each key once, at its door).
 	Insert(id ID, key vec.Vector) error
 	// Remove deletes the entry with the given id. Removing an absent id
 	// is a no-op.

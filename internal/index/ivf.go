@@ -137,7 +137,6 @@ func (iv *IVF) Insert(id ID, key vec.Vector) error {
 		return vec.ErrDimensionMismatch
 	}
 	iv.Remove(id)
-	key = key.Clone()
 	iv.store.add(id, key)
 	if iv.centroids == nil {
 		iv.pending[id] = struct{}{}

@@ -35,7 +35,7 @@ import (
 //
 // Rows are overwritten in place by Remove and by rebuilds, which run once
 // the cache's read lock is released, so a row never backs Neighbor.Key: a
-// neighbour's key is the clone Insert took of it, immutable from then on.
+// neighbour's key is the slice Insert was given, immutable from then on.
 // Every key has the row width, the length of the first key inserted into
 // an empty tree: Insert refuses any other, and a search of another length
 // finds nothing.
@@ -72,7 +72,7 @@ type kdNode struct {
 type kdLeaf struct {
 	rows []float64    // len(ids) rows of the tree's width
 	ids  []ID         // the id of each row
-	keys []vec.Vector // the clone Neighbor.Key hands out for each row
+	keys []vec.Vector // each row's key as Insert was given it, for Neighbor.Key
 }
 
 // kdSlot is where an entry lives: row of leaf node.
@@ -101,7 +101,7 @@ func (t *KDTree) Insert(id ID, key vec.Vector) error {
 	}
 	t.Remove(id)
 	t.size++
-	t.add(kdEntry{id, key.Clone()})
+	t.add(kdEntry{id, key})
 	t.mutated()
 	return nil
 }

@@ -26,7 +26,7 @@ func (l *Linear) Insert(id ID, key vec.Vector) error {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	l.keys[id] = key.Clone()
+	l.keys[id] = key
 	return nil
 }
 

@@ -125,7 +125,6 @@ func (l *LSH) Insert(id ID, key vec.Vector) error {
 	if _, ok := l.keys[id]; ok {
 		l.Remove(id)
 	}
-	key = key.Clone()
 	if l.projections == nil {
 		l.initProjections(len(key))
 	}

@@ -323,15 +323,15 @@ func adcScore(t []float64, code []byte, k int, kind adcKind) float64 {
 	}
 }
 
-// vecStore abstracts how IVF holds its stored key vectors: flat exact
-// clones, or PQ codes with exact re-rank. (HNSW keeps uncompressed keys
+// vecStore abstracts how IVF holds its stored key vectors: the inserted
+// keys, or PQ codes with exact re-rank. (HNSW keeps uncompressed keys
 // in its node table and uses only the pqStore, directly.) Implementations
 // are mutated only under the index's external write lock; a scorer is
 // built per query and owns what it computes (the PQ distance table), so
 // concurrent readers share no mutable state through the store.
 type vecStore interface {
-	// add stores v (already cloned) under id. Caller guarantees id is
-	// not present.
+	// add stores v under id, borrowed as Index.Insert borrows it. Caller
+	// guarantees id is not present.
 	add(id ID, v vec.Vector)
 	// remove drops id. Removing an absent id is a no-op.
 	remove(id ID)
@@ -347,7 +347,7 @@ type vecStore interface {
 	keyBytes() int64
 }
 
-// flatStore is the uncompressed store: exact clones, exact scoring.
+// flatStore is the uncompressed store: the inserted keys, exact scoring.
 type flatStore struct {
 	metric vec.Metric
 	euclid bool

@@ -164,7 +164,6 @@ func (t *TreeMap) Insert(id ID, key vec.Vector) error {
 		t.root = remove(t.root, id, old)
 		t.size--
 	}
-	key = key.Clone()
 	t.byID[id] = key
 	t.root = insert(t.root, &avlNode{id: id, key: key})
 	t.size++

@@ -8,6 +8,7 @@ import (
 
 	potluck "repro"
 	"repro/internal/clock"
+	"repro/internal/index"
 	"repro/internal/store"
 )
 
@@ -157,4 +158,72 @@ func TestLoadFileIdempotent(t *testing.T) {
 			t.Errorf("load re-logged %d records to the store", got-appends)
 		}
 	})
+}
+
+// TestReusedKeyBufferChangesNothing: a caller that puts a key and then
+// reuses its array for another key changes nothing the cache holds. The
+// live cache, the re-rank of a product-quantized index (which resolves
+// keys it no longer keeps uncompressed from the cache's own copy) and a
+// file saved and loaded back all still know the key as it was put. The
+// hnsw-pq case trains its codebooks after 8 puts and keeps 1 key
+// uncompressed, so the reused key is re-ranked through that copy.
+func TestReusedKeyBufferChangesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		index   potluck.Config
+		spec    potluck.KeyTypeSpec
+		fillers int
+	}{
+		{spec: potluck.KeyTypeSpec{Name: "k", Index: potluck.IndexKDTree}},
+		{
+			index:   potluck.Config{IndexOptions: index.Options{PQ: index.PQConfig{TrainSize: 8, KeepRecent: 1}}},
+			spec:    potluck.KeyTypeSpec{Name: "k", Index: potluck.IndexHNSWPQ},
+			fillers: 16,
+		},
+	} {
+		clk := clock.NewVirtual(time.Unix(1000, 0))
+		newCache := func() *potluck.Cache {
+			cfg := tc.index
+			cfg.Clock, cfg.DisableDropout = clk, true
+			c := potluck.New(cfg)
+			if err := c.RegisterFunction("f", tc.spec); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		src := newCache()
+		buf := potluck.Vector{1, 1}
+		if _, err := src.Put("f", potluck.PutRequest{Keys: map[string]potluck.Vector{"k": buf}, Value: "one"}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.fillers; i++ {
+			filler := potluck.Vector{float64(-10 * (i + 1)), float64(10 * (i + 1))}
+			if _, err := src.Put("f", potluck.PutRequest{Keys: map[string]potluck.Vector{"k": filler}, Value: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf[0], buf[1] = 1000, 1000
+
+		check := func(which string, c *potluck.Cache) {
+			t.Helper()
+			res, err := c.Lookup("f", "k", potluck.Vector{1, 1})
+			if err != nil || !res.Hit || res.Value != "one" || res.Distance != 0 {
+				t.Errorf("%s, %s cache: the key as put: hit %v on %v at distance %v (err %v); want a hit on one at 0",
+					tc.spec.Index, which, res.Hit, res.Value, res.Distance, err)
+			}
+			if res, _ := c.Lookup("f", "k", potluck.Vector{1000, 1000}); res.Hit || res.Distance == 0 {
+				t.Errorf("%s, %s cache: the reused buffer's new key: hit %v on %v at distance %v; want a miss",
+					tc.spec.Index, which, res.Hit, res.Value, res.Distance)
+			}
+		}
+		check("live", src)
+		path := filepath.Join(t.TempDir(), "cache.snap")
+		if err := potluck.SaveFile(src, path); err != nil {
+			t.Fatal(err)
+		}
+		dst := newCache()
+		if _, err := potluck.LoadFile(dst, path); err != nil {
+			t.Fatal(err)
+		}
+		check("loaded", dst)
+	}
 }
