@@ -31,7 +31,7 @@ import (
 //	                   expiry heaps and the entries' heap slots.
 //	                   Writers only; lookups never touch it.
 //	3. keyIndex.mu     (RWMutex, one per key type) — that key type's
-//	                   index structure and member map (door.go).
+//	                   index structure (door.go).
 //	                   Lookups on different functions (or different
 //	                   key types) touch different locks and proceed in
 //	                   parallel.
@@ -363,6 +363,9 @@ type functionCache struct {
 }
 
 type keyIndex struct {
+	// fn is the function the key type belongs to; spec.Name is its own
+	// name.
+	fn   string
 	spec KeyTypeSpec
 	// width is every key's length: spec.Dim when declared, else the
 	// length of the first key a put admits, set once. Zero until then.
@@ -377,14 +380,12 @@ type keyIndex struct {
 	// registry; nil when the cache runs without telemetry.
 	lat *telemetry.Histogram
 
-	// mu guards idx and members. Third in the lock order. The idx
-	// POINTER is set at construction and never reassigned, so lockless
-	// reads of its atomic probe counters are safe; the index's contents
-	// still require mu. idx and members are mutated only by insert and
-	// remove (door.go).
-	mu      sync.RWMutex
-	idx     index.Index
-	members map[ID]vec.Vector
+	// mu guards idx. Third in the lock order. The idx POINTER is set at
+	// construction and never reassigned, so lockless reads of its atomic
+	// probe counters are safe; the index's contents still require mu.
+	// idx is mutated only by insert and remove (door.go).
+	mu  sync.RWMutex
+	idx index.Index
 }
 
 // New constructs a cache from cfg. Invalid policy kinds panic; use
@@ -462,24 +463,13 @@ func (c *Cache) RegisterFunction(fn string, keyTypes ...KeyTypeSpec) error {
 			return fmt.Errorf("core: key type %q: %w", spec.Name, err)
 		}
 		ki := &keyIndex{
-			spec:    spec,
-			idx:     idx,
-			tuner:   NewTuner(c.cfg.Tuner),
-			members: make(map[ID]vec.Vector),
+			fn:    fn,
+			spec:  spec,
+			idx:   idx,
+			tuner: NewTuner(c.cfg.Tuner),
 		}
 		if spec.Dim > 0 {
 			ki.width.Store(int64(spec.Dim))
-		}
-		if rs, ok := idx.(index.ResolverSetter); ok {
-			// The members table keeps every key uncompressed under the
-			// same ki.mu that guards the index, so a product-quantized
-			// store can drop its own uncompressed copies and re-rank
-			// against members — this is where PQ's memory win is
-			// realized in deployment.
-			rs.SetKeyResolver(func(id index.ID) (vec.Vector, bool) {
-				v, ok := ki.members[ID(id)]
-				return v, ok
-			})
 		}
 		built[i] = ki
 	}
@@ -969,12 +959,6 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	}
 
 	id := ID(c.nextID.Add(1))
-	owners := make([]*keyIndex, 0, resolved)
-	for i, ki := range kis {
-		if keys[i] != nil {
-			owners = append(owners, ki)
-		}
-	}
 	e := &entry{
 		id:         id,
 		value:      req.Value,
@@ -983,7 +967,7 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		app:        req.App,
 		insertedAt: now,
 		expiresAt:  now.Add(ttl),
-		owners:     owners,
+		owners:     make([]owner, 0, resolved),
 	}
 	// §3.3: "the access frequency is initialized to 1".
 	e.accessCount.Store(1)
@@ -995,11 +979,15 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 	// or purge finds nothing to remove, so the put orders after it. The
 	// reverse order would let eviction unlink the entry while its index
 	// insertions are still in flight, leaking index nodes. From here on
-	// keys holds core's own copies, so the log and the tap see what the
-	// index holds, whatever the caller later does with its arrays.
+	// the entry's owners hold its own copies of the keys, so the log and
+	// the tap see what the index holds, whatever the caller later does
+	// with its arrays.
 	for i, ki := range kis {
-		if keys[i] != nil {
-			keys[i] = ki.insert(id, keys[i])
+		if keys[i] == nil {
+			continue
+		}
+		if owned := ki.insert(id, keys[i]); owned != nil {
+			e.owners = append(e.owners, owner{ki: ki, key: owned})
 		}
 	}
 	if traced {
@@ -1008,32 +996,17 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		})
 		mark = c.nowFast()
 	}
-	var durRec *StoreEntry
-	if c.store != nil && !c.restoring.Load() {
-		durRec = &StoreEntry{
-			ID:              uint64(id),
-			Function:        fn,
-			App:             req.App,
-			CostNanos:       int64(cost),
-			Size:            size,
-			AccessCount:     1,
-			InsertedAtNanos: now.UnixNano(),
-			LastAccessNanos: now.UnixNano(),
-			ExpiresAtNanos:  e.expiresAt.UnixNano(),
-			Value:           req.Value,
-		}
-		for i := range kis {
-			if keys[i] != nil {
-				durRec.Keys = append(durRec.Keys, StoreKey{KeyType: fc.order[i], Key: keys[i]})
-			}
-		}
+	logged := c.store != nil && !c.restoring.Load()
+	var durRec StoreEntry
+	if logged {
+		durRec = e.record()
 	}
 	c.admitMu.Lock()
 	c.publishLocked(e)
-	if durRec != nil {
+	if logged {
 		// Under admitMu, so the log order is the admit order: no delete
 		// record for this entry can precede its put record.
-		c.store.LogPut(*durRec)
+		c.store.LogPut(durRec)
 	}
 	// Evict before the entry joins the victim heap: the paper replaces
 	// the victim WITH the new entry (§3.6), never the new entry itself.
@@ -1048,11 +1021,9 @@ func (c *Cache) Put(fn string, req PutRequest) (ID, error) {
 		// slices per call would make every put feed the GC.
 		tb := tapBufPool.Get().(*tapBuf)
 		tb.kts, tb.keys = tb.kts[:0], tb.keys[:0]
-		for i := range kis {
-			if keys[i] != nil {
-				tb.kts = append(tb.kts, fc.order[i])
-				tb.keys = append(tb.keys, keys[i])
-			}
+		for _, o := range e.owners {
+			tb.kts = append(tb.kts, o.ki.spec.Name)
+			tb.keys = append(tb.keys, o.key)
 		}
 		c.tap.TapPut(fn, tb.kts, tb.keys, uint64(id), size, int64(cost), now.UnixNano())
 		tapBufPool.Put(tb)
@@ -1292,8 +1263,8 @@ func (c *Cache) removeEntryLocked(id ID, expired bool) *entry {
 	c.victims.Remove(e)
 	c.expiry.Remove(e)
 	c.updateNextExpiryLocked()
-	for _, ki := range e.owners {
-		ki.remove(e.id)
+	for _, o := range e.owners {
+		o.ki.remove(e.id)
 	}
 	c.bytes.Add(-int64(e.size))
 	c.count.Add(-1)

@@ -32,17 +32,17 @@ func (ki *keyIndex) admit(key vec.Vector, put bool) error {
 	return fmt.Errorf("%w: key type %q has keys of length %d, not %d", vec.ErrDimensionMismatch, ki.spec.Name, w, n)
 }
 
-// insert and remove are the only code that may mutate ki.idx and
-// ki.members (TestOneDoorToTheIndex greps for any other): each changes
-// both under the same write lock, so a reader holding mu sees an index
-// and a member table that agree.
+// insert and remove are the only code that may mutate ki.idx
+// (TestOneDoorToTheIndex greps for any other), each under the write
+// lock.
 
-// insert adds (id, key) to the index and the member table and returns
-// the copy of key they now share, or nil when the door or the index
-// refused it: a restored key of another length is refused here. This is
-// the one clone of a key on its way to an index (TestOneCloneOfEachKey):
-// the caller may reuse key's array at once, the index borrows the clone
-// under its Insert contract, and nothing writes to the clone again.
+// insert adds (id, key) to the index and returns the copy of key the
+// index now borrows, for the entry to own, or nil when the door or the
+// index refused it: a restored key of another length is refused here.
+// This is the one clone of a key on its way to an index
+// (TestOneCloneOfEachKey): the caller may reuse key's array at once,
+// the index borrows the clone under its Insert contract, and nothing
+// writes to the clone again.
 func (ki *keyIndex) insert(id ID, key vec.Vector) vec.Vector {
 	if ki.admit(key, true) != nil {
 		return nil
@@ -53,17 +53,13 @@ func (ki *keyIndex) insert(id ID, key vec.Vector) vec.Vector {
 	if err := ki.idx.Insert(index.ID(id), owned); err != nil {
 		return nil
 	}
-	ki.members[id] = owned
 	return owned
 }
 
-// remove drops id from the index and the member table if it is there.
+// remove drops id from the index. Only an entry's owners are asked to,
+// so id is there.
 func (ki *keyIndex) remove(id ID) {
 	ki.mu.Lock()
 	defer ki.mu.Unlock()
-	if _, ok := ki.members[id]; !ok {
-		return
-	}
 	ki.idx.Remove(index.ID(id))
-	delete(ki.members, id)
 }

@@ -210,10 +210,9 @@ func TestRegistrationBounds(t *testing.T) {
 }
 
 // TestOneDoorToTheIndex parses the package's non-test files and fails on
-// any mutation of a key index's idx or members outside keyIndex.insert
-// and keyIndex.remove: those two change both under one write lock, so
-// idx and members agree, and insert admits every key through the length
-// door, restored ones included.
+// any mutation of a key index's idx outside keyIndex.insert and
+// keyIndex.remove: each changes it under the write lock, and insert
+// admits every key through the length door, restored ones included.
 func TestOneDoorToTheIndex(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -237,19 +236,9 @@ func TestOneDoorToTheIndex(t *testing.T) {
 			door := fn.Recv != nil && (fn.Name.Name == "insert" || fn.Name.Name == "remove") && name == "door.go"
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				var what string
-				switch x := n.(type) {
-				case *ast.CallExpr:
+				if x, ok := n.(*ast.CallExpr); ok {
 					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Insert" || sel.Sel.Name == "Remove") && selects(sel.X, "idx") {
 						what = "idx." + sel.Sel.Name
-					}
-					if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "delete" && len(x.Args) == 2 && selects(x.Args[0], "members") {
-						what = "delete(members)"
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range x.Lhs {
-						if ix, ok := lhs.(*ast.IndexExpr); ok && selects(ix.X, "members") {
-							what = "members[...] ="
-						}
 					}
 				}
 				if what == "" {
@@ -264,8 +253,8 @@ func TestOneDoorToTheIndex(t *testing.T) {
 			})
 		}
 	}
-	if doors != 4 {
-		t.Errorf("found %d index mutations inside insert and remove, want 4: has the door moved?", doors)
+	if doors != 2 {
+		t.Errorf("found %d index mutations inside insert and remove, want 2 (idx.Insert, idx.Remove): has the door moved?", doors)
 	}
 }
 
@@ -280,7 +269,39 @@ func selects(e ast.Expr, name string) bool {
 // (missMemo, memoHook) or its replay (Replayer, ReplayInsert), and
 // keyIndex has no mutation epoch or log to replay from.
 func TestNoMissMemo(t *testing.T) {
-	retired := map[string]bool{"missMemo": true, "memoHook": true, "Replayer": true, "ReplayInsert": true}
+	checkRetired(t, []string{"missMemo", "memoHook", "Replayer", "ReplayInsert"}, func(field *ast.Field) string {
+		for _, id := range field.Names {
+			if id.Name == "epoch" || id.Name == "log" {
+				return "a field " + id.Name
+			}
+		}
+		return ""
+	})
+}
+
+// TestNoSecondKeyTable keeps the entry the one table from id to key: no
+// non-test file under internal/ may declare the retired key resolver
+// (KeyResolver, ResolverSetter, SetKeyResolver, setResolver) or the PQ
+// store's bounded cache of full keys (shrinkFull, KeepRecent), and
+// keyIndex has no map-typed field to hold keys by id again.
+func TestNoSecondKeyTable(t *testing.T) {
+	checkRetired(t, []string{"KeyResolver", "ResolverSetter", "SetKeyResolver", "setResolver", "shrinkFull", "KeepRecent"}, func(field *ast.Field) string {
+		if _, isMap := field.Type.(*ast.MapType); isMap {
+			return "a map-typed field"
+		}
+		return ""
+	})
+}
+
+// checkRetired fails on any declaration under internal/, outside test
+// files, of a name in retired (function, type, value or field) and on
+// any field of keyIndex that banned describes.
+func checkRetired(t *testing.T, retired []string, banned func(*ast.Field) string) {
+	t.Helper()
+	names := map[string]bool{}
+	for _, name := range retired {
+		names[name] = true
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -291,7 +312,7 @@ func TestNoMissMemo(t *testing.T) {
 			return err
 		}
 		declares := func(id *ast.Ident) {
-			if retired[id.Name] {
+			if names[id.Name] {
 				t.Errorf("%s declares %s", fset.Position(id.Pos()), id.Name)
 			}
 		}
@@ -303,10 +324,8 @@ func TestNoMissMemo(t *testing.T) {
 				declares(n.Name)
 				if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "keyIndex" {
 					for _, field := range st.Fields.List {
-						for _, id := range field.Names {
-							if id.Name == "epoch" || id.Name == "log" {
-								t.Errorf("%s: keyIndex has a field %s", fset.Position(id.Pos()), id.Name)
-							}
+						if what := banned(field); what != "" {
+							t.Errorf("%s: keyIndex has %s", fset.Position(field.Pos()), what)
 						}
 					}
 				}
@@ -329,9 +348,10 @@ func TestNoMissMemo(t *testing.T) {
 }
 
 // TestOneCloneOfEachKey keeps one owned copy of each key. In this
-// package, keyIndex.insert clones the key once and hands that clone to
-// both the index and the member table, and no caller of insert clones
-// the key it passes. In internal/index, no Insert path copies the key it
+// package, keyIndex.insert clones the key once, hands that clone to the
+// index and returns it, no caller of insert clones the key it passes,
+// and every caller keeps what insert returns in the entry's owners. In
+// internal/index, no Insert path copies the key it
 // was given into a fresh slice: the test follows the key from every
 // Insert through the package's calls (by name, so every method of that
 // name counts) and fails on a Clone of it, a slices.Clone, or a copy or
@@ -376,8 +396,13 @@ func TestOneCloneOfEachKey(t *testing.T) {
 				if !ok || len(call.Args) != 2 {
 					return true
 				}
-				if name, isSel := callee(call); isSel && name == "insert" && freshCopy(call.Args[1], nil, func(ast.Expr) bool { return true }) {
-					t.Errorf("%s: %s clones a key on its way to keyIndex.insert, which clones it", fset.Position(call.Pos()), fn.Name.Name)
+				if name, isSel := callee(call); isSel && name == "insert" {
+					if freshCopy(call.Args[1], nil, func(ast.Expr) bool { return true }) {
+						t.Errorf("%s: %s clones a key on its way to keyIndex.insert, which clones it", fset.Position(call.Pos()), fn.Name.Name)
+					}
+					if !keptByOwner(fn.Body, call) {
+						t.Errorf("%s: %s does not keep what keyIndex.insert returns as an owner's key", fset.Position(call.Pos()), fn.Name.Name)
+					}
 				}
 				return true
 			})
@@ -473,8 +498,8 @@ func TestOneCloneOfEachKey(t *testing.T) {
 	}
 }
 
-// checkDoorClones holds keyIndex.insert to one Clone, whose result is
-// what it passes to idx.Insert and stores in members.
+// checkDoorClones holds keyIndex.insert to one Clone, which is what it
+// passes to idx.Insert and what it returns (nil aside).
 func checkDoorClones(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl) {
 	t.Helper()
 	var owned string
@@ -501,9 +526,11 @@ func checkDoorClones(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl) {
 			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Insert" && selects(sel.X, "idx") && len(x.Args) == 2 {
 				passed = x.Args[1]
 			}
-		case *ast.AssignStmt:
-			if ix, ok := x.Lhs[0].(*ast.IndexExpr); ok && selects(ix.X, "members") {
-				passed = x.Rhs[0]
+		case *ast.ReturnStmt:
+			if len(x.Results) == 1 {
+				if id, ok := x.Results[0].(*ast.Ident); !ok || id.Name != "nil" {
+					passed = x.Results[0]
+				}
 			}
 		}
 		if passed != nil {
@@ -515,8 +542,43 @@ func checkDoorClones(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl) {
 		return true
 	})
 	if clones != 1 || uses != 2 {
-		t.Errorf("%s: keyIndex.insert clones %d times and passes a key on %d times, want 1 and 2 (idx.Insert, members)", fset.Position(fn.Pos()), clones, uses)
+		t.Errorf("%s: keyIndex.insert clones %d times and passes a key on %d times, want 1 and 2 (idx.Insert, return)", fset.Position(fn.Pos()), clones, uses)
 	}
+}
+
+// keptByOwner reports whether body assigns the result of the insert
+// call to a name that an owner literal in body takes as its key.
+func keptByOwner(body *ast.BlockStmt, insert *ast.CallExpr) bool {
+	var result string
+	ast.Inspect(body, func(n ast.Node) bool {
+		if x, ok := n.(*ast.AssignStmt); ok && len(x.Lhs) == 1 && len(x.Rhs) == 1 && x.Rhs[0] == insert {
+			if id, ok := x.Lhs[0].(*ast.Ident); ok {
+				result = id.Name
+			}
+		}
+		return result == ""
+	})
+	kept := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return !kept
+		}
+		if typ, ok := lit.Type.(*ast.Ident); ok && typ.Name == "owner" {
+			for _, elt := range lit.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok && isIdent(kv.Key, "key") && isIdent(kv.Value, result) {
+					kept = true
+				}
+			}
+		}
+		return !kept
+	})
+	return result != "" && kept
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 // isClone reports whether call calls a method or function named Clone.

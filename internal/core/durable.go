@@ -133,19 +133,17 @@ func serializableValue(v any) bool {
 	return false
 }
 
-// CaptureState captures the cache's durable state under the documented
-// lock order (funcsMu read lock, per-key-index read locks, never
-// admitMu), so concurrent lookups proceed and writers wait at most a
-// read share. Expired entries are purged first and excluded, so a
-// snapshot never embalms a dead entry.
+// CaptureState captures the cache's durable state holding only the
+// funcsMu read lock (never admitMu or an index lock once the expiry
+// purge is done), so concurrent lookups and puts proceed; each entry
+// records its own keys. Expired entries are purged first and excluded,
+// so a snapshot never embalms a dead entry.
 func (c *Cache) CaptureState() *DurableState {
 	now := c.clk.Now()
 	c.maybePurgeExpired(now)
 	state := &DurableState{CapturedAtNanos: now.UnixNano(), MaxID: c.nextID.Load()}
 
 	c.funcsMu.RLock()
-	entryFuncs := make(map[ID]string)
-	entryKeys := make(map[ID][]StoreKey)
 	for fnName, fc := range c.funcs {
 		df := DurableFunction{Name: fnName, Puts: fc.stats.puts.Load()}
 		for i, ktName := range fc.order {
@@ -162,12 +160,6 @@ func (c *Cache) CaptureState() *DurableState {
 				Misses:   ki.ctr.misses.Load(),
 				Dropouts: ki.ctr.dropouts.Load(),
 			})
-			ki.mu.RLock()
-			for id, key := range ki.members {
-				entryFuncs[id] = fnName
-				entryKeys[id] = append(entryKeys[id], StoreKey{KeyType: ktName, Key: key})
-			}
-			ki.mu.RUnlock()
 		}
 		state.Functions = append(state.Functions, df)
 	}
@@ -179,23 +171,33 @@ func (c *Cache) CaptureState() *DurableState {
 			state.Skipped++
 			return true
 		}
-		state.Entries = append(state.Entries, StoreEntry{
-			ID:              uint64(e.id),
-			Function:        entryFuncs[e.id],
-			App:             e.app,
-			CostNanos:       int64(e.cost),
-			Size:            e.size,
-			AccessCount:     e.accessCount.Load(),
-			InsertedAtNanos: e.insertedAt.UnixNano(),
-			LastAccessNanos: e.lastAccess.Load(),
-			ExpiresAtNanos:  e.expiresAt.UnixNano(),
-			Keys:            entryKeys[e.id],
-			Value:           e.value,
-		})
+		state.Entries = append(state.Entries, e.record())
 		return true
 	})
 	c.funcsMu.RUnlock()
 	return state
+}
+
+// record is the durable form of e as it stands: its keys are the ones
+// its owners hold, in the function's key-type order.
+func (e *entry) record() StoreEntry {
+	rec := StoreEntry{
+		ID:              uint64(e.id),
+		Function:        e.function(),
+		App:             e.app,
+		CostNanos:       int64(e.cost),
+		Size:            e.size,
+		AccessCount:     e.accessCount.Load(),
+		InsertedAtNanos: e.insertedAt.UnixNano(),
+		LastAccessNanos: e.lastAccess.Load(),
+		ExpiresAtNanos:  e.expiresAt.UnixNano(),
+		Keys:            make([]StoreKey, len(e.owners)),
+		Value:           e.value,
+	}
+	for i, o := range e.owners {
+		rec.Keys[i] = StoreKey{KeyType: o.ki.spec.Name, Key: o.key}
+	}
+	return rec
 }
 
 // RestoreStats reports what a Restore covered.
@@ -346,8 +348,12 @@ func (c *Cache) restoreEntry(rec *StoreEntry, now time.Time) restoreOutcome {
 	}
 	for _, sk := range rec.Keys {
 		// insert's door refuses an empty key or one of another length.
-		if ki := fc.keyTypes[sk.KeyType]; ki != nil && ki.insert(id, sk.Key) != nil {
-			e.owners = append(e.owners, ki)
+		ki := fc.keyTypes[sk.KeyType]
+		if ki == nil {
+			continue
+		}
+		if owned := ki.insert(id, sk.Key); owned != nil {
+			e.owners = append(e.owners, owner{ki: ki, key: owned})
 		}
 	}
 	if len(e.owners) == 0 {

@@ -140,6 +140,67 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(st1.Tuner, st2.Tuner) {
 		t.Errorf("tuner state drifted across restore:\n got %+v\nwant %+v", st2.Tuner, st1.Tuner)
 	}
+
+	t.Run("two functions, two key types each", captureRestoreKeys)
+}
+
+// captureRestoreKeys: each captured entry names the function it was put
+// under and carries the keys it was put with, by key type in
+// registration order, whether a put gave every key type or one, and
+// whether a key was given or extracted; a restore captures the same.
+func captureRestoreKeys(t *testing.T) {
+	c, _ := newTestCache(t)
+	double := func(raw any) (vec.Vector, error) {
+		x := raw.(float64)
+		return vec.Vector{x, 2 * x}, nil
+	}
+	if err := c.RegisterFunction("f", KeyTypeSpec{Name: "a"}, KeyTypeSpec{Name: "b", Extract: double}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterFunction("g", KeyTypeSpec{Name: "x"}, KeyTypeSpec{Name: "y"}); err != nil {
+		t.Fatal(err)
+	}
+	puts := []struct {
+		fn   string
+		req  PutRequest
+		want []StoreKey
+	}{
+		{"f", PutRequest{Keys: map[string]vec.Vector{"a": {1}, "b": {1, 10}}}, []StoreKey{{"a", vec.Vector{1}}, {"b", vec.Vector{1, 10}}}},
+		{"f", PutRequest{Keys: map[string]vec.Vector{"a": {2}}}, []StoreKey{{"a", vec.Vector{2}}}},
+		{"f", PutRequest{Keys: map[string]vec.Vector{"a": {3}}, Raw: 3.0}, []StoreKey{{"a", vec.Vector{3}}, {"b", vec.Vector{3, 6}}}},
+		{"f", PutRequest{Raw: 4.0}, []StoreKey{{"b", vec.Vector{4, 8}}}},
+		{"g", PutRequest{Keys: map[string]vec.Vector{"y": {5, 5, 5}}}, []StoreKey{{"y", vec.Vector{5, 5, 5}}}},
+		{"g", PutRequest{Keys: map[string]vec.Vector{"y": {6, 6, 6}, "x": {6}}}, []StoreKey{{"x", vec.Vector{6}}, {"y", vec.Vector{6, 6, 6}}}},
+	}
+	want := map[uint64]StoreEntry{}
+	for i, p := range puts {
+		p.req.Value = i
+		p.req.TTL = time.Hour
+		id, err := c.Put(p.fn, p.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[uint64(id)] = StoreEntry{Function: p.fn, Keys: p.want}
+	}
+	check := func(which string, state *DurableState) {
+		t.Helper()
+		if len(state.Entries) != len(want) {
+			t.Fatalf("%s: captured %d entries, want %d", which, len(state.Entries), len(want))
+		}
+		for _, got := range state.Entries {
+			w, ok := want[got.ID]
+			if !ok || got.Function != w.Function || !reflect.DeepEqual(got.Keys, w.Keys) {
+				t.Errorf("%s: entry %d has function %q and keys %v, want %q and %v", which, got.ID, got.Function, got.Keys, w.Function, w.Keys)
+			}
+		}
+	}
+	state := c.CaptureState()
+	check("captured", state)
+	c2, _ := newTestCache(t)
+	if stats, err := c2.Restore(state); err != nil || stats.Entries != len(want) {
+		t.Fatalf("restore: %+v, %v", stats, err)
+	}
+	check("restored", c2.CaptureState())
 }
 
 func TestRestoreDropsExpired(t *testing.T) {

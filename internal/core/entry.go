@@ -10,15 +10,17 @@ package core
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/vec"
 )
 
 // entry is one live cached computation result. Identity fields (id,
 // value, cost, size, app, timestamps, owners) are immutable after the
 // entry is published to the cache's entry table; the hot counters
 // (accessCount, lastAccess) are atomics so lookup hits on the same
-// entry never contend on a lock. Membership state (which indices hold
-// the entry) lives in the per-key-index member maps, guarded by the
-// key-index locks.
+// entry never contend on a lock. The entry is the one table from id to
+// key: owners holds each key it was indexed under, and the indices
+// borrow those keys.
 type entry struct {
 	id ID
 	// value is the cached computation result. The cache stores it once;
@@ -36,12 +38,15 @@ type entry struct {
 	app        string
 	insertedAt time.Time
 	expiresAt  time.Time
-	// owners lists the key indices that reference this entry, fixed at
-	// insertion time. Removal walks exactly these indices instead of
-	// scanning every registered function (§3.7: the value is "cleared
-	// via garbage collection when no indices have references to it" —
-	// here, when it has been unlinked from every owner).
-	owners []*keyIndex
+	// owners lists the key indices that reference this entry, each with
+	// the key it holds there (keyIndex.insert's clone), in the function's
+	// key-type order and fixed at insertion time. Removal walks exactly
+	// these indices instead of scanning every registered function (§3.7:
+	// the value is "cleared via garbage collection when no indices have
+	// references to it" — here, when it has been unlinked from every
+	// owner); snapshots and invalidation read the keys and the function
+	// from here.
+	owners []owner
 
 	// accessCount is incremented by every lookup hit; it starts at 1 on
 	// put (§3.3: "access frequency is initialized to 1").
@@ -53,6 +58,21 @@ type entry struct {
 	// victimSlot and expirySlot are the entry's positions in the cache's
 	// eviction and expiry heaps (see Heap), guarded by Cache.admitMu.
 	victimSlot, expirySlot int
+}
+
+// owner is one key index holding an entry, and the key it holds it by.
+type owner struct {
+	ki  *keyIndex
+	key vec.Vector
+}
+
+// function names the function the entry was put under ("" for an entry
+// no index accepted a key of).
+func (e *entry) function() string {
+	if len(e.owners) == 0 {
+		return ""
+	}
+	return e.owners[0].ki.fn
 }
 
 // ID identifies an entry. It matches index.ID numerically.

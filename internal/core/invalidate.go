@@ -48,24 +48,22 @@ func (c *Cache) InvalidateFunction(fn string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	kis := fc.kis
-	ids := make(map[ID]struct{})
-	for _, ki := range kis {
-		ki.mu.RLock()
-		for id := range ki.members {
-			ids[id] = struct{}{}
+	var ids []ID
+	c.entries.forEach(func(e *entry) bool {
+		if e.function() == fn {
+			ids = append(ids, e.id)
 		}
-		ki.mu.RUnlock()
-	}
+		return true
+	})
 	removed := 0
 	c.admitMu.Lock()
-	for id := range ids {
+	for _, id := range ids {
 		if c.removeEntryLocked(id, false) != nil {
 			removed++
 		}
 	}
 	c.admitMu.Unlock()
-	for _, ki := range kis {
+	for _, ki := range fc.kis {
 		ki.tuner.Reset()
 	}
 	c.ctr.invalidations.Add(int64(removed))

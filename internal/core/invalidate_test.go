@@ -84,4 +84,28 @@ func TestInvalidateFunction(t *testing.T) {
 	if _, err := c.InvalidateFunction("nope"); err == nil {
 		t.Error("unknown function accepted")
 	}
+
+	// A re-registration that adds a key type: entries put before it and
+	// after it, under the old key type, the new one or both, all belong
+	// to g and go with it; f's new entry stays.
+	if err := c.RegisterFunction("g", KeyTypeSpec{Name: "scalar"}, KeyTypeSpec{Name: "extra"}); err != nil {
+		t.Fatal(err)
+	}
+	c.Put("g", PutRequest{Keys: map[string]vec.Vector{"scalar": {5}, "extra": {50}}, Value: 4})
+	c.Put("g", PutRequest{Keys: map[string]vec.Vector{"extra": {60}}, Value: 5})
+	c.Put("f", PutRequest{Keys: map[string]vec.Vector{"scalar": {1}}, Value: 6})
+	if n, err := c.InvalidateFunction("g"); err != nil || n != 3 {
+		t.Fatalf("InvalidateFunction(g) after adding a key type = %d, %v; want 3", n, err)
+	}
+	for kt, key := range map[string]vec.Vector{"scalar": {1}, "extra": {60}} {
+		if res, _ := c.Lookup("g", kt, key); res.Hit {
+			t.Errorf("g entry survived under %s", kt)
+		}
+	}
+	if res, _ := c.Lookup("f", "scalar", vec.Vector{1}); !res.Hit || res.Value != 6 {
+		t.Errorf("f entry: hit %v on %v, want a hit on 6", res.Hit, res.Value)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1", c.Len())
+	}
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // TestConcurrentChaos hammers one cache from many goroutines mixing
-// every public operation — lookups, puts, invalidations, snapshots,
-// registrations, stats, purges — under capacity pressure and TTL churn.
+// every public operation — lookups, puts, invalidations (by radius and
+// of the whole function), snapshots, registrations, stats, purges —
+// under capacity pressure and TTL churn.
 // It asserts only invariants (no panics, no negative accounting,
 // byte/entry consistency); run with -race for the full value.
 func TestConcurrentChaos(t *testing.T) {
@@ -44,7 +45,15 @@ func TestConcurrentChaos(t *testing.T) {
 				key := vec.Vector{rng.Float64() * 50, rng.Float64() * 50}
 				switch rng.Intn(10) {
 				case 0:
-					c.InvalidateRadius("f", "a", key, rng.Float64()*5)
+					if rng.Intn(8) == 0 {
+						// Walks the entry table while puts publish.
+						if _, err := c.InvalidateFunction("f"); err != nil {
+							t.Error(err)
+							return
+						}
+					} else {
+						c.InvalidateRadius("f", "a", key, rng.Float64()*5)
+					}
 				case 1:
 					c.CaptureState()
 				case 2:

@@ -48,10 +48,9 @@ func sweepScales() []int {
 
 // runTable2Scale measures, per (entry count, index kind): average lookup
 // latency, probes per query (ProbeStats), recall@1 against the linear
-// ground truth, and key-store bytes per entry. PQ-backed kinds run with
-// an external key resolver — the cache-core deployment, where the
-// members table supplies exact vectors for re-ranking — so the reported
-// bytes/entry is the real deployed footprint.
+// ground truth, and key-store bytes per entry. Every kind borrows the
+// keys it is given, as in the cache core, where the entry owns them: a
+// PQ kind's bytes/entry is its codes and codebooks.
 func runTable2Scale(w io.Writer) error {
 	const (
 		dim     = 16
@@ -114,19 +113,11 @@ func runTable2Scale(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			members := make(map[index.ID]vec.Vector, n)
-			if rs, ok := idx.(index.ResolverSetter); ok {
-				rs.SetKeyResolver(func(id index.ID) (vec.Vector, bool) {
-					v, ok := members[id]
-					return v, ok
-				})
-			}
 			buildStart := time.Now()
 			for i, k := range keys {
 				if err := idx.Insert(index.ID(i), k); err != nil {
 					return err
 				}
-				members[index.ID(i)] = k
 			}
 			build := time.Since(buildStart)
 			before := idx.ProbeStats()

@@ -28,7 +28,7 @@ func TestConcurrentQueryUnderChurn(t *testing.T) {
 				// Low training thresholds so churn crosses the
 				// untrained→trained boundary mid-test.
 				IVF: IVFConfig{TrainAfter: 64},
-				PQ:  PQConfig{TrainSize: 64, KeepRecent: 32},
+				PQ:  PQConfig{TrainSize: 64},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -192,14 +192,6 @@ func newHNSW(m vec.Metric, cfg HNSWConfig, pq *pqStore) *HNSW {
 	return h
 }
 
-// SetKeyResolver implements ResolverSetter: a PQ-backed store drops its
-// uncompressed vectors and re-ranks against the resolver instead.
-func (h *HNSW) SetKeyResolver(r KeyResolver) {
-	if h.pq != nil {
-		h.pq.setResolver(r)
-	}
-}
-
 // KeyBytes implements MemoryReporter.
 func (h *HNSW) KeyBytes() int64 {
 	if h.pq != nil {
@@ -226,7 +218,7 @@ func (h *HNSW) lookup(id ID) (int32, bool) {
 }
 
 // exact returns the uncompressed key of the node in occupied slot s:
-// the key Insert was given, or what the PQ store holds, resolves or decodes.
+// the key Insert was given, kept by the node or, under PQ, by the store.
 func (h *HNSW) exact(s int32) vec.Vector {
 	if h.pq != nil {
 		v, _ := h.pq.exact(h.ids[s])

@@ -70,14 +70,8 @@ func newDiffRun(t *testing.T, kind Kind, efs int, seed int64) *diffRun {
 	d := &diffRun{t: t, rng: rand.New(rand.NewSource(seed*7919 + int64(efs))), ref: make(map[ID]vec.Vector), tenant: make(map[int32]ID)}
 	m := vec.EuclideanMetric{}
 	if kind == KindHNSWPQ {
-		pq := PQConfig{TrainSize: 96, ReRank: 6, KeepRecent: 16, Seed: seed}
+		pq := PQConfig{TrainSize: 96, ReRank: 6, Seed: seed}
 		d.got, d.want = NewHNSWPQ(m, cfg, pq), newOracleHNSW(m, cfg, newPQStore(m, pq))
-		if seed%4 < 2 {
-			// The cache-core deployment: exact vectors come from outside.
-			resolve := func(id ID) (vec.Vector, bool) { v, ok := d.ref[id]; return v, ok }
-			d.got.SetKeyResolver(resolve)
-			d.want.SetKeyResolver(resolve)
-		}
 	} else {
 		d.got, d.want = NewHNSW(m, cfg), newOracleHNSW(m, cfg, newFlatStore(m))
 	}
@@ -394,17 +388,14 @@ func checkHNSW(g *HNSW) error {
 }
 
 // inBox checks that the key in slot s lies inside the box, a NaN
-// coordinate excepted. Under a PQ store only a key kept whole or
-// resolvable is known exactly.
+// coordinate excepted. Under a PQ store the key is the one the store
+// borrows beside its code.
 func inBox(g *HNSW, s int) error {
 	key := g.nodes[s].vec
 	if g.pq != nil {
 		var ok bool
-		if key, ok = g.pq.full[g.ids[s]]; !ok && g.pq.resolver != nil {
-			key, ok = g.pq.resolver(g.ids[s])
-		}
-		if !ok {
-			return nil
+		if key, ok = g.pq.keys[g.ids[s]]; !ok {
+			return fmt.Errorf("slot %d's id %d has no key in the PQ store", s, g.ids[s])
 		}
 	}
 	for a, x := range key {

@@ -54,14 +54,6 @@ func newOracleHNSW(m vec.Metric, cfg HNSWConfig, store vecStore) *oracleHNSW {
 	}
 }
 
-// SetKeyResolver implements ResolverSetter: a PQ-backed store drops its
-// uncompressed vectors and re-ranks against the resolver instead.
-func (h *oracleHNSW) SetKeyResolver(r KeyResolver) {
-	if pq, ok := h.store.(*pqStore); ok {
-		pq.setResolver(r)
-	}
-}
-
 func (h *oracleHNSW) maxLinks(level int) int {
 	if level == 0 {
 		return 2 * h.cfg.M

@@ -116,13 +116,6 @@ func newIVF(m vec.Metric, cfg IVFConfig, store vecStore) *IVF {
 	}
 }
 
-// SetKeyResolver implements ResolverSetter (see HNSW.SetKeyResolver).
-func (iv *IVF) SetKeyResolver(r KeyResolver) {
-	if pq, ok := iv.store.(*pqStore); ok {
-		pq.setResolver(r)
-	}
-}
-
 // KeyBytes implements MemoryReporter.
 func (iv *IVF) KeyBytes() int64 { return iv.store.keyBytes() }
 

@@ -7,29 +7,25 @@ import (
 	"repro/internal/vec"
 )
 
-// Product quantization (pq) is the key-storage half of the sub-linear
-// index work (ROADMAP item 3, grounded in "Ascent Similarity Caching
-// with Approximate Indexes"): at 10^6 entries per (function, key-type)
-// the raw float64 feature vectors dominate RAM. A product quantizer
-// splits each vector into M subspaces, learns a 256-centroid codebook
-// per subspace from the first TrainSize inserts (k-means-lite, seeded,
-// deterministic), and thereafter stores one byte per subspace instead
-// of 8 bytes per dimension — an 8x reduction at subspace width 1,
-// 32x at width 4. Queries score candidates with an asymmetric distance
-// table (query vs codebook centroids, computed once per query), and the
-// top candidates are re-ranked against uncompressed vectors so the
-// distances an index returns — the inputs to every threshold decision —
-// are exact, never quantized estimates.
+// Product quantization (pq) is the compressed-key half of the
+// sub-linear index work (ROADMAP item 3, grounded in "Ascent Similarity
+// Caching with Approximate Indexes"). A product quantizer splits each
+// vector into M subspaces, learns a 256-centroid codebook per subspace
+// from the first TrainSize inserts (k-means-lite, seeded,
+// deterministic), and thereafter encodes each key as one byte per
+// subspace instead of 8 bytes per dimension — 8x smaller at subspace
+// width 1, 32x at width 4. Queries score candidates with an asymmetric
+// distance table (query vs codebook centroids, computed once per
+// query), and the top candidates are re-ranked against the full keys so
+// the distances an index returns — the inputs to every threshold
+// decision — are exact, never quantized estimates.
 //
-// Where the uncompressed vectors come from depends on how the index is
-// deployed. Inside the cache core, every key already lives uncompressed
-// in the per-key-type members table (guarded by the same RWMutex as the
-// index), so the core attaches a KeyResolver and the pq store keeps only
-// codes plus a small cache of the most recently inserted vectors (the
-// likeliest re-rank targets under correlated feeds). Standalone — in
-// tests, experiments, benchmarks — no resolver is attached and the store
-// retains every vector itself: exactness is preserved, the memory win
-// applies only when a resolver supplies the uncompressed copies.
+// The full keys are the ones Insert was given: the store borrows each
+// beside its code (see Index.Insert), and KeyBytes counts the codes and
+// codebooks, not the borrowed keys. In the cache core the entry owns
+// every key, so the codes replace what a kind would otherwise copy into
+// its own layout (HNSW's scan rows) and add to a kind that copies
+// nothing (IVF's flat store).
 
 // PQConfig parameterizes the product-quantized key store.
 type PQConfig struct {
@@ -47,11 +43,6 @@ type PQConfig struct {
 	Iters int
 	// Seed makes codebook training deterministic.
 	Seed int64
-	// KeepRecent bounds the uncompressed cache of recently inserted
-	// vectors kept for re-ranking when a KeyResolver is attached (the
-	// "small uncompressed cache"; without a resolver every vector is
-	// retained and this is ignored).
-	KeepRecent int
 	// ReRank is how many top candidates (beyond k) are re-ranked with
 	// exact distances after approximate scoring.
 	ReRank int
@@ -60,7 +51,7 @@ type PQConfig struct {
 // DefaultPQConfig returns parameters suited to the feature vectors of
 // the paper's workloads (tens to hundreds of dimensions).
 func DefaultPQConfig() PQConfig {
-	return PQConfig{TrainSize: 4096, Iters: 6, Seed: 1, KeepRecent: 1024, ReRank: 64}
+	return PQConfig{TrainSize: 4096, Iters: 6, Seed: 1, ReRank: 64}
 }
 
 func (c PQConfig) withDefaults() PQConfig {
@@ -71,35 +62,21 @@ func (c PQConfig) withDefaults() PQConfig {
 	if c.Iters <= 0 {
 		c.Iters = d.Iters
 	}
-	if c.KeepRecent <= 0 {
-		c.KeepRecent = d.KeepRecent
-	}
 	if c.ReRank <= 0 {
 		c.ReRank = d.ReRank
 	}
 	return c
 }
 
-// KeyResolver supplies the exact stored vector for an id from outside
-// the index — in the cache core, from the per-key-type members table.
-// It is called with the same lock held that guards the index itself.
-type KeyResolver func(id ID) (vec.Vector, bool)
-
-// ResolverSetter is implemented by indexes whose key store can delegate
-// exact-vector storage to the caller. The cache core attaches a resolver
-// over its members table at registration, letting a PQ-backed store drop
-// full vectors and keep only codes.
-type ResolverSetter interface {
-	SetKeyResolver(KeyResolver)
-}
-
 // MemoryReporter reports the in-memory footprint of an index's key
 // storage, used by the memory-per-entry benchmarks and the space
 // accounting in experiments.
 type MemoryReporter interface {
-	// KeyBytes returns the approximate bytes held to store key vectors
-	// (codes, uncompressed buffers, and codebooks; graph/cell structure
-	// overhead excluded).
+	// KeyBytes returns the approximate bytes of key storage: the keys
+	// an uncompressed store scans (HNSW's rows; IVF's borrowed keys,
+	// counted as its own), or, once a PQ store is trained, its codes and
+	// codebooks but not the keys it borrows for re-ranking. Graph and
+	// cell structure are excluded.
 	KeyBytes() int64
 }
 
@@ -390,26 +367,21 @@ func (f *flatStore) scorer(q vec.Vector) func(id ID) float64 {
 func (f *flatStore) exactScorer() bool { return true }
 func (f *flatStore) keyBytes() int64   { return f.bytes }
 
-// pqStore stores PQ codes for every entry plus uncompressed vectors for
-// re-ranking: all of them when self-contained, or only the KeepRecent
-// most recent when a KeyResolver supplies exact vectors externally.
-// Every vector has one length, the first one's: the index that owns the
-// store refuses any other before it gets here, and asks no query of
-// another length.
+// pqStore stores a PQ code for every entry beside the key it borrows
+// for re-ranking. Until TrainSize keys have arrived it holds keys only
+// and scores exactly. Every vector has one length, the first one's: the
+// index that owns the store refuses any other before it gets here, and
+// asks no query of another length.
 type pqStore struct {
-	metric   vec.Metric
-	kind     adcKind
-	cfg      PQConfig
-	codec    *quantizer
-	codes    map[ID][]byte
-	full     map[ID]vec.Vector
-	fullB    int64
-	resolver KeyResolver
+	metric vec.Metric
+	kind   adcKind
+	cfg    PQConfig
+	codec  *quantizer
+	codes  map[ID][]byte
+	keys   map[ID]vec.Vector
 	// order is the insertion order of ids currently buffered for
 	// training (pre-training), making codebooks deterministic.
-	order []ID
-	// recent is a FIFO of ids in full once bounded (resolver mode).
-	recent  []ID
+	order   []ID
 	dim     int
 	trained bool
 }
@@ -420,113 +392,43 @@ func newPQStore(m vec.Metric, cfg PQConfig) *pqStore {
 		kind:   adcKindFor(m),
 		cfg:    cfg.withDefaults(),
 		codes:  make(map[ID][]byte),
-		full:   make(map[ID]vec.Vector),
-	}
-}
-
-func (p *pqStore) setResolver(r KeyResolver) {
-	p.resolver = r
-	if p.trained {
-		p.shrinkFull()
-	}
-}
-
-func (p *pqStore) addFull(id ID, v vec.Vector) {
-	p.full[id] = v
-	p.fullB += int64(8 * len(v))
-}
-
-func (p *pqStore) dropFull(id ID) {
-	if v, ok := p.full[id]; ok {
-		p.fullB -= int64(8 * len(v))
-		delete(p.full, id)
+		keys:   make(map[ID]vec.Vector),
 	}
 }
 
 func (p *pqStore) add(id ID, v vec.Vector) {
-	if !p.trained {
-		p.addFull(id, v)
-		p.order = append(p.order, id)
-		if p.dim == 0 {
-			p.dim = len(v)
-		}
-		if len(p.order) >= p.cfg.TrainSize {
-			p.train()
-		}
+	p.keys[id] = v
+	if p.trained {
+		p.codes[id] = p.codec.encode(v)
 		return
 	}
-	p.codes[id] = p.codec.encode(v)
-	if p.resolver == nil {
-		p.addFull(id, v)
-		return
+	p.order = append(p.order, id)
+	if p.dim == 0 {
+		p.dim = len(v)
 	}
-	p.addFull(id, v)
-	p.recent = append(p.recent, id)
-	for len(p.recent) > p.cfg.KeepRecent {
-		victim := p.recent[0]
-		p.recent = p.recent[1:]
-		if victim != id {
-			p.dropFull(victim)
-		}
+	if len(p.order) >= p.cfg.TrainSize {
+		p.train()
 	}
 }
 
-// train fits the codec on the buffered vectors (insertion order, seeded
-// — deterministic) and converts the buffer to codes.
+// train fits the codec on the buffered keys (insertion order, seeded
+// — deterministic) and encodes each of them.
 func (p *pqStore) train() {
-	samples := make([]vec.Vector, 0, len(p.order))
-	ids := make([]ID, 0, len(p.order))
-	for _, id := range p.order {
-		if v, ok := p.full[id]; ok {
-			samples = append(samples, v)
-			ids = append(ids, id)
-		}
-	}
-	if len(samples) == 0 {
-		return
+	samples := make([]vec.Vector, len(p.order))
+	for i, id := range p.order {
+		samples[i] = p.keys[id]
 	}
 	p.codec = trainQuantizer(samples, p.dim, p.cfg.Subspaces, p.cfg.Iters, p.cfg.Seed)
-	for i, id := range ids {
+	for i, id := range p.order {
 		p.codes[id] = p.codec.encode(samples[i])
 	}
 	p.trained = true
 	p.order = nil
-	if p.resolver != nil {
-		// Keep only the most recent KeepRecent uncompressed; the
-		// resolver supplies the rest.
-		for i, id := range ids {
-			if len(ids)-i <= p.cfg.KeepRecent {
-				p.recent = append(p.recent, id)
-			} else {
-				p.dropFull(id)
-			}
-		}
-	}
-}
-
-// shrinkFull drops uncompressed vectors beyond the recent window once a
-// resolver can supply them (called when a resolver is attached after
-// training).
-func (p *pqStore) shrinkFull() {
-	if len(p.full) <= p.cfg.KeepRecent {
-		return
-	}
-	keep := make(map[ID]struct{}, len(p.recent))
-	for _, id := range p.recent {
-		keep[id] = struct{}{}
-	}
-	for id, v := range p.full {
-		if _, ok := keep[id]; ok {
-			continue
-		}
-		p.fullB -= int64(8 * len(v))
-		delete(p.full, id)
-	}
 }
 
 func (p *pqStore) remove(id ID) {
 	delete(p.codes, id)
-	p.dropFull(id)
+	delete(p.keys, id)
 	for i, oid := range p.order {
 		if oid == id {
 			p.order = append(p.order[:i], p.order[i+1:]...)
@@ -536,27 +438,14 @@ func (p *pqStore) remove(id ID) {
 }
 
 func (p *pqStore) exact(id ID) (vec.Vector, bool) {
-	if v, ok := p.full[id]; ok {
-		return v, true
-	}
-	if p.resolver != nil {
-		if v, ok := p.resolver(id); ok {
-			return v, true
-		}
-	}
-	// Last resort: centroid reconstruction. Reached only if a resolver
-	// was promised but cannot supply the id (never the case in the
-	// cache core, where members outlives the index entry).
-	if code, ok := p.codes[id]; ok && p.codec != nil {
-		return p.codec.decode(code), true
-	}
-	return nil, false
+	v, ok := p.keys[id]
+	return v, ok
 }
 
 func (p *pqStore) scorer(q vec.Vector) func(id ID) float64 {
 	if !p.trained {
 		return func(id ID) float64 {
-			v, ok := p.exact(id)
+			v, ok := p.keys[id]
 			if !ok {
 				return math.Inf(1)
 			}
@@ -565,42 +454,34 @@ func (p *pqStore) scorer(q vec.Vector) func(id ID) float64 {
 	}
 	if p.kind == adcDecode {
 		return func(id ID) float64 {
-			if code, ok := p.codes[id]; ok {
-				return p.metric.Distance(q, p.codec.decode(code))
-			}
-			v, ok := p.exact(id)
+			code, ok := p.codes[id]
 			if !ok {
 				return math.Inf(1)
 			}
-			return p.metric.Distance(q, v)
+			return p.metric.Distance(q, p.codec.decode(code))
 		}
 	}
 	table := p.codec.adcTable(q, p.kind)
 	k := p.codec.k
 	kind := p.kind
 	return func(id ID) float64 {
-		if code, ok := p.codes[id]; ok {
-			return adcScore(table, code, k, kind)
-		}
-		v, ok := p.exact(id)
+		code, ok := p.codes[id]
 		if !ok {
 			return math.Inf(1)
 		}
-		return p.metric.Distance(q, v)
+		return adcScore(table, code, k, kind)
 	}
 }
 
 func (p *pqStore) exactScorer() bool { return !p.trained }
 
 func (p *pqStore) keyBytes() int64 {
-	b := p.fullB
-	for _, c := range p.codes {
-		b += int64(len(c))
+	if !p.trained {
+		return int64(8 * p.dim * len(p.keys))
 	}
-	if p.codec != nil {
-		for _, book := range p.codec.books {
-			b += int64(8 * len(book))
-		}
+	b := int64(p.codec.m * len(p.codes))
+	for _, book := range p.codec.books {
+		b += int64(8 * len(book))
 	}
 	return b
 }

@@ -24,8 +24,6 @@ var (
 )
 
 var (
-	_ ResolverSetter = (*HNSW)(nil)
-	_ ResolverSetter = (*IVF)(nil)
 	_ MemoryReporter = (*HNSW)(nil)
 	_ MemoryReporter = (*IVF)(nil)
 )

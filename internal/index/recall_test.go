@@ -123,10 +123,11 @@ func TestApproximateRecallVsLinear(t *testing.T) {
 	}
 }
 
-// TestPQMemoryReduction: with a KeyResolver attached (the cache-core
-// deployment, where the members table already holds every exact vector)
-// the PQ store must shrink per-entry key memory at least 8x vs flat
-// float64 storage, while still answering with exact distances. Run at
+// TestPQMemoryReduction: once trained, the PQ store's own key storage
+// (codes and codebooks; the full keys it re-ranks against are borrowed
+// from the caller, as from the cache core's entries) must be at least
+// 8x smaller than flat float64 storage, while it still answers with
+// exact distances. Run at
 // the coarse dim/4 subspace setting: the default one-byte-per-dimension
 // codes compress the payload exactly 8x (so total memory approaches 8x
 // only as the fixed codebook amortizes), while dim/4 trades in-cluster
@@ -141,17 +142,11 @@ func TestPQMemoryReduction(t *testing.T) {
 	corpus := clusteredCorpus(rng, n, dim, 64, 2.0)
 	metric := vec.EuclideanMetric{}
 
-	members := make(map[ID]vec.Vector, n)
-	idx := NewIVFPQ(metric, IVFConfig{TrainAfter: 1024}, PQConfig{Subspaces: dim / 4, TrainSize: 512, KeepRecent: 128})
-	idx.SetKeyResolver(func(id ID) (vec.Vector, bool) {
-		v, ok := members[id]
-		return v, ok
-	})
+	idx := NewIVFPQ(metric, IVFConfig{TrainAfter: 1024}, PQConfig{Subspaces: dim / 4, TrainSize: 512})
 	for i, v := range corpus {
 		if err := idx.Insert(ID(i), v); err != nil {
 			t.Fatal(err)
 		}
-		members[ID(i)] = v
 	}
 	flatBytes := int64(n * dim * 8)
 	pqBytes := idx.KeyBytes()
@@ -173,7 +168,7 @@ func TestPQMemoryReduction(t *testing.T) {
 			t.Fatal("no result")
 		}
 		if d := metric.Distance(query, got.Key); math.Abs(d-got.Dist) > 1e-9 {
-			t.Fatalf("Dist %v != exact %v with resolver-backed store", got.Dist, d)
+			t.Fatalf("Dist %v != exact %v with a trained PQ store", got.Dist, d)
 		}
 	}
 }

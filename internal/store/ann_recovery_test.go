@@ -18,7 +18,7 @@ import (
 func annOptions() index.Options {
 	return index.Options{
 		IVF: index.IVFConfig{TrainAfter: 256},
-		PQ:  index.PQConfig{TrainSize: 128, KeepRecent: 64},
+		PQ:  index.PQConfig{TrainSize: 128},
 	}
 }
 

@@ -162,11 +162,11 @@ func TestLoadFileIdempotent(t *testing.T) {
 
 // TestReusedKeyBufferChangesNothing: a caller that puts a key and then
 // reuses its array for another key changes nothing the cache holds. The
-// live cache, the re-rank of a product-quantized index (which resolves
-// keys it no longer keeps uncompressed from the cache's own copy) and a
-// file saved and loaded back all still know the key as it was put. The
-// hnsw-pq case trains its codebooks after 8 puts and keeps 1 key
-// uncompressed, so the reused key is re-ranked through that copy.
+// live cache, the re-rank of a product-quantized index (against the key
+// it borrows from the cache's own copy) and a file saved and loaded back
+// all still know the key as it was put. The hnsw-pq case trains its
+// codebooks after 8 puts, so the reused key is scored from its code and
+// re-ranked through the borrowed key.
 func TestReusedKeyBufferChangesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		index   potluck.Config
@@ -175,7 +175,7 @@ func TestReusedKeyBufferChangesNothing(t *testing.T) {
 	}{
 		{spec: potluck.KeyTypeSpec{Name: "k", Index: potluck.IndexKDTree}},
 		{
-			index:   potluck.Config{IndexOptions: index.Options{PQ: index.PQConfig{TrainSize: 8, KeepRecent: 1}}},
+			index:   potluck.Config{IndexOptions: index.Options{PQ: index.PQConfig{TrainSize: 8}}},
 			spec:    potluck.KeyTypeSpec{Name: "k", Index: potluck.IndexHNSWPQ},
 			fillers: 16,
 		},
