@@ -289,14 +289,14 @@ func BenchmarkHNSWNearest(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexMemory reports the key-store footprint per entry for the
-// flat and product-quantized stores at 10 000 entries (keyB/entry), with
-// lookup time as ns/op. Every kind borrows the keys it is given, as in
-// the cache core, where the entry owns them: a PQ store's bytes are its
-// codes and codebooks.
+// BenchmarkIndexMemory reports the key-store footprint per entry of
+// HNSW, HNSW-PQ and IVF at 10 000 entries (keyB/entry), with lookup time
+// as ns/op. Every kind borrows the keys it is given, as in the cache
+// core, where the entry owns them: HNSW-PQ's bytes are its codes and
+// codebooks.
 func BenchmarkIndexMemory(b *testing.B) {
 	const entries, dim = 10_000, 16
-	for _, kind := range []index.Kind{index.KindHNSW, index.KindHNSWPQ, index.KindIVF, index.KindIVFPQ} {
+	for _, kind := range []index.Kind{index.KindHNSW, index.KindHNSWPQ, index.KindIVF} {
 		b.Run(string(kind), func(b *testing.B) {
 			idx, err := index.New(kind, vec.EuclideanMetric{}, dim)
 			if err != nil {
@@ -334,8 +334,8 @@ func BenchmarkIndexMemory(b *testing.B) {
 }
 
 // BenchmarkIndexHeap reports the live heap an index adds per entry
-// (heapB/entry) at 10 000 entries, for the flat and product-quantized
-// HNSW and IVF kinds at dims 16 and 128: the heap after a GC with the
+// (heapB/entry) at 10 000 entries, for IVF and the flat and
+// product-quantized HNSW kinds at dims 16 and 128: the heap after a GC with the
 // index built, less the heap after a GC before it. The keys are
 // allocated and held by the benchmark before the build, as the cache
 // core's entries hold them, so what an index borrows is not counted and
@@ -344,7 +344,7 @@ func BenchmarkIndexMemory(b *testing.B) {
 func BenchmarkIndexHeap(b *testing.B) {
 	const entries = 10_000
 	for _, dim := range []int{16, 128} {
-		for _, kind := range []index.Kind{index.KindIVF, index.KindIVFPQ, index.KindHNSW, index.KindHNSWPQ} {
+		for _, kind := range []index.Kind{index.KindIVF, index.KindHNSW, index.KindHNSWPQ} {
 			b.Run(fmt.Sprintf("%s/dim%d", kind, dim), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(int64(dim)))
 				keys := make([]vec.Vector, entries)

@@ -119,8 +119,8 @@ func main() {
 		var defs []service.KeyTypeDef
 		for _, name := range strings.Split(args[2], ",") {
 			// "<name>:<index>" selects an index kind (kdtree, linear,
-			// lsh, treemap, hash, hnsw, ivf, hnsw-pq, ivf-pq); bare
-			// names take the server default.
+			// lsh, treemap, hash, hnsw, ivf, hnsw-pq); bare names take
+			// the server default.
 			def := service.KeyTypeDef{Name: name}
 			if i := strings.IndexByte(name, ':'); i >= 0 {
 				def.Name, def.Index = name[:i], name[i+1:]

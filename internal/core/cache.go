@@ -187,8 +187,8 @@ type Config struct {
 	// (see durable.go and internal/store). Nil — the default — keeps
 	// the cache purely in-memory at zero hot-path cost.
 	Store Store
-	// IndexOptions tunes the parameterized index kinds (LSH, HNSW, IVF
-	// and their PQ variants) for every key type registered with this
+	// IndexOptions tunes the parameterized index kinds (LSH, HNSW,
+	// HNSW-PQ and IVF) for every key type registered with this
 	// cache. Zero-value fields take each kind's defaults; kinds without
 	// tuning knobs ignore it.
 	IndexOptions index.Options

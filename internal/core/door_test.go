@@ -281,11 +281,18 @@ func TestNoMissMemo(t *testing.T) {
 
 // TestNoSecondKeyTable keeps the entry the one table from id to key: no
 // non-test file under internal/ may declare the retired key resolver
-// (KeyResolver, ResolverSetter, SetKeyResolver, setResolver) or the PQ
-// store's bounded cache of full keys (shrinkFull, KeepRecent), and
-// keyIndex has no map-typed field to hold keys by id again.
+// (KeyResolver, ResolverSetter, SetKeyResolver, setResolver), the PQ
+// store's bounded cache of full keys (shrinkFull, KeepRecent), the key
+// stores that held keys by id beside an index's own layout (vecStore,
+// flatStore, pqStore, and reRank, which read them back) or the IVF-PQ
+// kind that needed them (NewIVFPQ, KindIVFPQ), and keyIndex has no
+// map-typed field to hold keys by id again.
 func TestNoSecondKeyTable(t *testing.T) {
-	checkRetired(t, []string{"KeyResolver", "ResolverSetter", "SetKeyResolver", "setResolver", "shrinkFull", "KeepRecent"}, func(field *ast.Field) string {
+	retired := []string{
+		"KeyResolver", "ResolverSetter", "SetKeyResolver", "setResolver", "shrinkFull", "KeepRecent",
+		"vecStore", "flatStore", "pqStore", "reRank", "NewIVFPQ", "KindIVFPQ",
+	}
+	checkRetired(t, retired, func(field *ast.Field) string {
 		if _, isMap := field.Type.(*ast.MapType); isMap {
 			return "a map-typed field"
 		}

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -27,7 +28,7 @@ import (
 // true distance is, so that search runs unbounded and is filtered.
 //
 // A miss with nothing within r would still pay the whole efSearch-wide
-// search, so over either store HNSW keeps the box of every key inserted
+// search, so with or without PQ HNSW keeps the box of every key inserted
 // since it was last empty, widened by Insert and left as it is by
 // Remove: a box that may be larger than the live keys need, never
 // smaller. When the box lies farther than r from a query, by the k-d
@@ -46,7 +47,8 @@ import (
 // The graph is a dense node table: a node lives in a slot, link lists
 // hold slots, and what a search reads of a node it scores or expands
 // sits in flat arrays indexed by slot: id, level and tombstone flag in
-// per-slot columns, the key as a row of one []float64, the layer-0 links
+// per-slot columns, the key as a row of one []float64 (under PQ, once
+// trained, its code as a row of one []byte instead), the layer-0 links
 // in one []int32 of fixed stride. Only the key Insert was given, the
 // upper layers' links and the reference count stay in the node's row.
 // The id-to-slot map is read only by Insert and Remove. Slots are
@@ -61,19 +63,27 @@ import (
 type HNSW struct {
 	probeCounter
 	scratchPool
-	metric   vec.Metric
-	norm     boxNorm
-	cfg      HNSWConfig
-	pq       *pqStore // nil: keys are kept uncompressed, as rows
-	keyBytes int64    // bytes of those rows; the keys they copy are the caller's
-	ids      []ID
-	levels   []int8 // vacant when negative
-	deleted  []bool // tombstoned: still routes, is never reported
+	metric  vec.Metric
+	norm    boxNorm
+	cfg     HNSWConfig
+	ids     []ID
+	levels  []int8 // vacant when negative
+	deleted []bool // tombstoned: still routes, is never reported
+	held    int    // occupied slots: live nodes and tombstones not yet re-linked
 	// width is every key's length, the first key's: Insert refuses any
 	// other, and a query of another length finds nothing. rows holds slot
-	// s's key at rows[s*width:][:width]; it is empty under a PQ store.
+	// s's key at rows[s*width:][:width]; it is empty under PQ.
 	width int
 	rows  []float64
+	// pq is nil except under PQ (NewHNSWPQ). Until TrainSize keys have
+	// arrived, sample holds the occupied slots in insertion order, the
+	// codec's training sample, and the graph scores the nodes' keys
+	// exactly; from then on codes holds slot s's code at
+	// codes[s*codec.m:][:codec.m], and the graph scores those.
+	pq     *PQConfig
+	sample []int32
+	codec  *quantizer
+	codes  []byte
 	// lo and hi are the least and greatest coordinate, axis by axis, of
 	// every key inserted since the graph was last empty.
 	lo, hi []float64
@@ -107,10 +117,10 @@ type HNSW struct {
 // to its id, and is recycled for another only once refs shows that no
 // link list mentions it any more.
 type hnswNode struct {
-	// vec is the key Insert was given (nil under a PQ store), borrowed
-	// and never written: Neighbor.Key hands it to callers who read it
-	// after the lock is gone, while the slot's row is rewritten when the
-	// slot is recycled.
+	// vec is the key Insert was given, borrowed and never written:
+	// Neighbor.Key hands it to callers who read it after the lock is
+	// gone, while the slot's row or code is rewritten when the slot is
+	// recycled.
 	vec   vec.Vector
 	upper [][]int32 // links of levels 1 and up, neighbour slots
 	refs  int32     // entries of link lists that name this slot
@@ -163,19 +173,20 @@ func (c HNSWConfig) withDefaults() HNSWConfig {
 	return c
 }
 
-// NewHNSW returns an empty HNSW index with uncompressed key storage.
+// NewHNSW returns an empty HNSW index that scans uncompressed keys.
 func NewHNSW(m vec.Metric, cfg HNSWConfig) *HNSW {
 	return newHNSW(m, cfg, nil)
 }
 
-// NewHNSWPQ returns an empty HNSW index whose keys are stored as
-// product-quantization codes (see pq.go): candidates are scored via
-// asymmetric distance tables and the top candidates re-ranked exactly.
+// NewHNSWPQ returns an empty HNSW index that scores product-quantization
+// codes of its keys (see pq.go): candidates are scored via asymmetric
+// distance tables and the top candidates re-ranked exactly.
 func NewHNSWPQ(m vec.Metric, cfg HNSWConfig, pq PQConfig) *HNSW {
-	return newHNSW(m, cfg, newPQStore(m, pq))
+	pq = pq.withDefaults()
+	return newHNSW(m, cfg, &pq)
 }
 
-func newHNSW(m vec.Metric, cfg HNSWConfig, pq *pqStore) *HNSW {
+func newHNSW(m vec.Metric, cfg HNSWConfig, pq *PQConfig) *HNSW {
 	cfg = cfg.withDefaults()
 	h := &HNSW{
 		metric:   m,
@@ -192,12 +203,17 @@ func newHNSW(m vec.Metric, cfg HNSWConfig, pq *pqStore) *HNSW {
 	return h
 }
 
-// KeyBytes implements MemoryReporter.
+// KeyBytes implements MemoryReporter: a row of 8 bytes a dimension for
+// each occupied slot, or once PQ is trained its code and the codebooks.
 func (h *HNSW) KeyBytes() int64 {
-	if h.pq != nil {
-		return h.pq.keyBytes()
+	if h.codec == nil {
+		return int64(8 * h.width * h.held)
 	}
-	return h.keyBytes
+	b := int64(h.codec.m * h.held)
+	for _, book := range h.codec.books {
+		b += int64(8 * len(book))
+	}
+	return b
 }
 
 func (h *HNSW) maxLinks(level int) int {
@@ -215,16 +231,6 @@ func (h *HNSW) idAt(s int32) ID { return h.ids[s] }
 func (h *HNSW) lookup(id ID) (int32, bool) {
 	s, ok := h.slotOf[id]
 	return s, ok && h.levels[s] >= 0
-}
-
-// exact returns the uncompressed key of the node in occupied slot s:
-// the key Insert was given, kept by the node or, under PQ, by the store.
-func (h *HNSW) exact(s int32) vec.Vector {
-	if h.pq != nil {
-		v, _ := h.pq.exact(h.ids[s])
-		return v
-	}
-	return h.nodes[s].vec
 }
 
 // links returns the level-l link list of slot s. A layer-0 list is a
@@ -249,24 +255,29 @@ func (h *HNSW) storeLinks(s int32, l int, list []int32) {
 }
 
 // hnswScorer estimates the distance from one query to the node in a
-// slot: exactly against its row, or through the PQ store's per-query
-// estimator, which is keyed by id — one map probe per scored node, where
-// the search loop itself does none. It is the only thing that differs
-// between the two stores' searches.
+// slot: exactly against its row, or under PQ against its key until the
+// codec is trained and then through the codec's per-query estimator of
+// its code. It is the only thing that differs between the two kinds'
+// searches.
 type hnswScorer struct {
 	levels []int8
-	ids    []ID
 	rows   []float64
 	width  int
 	metric vec.Metric
 	q      vec.Vector
-	byID   func(ID) float64
+	nodes  []hnswNode // set under PQ before training
+	codes  []byte     // set, with m and code, under PQ once trained
+	m      int
+	code   func([]byte) float64
 }
 
 func (h *HNSW) scorer(q vec.Vector) hnswScorer {
-	s := hnswScorer{levels: h.levels, ids: h.ids, rows: h.rows, width: h.width, metric: h.metric, q: q}
-	if h.pq != nil {
-		s.byID = h.pq.scorer(q)
+	s := hnswScorer{levels: h.levels, rows: h.rows, width: h.width, metric: h.metric, q: q}
+	switch {
+	case h.codec != nil:
+		s.codes, s.m, s.code = h.codes, h.codec.m, h.codec.scorer(q, h.metric)
+	case h.pq != nil:
+		s.nodes = h.nodes
 	}
 	return s
 }
@@ -277,8 +288,10 @@ func (s *hnswScorer) at(slot int32) float64 {
 	switch {
 	case s.levels[slot] < 0:
 		return math.Inf(1)
-	case s.byID != nil:
-		return s.byID(s.ids[slot])
+	case s.code != nil:
+		return s.code(s.codes[int(slot)*s.m:][:s.m])
+	case s.nodes != nil:
+		return s.metric.Distance(s.q, s.nodes[slot].vec)
 	}
 	return s.metric.Distance(s.q, s.rows[int(slot)*s.width:][:s.width])
 }
@@ -308,12 +321,18 @@ func (h *HNSW) Insert(id ID, key vec.Vector) error {
 	}
 	widen(h.lo, h.hi, key)
 	s := h.occupy(id)
-	if h.pq != nil {
-		h.pq.add(id, key)
-	} else {
-		h.nodes[s].vec = key
+	h.nodes[s].vec = key
+	h.held++
+	switch {
+	case h.pq == nil:
 		copy(h.rows[int(s)*h.width:], key)
-		h.keyBytes += int64(8 * len(key))
+	case h.codec != nil:
+		h.setCode(s, key)
+	default:
+		h.sample = append(h.sample, s)
+		if len(h.sample) >= h.pq.TrainSize {
+			h.train()
+		}
 	}
 	level := h.randomLevel()
 	h.levels[s] = int8(level)
@@ -372,6 +391,8 @@ func (h *HNSW) occupy(id ID) int32 {
 			h.deleted = extend(h.deleted, 1)
 			if h.pq == nil {
 				h.rows = extend(h.rows, h.width)
+			} else if h.codec != nil {
+				h.codes = extend(h.codes, h.codec.m)
 			}
 			h.links0 = extend(h.links0, h.stride)
 			h.levels[s] = vacant
@@ -380,6 +401,26 @@ func (h *HNSW) occupy(id ID) int32 {
 		h.ids[s] = id
 	}
 	return s
+}
+
+// train fits the codec on the keys of the sample's slots (insertion
+// order, seeded — deterministic) and encodes each of them.
+func (h *HNSW) train() {
+	samples := make([]vec.Vector, len(h.sample))
+	for i, s := range h.sample {
+		samples[i] = h.nodes[s].vec
+	}
+	h.codec = trainQuantizer(samples, h.width, h.pq.Subspaces, h.pq.Iters, h.pq.Seed)
+	h.codes = make([]byte, len(h.nodes)*h.codec.m)
+	for i, s := range h.sample {
+		h.setCode(s, samples[i])
+	}
+	h.sample = nil
+}
+
+// setCode stores the code of key as slot s's.
+func (h *HNSW) setCode(s int32, key vec.Vector) {
+	copy(h.codes[int(s)*h.codec.m:], h.codec.encode(key))
 }
 
 // extend lengthens s by n zero elements. A full s is copied into twice
@@ -441,7 +482,7 @@ func (h *HNSW) addLink(s int32, level int, to int32) {
 	list := append(h.links(s, level), to)
 	h.storeLinks(s, level, list)
 	if max := h.maxLinks(level); len(list) > max {
-		h.trimLinks(s, level, h.exact(s), list, max)
+		h.trimLinks(s, level, h.nodes[s].vec, list, max)
 	}
 }
 
@@ -452,7 +493,7 @@ func (h *HNSW) trimLinks(s int32, level int, base vec.Vector, cands []int32, max
 	sorted := h.mut.cands[:0]
 	for _, nb := range cands {
 		if h.levels[nb] >= 0 {
-			sorted = append(sorted, scored{h.metric.Distance(base, h.exact(nb)), nb})
+			sorted = append(sorted, scored{h.metric.Distance(base, h.nodes[nb].vec), nb})
 		}
 	}
 	h.mut.cands = sorted
@@ -499,7 +540,7 @@ func (h *HNSW) selectFromSorted(base vec.Vector, found []scored, m int, allowDea
 			}
 			continue
 		}
-		v := h.exact(f.slot)
+		v := h.nodes[f.slot].vec
 		dq := h.metric.Distance(base, v)
 		diverse := true
 		for _, kv := range kept {
@@ -687,7 +728,7 @@ func (h *HNSW) relink(s int32) {
 			}
 			h.mut.merged = merged
 			if max := h.maxLinks(l); len(merged) > max {
-				h.trimLinks(nb, l, h.exact(nb), merged, max)
+				h.trimLinks(nb, l, h.nodes[nb].vec, merged, max)
 			} else {
 				h.setLinks(nb, l, merged)
 			}
@@ -698,12 +739,11 @@ func (h *HNSW) relink(s int32) {
 			h.unref(x)
 		}
 	}
-	n := &h.nodes[s]
-	if h.pq != nil {
-		h.pq.remove(h.ids[s])
-	} else {
-		h.keyBytes -= int64(8 * len(n.vec))
+	if i := slices.Index(h.sample, s); i >= 0 {
+		h.sample = slices.Delete(h.sample, i, i+1)
 	}
+	h.held--
+	n := &h.nodes[s]
 	h.links0[int(s)*h.stride] = 0
 	n.vec, n.upper = nil, nil
 	h.levels[s], h.deleted[s] = vacant, false
@@ -726,9 +766,9 @@ func (h *HNSW) Nearest(key vec.Vector) (Neighbor, bool) {
 }
 
 // NearestWithin implements Index. A query whose box bound exceeds r is
-// answered "none" with no search. Over the flat store the layer-0 search
-// is bounded by r once it holds an answer within r (see searchLayer).
-// Over a PQ store it is not: an estimate beyond r does not show that the
+// answered "none" with no search. Without PQ the layer-0 search is
+// bounded by r once it holds an answer within r (see searchLayer).
+// Under PQ it is not: an estimate beyond r does not show that the
 // true distance is, so the search runs unbounded and its answer is
 // filtered.
 func (h *HNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
@@ -787,14 +827,14 @@ func (h *HNSW) query(sc *scratch, key vec.Vector, k int, r float64) ([]Neighbor,
 // to k, which is what keeps the Dist values truthful for threshold
 // decisions.
 func (h *HNSW) answer(sc *scratch, key vec.Vector, k int) []Neighbor {
-	rescore := h.pq != nil && !h.pq.exactScorer()
+	rescore := h.codec != nil
 	n := k
 	if rescore {
-		n += h.pq.cfg.ReRank
+		n += h.pq.ReRank
 	}
 	out := sc.found[:0]
 	for _, c := range sc.results.best(n, &sc.top) {
-		v := h.exact(c.slot)
+		v := h.nodes[c.slot].vec
 		if rescore {
 			c.dist = h.metric.Distance(key, v)
 		}

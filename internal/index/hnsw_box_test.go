@@ -90,8 +90,8 @@ func (c *boxCase) probe(q vec.Vector, r float64) bool {
 type unboxedMetric struct{ vec.EuclideanMetric }
 
 // TestHNSWExtentEdgeCases holds the box HNSW answers far misses from to a
-// scan of its keys, over both stores and the three metrics a box bounds:
-// keys and queries with NaN and infinite coordinates; a query on a face
+// scan of its keys, with and without PQ, over the three metrics a box
+// bounds: keys and queries with NaN and infinite coordinates; a query on a face
 // of the box at r = 0, and one just off a corner at exactly its distance
 // to the corner key, where r² and the box's squared bound round apart;
 // and a graph emptied and refilled elsewhere, whose box must start again.

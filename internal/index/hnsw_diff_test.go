@@ -70,7 +70,7 @@ func newDiffRun(t *testing.T, kind Kind, efs int, seed int64) *diffRun {
 	d := &diffRun{t: t, rng: rand.New(rand.NewSource(seed*7919 + int64(efs))), ref: make(map[ID]vec.Vector), tenant: make(map[int32]ID)}
 	m := vec.EuclideanMetric{}
 	if kind == KindHNSWPQ {
-		pq := PQConfig{TrainSize: 96, ReRank: 6, Seed: seed}
+		pq := PQConfig{TrainSize: 48, ReRank: 6, Seed: seed}
 		d.got, d.want = NewHNSWPQ(m, cfg, pq), newOracleHNSW(m, cfg, newPQStore(m, pq))
 	} else {
 		d.got, d.want = NewHNSW(m, cfg), newOracleHNSW(m, cfg, newFlatStore(m))
@@ -178,6 +178,9 @@ func (d *diffRun) run(ops int) {
 	if !d.recycled || !d.returned || !d.certified {
 		d.t.Errorf("stream too tame: slot recycled for another id %v, id returned to its dangling slot %v, a query certified by the box %v",
 			d.recycled, d.returned, d.certified)
+	}
+	if d.got.pq != nil && d.got.codec == nil {
+		d.t.Error("stream too tame: the PQ codec was never trained")
 	}
 }
 
@@ -293,6 +296,19 @@ func (d *diffRun) sameGraph() error {
 	if g.KeyBytes() != w.store.keyBytes() {
 		return fmt.Errorf("KeyBytes = %d, oracle %d", g.KeyBytes(), w.store.keyBytes())
 	}
+	// Under PQ the codec is trained when the oracle's store is, on the
+	// same sample, and every node's code is the store's for its id.
+	pq, _ := w.store.(*pqStore)
+	if pq != nil && (g.codec != nil) != pq.trained {
+		return fmt.Errorf("codec trained %v, oracle's store %v", g.codec != nil, pq.trained)
+	}
+	if g.codec != nil {
+		for i, book := range g.codec.books {
+			if !sameBits(book, pq.codec.books[i]) {
+				return fmt.Errorf("codebook %d differs from the oracle's", i)
+			}
+		}
+	}
 	refs := make([]int32, len(g.nodes))
 	occupied := 0
 	for s := range g.nodes {
@@ -306,6 +322,11 @@ func (d *diffRun) sameGraph() error {
 			continue
 		}
 		occupied++
+		if g.codec != nil {
+			if code := g.codes[s*g.codec.m:][:g.codec.m]; !slices.Equal(code, pq.codes[id]) {
+				return fmt.Errorf("node %d's code %v, oracle's %v", id, code, pq.codes[id])
+			}
+		}
 		wn, ok := w.nodes[id]
 		if !ok || wn.level != level || wn.deleted != g.deleted[s] {
 			return fmt.Errorf("node %d (level %d, deleted %v) differs from the oracle's %+v", id, level, g.deleted[s], wn)
@@ -335,20 +356,22 @@ func (d *diffRun) sameGraph() error {
 }
 
 // checkHNSW checks the node table's invariants that hold whatever the
-// graph: the per-slot columns and the flat arrays span the table (a PQ
-// store keeps no rows), every occupied flat-store row equals its node's
-// key bit for bit, no layer-0 count exceeds the stride's room, a vacant
+// graph: the per-slot columns and the flat arrays span the table (PQ
+// keeps no rows, and a code column only once trained), every occupied
+// row equals its node's key bit for bit, no layer-0 count exceeds the stride's room, a vacant
 // slot holds no node state and no links, a free slot is vacant and
-// unreferenced, and every live key whose exact value the index holds lies
-// inside the box.
+// unreferenced, and every live key lies inside the box.
 func checkHNSW(g *HNSW) error {
-	n, rowWidth := len(g.nodes), g.width
+	n, rowWidth, codeWidth := len(g.nodes), g.width, 0
 	if g.pq != nil {
 		rowWidth = 0
 	}
-	if len(g.ids) != n || len(g.levels) != n || len(g.deleted) != n || len(g.rows) != n*rowWidth || len(g.links0) != n*g.stride {
-		return fmt.Errorf("%d slots, but columns of %d ids, %d levels, %d flags, %d row values (width %d), %d link words (stride %d)",
-			n, len(g.ids), len(g.levels), len(g.deleted), len(g.rows), rowWidth, len(g.links0), g.stride)
+	if g.codec != nil {
+		codeWidth = g.codec.m
+	}
+	if len(g.ids) != n || len(g.levels) != n || len(g.deleted) != n || len(g.rows) != n*rowWidth || len(g.codes) != n*codeWidth || len(g.links0) != n*g.stride {
+		return fmt.Errorf("%d slots, but columns of %d ids, %d levels, %d flags, %d row values (width %d), %d code bytes (width %d), %d link words (stride %d)",
+			n, len(g.ids), len(g.levels), len(g.deleted), len(g.rows), rowWidth, len(g.codes), codeWidth, len(g.links0), g.stride)
 	}
 	for s, node := range g.nodes {
 		count := g.links0[s*g.stride]
@@ -388,16 +411,9 @@ func checkHNSW(g *HNSW) error {
 }
 
 // inBox checks that the key in slot s lies inside the box, a NaN
-// coordinate excepted. Under a PQ store the key is the one the store
-// borrows beside its code.
+// coordinate excepted.
 func inBox(g *HNSW, s int) error {
 	key := g.nodes[s].vec
-	if g.pq != nil {
-		var ok bool
-		if key, ok = g.pq.keys[g.ids[s]]; !ok {
-			return fmt.Errorf("slot %d's id %d has no key in the PQ store", s, g.ids[s])
-		}
-	}
 	for a, x := range key {
 		if x < g.lo[a] || x > g.hi[a] {
 			return fmt.Errorf("slot %d's key %v lies outside the box on axis %d: %v not in [%v, %v]", s, key, a, x, g.lo[a], g.hi[a])

@@ -59,13 +59,13 @@ type Index interface {
 	// reaches, and the other kinds search as Nearest does and filter. HNSW
 	// over uncompressed keys stops widening its search once it holds an
 	// answer within r: it finds one for exactly the queries Nearest
-	// answers within r, but not always Nearest's own. HNSW over either
-	// store first checks the box of its keys: a query whose box bound
+	// answers within r, but not always Nearest's own. HNSW with or
+	// without PQ first checks the box of its keys: a query whose box bound
 	// exceeds r has no key within r, and is answered ok=false with 0
 	// probes, without a search.
 	// KNearestProbed is KNearest plus the probe count. A probe is one
-	// distance evaluated against a stored key (or its code, for the PQ
-	// kinds); work that only bounds distances, such as the k-d tree's box
+	// distance evaluated against a stored key (or its code, for HNSW-PQ);
+	// work that only bounds distances, such as the k-d tree's box
 	// tests, is not counted. Every kind computes the count anyway to feed
 	// ProbeStats, so returning it is free; span tracing uses it to
 	// attribute probe work to individual lookups.
@@ -109,7 +109,6 @@ const (
 	KindHNSW    Kind = "hnsw"    // hierarchical navigable-small-world graph
 	KindIVF     Kind = "ivf"     // inverted file (coarse quantizer cells)
 	KindHNSWPQ  Kind = "hnsw-pq" // HNSW over product-quantized key codes
-	KindIVFPQ   Kind = "ivf-pq"  // IVF over product-quantized key codes
 )
 
 // Options carries per-kind tuning parameters for NewWithOptions. The
@@ -126,8 +125,8 @@ type Options struct {
 // tuning. Dim is the declared key dimensionality; no kind allocates from
 // it (each learns the dimension from its first insert), so a declared
 // size costs nothing until keys arrive. Every key of one index has one
-// length: core checks it at its door, the k-d tree, HNSW, IVF, their PQ
-// variants and LSH refuse a key of another length with
+// length: core checks it at its door, the k-d tree, HNSW, HNSW-PQ, IVF
+// and LSH refuse a key of another length with
 // vec.ErrDimensionMismatch and find nothing for a query of one, and the
 // other kinds rank such a key at +Inf, as the metrics do.
 func New(kind Kind, m vec.Metric, dim int) (Index, error) {
@@ -158,8 +157,6 @@ func NewWithOptions(kind Kind, m vec.Metric, dim int, opts Options) (Index, erro
 		return NewIVF(m, opts.IVF), nil
 	case KindHNSWPQ:
 		return NewHNSWPQ(m, opts.HNSW, opts.PQ), nil
-	case KindIVFPQ:
-		return NewIVFPQ(m, opts.IVF, opts.PQ), nil
 	}
 	return nil, fmt.Errorf("index: unknown kind %q", kind)
 }

@@ -20,7 +20,7 @@ func randomVec(rng *rand.Rand, dim int) vec.Vector {
 func allKinds() []Kind {
 	return []Kind{
 		KindLinear, KindKDTree, KindLSH, KindTreeMap, KindHash,
-		KindHNSW, KindIVF, KindHNSWPQ, KindIVFPQ,
+		KindHNSW, KindIVF, KindHNSWPQ,
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 // every entry. Until training, the index is an exact linear scan — small
 // deployments never pay for approximation they don't need.
 //
-// Returned distances are exact: candidates found by cell scans are
-// re-ranked against uncompressed vectors (see reRank), so approximation
-// affects WHICH entries are considered, never the distance a threshold
-// decision sees.
+// Each cell list, and the list of entries not yet trained, holds its
+// members' ids beside the keys Insert was given, so a scan scores each
+// key where it lies. Returned distances are exact: approximation affects
+// WHICH entries are considered, never the distance a threshold decision
+// sees.
 //
 // Like every other kind, IVF is not internally synchronized: the cache
 // guards it with a per-key-type RWMutex. Queries draw their cell ranking
@@ -32,19 +33,26 @@ type IVF struct {
 	scratchPool
 	metric vec.Metric
 	cfg    IVFConfig
-	store  vecStore
-	// pending holds ids inserted before training (scanned linearly).
-	pending map[ID]struct{}
-	order   []ID // insertion order of pending ids (training determinism)
+	// pending holds the entries inserted before training, in insertion
+	// order (the training sample's, for determinism), scanned linearly.
+	pending []member
 	// trained state
 	centroids []vec.Vector
-	cells     [][]ID
+	cells     [][]member
 	// cellRadius[c] is an upper bound on the distance from centroid c to
 	// any member (stale after removals — still a valid upper bound).
 	cellRadius []float64
-	cellOf     map[ID]int
-	dim        int  // every key's length, the first key's; Insert refuses any other
-	triangle   bool // metric satisfies the triangle inequality
+	// cellOf maps every stored id to its cell, or to -1 while pending.
+	cellOf   map[ID]int
+	dim      int  // every key's length, the first key's; Insert refuses any other
+	triangle bool // metric satisfies the triangle inequality
+}
+
+// member is one stored entry: its id and the key Insert was given,
+// borrowed and never written.
+type member struct {
+	id  ID
+	key vec.Vector
 }
 
 // IVFConfig parameterizes the inverted file.
@@ -89,35 +97,22 @@ func (c IVFConfig) withDefaults() IVFConfig {
 	return c
 }
 
-// NewIVF returns an empty IVF index with uncompressed key storage.
+// NewIVF returns an empty IVF index.
 func NewIVF(m vec.Metric, cfg IVFConfig) *IVF {
-	return newIVF(m, cfg, newFlatStore(m))
-}
-
-// NewIVFPQ returns an empty IVF index whose keys are stored as
-// product-quantization codes (see pq.go): cell scans score candidates
-// via asymmetric distance tables and the top candidates are re-ranked
-// exactly.
-func NewIVFPQ(m vec.Metric, cfg IVFConfig, pq PQConfig) *IVF {
-	return newIVF(m, cfg, newPQStore(m, pq))
-}
-
-func newIVF(m vec.Metric, cfg IVFConfig, store vecStore) *IVF {
 	_, e := m.(vec.EuclideanMetric)
 	_, mh := m.(vec.ManhattanMetric)
 	_, ch := m.(vec.ChebyshevMetric)
 	return &IVF{
 		metric:   m,
 		cfg:      cfg.withDefaults(),
-		store:    store,
-		pending:  make(map[ID]struct{}),
 		cellOf:   make(map[ID]int),
 		triangle: e || mh || ch,
 	}
 }
 
-// KeyBytes implements MemoryReporter.
-func (iv *IVF) KeyBytes() int64 { return iv.store.keyBytes() }
+// KeyBytes implements MemoryReporter: the keys the index borrows,
+// counted as its own at 8 bytes a dimension.
+func (iv *IVF) KeyBytes() int64 { return int64(8 * iv.dim * iv.Len()) }
 
 // Insert implements Index.
 func (iv *IVF) Insert(id ID, key vec.Vector) error {
@@ -130,30 +125,29 @@ func (iv *IVF) Insert(id ID, key vec.Vector) error {
 		return vec.ErrDimensionMismatch
 	}
 	iv.Remove(id)
-	iv.store.add(id, key)
 	if iv.centroids == nil {
-		iv.pending[id] = struct{}{}
-		iv.order = append(iv.order, id)
-		if len(iv.order) >= iv.cfg.TrainAfter {
+		iv.pending = append(iv.pending, member{id, key})
+		iv.cellOf[id] = -1
+		if len(iv.pending) >= iv.cfg.TrainAfter {
 			iv.train()
 		}
 		return nil
 	}
-	iv.assign(id, key)
+	iv.assign(member{id, key})
 	return nil
 }
 
 // assign places an entry into its nearest cell and widens that cell's
 // radius bound.
-func (iv *IVF) assign(id ID, key vec.Vector) {
+func (iv *IVF) assign(m member) {
 	best, bestD := 0, math.Inf(1)
 	for c, cent := range iv.centroids {
-		if d := iv.metric.Distance(key, cent); d < bestD {
+		if d := iv.metric.Distance(m.key, cent); d < bestD {
 			best, bestD = c, d
 		}
 	}
-	iv.cells[best] = append(iv.cells[best], id)
-	iv.cellOf[id] = best
+	iv.cells[best] = append(iv.cells[best], m)
+	iv.cellOf[m.id] = best
 	if bestD > iv.cellRadius[best] {
 		iv.cellRadius[best] = bestD
 	}
@@ -162,29 +156,18 @@ func (iv *IVF) assign(id ID, key vec.Vector) {
 // train fits the coarse quantizer on the buffered entries (insertion
 // order, seeded — deterministic) and distributes every entry to a cell.
 func (iv *IVF) train() {
-	samples := make([]vec.Vector, 0, len(iv.order))
-	ids := make([]ID, 0, len(iv.order))
-	for _, id := range iv.order {
-		if v, ok := iv.store.exact(id); ok {
-			samples = append(samples, v)
-			ids = append(ids, id)
-		}
+	samples := make([]vec.Vector, len(iv.pending))
+	for i, m := range iv.pending {
+		samples[i] = m.key
 	}
-	if len(samples) == 0 {
-		return
-	}
-	k := iv.cfg.Cells
-	if k > len(samples) {
-		k = len(samples)
-	}
+	k := min(iv.cfg.Cells, len(samples))
 	iv.centroids = kmeansCentroids(samples, iv.dim, k, iv.cfg.Iters, iv.cfg.Seed)
-	iv.cells = make([][]ID, len(iv.centroids))
+	iv.cells = make([][]member, len(iv.centroids))
 	iv.cellRadius = make([]float64, len(iv.centroids))
-	for i, id := range ids {
-		iv.assign(id, samples[i])
+	for _, m := range iv.pending {
+		iv.assign(m)
 	}
-	iv.pending = make(map[ID]struct{})
-	iv.order = nil
+	iv.pending = nil
 }
 
 // kmeansCentroids runs seeded k-means-lite over full vectors: sampled
@@ -242,30 +225,16 @@ func kmeansCentroids(samples []vec.Vector, dim, k, iters int, seed int64) []vec.
 // cell radius bound is left as is (removal can only shrink the true
 // radius, so the stale bound stays valid).
 func (iv *IVF) Remove(id ID) {
-	if _, ok := iv.pending[id]; ok {
-		delete(iv.pending, id)
-		for i, oid := range iv.order {
-			if oid == id {
-				iv.order = append(iv.order[:i], iv.order[i+1:]...)
-				break
-			}
-		}
-		iv.store.remove(id)
-		return
-	}
 	c, ok := iv.cellOf[id]
 	if !ok {
 		return
 	}
 	delete(iv.cellOf, id)
-	members := iv.cells[c]
-	for i, mid := range members {
-		if mid == id {
-			iv.cells[c] = append(members[:i], members[i+1:]...)
-			break
-		}
+	list := &iv.pending
+	if c >= 0 {
+		list = &iv.cells[c]
 	}
-	iv.store.remove(id)
+	*list = slices.DeleteFunc(*list, func(m member) bool { return m.id == id })
 }
 
 // cellDist is one cell ranked by query-to-centroid distance.
@@ -331,13 +300,10 @@ func (iv *IVF) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 // returns live in sc.
 func (iv *IVF) query(sc *scratch, key vec.Vector, k int) ([]Neighbor, int) {
 	visited := 0
-	score := iv.store.scorer(key)
 	cands := sc.found[:0]
 	if iv.centroids == nil {
-		for id := range iv.pending {
-			cands = append(cands, Neighbor{ID: id, Dist: score(id)})
-			visited++
-		}
+		cands = iv.scan(cands, key, iv.pending)
+		visited += len(iv.pending)
 	} else {
 		visited += len(iv.centroids) // each centroid comparison is a probe
 		scanned := 0
@@ -345,78 +311,66 @@ func (iv *IVF) query(sc *scratch, key vec.Vector, k int) ([]Neighbor, int) {
 			if scanned >= iv.cfg.NProbe && len(cands) >= k {
 				break
 			}
-			for _, id := range iv.cells[rc.cell] {
-				cands = append(cands, Neighbor{ID: id, Dist: score(id)})
-			}
+			cands = iv.scan(cands, key, iv.cells[rc.cell])
 			visited += len(iv.cells[rc.cell])
 			scanned++
 		}
 	}
 	sc.found = cands
 	iv.countQuery(visited)
-	extra := 0
-	if pq, ok := iv.store.(*pqStore); ok {
-		extra = pq.cfg.ReRank
+	sortNeighbors(cands)
+	return cands[:min(k, len(cands))], visited
+}
+
+// scan appends every member of list to cands, scored against key.
+func (iv *IVF) scan(cands []Neighbor, key vec.Vector, list []member) []Neighbor {
+	for _, m := range list {
+		cands = append(cands, Neighbor{ID: m.id, Key: m.key, Dist: iv.metric.Distance(key, m.key)})
 	}
-	return reRank(iv.store, iv.metric, key, cands, k, extra), visited
+	return cands
 }
 
 // Radius implements RadiusSearcher. For metrics satisfying the triangle
 // inequality the scan is exact: a cell can hold an entry within r of the
 // query only if dist(query, centroid) <= r + cellRadius, so all other
 // cells are skipped. For other metrics (cosine) every cell is scanned.
-// Distances are re-ranked exactly before the radius cut, so no
-// out-of-radius result is ever returned.
+// Distances are exact, so no out-of-radius result is ever returned.
 func (iv *IVF) Radius(key vec.Vector, r float64) []Neighbor {
 	if iv.Len() == 0 || len(key) != iv.dim {
 		return nil
 	}
 	visited := 0
-	score := iv.store.scorer(key)
 	var cands []Neighbor
 	if iv.centroids == nil {
-		for id := range iv.pending {
-			cands = append(cands, Neighbor{ID: id, Dist: score(id)})
-			visited++
-		}
+		cands = iv.scan(cands, key, iv.pending)
+		visited += len(iv.pending)
 	} else {
 		for c, cent := range iv.centroids {
 			visited++
 			if iv.triangle && iv.metric.Distance(key, cent) > r+iv.cellRadius[c] {
 				continue
 			}
-			for _, id := range iv.cells[c] {
-				cands = append(cands, Neighbor{ID: id, Dist: score(id)})
-			}
+			cands = iv.scan(cands, key, iv.cells[c])
 			visited += len(iv.cells[c])
 		}
 	}
 	iv.countQuery(visited)
-	extra := 0
-	if pq, ok := iv.store.(*pqStore); ok {
-		extra = pq.cfg.ReRank
-	}
-	res := reRank(iv.store, iv.metric, key, cands, len(cands), extra)
-	cut := len(res)
-	for i, n := range res {
+	sortNeighbors(cands)
+	cut := len(cands)
+	for i, n := range cands {
 		if n.Dist > r {
 			cut = i
 			break
 		}
 	}
-	return res[:cut]
+	return cands[:cut]
 }
 
 // Len implements Index.
-func (iv *IVF) Len() int { return len(iv.pending) + len(iv.cellOf) }
+func (iv *IVF) Len() int { return len(iv.cellOf) }
 
 // Metric implements Index.
 func (iv *IVF) Metric() vec.Metric { return iv.metric }
 
 // Kind implements Index.
-func (iv *IVF) Kind() Kind {
-	if _, ok := iv.store.(*pqStore); ok {
-		return KindIVFPQ
-	}
-	return KindIVF
-}
+func (iv *IVF) Kind() Kind { return KindIVF }

@@ -131,31 +131,59 @@ func TestPQCodecProperty(t *testing.T) {
 	}
 }
 
-// TestPQStoreUntrainedIsExact: before TrainSize inserts the store scores
-// exactly (no approximation tax for small key sets).
+// TestPQStoreUntrainedIsExact: before TrainSize keys have arrived
+// HNSW-PQ scores the keys themselves (no approximation tax for small key
+// sets): over the same stream of inserts and removals it builds flat
+// HNSW's graph and gives its answers, ids, distance bits and probe counts
+// alike, and counts its keys' bytes as flat HNSW counts its rows.
 func TestPQStoreUntrainedIsExact(t *testing.T) {
-	st := newPQStore(vec.EuclideanMetric{}, PQConfig{TrainSize: 1000})
+	m := vec.EuclideanMetric{}
+	cfg := HNSWConfig{M: 6, EfConstruction: 24}
+	flat, pq := NewHNSW(m, cfg), NewHNSWPQ(m, cfg, PQConfig{TrainSize: 1000})
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 300; i++ {
+		if i%4 == 3 {
+			id := ID(rng.Intn(i))
+			flat.Remove(id)
+			pq.Remove(id)
+			continue
+		}
 		v := randomVec(rng, 6)
-		st.add(ID(i), v.Clone())
+		if err := flat.Insert(ID(i), v); err != nil {
+			t.Fatal(err)
+		}
+		if err := pq.Insert(ID(i), v); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st.trained {
-		t.Fatal("store trained below TrainSize")
+	if pq.codec != nil {
+		t.Fatal("codec trained below TrainSize")
 	}
-	if !st.exactScorer() {
-		t.Fatal("untrained store must report exact scoring")
+	if pq.KeyBytes() != flat.KeyBytes() {
+		t.Fatalf("KeyBytes = %d, flat HNSW's %d", pq.KeyBytes(), flat.KeyBytes())
 	}
-	q := randomVec(rng, 6)
-	score := st.scorer(q)
+	same := func(what string, got, want []Neighbor) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d neighbours, flat HNSW %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+				t.Fatalf("%s[%d] = id %d dist %v, flat HNSW id %d dist %v", what, i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
+			}
+		}
+	}
 	for i := 0; i < 100; i++ {
-		v, ok := st.exact(ID(i))
-		if !ok {
-			t.Fatalf("exact(%d) missing", i)
+		q := randomVec(rng, 6)
+		got, gotProbes := pq.KNearestProbed(q, 5)
+		want, wantProbes := flat.KNearestProbed(q, 5)
+		if gotProbes != wantProbes {
+			t.Fatalf("query %d: %d probes, flat HNSW %d", i, gotProbes, wantProbes)
 		}
-		want := (vec.EuclideanMetric{}).Distance(q, v)
-		if math.Abs(score(ID(i))-want) > 1e-12 {
-			t.Fatalf("untrained scorer not exact for id %d", i)
-		}
+		same("KNearest", got, want)
+		same("Radius", pq.Radius(q, 15), flat.Radius(q, 15))
+	}
+	if pq.ProbeStats() != flat.ProbeStats() {
+		t.Fatalf("probe stats %+v, flat HNSW %+v", pq.ProbeStats(), flat.ProbeStats())
 	}
 }

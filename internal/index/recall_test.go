@@ -60,7 +60,6 @@ func TestApproximateRecallVsLinear(t *testing.T) {
 		KindHNSW:   0.95,
 		KindIVF:    0.95,
 		KindHNSWPQ: 0.95,
-		KindIVFPQ:  0.95,
 	}
 	rng := rand.New(rand.NewSource(41))
 	corpus := clusteredCorpus(rng, n, dim, 64, 2.0)
@@ -123,9 +122,9 @@ func TestApproximateRecallVsLinear(t *testing.T) {
 	}
 }
 
-// TestPQMemoryReduction: once trained, the PQ store's own key storage
-// (codes and codebooks; the full keys it re-ranks against are borrowed
-// from the caller, as from the cache core's entries) must be at least
+// TestPQMemoryReduction: once trained, HNSW-PQ's own key storage (codes
+// and codebooks; the full keys it re-ranks against are borrowed from
+// the caller, as from the cache core's entries) must be at least
 // 8x smaller than flat float64 storage, while it still answers with
 // exact distances. Run at
 // the coarse dim/4 subspace setting: the default one-byte-per-dimension
@@ -142,7 +141,7 @@ func TestPQMemoryReduction(t *testing.T) {
 	corpus := clusteredCorpus(rng, n, dim, 64, 2.0)
 	metric := vec.EuclideanMetric{}
 
-	idx := NewIVFPQ(metric, IVFConfig{TrainAfter: 1024}, PQConfig{Subspaces: dim / 4, TrainSize: 512})
+	idx := NewHNSWPQ(metric, HNSWConfig{}, PQConfig{Subspaces: dim / 4, TrainSize: 512})
 	for i, v := range corpus {
 		if err := idx.Insert(ID(i), v); err != nil {
 			t.Fatal(err)
@@ -168,7 +167,7 @@ func TestPQMemoryReduction(t *testing.T) {
 			t.Fatal("no result")
 		}
 		if d := metric.Distance(query, got.Key); math.Abs(d-got.Dist) > 1e-9 {
-			t.Fatalf("Dist %v != exact %v with a trained PQ store", got.Dist, d)
+			t.Fatalf("Dist %v != exact %v with trained PQ codes", got.Dist, d)
 		}
 	}
 }
@@ -189,7 +188,7 @@ func TestRadiusApproximateKindsNeverInvent(t *testing.T) {
 	for i, v := range corpus {
 		lin.Insert(ID(i), v)
 	}
-	for _, kind := range []Kind{KindHNSW, KindIVF, KindHNSWPQ, KindIVFPQ} {
+	for _, kind := range []Kind{KindHNSW, KindIVF, KindHNSWPQ} {
 		idx, err := NewWithOptions(kind, metric, dim, trainedOptions())
 		if err != nil {
 			t.Fatal(err)

@@ -44,7 +44,7 @@ func indexScaleGraph(t testing.TB, n int, seed int64, nq int, far float64) (*HNS
 }
 
 // TestHNSWProbeDoesNotAllocate pins what the node table and the scratch
-// pool are for: a flat-store Nearest allocates nothing, unbounded or
+// pool are for: a flat HNSW Nearest allocates nothing, unbounded or
 // within 4× index-scale's threshold (2 is the ceiling; 0 is what it
 // measures), a far probe the box answers nothing at all (0 is the
 // ceiling), and an Insert, which keeps the key it is given, only the

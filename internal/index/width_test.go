@@ -9,7 +9,7 @@ import (
 )
 
 // TestOneKeyLengthPerIndex: the kinds that keep every key at one length,
-// the first key's (the k-d tree, HNSW, IVF, their PQ variants and LSH),
+// the first key's (the k-d tree, HNSW, HNSW-PQ, IVF and LSH),
 // refuse a key of another length with vec.ErrDimensionMismatch and are
 // left as they were: same Len, same answers. They find nothing for a
 // query of another length, and no kind panics on one, before or after
@@ -17,7 +17,7 @@ import (
 func TestOneKeyLengthPerIndex(t *testing.T) {
 	oneLength := map[Kind]bool{
 		KindKDTree: true, KindHNSW: true, KindHNSWPQ: true,
-		KindIVF: true, KindIVFPQ: true, KindLSH: true,
+		KindIVF: true, KindLSH: true,
 	}
 	opts := Options{IVF: IVFConfig{Cells: 4, TrainAfter: 32}, PQ: PQConfig{TrainSize: 32}}
 	for _, kind := range allKinds() {

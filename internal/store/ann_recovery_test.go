@@ -67,7 +67,7 @@ func annKeys(n int) []vec.Vector {
 // comes from seeded construction plus ID-ordered replay.
 func TestANNKindsCrashRecovery(t *testing.T) {
 	const n = 600
-	for _, kind := range []index.Kind{index.KindHNSW, index.KindIVF, index.KindHNSWPQ, index.KindIVFPQ} {
+	for _, kind := range []index.Kind{index.KindHNSW, index.KindIVF, index.KindHNSWPQ} {
 		t.Run(string(kind), func(t *testing.T) {
 			dir := t.TempDir()
 			l := openTest(t, dir)

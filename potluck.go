@@ -99,7 +99,6 @@ const (
 	IndexHNSW    = index.KindHNSW
 	IndexIVF     = index.KindIVF
 	IndexHNSWPQ  = index.KindHNSWPQ
-	IndexIVFPQ   = index.KindIVFPQ
 )
 
 // Built-in metrics.
