@@ -256,9 +256,10 @@ func (h *HNSW) storeLinks(s int32, l int, list []int32) {
 
 // hnswScorer estimates the distance from one query to the node in a
 // slot: exactly against its row, or under PQ against its key until the
-// codec is trained and then through the codec's per-query estimator of
-// its code. It is the only thing that differs between the two kinds'
-// searches.
+// codec is trained and then from its code, through the query's ADC
+// table (kept in the search's scratch) or, for a metric that does not
+// split across subspaces, against the decoded centroids. It is the only
+// thing that differs between the two kinds' searches.
 type hnswScorer struct {
 	levels []int8
 	rows   []float64
@@ -266,16 +267,23 @@ type hnswScorer struct {
 	metric vec.Metric
 	q      vec.Vector
 	nodes  []hnswNode // set under PQ before training
-	codes  []byte     // set, with m and code, under PQ once trained
-	m      int
-	code   func([]byte) float64
+	codec  *quantizer // set, with codes, kind and table, under PQ once trained
+	codes  []byte
+	kind   adcKind
+	table  []float64
 }
 
-func (h *HNSW) scorer(q vec.Vector) hnswScorer {
+// scorer readies a scorer for query q; under trained PQ it builds the
+// query's ADC table in sc.
+func (h *HNSW) scorer(sc *scratch, q vec.Vector) hnswScorer {
 	s := hnswScorer{levels: h.levels, rows: h.rows, width: h.width, metric: h.metric, q: q}
 	switch {
 	case h.codec != nil:
-		s.codes, s.m, s.code = h.codes, h.codec.m, h.codec.scorer(q, h.metric)
+		s.codec, s.codes, s.kind = h.codec, h.codes, adcKindFor(h.metric)
+		if s.kind != adcDecode {
+			sc.adc = h.codec.adcTableInto(sc.adc, q, s.kind)
+			s.table = sc.adc
+		}
 	case h.pq != nil:
 		s.nodes = h.nodes
 	}
@@ -288,8 +296,12 @@ func (s *hnswScorer) at(slot int32) float64 {
 	switch {
 	case s.levels[slot] < 0:
 		return math.Inf(1)
-	case s.code != nil:
-		return s.code(s.codes[int(slot)*s.m:][:s.m])
+	case s.codec != nil:
+		code := s.codes[int(slot)*s.codec.m:][:s.codec.m]
+		if s.kind == adcDecode {
+			return s.metric.Distance(s.q, s.codec.decode(code))
+		}
+		return adcScore(s.table, code, s.codec.k, s.kind)
 	case s.nodes != nil:
 		return s.metric.Distance(s.q, s.nodes[slot].vec)
 	}
@@ -349,7 +361,8 @@ func (h *HNSW) Insert(id ID, key vec.Vector) error {
 		h.entry, h.maxLevel = s, level
 		return nil
 	}
-	score, sc := h.scorer(key), h.mut.search
+	sc := h.mut.search
+	score := h.scorer(sc, key)
 	// Greedy descent through layers above the new node's level.
 	ep, _ := h.descend(&score, level)
 	for l := min(level, h.maxLevel); l >= 0; l-- {
@@ -813,7 +826,7 @@ func (h *HNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
 // query answers one k-NN search on a non-empty graph, its layer-0 search
 // bounded by r. The neighbours it returns live in sc.
 func (h *HNSW) query(sc *scratch, key vec.Vector, k int, r float64) ([]Neighbor, int) {
-	score := h.scorer(key)
+	score := h.scorer(sc, key)
 	seed, probes := h.descend(&score, 0)
 	probes += h.searchLayer(sc, &score, seed, max(h.cfg.EfSearch, k), 0, r)
 	h.countQuery(probes)
@@ -863,7 +876,7 @@ func (h *HNSW) Radius(key vec.Vector, r float64) []Neighbor {
 	}
 	sc := h.get()
 	defer h.put(sc)
-	score := h.scorer(key)
+	score := h.scorer(sc, key)
 	probes := 0
 	for ef := h.cfg.EfSearch; ; ef *= 2 {
 		seed, p := h.descend(&score, 0)

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -245,7 +246,13 @@ func adcKindFor(m vec.Metric) adcKind {
 // query's subvector to every codebook centroid: scoring a candidate is
 // then m table lookups instead of a dim-wide distance computation.
 func (q *quantizer) adcTable(query vec.Vector, kind adcKind) []float64 {
-	t := make([]float64, q.m*q.k)
+	return q.adcTableInto(nil, query, kind)
+}
+
+// adcTableInto is adcTable building the table in t's storage, which it
+// grows if it is too short.
+func (q *quantizer) adcTableInto(t []float64, query vec.Vector, kind adcKind) []float64 {
+	t = slices.Grow(t[:0], q.m*q.k)[:q.m*q.k]
 	for s := 0; s < q.m; s++ {
 		start, width := q.substart(s), q.subwidth(s)
 		book := q.books[s]
@@ -298,18 +305,4 @@ func adcScore(t []float64, code []byte, k int, kind adcKind) float64 {
 		}
 		return d
 	}
-}
-
-// scorer returns a per-query estimator, in metric m's units, of the
-// distance from query to the key a code stands for: through the ADC
-// table for a metric that decomposes across subspaces, else against the
-// decoded centroid vector. The table is the scorer's own, so concurrent
-// readers share nothing mutable through the codec.
-func (q *quantizer) scorer(query vec.Vector, m vec.Metric) func(code []byte) float64 {
-	kind := adcKindFor(m)
-	if kind == adcDecode {
-		return func(code []byte) float64 { return m.Distance(query, q.decode(code)) }
-	}
-	table := q.adcTable(query, kind)
-	return func(code []byte) float64 { return adcScore(table, code, q.k, kind) }
 }

@@ -146,8 +146,8 @@ func (h *distHeap) best(n int, spare *distHeap) []scored {
 
 // scratch is the working memory of one query, recycled through its
 // index's scratchPool so that a search touches no allocator: HNSW uses
-// the visited stamps and heaps, IVF the cell ranking, both the candidate
-// buffer their answer is assembled in.
+// the visited stamps and heaps (and HNSW-PQ the ADC table), IVF the cell
+// ranking, both the candidate buffer their answer is assembled in.
 type scratch struct {
 	// visited[slot] == epoch marks a slot seen by the current layer
 	// search. Starting a search bumps the epoch instead of clearing the
@@ -159,6 +159,7 @@ type scratch struct {
 	top     distHeap // best()'s selection buffer
 	cells   []cellDist
 	found   []Neighbor
+	adc     []float64 // HNSW-PQ's ADC table for the query
 }
 
 func newScratch() *scratch {

@@ -18,9 +18,14 @@ import (
 // At n = 8 000 and a far share of 0.05 the keys and queries are the
 // benchmark's own for the same seed.
 func indexScaleGraph(t testing.TB, n int, seed int64, nq int, far float64) (*HNSW, []vec.Vector) {
+	return fillIndexScaleGraph(t, NewHNSW(vec.EuclideanMetric{}, HNSWConfig{}), n, seed, nq, far)
+}
+
+// fillIndexScaleGraph is indexScaleGraph inserting into h, of either
+// kind.
+func fillIndexScaleGraph(t testing.TB, h *HNSW, n int, seed int64, nq int, far float64) (*HNSW, []vec.Vector) {
 	rng := rand.New(rand.NewSource(seed))
 	corpus := clusteredCorpus(rng, n, 16, 256, 2)
-	h := NewHNSW(vec.EuclideanMetric{}, HNSWConfig{})
 	for i, k := range corpus {
 		if err := h.Insert(ID(i+1), k); err != nil {
 			t.Fatal(err)
@@ -44,10 +49,11 @@ func indexScaleGraph(t testing.TB, n int, seed int64, nq int, far float64) (*HNS
 }
 
 // TestHNSWProbeDoesNotAllocate pins what the node table and the scratch
-// pool are for: a flat HNSW Nearest allocates nothing, unbounded or
-// within 4× index-scale's threshold (2 is the ceiling; 0 is what it
-// measures), a far probe the box answers nothing at all (0 is the
-// ceiling), and an Insert, which keeps the key it is given, only the
+// pool are for: an HNSW Nearest allocates nothing, unbounded or within
+// 4× index-scale's threshold, flat (2 is the ceiling; 0 is what it
+// measures) or on a trained HNSW-PQ graph, whose ADC table lives in the
+// scratch (0 is the ceiling), a far probe the box answers nothing at
+// all (0 is the ceiling), and a flat Insert, which keeps the key it is given, only the
 // upper layers' link lists of about one node in sixteen (1 is the
 // ceiling; 0 is what it measures, table growth included).
 func TestHNSWProbeDoesNotAllocate(t *testing.T) {
@@ -58,30 +64,38 @@ func TestHNSWProbeDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
 		n = 2000
 	}
-	h, queries := indexScaleGraph(t, n, 18, 64, 0)
-	for _, efs := range []int{64, 512} {
-		for _, r := range []float64{math.Inf(1), 4 * 15.6} {
-			h.cfg.EfSearch = efs
-			i := 0
-			allocs := testing.AllocsPerRun(200, func() {
-				h.NearestWithin(queries[i%len(queries)], r)
-				i++
-			})
-			t.Logf("efs %d: %.0f allocs per NearestWithin(q, %v)", efs, allocs, r)
-			if allocs > 2 {
-				t.Errorf("efs %d: %.0f allocs per NearestWithin(q, %v), want <= 2", efs, allocs, r)
-			}
-		}
+	pq, _ := fillIndexScaleGraph(t, NewHNSWPQ(vec.EuclideanMetric{}, HNSWConfig{}, PQConfig{TrainSize: n / 2}), n, 18, 0, 0)
+	if pq.codec == nil {
+		t.Fatal("the HNSW-PQ graph is not trained")
 	}
+	h, queries := indexScaleGraph(t, n, 18, 64, 0)
 	far := make(vec.Vector, 16)
 	for d := range far {
 		far[d] = 5000
 	}
-	if _, probes, ok := h.NearestWithin(far, 4*15.6); ok || probes != 0 {
-		t.Fatalf("a far probe scored %d nodes (found %v); the box should answer it", probes, ok)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { h.NearestWithin(far, 4*15.6) }); allocs != 0 {
-		t.Errorf("%.0f allocs per certified far probe, want 0", allocs)
+	// A table or closure made per query would be one allocation each.
+	ceiling := map[Kind]float64{KindHNSW: 2, KindHNSWPQ: 0}
+	for _, g := range []*HNSW{h, pq} {
+		for _, efs := range []int{64, 512} {
+			for _, r := range []float64{math.Inf(1), 4 * 15.6} {
+				g.cfg.EfSearch = efs
+				i := 0
+				allocs := testing.AllocsPerRun(200, func() {
+					g.NearestWithin(queries[i%len(queries)], r)
+					i++
+				})
+				t.Logf("%s efs %d: %.0f allocs per NearestWithin(q, %v)", g.Kind(), efs, allocs, r)
+				if allocs > ceiling[g.Kind()] {
+					t.Errorf("%s efs %d: %.0f allocs per NearestWithin(q, %v), want <= %.0f", g.Kind(), efs, allocs, r, ceiling[g.Kind()])
+				}
+			}
+		}
+		if _, probes, ok := g.NearestWithin(far, 4*15.6); ok || probes != 0 {
+			t.Fatalf("%s: a far probe scored %d nodes (found %v); the box should answer it", g.Kind(), probes, ok)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { g.NearestWithin(far, 4*15.6) }); allocs != 0 {
+			t.Errorf("%s: %.0f allocs per certified far probe, want 0", g.Kind(), allocs)
+		}
 	}
 	next := ID(n + 1)
 	allocs := testing.AllocsPerRun(200, func() {

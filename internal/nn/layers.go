@@ -3,11 +3,14 @@ package nn
 import (
 	"math"
 	"math/rand"
+
+	"repro/internal/imaging"
 )
 
 // Layer transforms a volume.
 type Layer interface {
-	// Forward computes the layer output.
+	// Forward computes the layer output into a new volume, writing
+	// every sample; it never returns in.
 	Forward(in *Volume) *Volume
 	// OutDims reports the output dimensions for the given input
 	// dimensions, letting networks validate shapes at build time.
@@ -48,39 +51,87 @@ func (c *Conv2D) OutDims(_, h, w int) (int, int, int) {
 	return c.OutC, oh, ow
 }
 
-// Forward implements Layer.
+// convBlock is how many output channels Forward computes together: each
+// load of an input tap feeds convBlock sums.
+const convBlock = 8
+
+// Forward implements Layer. Each output is the bias plus its products
+// added in one fixed order, ic, ky, kx ascending with the padded taps
+// skipped: the order of the one-tap-at-a-time loop it replaced, so the
+// bits are that loop's (TestConvMatchesReference keeps it). Output
+// channels go in blocks of convBlock that keep their sums in registers
+// and share each input load; a last, partial block is padded with
+// zero-weight channels whose sums are dropped.
 func (c *Conv2D) Forward(in *Volume) *Volume {
 	oc, oh, ow := c.OutDims(in.C, in.H, in.W)
-	out := NewVolume(oc, oh, ow)
-	for o := 0; o < c.OutC; o++ {
-		wBase := o * c.InC * c.K * c.K
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				sum := c.Bias[o]
-				iy0 := oy*c.Stride - c.Pad
-				ix0 := ox*c.Stride - c.Pad
-				for ic := 0; ic < c.InC; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= in.H {
-							continue
-						}
-						rowBase := (ic*in.H + iy) * in.W
-						wRow := wBase + (ic*c.K+ky)*c.K
-						for kx := 0; kx < c.K; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= in.W {
-								continue
-							}
-							sum += c.Weights[wRow+kx] * in.Data[rowBase+ix]
-						}
+	out := getVolume(oc, oh, ow)
+	taps := c.InC * c.K * c.K
+	// The block's weights tap by tap, its channels side by side:
+	// packed[t*convBlock+j] is tap t's weight for channel o0+j.
+	packed := imaging.GetGray(taps*convBlock, 1)
+	for o0 := 0; o0 < c.OutC; o0 += convBlock {
+		n := min(convBlock, c.OutC-o0)
+		if n < convBlock {
+			clear(packed.Pix)
+		}
+		var bias [convBlock]float64
+		copy(bias[:], c.Bias[o0:o0+n])
+		for j := 0; j < n; j++ {
+			for t, v := range c.Weights[(o0+j)*taps:][:taps] {
+				packed.Pix[t*convBlock+j] = v
+			}
+		}
+		c.forwardBlock(out, in, o0, n, &bias, packed.Pix)
+	}
+	imaging.PutGray(packed)
+	return out
+}
+
+// validTaps returns the kernel offsets [lo, hi) that land inside an
+// input axis of the given size from the window's first position i0.
+func validTaps(i0, k, size int) (lo, hi int) {
+	lo, hi = max(0, -i0), min(k, size-i0)
+	return lo, max(lo, hi)
+}
+
+// forwardBlock computes output channels o0 to o0+n-1 from the block's
+// bias and packed weights w. Each output position computes its valid ky
+// and kx ranges once.
+func (c *Conv2D) forwardBlock(out, in *Volume, o0, n int, bias *[convBlock]float64, w []float64) {
+	plane := out.H * out.W
+	for oy := 0; oy < out.H; oy++ {
+		iy0 := oy*c.Stride - c.Pad
+		kyLo, kyHi := validTaps(iy0, c.K, in.H)
+		for ox := 0; ox < out.W; ox++ {
+			ix0 := ox*c.Stride - c.Pad
+			kxLo, kxHi := validTaps(ix0, c.K, in.W)
+			width := kxHi - kxLo
+			s0, s1, s2, s3 := bias[0], bias[1], bias[2], bias[3]
+			s4, s5, s6, s7 := bias[4], bias[5], bias[6], bias[7]
+			for ic := 0; ic < c.InC; ic++ {
+				for ky := kyLo; ky < kyHi; ky++ {
+					row := in.Data[(ic*in.H+iy0+ky)*in.W+ix0+kxLo:][:width]
+					wr := w[((ic*c.K+ky)*c.K+kxLo)*convBlock:][:width*convBlock]
+					for i, x := range row {
+						t := wr[i*convBlock : (i+1)*convBlock]
+						s0 += t[0] * x
+						s1 += t[1] * x
+						s2 += t[2] * x
+						s3 += t[3] * x
+						s4 += t[4] * x
+						s5 += t[5] * x
+						s6 += t[6] * x
+						s7 += t[7] * x
 					}
 				}
-				out.Data[(o*oh+oy)*ow+ox] = sum
+			}
+			sums := [convBlock]float64{s0, s1, s2, s3, s4, s5, s6, s7}
+			at := o0*plane + oy*out.W + ox
+			for j, v := range sums[:n] {
+				out.Data[at+j*plane] = v
 			}
 		}
 	}
-	return out
 }
 
 // ReLU applies max(0, x) elementwise.
@@ -91,10 +142,12 @@ func (ReLU) OutDims(c, h, w int) (int, int, int) { return c, h, w }
 
 // Forward implements Layer.
 func (ReLU) Forward(in *Volume) *Volume {
-	out := NewVolume(in.C, in.H, in.W)
+	out := getVolume(in.C, in.H, in.W)
 	for i, v := range in.Data {
 		if v > 0 {
 			out.Data[i] = v
+		} else {
+			out.Data[i] = 0
 		}
 	}
 	return out
@@ -116,7 +169,7 @@ func (p MaxPool) OutDims(c, h, w int) (int, int, int) {
 // Forward implements Layer.
 func (p MaxPool) Forward(in *Volume) *Volume {
 	oc, oh, ow := p.OutDims(in.C, in.H, in.W)
-	out := NewVolume(oc, oh, ow)
+	out := getVolume(oc, oh, ow)
 	for c := 0; c < oc; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -158,7 +211,7 @@ func (d *Dense) OutDims(_, _, _ int) (int, int, int) { return d.Out, 1, 1 }
 
 // Forward implements Layer.
 func (d *Dense) Forward(in *Volume) *Volume {
-	out := NewVolume(d.Out, 1, 1)
+	out := getVolume(d.Out, 1, 1)
 	for o := 0; o < d.Out; o++ {
 		sum := d.Bias[o]
 		base := o * d.In

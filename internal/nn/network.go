@@ -35,29 +35,41 @@ func (n *Network) OutLen() int { return n.outLen }
 // InputDims returns the expected input dimensions.
 func (n *Network) InputDims() (c, h, w int) { return n.inC, n.inH, n.inW }
 
-// Forward runs the network on a volume.
+// Forward runs the network on a volume. Each layer's output goes back
+// to the buffer pool once the next layer has read it; in and the
+// returned volume are never pooled by Forward.
 func (n *Network) Forward(in *Volume) *Volume {
 	out := in
 	for _, l := range n.layers {
-		out = l.Forward(out)
+		next := l.Forward(out)
+		if out != in {
+			putVolume(out)
+		}
+		out = next
 	}
 	return out
 }
 
 // Features converts an RGB image to the network input size and returns
-// the output feature vector.
+// the output feature vector, which the caller owns.
 func (n *Network) Features(img *imaging.RGB) []float64 {
 	in := ImageToVolume(img, n.inH, n.inW)
-	return n.Forward(in).Flat()
+	out := n.Forward(in)
+	if out != in {
+		putVolume(in)
+	}
+	return out.Flat()
 }
 
 // ImageToVolume resizes img to h×w and converts it to a 3×h×w volume
 // with channels in [0, 1].
 func ImageToVolume(img *imaging.RGB, h, w int) *Volume {
 	if img.W != w || img.H != h {
-		img = imaging.ResizeRGB(img, w, h)
+		resized := imaging.ResizeRGBInto(imaging.GetRGB(w, h), img, w, h)
+		defer imaging.PutRGB(resized)
+		img = resized
 	}
-	v := NewVolume(3, h, w)
+	v := getVolume(3, h, w)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			r, g, b := img.At(x, y)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/imaging"
@@ -41,14 +42,23 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkConvLayer isolates the dominant layer.
+// BenchmarkConvLayer isolates the dominant layer: one sub-benchmark per
+// TinyAlexNet convolution, each on the input the network feeds it, its
+// output handed back to the pool as Network.Forward does.
 func BenchmarkConvLayer(b *testing.B) {
 	net := NewTinyAlexNet(3)
-	img := synth.NewCIFARLike(3).Sample(0, 0).Image
-	in := ImageToVolume(img, 32, 32)
-	conv := net.layers[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.Forward(in)
+	in := ImageToVolume(synth.NewCIFARLike(3).Sample(0, 0).Image, 32, 32)
+	n := 0
+	for _, l := range net.layers {
+		if conv, ok := l.(*Conv2D); ok {
+			n++
+			name := fmt.Sprintf("conv%d_%dx%dx%d_k%d_out%d", n, in.C, in.H, in.W, conv.K, conv.OutC)
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					putVolume(conv.Forward(in))
+				}
+			})
+		}
+		in = l.Forward(in)
 	}
 }
