@@ -63,7 +63,7 @@ func (c *Classifier) Classify(img *imaging.RGB) (int, []float64) {
 		var d float64
 		for j, v := range f {
 			diff := v - c.centroids[cl][j]
-			d += diff * diff
+			d += float64(diff * diff) // rounded apart: no fused multiply-add on any GOARCH
 		}
 		scores[cl] = -math.Sqrt(d)
 		if scores[cl] > bestScore {

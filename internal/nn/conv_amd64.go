@@ -1,0 +1,39 @@
+package nn
+
+// convPointAVX2 computes one output position of a block of convBlock
+// output channels in AVX2 assembly (conv_amd64.s): sums holds the
+// block's biases on entry and its outputs on return, and every lane adds
+// its products in forwardBlock's order, so the bits are the Go loop's.
+// in and w point at the first valid tap of input channel 0 and at that
+// tap's packed weights; the skips, in samples and weights, step over the
+// invalid taps after each row and the invalid rows after each channel.
+// inC, rows and width must be at least 1, and every tap they reach must
+// lie inside the input and the packed weights.
+//
+//go:noescape
+func convPointAVX2(sums *[convBlock]float64, in, w *float64, inC, rows, width, inSkipRow, inSkipChan, wSkipRow, wSkipChan int)
+
+// cpuid executes CPUID with the given leaf and sub-leaf.
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv reads extended control register 0 (XCR0).
+func xgetbv() (eax, edx uint32)
+
+// cpuHasAVX2 reports whether the CPU has AVX2 and the operating system
+// saves the YMM registers across context switches (OSXSAVE set, and
+// XCR0 enabling both the SSE and the AVX state).
+func cpuHasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}

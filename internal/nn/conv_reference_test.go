@@ -4,17 +4,23 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
-// Golden-equivalence test for the blocked convolution: Conv2D.Forward
-// must produce, output for output, the bits of the one-tap-at-a-time
-// loop below, which is the loop it replaced, kept verbatim. Every
+// Golden-equivalence test for the convolution: Conv2D.Forward, on the
+// AVX2 kernel and on the blocked Go loop, must produce, output for
+// output, the bits of the one-tap-at-a-time loop below, the loop the
+// blocked one replaced, with each product rounded on its own. Every
 // comparison is on Float64bits, not a tolerance.
 
 // convReference is the original Conv2D.Forward: each output a single
 // chain of the bias, then ic, ky, kx ascending, with a bounds test on
-// every tap.
+// every tap. Each product is rounded on its own (float64(...)), so no
+// GOARCH fuses it into a multiply-add.
 func convReference(c *Conv2D, in *Volume) *Volume {
 	oc, oh, ow := c.OutDims(in.C, in.H, in.W)
 	out := NewVolume(oc, oh, ow)
@@ -38,7 +44,7 @@ func convReference(c *Conv2D, in *Volume) *Volume {
 							if ix < 0 || ix >= in.W {
 								continue
 							}
-							sum += c.Weights[wRow+kx] * in.Data[rowBase+ix]
+							sum += float64(c.Weights[wRow+kx] * in.Data[rowBase+ix])
 						}
 					}
 				}
@@ -65,6 +71,22 @@ var tinyAlexNetConvs = []convCase{
 	{3, 16, 5, 1, 2, 32, 32},
 	{16, 32, 3, 1, 1, 16, 16},
 	{32, 48, 3, 1, 1, 8, 8},
+}
+
+// edgeConvCases reach the edges of the AVX2 kernel's loops and of the
+// block: K = 1, InC = 1, OutC of 1, 9 and 17, strides 2 and 3, an input
+// one sample wide (every tap row one wide), and padding of K or more,
+// where a window at the border has tap rows of zero width or no valid
+// row at all.
+var edgeConvCases = []convCase{
+	{1, 1, 1, 1, 0, 5, 7},
+	{3, 9, 1, 2, 0, 6, 5},
+	{1, 17, 3, 3, 1, 10, 11},
+	{2, 9, 3, 1, 1, 4, 1},
+	{1, 1, 5, 2, 2, 1, 9},
+	{2, 17, 2, 1, 2, 5, 4},
+	{3, 1, 3, 2, 3, 7, 6},
+	{1, 9, 5, 3, 4, 3, 2},
 }
 
 // randomConvCases draws n seeded shapes, each with OutC not a multiple
@@ -109,30 +131,97 @@ func testVolume(c, h, w int, rng *rand.Rand) *Volume {
 	return v
 }
 
-// TestConvMatchesReference runs Forward and convReference on the same
-// convolution and input and compares every output's bits.
+// salt overwrites about one sample in 16 of v with one of specials.
+func salt(v *Volume, rng *rand.Rand, specials ...float64) {
+	for i := range v.Data {
+		if rng.Intn(16) == 0 {
+			v.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+}
+
+// sameBits reports whether got has want's bits, or, where want is a NaN,
+// is a NaN too: two kernels may give a NaN different payloads.
+func sameBits(got, want float64) bool {
+	if math.IsNaN(want) {
+		return math.IsNaN(got)
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// convKernels lists the values of useAVX2 this CPU can run: the Go loop
+// always, and the AVX2 kernel where the CPU has it.
+func convKernels() []bool {
+	if cpuHasAVX2() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// TestConvMatchesReference runs Forward, on the Go loop and on the AVX2
+// kernel where the CPU has one, and convReference on the same
+// convolution and input and compares every output's bits. The inputs
+// hold ±0 and, in the later trials, ±Inf and NaN; the biases hold ±0.
 func TestConvMatchesReference(t *testing.T) {
-	cases := append(append([]convCase(nil), tinyAlexNetConvs...), randomConvCases(40, 43)...)
-	rng := rand.New(rand.NewSource(1))
-	for _, cc := range cases {
-		if _, oh, ow := (&Conv2D{K: cc.k, Stride: cc.stride, Pad: cc.pad}).OutDims(cc.inC, cc.h, cc.w); oh == 0 || ow == 0 {
-			continue // NewNetwork refuses a layer that collapses its input
-		}
-		conv := NewConv2D(cc.inC, cc.outC, cc.k, cc.stride, cc.pad, rng)
-		for i := range conv.Bias {
-			conv.Bias[i] = rng.NormFloat64()
-		}
-		for trial := 0; trial < 3; trial++ {
-			in := testVolume(cc.inC, cc.h, cc.w, rng)
-			want, got := convReference(conv, in), conv.Forward(in)
-			if got.C != want.C || got.H != want.H || got.W != want.W {
-				t.Fatalf("%v: dims %dx%dx%d, want %dx%dx%d", cc, got.C, got.H, got.W, want.C, want.H, want.W)
+	saved := useAVX2
+	t.Cleanup(func() { useAVX2 = saved })
+	cases := append(append(append([]convCase(nil), tinyAlexNetConvs...), edgeConvCases...), randomConvCases(40, 43)...)
+	inf := math.Inf(1)
+	for _, avx := range convKernels() {
+		useAVX2 = avx
+		rng := rand.New(rand.NewSource(1))
+		for _, cc := range cases {
+			if _, oh, ow := (&Conv2D{K: cc.k, Stride: cc.stride, Pad: cc.pad}).OutDims(cc.inC, cc.h, cc.w); oh == 0 || ow == 0 {
+				continue // NewNetwork refuses a layer that collapses its input
 			}
-			for j := range want.Data {
-				if math.Float64bits(got.Data[j]) != math.Float64bits(want.Data[j]) {
-					t.Fatalf("%v trial %d: output %d = %v, reference %v", cc, trial, j, got.Data[j], want.Data[j])
+			conv := NewConv2D(cc.inC, cc.outC, cc.k, cc.stride, cc.pad, rng)
+			for i := range conv.Bias {
+				conv.Bias[i] = rng.NormFloat64()
+			}
+			conv.Bias[0] = math.Copysign(0, -1)
+			conv.Bias[len(conv.Bias)-1] = 0
+			for trial := 0; trial < 4; trial++ {
+				in := testVolume(cc.inC, cc.h, cc.w, rng)
+				switch trial {
+				case 2:
+					salt(in, rng, inf, -inf)
+				case 3:
+					salt(in, rng, inf, -inf, math.NaN())
+				}
+				want, got := convReference(conv, in), conv.Forward(in)
+				if got.C != want.C || got.H != want.H || got.W != want.W {
+					t.Fatalf("avx2=%v %v: dims %dx%dx%d, want %dx%dx%d", avx, cc, got.C, got.H, got.W, want.C, want.H, want.W)
+				}
+				for j := range want.Data {
+					if !sameBits(got.Data[j], want.Data[j]) {
+						t.Fatalf("avx2=%v %v trial %d: output %d = %v, reference %v", avx, cc, trial, j, got.Data[j], want.Data[j])
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestConvUsesAVX2 fails when the CPU has AVX2 but the convolution runs
+// the Go loop, so that a broken CPU check cannot leave the AVX2 kernel
+// untested and unused. On Linux it also holds the CPUID check to the
+// kernel's own list of CPU flags.
+func TestConvUsesAVX2(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the AVX2 kernel is amd64 only; GOARCH=%s runs the Go loop", runtime.GOARCH)
+	}
+	has := cpuHasAVX2()
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil && !has {
+		for _, line := range strings.Split(string(info), "\n") {
+			if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" && slices.Contains(strings.Fields(flags), "avx2") {
+				t.Fatal("/proc/cpuinfo lists avx2, but cpuHasAVX2 reports none")
+			}
+		}
+	}
+	if !has {
+		t.Skip("this CPU has no AVX2: only the Go loop runs")
+	}
+	if !useAVX2 {
+		t.Fatal("the CPU has AVX2, but the convolution runs the Go loop")
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -61,8 +62,12 @@ const convBlock = 8
 // bits are that loop's (TestConvMatchesReference keeps it). Output
 // channels go in blocks of convBlock that keep their sums in registers
 // and share each input load; a last, partial block is padded with
-// zero-weight channels whose sums are dropped.
+// zero-weight channels whose sums are dropped. The input must hold InC
+// channels of in.H×in.W samples, which the AVX2 kernel reads unchecked.
 func (c *Conv2D) Forward(in *Volume) *Volume {
+	if len(in.Data) < c.InC*in.H*in.W {
+		panic(fmt.Sprintf("nn: conv input holds %d samples, want %d channels of %dx%d", len(in.Data), c.InC, in.H, in.W))
+	}
 	oc, oh, ow := c.OutDims(in.C, in.H, in.W)
 	out := getVolume(oc, oh, ow)
 	taps := c.InC * c.K * c.K
@@ -94,38 +99,53 @@ func validTaps(i0, k, size int) (lo, hi int) {
 	return lo, max(lo, hi)
 }
 
+// useAVX2 selects convPointAVX2 for each output position of forwardBlock.
+// It is set once, from the CPU, when the package initialises; off amd64,
+// or on a CPU without AVX2, the Go loop runs. Both give the same bits.
+var useAVX2 = cpuHasAVX2()
+
 // forwardBlock computes output channels o0 to o0+n-1 from the block's
 // bias and packed weights w. Each output position computes its valid ky
-// and kx ranges once.
+// and kx ranges once, then adds its taps in the AVX2 kernel or in the Go
+// loop. Each product is rounded on its own (float64(...)), so that no
+// architecture fuses it into a multiply-add and the bits are the same on
+// every GOARCH and on both paths.
 func (c *Conv2D) forwardBlock(out, in *Volume, o0, n int, bias *[convBlock]float64, w []float64) {
 	plane := out.H * out.W
 	for oy := 0; oy < out.H; oy++ {
 		iy0 := oy*c.Stride - c.Pad
 		kyLo, kyHi := validTaps(iy0, c.K, in.H)
+		rows := kyHi - kyLo
 		for ox := 0; ox < out.W; ox++ {
 			ix0 := ox*c.Stride - c.Pad
 			kxLo, kxHi := validTaps(ix0, c.K, in.W)
 			width := kxHi - kxLo
-			s0, s1, s2, s3 := bias[0], bias[1], bias[2], bias[3]
-			s4, s5, s6, s7 := bias[4], bias[5], bias[6], bias[7]
-			for ic := 0; ic < c.InC; ic++ {
-				for ky := kyLo; ky < kyHi; ky++ {
-					row := in.Data[(ic*in.H+iy0+ky)*in.W+ix0+kxLo:][:width]
-					wr := w[((ic*c.K+ky)*c.K+kxLo)*convBlock:][:width*convBlock]
-					for i, x := range row {
-						t := wr[i*convBlock : (i+1)*convBlock]
-						s0 += t[0] * x
-						s1 += t[1] * x
-						s2 += t[2] * x
-						s3 += t[3] * x
-						s4 += t[4] * x
-						s5 += t[5] * x
-						s6 += t[6] * x
-						s7 += t[7] * x
+			sums := *bias
+			if useAVX2 && rows > 0 && width > 0 && c.InC > 0 {
+				convPointAVX2(&sums, &in.Data[(iy0+kyLo)*in.W+ix0+kxLo], &w[(kyLo*c.K+kxLo)*convBlock],
+					c.InC, rows, width, in.W-width, (in.H-rows)*in.W, (c.K-width)*convBlock, (c.K-rows)*c.K*convBlock)
+			} else {
+				s0, s1, s2, s3 := sums[0], sums[1], sums[2], sums[3]
+				s4, s5, s6, s7 := sums[4], sums[5], sums[6], sums[7]
+				for ic := 0; ic < c.InC; ic++ {
+					for ky := kyLo; ky < kyHi; ky++ {
+						row := in.Data[(ic*in.H+iy0+ky)*in.W+ix0+kxLo:][:width]
+						wr := w[((ic*c.K+ky)*c.K+kxLo)*convBlock:][:width*convBlock]
+						for i, x := range row {
+							t := wr[i*convBlock : (i+1)*convBlock]
+							s0 += float64(t[0] * x)
+							s1 += float64(t[1] * x)
+							s2 += float64(t[2] * x)
+							s3 += float64(t[3] * x)
+							s4 += float64(t[4] * x)
+							s5 += float64(t[5] * x)
+							s6 += float64(t[6] * x)
+							s7 += float64(t[7] * x)
+						}
 					}
 				}
+				sums = [convBlock]float64{s0, s1, s2, s3, s4, s5, s6, s7}
 			}
-			sums := [convBlock]float64{s0, s1, s2, s3, s4, s5, s6, s7}
 			at := o0*plane + oy*out.W + ox
 			for j, v := range sums[:n] {
 				out.Data[at+j*plane] = v
@@ -134,21 +154,28 @@ func (c *Conv2D) forwardBlock(out, in *Volume, o0, n int, bias *[convBlock]float
 	}
 }
 
-// ReLU applies max(0, x) elementwise.
+// ReLU applies max(0, x) elementwise. NaN and −0 map to +0.
 type ReLU struct{}
 
 // OutDims implements Layer.
 func (ReLU) OutDims(c, h, w int) (int, int, int) { return c, h, w }
 
-// Forward implements Layer.
+// Forward implements Layer. A sample is kept when it is above 0, which
+// is when its bits, as an unsigned integer, lie in [1, +Inf's bits]:
+// a set sign bit, a zero and a NaN all fall outside. The test is on
+// integers so that it compiles to a conditional move, not a branch on
+// every sample.
 func (ReLU) Forward(in *Volume) *Volume {
 	out := getVolume(in.C, in.H, in.W)
+	dst := out.Data[:len(in.Data)]
+	const posInf = 0x7FF0000000000000
 	for i, v := range in.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
+		b := math.Float64bits(v)
+		var keep uint64
+		if b-1 < posInf {
+			keep = b
 		}
+		dst[i] = math.Float64frombits(keep)
 	}
 	return out
 }
@@ -166,23 +193,32 @@ func (p MaxPool) OutDims(c, h, w int) (int, int, int) {
 	return c, (h-p.K)/p.Stride + 1, (w-p.K)/p.Stride + 1
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Each window starts from −Inf and takes a
+// sample only when it is greater, in ky, kx order, so a NaN never wins
+// and the first of equal samples (−0 before +0, say) is kept. An output
+// row is built one input row at a time: its windows' maxima so far stay
+// in the output while each kernel row is scanned. OutDims keeps every
+// window inside the input, so the rows are indexed directly.
 func (p MaxPool) Forward(in *Volume) *Volume {
 	oc, oh, ow := p.OutDims(in.C, in.H, in.W)
 	out := getVolume(oc, oh, ow)
 	for c := 0; c < oc; c++ {
 		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := math.Inf(-1)
-				for ky := 0; ky < p.K; ky++ {
-					for kx := 0; kx < p.K; kx++ {
-						v := in.At(c, oy*p.Stride+ky, ox*p.Stride+kx)
+			top := (c*in.H + oy*p.Stride) * in.W
+			dst := out.Data[(c*oh+oy)*ow:][:ow]
+			for ox := range dst {
+				dst[ox] = math.Inf(-1)
+			}
+			for ky := 0; ky < p.K; ky++ {
+				row := in.Data[top+ky*in.W:][:in.W]
+				for ox, best := range dst {
+					for _, v := range row[ox*p.Stride:][:p.K] {
 						if v > best {
 							best = v
 						}
 					}
+					dst[ox] = best
 				}
-				out.Data[(c*oh+oy)*ow+ox] = best
 			}
 		}
 	}
@@ -209,18 +245,43 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 // OutDims implements Layer.
 func (d *Dense) OutDims(_, _, _ int) (int, int, int) { return d.Out, 1, 1 }
 
-// Forward implements Layer.
+// denseBlock is how many outputs Dense.Forward computes in one pass
+// over the input.
+const denseBlock = 8
+
+// Forward implements Layer. Each output is its bias plus the products of
+// its weight row and the input, added in input order, each product
+// rounded on its own (float64(...), so no architecture fuses it).
+// Outputs go in blocks of denseBlock whose independent chains share
+// each input load; the last Out%denseBlock go one at a time, in the
+// same order. An input shorter than In is read as far as it goes.
 func (d *Dense) Forward(in *Volume) *Volume {
 	out := getVolume(d.Out, 1, 1)
-	for o := 0; o < d.Out; o++ {
-		sum := d.Bias[o]
-		base := o * d.In
-		n := d.In
-		if len(in.Data) < n {
-			n = len(in.Data)
+	x := in.Data[:min(d.In, len(in.Data))]
+	row := func(o int) []float64 { return d.Weights[o*d.In:][:len(x)] }
+	o := 0
+	for ; o+denseBlock <= d.Out; o += denseBlock {
+		w0, w1, w2, w3 := row(o), row(o+1), row(o+2), row(o+3)
+		w4, w5, w6, w7 := row(o+4), row(o+5), row(o+6), row(o+7)
+		b := d.Bias[o : o+denseBlock]
+		s0, s1, s2, s3 := b[0], b[1], b[2], b[3]
+		s4, s5, s6, s7 := b[4], b[5], b[6], b[7]
+		for i, v := range x {
+			s0 += float64(w0[i] * v)
+			s1 += float64(w1[i] * v)
+			s2 += float64(w2[i] * v)
+			s3 += float64(w3[i] * v)
+			s4 += float64(w4[i] * v)
+			s5 += float64(w5[i] * v)
+			s6 += float64(w6[i] * v)
+			s7 += float64(w7[i] * v)
 		}
-		for i := 0; i < n; i++ {
-			sum += d.Weights[base+i] * in.Data[i]
+		copy(out.Data[o:], []float64{s0, s1, s2, s3, s4, s5, s6, s7})
+	}
+	for ; o < d.Out; o++ {
+		sum := d.Bias[o]
+		for i, v := range row(o) {
+			sum += float64(v * x[i])
 		}
 		out.Data[o] = sum
 	}

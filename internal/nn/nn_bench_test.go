@@ -62,3 +62,22 @@ func BenchmarkConvLayer(b *testing.B) {
 		in = l.Forward(in)
 	}
 }
+
+// BenchmarkLayer times each of TinyAlexNet's other layers (ReLU,
+// MaxPool, Dense) on the input the network feeds it, its output handed
+// back to the pool as Network.Forward does.
+func BenchmarkLayer(b *testing.B) {
+	net := NewTinyAlexNet(3)
+	in := ImageToVolume(synth.NewCIFARLike(3).Sample(0, 0).Image, 32, 32)
+	for i, l := range net.layers {
+		if _, ok := l.(*Conv2D); !ok {
+			name := fmt.Sprintf("%d_%T_%dx%dx%d", i, l, in.C, in.H, in.W)
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					putVolume(l.Forward(in))
+				}
+			})
+		}
+		in = l.Forward(in)
+	}
+}
