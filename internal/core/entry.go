@@ -5,6 +5,10 @@
 // dropout (§3.4), the NN-based threshold-tuning algorithm (§3.5,
 // Algorithm 1), importance-based eviction and expiry (§3.6), and
 // multi-key-type indices (§3.7).
+//
+// The threshold arithmetic rounds every product that feeds a sum on its
+// own (float64(...)), so that no GOARCH fuses it into a multiply-add and
+// the tuned thresholds have the same bits everywhere.
 package core
 
 import (

@@ -192,7 +192,7 @@ func sceneCutStream(seed int64) func() fingerprintOp {
 		for j := 0; j < perScene; j++ {
 			key := make(vec.Vector, weDim)
 			for d := range key {
-				key[d] = centre[d] + pan[d]*float64(j) + rng.NormFloat64()*0.2
+				key[d] = centre[d] + float64(pan[d]*float64(j)) + float64(rng.NormFloat64()*0.2)
 			}
 			feed = append(feed, fingerprintOp{key: key, value: value, cost: 8 * time.Millisecond})
 		}
@@ -258,14 +258,14 @@ func indexScaleStream(seed int64) (corpus, queries []fingerprintOp) {
 		key := make(vec.Vector, dim)
 		if rng.Float64() < farShare {
 			for d := range key {
-				key[d] = 5000 + rng.NormFloat64()*100
+				key[d] = 5000 + float64(rng.NormFloat64()*100)
 			}
 			queries[i] = fingerprintOp{key: key, value: fingerprintValue(math.MaxUint32, 4)}
 			continue
 		}
 		j := rng.Intn(entries)
 		for d := range key {
-			key[d] = corpus[j].key[d] + rng.NormFloat64()*0.5
+			key[d] = corpus[j].key[d] + float64(rng.NormFloat64()*0.5)
 		}
 		queries[i] = fingerprintOp{key: key, value: corpus[j].value}
 	}

@@ -165,7 +165,7 @@ func (t *Tuner) ObservePut(dist float64, sameValue, haveNeighbor bool) {
 		t.tightenings++
 	case dist > t.threshold && sameValue:
 		// Line 9-10: threshold too tight; loosen with an EWMA.
-		t.setThresholdLocked((1-t.cfg.Gamma)*dist + t.cfg.Gamma*t.threshold)
+		t.setThresholdLocked(float64((1-t.cfg.Gamma)*dist) + float64(t.cfg.Gamma*t.threshold))
 		t.loosenings++
 	}
 }
@@ -209,7 +209,7 @@ func WarmupThreshold(same, diff []float64) float64 {
 		for j < len(sortedDiff) && sortedDiff[j] <= th {
 			j++
 		}
-		score := float64(i+1) - warmupFalsePositivePenalty*float64(j)
+		score := float64(i+1) - float64(warmupFalsePositivePenalty*float64(j))
 		if score > bestScore {
 			best, bestScore = th, score
 		}

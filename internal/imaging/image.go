@@ -4,6 +4,10 @@
 // affine/projective warping. Feature extraction (package feature), the
 // synthetic datasets (package synth), the recognizer (package nn) and
 // the AR renderer's warp fast path (package render) are all built on it.
+//
+// The resampling, blur and noise loops round every product that feeds a
+// sum on its own (float64(...)), so that no GOARCH fuses it into a
+// multiply-add and the recognizer sees the same pixels everywhere.
 package imaging
 
 import (

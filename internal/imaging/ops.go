@@ -464,9 +464,9 @@ func blurRGBBand(dst, src *RGB, k Kernel, y0, y1 int) {
 					base := 3 * ((y+ky-r)*w + x - r)
 					for kx := 0; kx < size; kx++ {
 						wt := kw[ki]
-						sr += wt * src.Pix[base]
-						sg += wt * src.Pix[base+1]
-						sb += wt * src.Pix[base+2]
+						sr += float64(wt * src.Pix[base])
+						sg += float64(wt * src.Pix[base+1])
+						sb += float64(wt * src.Pix[base+2])
 						base += 3
 						ki++
 					}
@@ -477,9 +477,9 @@ func blurRGBBand(dst, src *RGB, k Kernel, y0, y1 int) {
 					for kx := 0; kx < size; kx++ {
 						cr, cg, cb := src.At(x+kx-r, y+ky-r)
 						wt := kw[ki]
-						sr += wt * cr
-						sg += wt * cg
-						sb += wt * cb
+						sr += float64(wt * cr)
+						sg += float64(wt * cg)
+						sb += float64(wt * cb)
 						ki++
 					}
 				}
@@ -541,8 +541,8 @@ func ResizeRGBInto(dst, src *RGB, w, h int) *RGB {
 	ParallelRows(h, w*h*24, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < w; x++ {
-				fx := (float64(x)+0.5)*sx - 0.5
-				fy := (float64(y)+0.5)*sy - 0.5
+				fx := float64((float64(x)+0.5)*sx) - 0.5
+				fy := float64((float64(y)+0.5)*sy) - 0.5
 				x0, y0f := int(math.Floor(fx)), int(math.Floor(fy))
 				dx, dy := fx-float64(x0), fy-float64(y0f)
 				r00, g00, b00 := src.At(x0, y0f)
@@ -550,9 +550,9 @@ func ResizeRGBInto(dst, src *RGB, w, h int) *RGB {
 				r01, g01, b01 := src.At(x0, y0f+1)
 				r11, g11, b11 := src.At(x0+1, y0f+1)
 				dst.Set(x, y,
-					r00*(1-dx)*(1-dy)+r10*dx*(1-dy)+r01*(1-dx)*dy+r11*dx*dy,
-					g00*(1-dx)*(1-dy)+g10*dx*(1-dy)+g01*(1-dx)*dy+g11*dx*dy,
-					b00*(1-dx)*(1-dy)+b10*dx*(1-dy)+b01*(1-dx)*dy+b11*dx*dy)
+					float64(r00*(1-dx)*(1-dy))+float64(r10*dx*(1-dy))+float64(r01*(1-dx)*dy)+float64(r11*dx*dy),
+					float64(g00*(1-dx)*(1-dy))+float64(g10*dx*(1-dy))+float64(g01*(1-dx)*dy)+float64(g11*dx*dy),
+					float64(b00*(1-dx)*(1-dy))+float64(b10*dx*(1-dy))+float64(b01*(1-dx)*dy)+float64(b11*dx*dy))
 			}
 		}
 	})
@@ -633,7 +633,7 @@ func (it *Integral) SumUnchecked(x0, y0, x1, y1 int) float64 {
 func AddNoise(g *Gray, sigma float64, rng *rand.Rand) *Gray {
 	out := g.Clone()
 	for i := range out.Pix {
-		out.Pix[i] = Clamp01(out.Pix[i] + rng.NormFloat64()*sigma)
+		out.Pix[i] = Clamp01(out.Pix[i] + float64(rng.NormFloat64()*sigma))
 	}
 	return out
 }
@@ -642,7 +642,7 @@ func AddNoise(g *Gray, sigma float64, rng *rand.Rand) *Gray {
 func AddNoiseRGB(m *RGB, sigma float64, rng *rand.Rand) *RGB {
 	out := m.Clone()
 	for i := range out.Pix {
-		out.Pix[i] = Clamp01(out.Pix[i] + rng.NormFloat64()*sigma)
+		out.Pix[i] = Clamp01(out.Pix[i] + float64(rng.NormFloat64()*sigma))
 	}
 	return out
 }

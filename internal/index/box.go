@@ -64,7 +64,7 @@ func sqBoxDist(lo, hi []float64, key vec.Vector) float64 {
 	var sum float64
 	for a, x := range key {
 		g := max(lo[a]-x, 0) + max(x-hi[a], 0)
-		sum += g * g
+		sum += float64(g * g)
 	}
 	return sum
 }

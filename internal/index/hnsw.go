@@ -478,7 +478,7 @@ func (h *HNSW) setLinks(s int32, l int, list []int32) {
 }
 
 func (h *HNSW) randomLevel() int {
-	l := int(-math.Log(1-h.rng.Float64()) * h.levelMul)
+	l := int(-math.Log(1-float64(h.rng.Float64())) * h.levelMul)
 	if l > maxLevelCap {
 		l = maxLevelCap
 	}

@@ -4,6 +4,10 @@
 // enumeration. Each supports threshold-restricted nearest-neighbour
 // queries over feature-vector keys; Table 2 of the paper compares their
 // lookup latencies.
+//
+// As in package vec, every product that feeds a sum is rounded on its
+// own (float64(...)), so that no GOARCH fuses it into a multiply-add and
+// the indexes answer with the same bits everywhere.
 package index
 
 import (

@@ -196,7 +196,7 @@ func kmeansCentroids(samples []vec.Vector, dim, k, iters int, seed int64) []vec.
 				var d float64
 				for j := 0; j < dim; j++ {
 					x := v[j] - cent[j]
-					d += x * x
+					d += float64(x * x)
 				}
 				if d < bestD {
 					best, bestD = c, d

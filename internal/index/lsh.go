@@ -105,8 +105,8 @@ func (l *LSH) bucketKey(table int, key vec.Vector) string {
 	buf := make([]byte, 0, len(hs)*4)
 	for _, p := range hs {
 		var dot float64
-		for i, x := range key {
-			dot += x * p.dir[i]
+		for i := range key {
+			dot += float64(key[i] * p.dir[i])
 		}
 		b := int32(math.Floor((dot + p.offset) / l.cfg.BucketWidth))
 		buf = append(buf, byte(b), byte(b>>8), byte(b>>16), byte(b>>24))

@@ -157,7 +157,7 @@ func trainCodebook(samples []vec.Vector, start, width, k, iters int, rng *rand.R
 				row := book[c*width:]
 				for j := 0; j < width; j++ {
 					x := v[start+j] - row[j]
-					d += x * x
+					d += float64(x * x)
 				}
 				if d < bestD {
 					best, bestD = c, d
@@ -198,7 +198,7 @@ func (q *quantizer) encode(v vec.Vector) []byte {
 			row := book[c*width:]
 			for j := 0; j < width; j++ {
 				x := v[start+j] - row[j]
-				d += x * x
+				d += float64(x * x)
 			}
 			if d < bestD {
 				best, bestD = c, d
@@ -263,7 +263,7 @@ func (q *quantizer) adcTableInto(t []float64, query vec.Vector, kind adcKind) []
 			case adcSumSq:
 				for j := 0; j < width; j++ {
 					x := query[start+j] - row[j]
-					d += x * x
+					d += float64(x * x)
 				}
 			case adcSum:
 				for j := 0; j < width; j++ {

@@ -12,7 +12,7 @@ import (
 )
 
 // Golden-equivalence test for the convolution: Conv2D.Forward, on the
-// AVX2 kernel and on the blocked Go loop, must produce, output for
+// AVX2 kernels and on the blocked Go loop, must produce, output for
 // output, the bits of the one-tap-at-a-time loop below, the loop the
 // blocked one replaced, with each product rounded on its own. Every
 // comparison is on Float64bits, not a tolerance.
@@ -73,7 +73,7 @@ var tinyAlexNetConvs = []convCase{
 	{32, 48, 3, 1, 1, 8, 8},
 }
 
-// edgeConvCases reach the edges of the AVX2 kernel's loops and of the
+// edgeConvCases reach the edges of the AVX2 kernels' loops and of the
 // block: K = 1, InC = 1, OutC of 1, 9 and 17, strides 2 and 3, an input
 // one sample wide (every tap row one wide), and padding of K or more,
 // where a window at the border has tap rows of zero width or no valid
@@ -87,6 +87,30 @@ var edgeConvCases = []convCase{
 	{2, 17, 2, 1, 2, 5, 4},
 	{3, 1, 3, 2, 3, 7, 6},
 	{1, 9, 5, 3, 4, 3, 2},
+}
+
+// groupedConvCases reach the edges of the AVX2 path's position pairs:
+// output widths 4, 5, 7, 8 and 9 (odd runs leave one position of a row
+// or of a pair of rows alone), odd and even heights, strides 2 and 3
+// between the paired positions, in both directions, padding of K or
+// more (columns and rows with no valid tap inside paired rows), rows
+// whose interior holds one column, too few for a pair, and OutC at,
+// below and past multiples of the 16-channel block.
+var groupedConvCases = []convCase{
+	{2, 16, 3, 1, 1, 5, 4},
+	{3, 16, 3, 1, 1, 6, 5},
+	{2, 32, 3, 1, 1, 7, 7},
+	{4, 17, 3, 1, 1, 8, 8},
+	{1, 24, 3, 1, 1, 9, 9},
+	{2, 16, 5, 1, 2, 9, 9},
+	{2, 9, 3, 2, 1, 11, 13},
+	{3, 20, 3, 3, 0, 13, 16},
+	{1, 16, 2, 3, 1, 12, 17},
+	{1, 16, 2, 1, 3, 6, 7},
+	{2, 16, 1, 1, 2, 5, 6},
+	{2, 16, 3, 1, 1, 1, 3},
+	{2, 16, 3, 1, 1, 3, 3},
+	{3, 33, 3, 1, 1, 2, 12},
 }
 
 // randomConvCases draws n seeded shapes, each with OutC not a multiple
@@ -149,8 +173,8 @@ func sameBits(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
-// convKernels lists the values of useAVX2 this CPU can run: the Go loop
-// always, and the AVX2 kernel where the CPU has it.
+// convKernels lists the values of useAVX2 this CPU can run: the Go
+// loops always, and the AVX2 kernels where the CPU has AVX2.
 func convKernels() []bool {
 	if cpuHasAVX2() {
 		return []bool{false, true}
@@ -159,13 +183,13 @@ func convKernels() []bool {
 }
 
 // TestConvMatchesReference runs Forward, on the Go loop and on the AVX2
-// kernel where the CPU has one, and convReference on the same
+// kernels where the CPU has AVX2, and convReference on the same
 // convolution and input and compares every output's bits. The inputs
 // hold ±0 and, in the later trials, ±Inf and NaN; the biases hold ±0.
 func TestConvMatchesReference(t *testing.T) {
 	saved := useAVX2
 	t.Cleanup(func() { useAVX2 = saved })
-	cases := append(append(append([]convCase(nil), tinyAlexNetConvs...), edgeConvCases...), randomConvCases(40, 43)...)
+	cases := slices.Concat(tinyAlexNetConvs, edgeConvCases, groupedConvCases, randomConvCases(40, 43))
 	inf := math.Inf(1)
 	for _, avx := range convKernels() {
 		useAVX2 = avx

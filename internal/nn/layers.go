@@ -53,8 +53,12 @@ func (c *Conv2D) OutDims(_, h, w int) (int, int, int) {
 }
 
 // convBlock is how many output channels Forward computes together: each
-// load of an input tap feeds convBlock sums.
-const convBlock = 8
+// load of an input tap feeds convBlock sums. The Go loop takes a block
+// in two halves of convHalf channels, one register sum each.
+const (
+	convBlock = 16
+	convHalf  = convBlock / 2
+)
 
 // Forward implements Layer. Each output is the bias plus its products
 // added in one fixed order, ic, ky, kx ascending with the padded taps
@@ -63,7 +67,7 @@ const convBlock = 8
 // channels go in blocks of convBlock that keep their sums in registers
 // and share each input load; a last, partial block is padded with
 // zero-weight channels whose sums are dropped. The input must hold InC
-// channels of in.H×in.W samples, which the AVX2 kernel reads unchecked.
+// channels of in.H×in.W samples, which the AVX2 kernels read unchecked.
 func (c *Conv2D) Forward(in *Volume) *Volume {
 	if len(in.Data) < c.InC*in.H*in.W {
 		panic(fmt.Sprintf("nn: conv input holds %d samples, want %d channels of %dx%d", len(in.Data), c.InC, in.H, in.W))
@@ -99,58 +103,110 @@ func validTaps(i0, k, size int) (lo, hi int) {
 	return lo, max(lo, hi)
 }
 
-// useAVX2 selects convPointAVX2 for each output position of forwardBlock.
-// It is set once, from the CPU, when the package initialises; off amd64,
-// or on a CPU without AVX2, the Go loop runs. Both give the same bits.
+// useAVX2 selects the AVX2 kernels: convPairAVX2 and convPointAVX2 in
+// forwardBlock, maxPool2AVX2 in MaxPool.Forward. It is set once, from
+// the CPU, when the package initialises; off amd64, or on a CPU without
+// AVX2, the Go loops run. Both give the same bits.
 var useAVX2 = cpuHasAVX2()
 
 // forwardBlock computes output channels o0 to o0+n-1 from the block's
 // bias and packed weights w. Each output position computes its valid ky
-// and kx ranges once, then adds its taps in the AVX2 kernel or in the Go
-// loop. Each product is rounded on its own (float64(...)), so that no
-// architecture fuses it into a multiply-add and the bits are the same on
-// every GOARCH and on both paths.
+// and kx ranges once, then adds its taps in an AVX2 kernel or in the Go
+// loop. With AVX2, two positions that share one tap range go to
+// convPairAVX2 together: a row whose next row has its ky range is
+// computed with it, each column a vertical pair; in any other row, two
+// neighbours with one kx range make a pair. The rest, at the borders,
+// go to convPointAVX2 one at a time. Each product is rounded on its own
+// (float64(...)), so that no architecture fuses it into a multiply-add
+// and the bits are the same on every GOARCH and on every path.
 func (c *Conv2D) forwardBlock(out, in *Volume, o0, n int, bias *[convBlock]float64, w []float64) {
 	plane := out.H * out.W
+	var sums [2][convBlock]float64
 	for oy := 0; oy < out.H; oy++ {
 		iy0 := oy*c.Stride - c.Pad
 		kyLo, kyHi := validTaps(iy0, c.K, in.H)
 		rows := kyHi - kyLo
+		nextLo, nextHi := validTaps(iy0+c.Stride, c.K, in.H)
+		rowPair := useAVX2 && rows > 0 && c.InC > 0 && oy+1 < out.H && nextLo == kyLo && nextHi == kyHi
 		for ox := 0; ox < out.W; ox++ {
 			ix0 := ox*c.Stride - c.Pad
 			kxLo, kxHi := validTaps(ix0, c.K, in.W)
 			width := kxHi - kxLo
-			sums := *bias
-			if useAVX2 && rows > 0 && width > 0 && c.InC > 0 {
-				convPointAVX2(&sums, &in.Data[(iy0+kyLo)*in.W+ix0+kxLo], &w[(kyLo*c.K+kxLo)*convBlock],
-					c.InC, rows, width, in.W-width, (in.H-rows)*in.W, (c.K-width)*convBlock, (c.K-rows)*c.K*convBlock)
-			} else {
-				s0, s1, s2, s3 := sums[0], sums[1], sums[2], sums[3]
-				s4, s5, s6, s7 := sums[4], sums[5], sums[6], sums[7]
-				for ic := 0; ic < c.InC; ic++ {
-					for ky := kyLo; ky < kyHi; ky++ {
-						row := in.Data[(ic*in.H+iy0+ky)*in.W+ix0+kxLo:][:width]
-						wr := w[((ic*c.K+ky)*c.K+kxLo)*convBlock:][:width*convBlock]
-						for i, x := range row {
-							t := wr[i*convBlock : (i+1)*convBlock]
-							s0 += float64(t[0] * x)
-							s1 += float64(t[1] * x)
-							s2 += float64(t[2] * x)
-							s3 += float64(t[3] * x)
-							s4 += float64(t[4] * x)
-							s5 += float64(t[5] * x)
-							s6 += float64(t[6] * x)
-							s7 += float64(t[7] * x)
-						}
-					}
-				}
-				sums = [convBlock]float64{s0, s1, s2, s3, s4, s5, s6, s7}
-			}
 			at := o0*plane + oy*out.W + ox
-			for j, v := range sums[:n] {
-				out.Data[at+j*plane] = v
+			if !useAVX2 || rows == 0 || width == 0 || c.InC == 0 {
+				sums[0] = *bias
+				if rows > 0 && width > 0 {
+					c.sumTaps(&sums[0], n, in, w, iy0, ix0, kyLo, kyHi, kxLo, width)
+				}
+				if rowPair { // no valid kx tap: the row below has the bias too
+					scatter(out.Data[at+out.W:], plane, sums[0][:n])
+				}
+				scatter(out.Data[at:], plane, sums[0][:n])
+				continue
+			}
+			src, wt := &in.Data[(iy0+kyLo)*in.W+ix0+kxLo], &w[(kyLo*c.K+kxLo)*convBlock]
+			inSkipRow, inSkipChan := in.W-width, (in.H-rows)*in.W
+			wSkipRow, wSkipChan := (c.K-width)*convBlock, (c.K-rows)*c.K*convBlock
+			step, next := 0, 0
+			if rowPair {
+				step, next = c.Stride*in.W, out.W
+			} else if lo, hi := validTaps(ix0+c.Stride, c.K, in.W); ox+1 < out.W && lo == kxLo && hi == kxHi {
+				step, next = c.Stride, 1
+			}
+			if next == 0 {
+				sums[0] = *bias
+				convPointAVX2(&sums[0], src, wt, c.InC, rows, width, inSkipRow, inSkipChan, wSkipRow, wSkipChan)
+				scatter(out.Data[at:], plane, sums[0][:n])
+				continue
+			}
+			convPairAVX2(&sums, bias, src, wt, c.InC, rows, width, inSkipRow, inSkipChan, wSkipRow, wSkipChan, step)
+			scatter(out.Data[at:], plane, sums[0][:n])
+			scatter(out.Data[at+next:], plane, sums[1][:n])
+			if next == 1 {
+				ox++
 			}
 		}
+		if rowPair {
+			oy++
+		}
+	}
+}
+
+// scatter writes one output position's channels to dst[0], dst[plane],
+// and so on.
+func scatter(dst []float64, plane int, sums []float64) {
+	for j, v := range sums {
+		dst[j*plane] = v
+	}
+}
+
+// sumTaps is the Go loop: it adds the taps of the output position whose
+// window starts at (iy0, ix0), over the valid ky range [kyLo, kyHi) and
+// the width kx taps from kxLo, to the first n sums, convHalf channels
+// at a time.
+func (c *Conv2D) sumTaps(sums *[convBlock]float64, n int, in *Volume, w []float64, iy0, ix0, kyLo, kyHi, kxLo, width int) {
+	for h := 0; h < n; h += convHalf {
+		s := (*[convHalf]float64)(sums[h:])
+		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+		s4, s5, s6, s7 := s[4], s[5], s[6], s[7]
+		for ic := 0; ic < c.InC; ic++ {
+			for ky := kyLo; ky < kyHi; ky++ {
+				row := in.Data[(ic*in.H+iy0+ky)*in.W+ix0+kxLo:][:width]
+				wr := w[((ic*c.K+ky)*c.K+kxLo)*convBlock:][:width*convBlock]
+				for i, x := range row {
+					t := wr[i*convBlock+h:][:convHalf]
+					s0 += float64(t[0] * x)
+					s1 += float64(t[1] * x)
+					s2 += float64(t[2] * x)
+					s3 += float64(t[3] * x)
+					s4 += float64(t[4] * x)
+					s5 += float64(t[5] * x)
+					s6 += float64(t[6] * x)
+					s7 += float64(t[7] * x)
+				}
+			}
+		}
+		*s = [convHalf]float64{s0, s1, s2, s3, s4, s5, s6, s7}
 	}
 }
 
@@ -195,24 +251,38 @@ func (p MaxPool) OutDims(c, h, w int) (int, int, int) {
 
 // Forward implements Layer. Each window starts from −Inf and takes a
 // sample only when it is greater, in ky, kx order, so a NaN never wins
-// and the first of equal samples (−0 before +0, say) is kept. An output
-// row is built one input row at a time: its windows' maxima so far stay
-// in the output while each kernel row is scanned. OutDims keeps every
-// window inside the input, so the rows are indexed directly.
+// and the first of equal samples (−0 before +0, say) is kept. With
+// AVX2, a 2×2, stride-2 pool computes each channel's first 4·(ow/4)
+// columns in maxPool2AVX2, with the same bits. Otherwise, and for the
+// remaining columns, an output row is built one input row at a time:
+// its windows' maxima so far stay in the output while each kernel row
+// is scanned. OutDims keeps every window inside the input, so the rows
+// are indexed directly.
 func (p MaxPool) Forward(in *Volume) *Volume {
 	oc, oh, ow := p.OutDims(in.C, in.H, in.W)
 	out := getVolume(oc, oh, ow)
+	ox0 := 0
+	if useAVX2 && p.K == 2 && p.Stride == 2 {
+		ox0 = ow / 4 * 4
+	}
 	for c := 0; c < oc; c++ {
+		if ox0 > 0 { // sliced to the channel, so a short input panics here
+			src, dst := in.Data[c*in.H*in.W:][:in.H*in.W], out.Data[c*oh*ow:][:oh*ow]
+			maxPool2AVX2(&dst[0], &src[0], oh, ox0/4, in.W, ow)
+		}
+		if ox0 == ow {
+			continue
+		}
 		for oy := 0; oy < oh; oy++ {
 			top := (c*in.H + oy*p.Stride) * in.W
-			dst := out.Data[(c*oh+oy)*ow:][:ow]
+			dst := out.Data[(c*oh+oy)*ow:][ox0:ow]
 			for ox := range dst {
 				dst[ox] = math.Inf(-1)
 			}
 			for ky := 0; ky < p.K; ky++ {
 				row := in.Data[top+ky*in.W:][:in.W]
 				for ox, best := range dst {
-					for _, v := range row[ox*p.Stride:][:p.K] {
+					for _, v := range row[(ox0+ox)*p.Stride:][:p.K] {
 						if v > best {
 							best = v
 						}

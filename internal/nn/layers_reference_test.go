@@ -101,35 +101,48 @@ func TestReLUMatchesReference(t *testing.T) {
 // TestMaxPoolMatchesReference: a NaN never wins, the first of equal
 // samples (−0 against +0) is kept, and a window of NaNs gives −Inf, as
 // in the reference, over kernel sizes and strides that leave some
-// samples out of every window.
+// samples out of every window and over odd widths, where the AVX2 path
+// leaves columns to the Go loop. It runs on the Go loop and, where the
+// CPU has AVX2, on maxPool2AVX2 for the 2×2, stride-2 pools.
 func TestMaxPoolMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	nan, negZero := math.NaN(), math.Copysign(0, -1)
-	ties := NewVolume(1, 2, 8)
+	saved := useAVX2
+	t.Cleanup(func() { useAVX2 = saved })
+	nan, negZero, negInf := math.NaN(), math.Copysign(0, -1), math.Inf(-1)
+	// Eight 2×2 windows: ±0 ties either way round, all NaN, NaN with
+	// −Inf, NaN before and after a number, all −Inf.
+	ties := NewVolume(1, 2, 16)
 	copy(ties.Data, []float64{
-		negZero, 0, nan, nan, 0, nan, nan, math.Inf(-1),
-		0, negZero, nan, nan, negZero, nan, nan, nan,
+		negZero, 0, nan, nan, 0, nan, nan, negInf, nan, 1, 3, nan, negInf, negInf, 0, negZero,
+		0, negZero, nan, nan, negZero, nan, nan, nan, nan, 2, nan, nan, negInf, negInf, negZero, 0,
 	})
-	if got := (MaxPool{K: 2, Stride: 2}).Forward(ties); math.Float64bits(got.Data[0]) != math.Float64bits(negZero) ||
-		!math.IsInf(got.Data[1], -1) || got.Data[2] != 0 || math.Signbit(got.Data[2]) || !math.IsInf(got.Data[3], -1) {
-		t.Errorf("MaxPool over ties and NaNs = %v, want [-0 -Inf +0 -Inf]", got.Data)
-	}
-	for _, p := range []MaxPool{{2, 2}, {1, 1}, {2, 1}, {3, 2}, {3, 3}, {2, 3}} {
-		for _, dims := range [][3]int{{1, 2, 8}, {3, 7, 9}, {16, 32, 32}, {2, 5, 3}} {
-			in := specialVolume(dims[0], dims[1], dims[2], rng)
-			if dims == [3]int{1, 2, 8} {
-				in = ties
+	wantTies := []float64{negZero, negInf, 0, negInf, 2, 3, negInf, 0}
+	for _, avx := range convKernels() {
+		useAVX2 = avx
+		got := (MaxPool{K: 2, Stride: 2}).Forward(ties)
+		for i, want := range wantTies {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want) {
+				t.Errorf("avx2=%v: MaxPool over ties and NaNs = %v, want %v", avx, got.Data, wantTies)
+				break
 			}
-			if _, oh, ow := p.OutDims(in.C, in.H, in.W); oh == 0 || ow == 0 {
-				continue
-			}
-			want, got := maxPoolReference(p, in), p.Forward(in)
-			if got.C != want.C || got.H != want.H || got.W != want.W {
-				t.Fatalf("%+v on %v: dims %dx%dx%d, want %dx%dx%d", p, dims, got.C, got.H, got.W, want.C, want.H, want.W)
-			}
-			for i := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("%+v on %v: output %d = %v, reference %v", p, dims, i, got.Data[i], want.Data[i])
+		}
+		rng := rand.New(rand.NewSource(6))
+		for _, p := range []MaxPool{{2, 2}, {1, 1}, {2, 1}, {3, 2}, {3, 3}, {2, 3}} {
+			for _, dims := range [][3]int{{1, 2, 16}, {3, 7, 9}, {16, 32, 32}, {2, 5, 3}, {2, 6, 11}, {1, 4, 17}, {3, 3, 19}} {
+				in := specialVolume(dims[0], dims[1], dims[2], rng)
+				if dims == [3]int{1, 2, 16} {
+					in = ties
+				}
+				if _, oh, ow := p.OutDims(in.C, in.H, in.W); oh == 0 || ow == 0 {
+					continue
+				}
+				want, got := maxPoolReference(p, in), p.Forward(in)
+				if got.C != want.C || got.H != want.H || got.W != want.W {
+					t.Fatalf("avx2=%v %+v on %v: dims %dx%dx%d, want %dx%dx%d", avx, p, dims, got.C, got.H, got.W, want.C, want.H, want.W)
+				}
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("avx2=%v %+v on %v: output %d = %v, reference %v", avx, p, dims, i, got.Data[i], want.Data[i])
+					}
 				}
 			}
 		}
@@ -160,6 +173,32 @@ func TestDenseMatchesReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestShortInputPanics: the AVX2 kernels read their input unchecked, so
+// a volume whose Data holds fewer than C·H·W samples must panic before
+// it reaches them, on both paths, as the Go loops do.
+func TestShortInputPanics(t *testing.T) {
+	saved := useAVX2
+	t.Cleanup(func() { useAVX2 = saved })
+	conv := NewConv2D(2, 16, 3, 1, 1, rand.New(rand.NewSource(8)))
+	layers := map[string]Layer{"Conv2D": conv, "MaxPool": MaxPool{K: 2, Stride: 2}}
+	for _, avx := range convKernels() {
+		useAVX2 = avx
+		for name, l := range layers {
+			in := NewVolume(2, 8, 8)
+			n := len(in.Data) - 1
+			in.Data = in.Data[:n:n]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("avx2=%v: %s.Forward on a short input did not panic", avx, name)
+					}
+				}()
+				l.Forward(in)
+			}()
 		}
 	}
 }

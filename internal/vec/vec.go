@@ -2,6 +2,10 @@
 // Potluck's key space. Cache keys are variable-length feature vectors
 // defined in a metric space (paper §3.2); every index structure and the
 // threshold tuner operate on the types defined here.
+//
+// Every product that feeds a sum is rounded on its own (float64(...)),
+// so that no GOARCH fuses it into a multiply-add: a distance has the
+// same bits on arm64 as on amd64, and so do the decisions made from it.
 package vec
 
 import (
@@ -64,7 +68,7 @@ func (v Vector) Dot(w Vector) float64 {
 	mustSameDim(v, w)
 	var sum float64
 	for i := range v {
-		sum += v[i] * w[i]
+		sum += float64(v[i] * w[i])
 	}
 	return sum
 }
@@ -73,7 +77,7 @@ func (v Vector) Dot(w Vector) float64 {
 func (v Vector) Norm() float64 {
 	var sum float64
 	for _, x := range v {
-		sum += x * x
+		sum += float64(x * x)
 	}
 	return math.Sqrt(sum)
 }
@@ -169,7 +173,7 @@ func (EuclideanMetric) Distance(a, b Vector) float64 {
 	var sum float64
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }
@@ -187,7 +191,7 @@ func SquaredEuclidean(a, b Vector) float64 {
 	var sum float64
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum
 }
@@ -243,9 +247,9 @@ func (CosineMetric) Distance(a, b Vector) float64 {
 	}
 	var dot, na, nb float64
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float64(a[i] * b[i])
+		na += float64(a[i] * a[i])
+		nb += float64(b[i] * b[i])
 	}
 	if na == 0 || nb == 0 {
 		if na == nb {
