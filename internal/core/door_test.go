@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"runtime"
@@ -298,6 +299,84 @@ func TestNoSecondKeyTable(t *testing.T) {
 		}
 		return ""
 	})
+}
+
+// TestOneDistanceKernel keeps package vec the one place that sums a
+// distance: no non-test file under internal/ may declare the retired
+// per-index classifications of a metric (boxNorm, boxNormOf, adcKind,
+// adcKindFor), IVF's second k-means (kmeansCentroids) or HNSW's
+// hand-rolled growth (extend), and no non-test file in internal/index or
+// internal/core may hold a loop that adds a rounded product,
+// float64(a * b), to a sum, by += or -= or as s = s + ....
+func TestOneDistanceKernel(t *testing.T) {
+	retired := []string{"kmeansCentroids", "adcKind", "adcKindFor", "boxNorm", "boxNormOf", "extend"}
+	checkRetired(t, retired, func(*ast.Field) string { return "" })
+	product := func(e ast.Expr) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				return true
+			}
+			fn, ok := call.Fun.(*ast.Ident)
+			arg, isBin := ast.Unparen(call.Args[0]).(*ast.BinaryExpr)
+			if ok && fn.Name == "float64" && isBin && arg.Op == token.MUL {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	sums := func(as *ast.AssignStmt) bool {
+		switch {
+		case len(as.Lhs) != 1 || len(as.Rhs) != 1:
+			return false
+		case as.Tok == token.ADD_ASSIGN || as.Tok == token.SUB_ASSIGN:
+			return product(as.Rhs[0])
+		case as.Tok != token.ASSIGN:
+			return false
+		}
+		bin, ok := as.Rhs[0].(*ast.BinaryExpr)
+		lhs := types.ExprString(as.Lhs[0])
+		return ok && (bin.Op == token.ADD || bin.Op == token.SUB) &&
+			(types.ExprString(bin.X) == lhs || types.ExprString(bin.Y) == lhs) && product(bin)
+	}
+	fset := token.NewFileSet()
+	for _, dir := range []string{"../index", "."} {
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[token.Pos]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch loop := n.(type) {
+				case *ast.ForStmt:
+					body = loop.Body
+				case *ast.RangeStmt:
+					body = loop.Body
+				default:
+					return true
+				}
+				ast.Inspect(body, func(n ast.Node) bool {
+					if as, ok := n.(*ast.AssignStmt); ok && !seen[as.Pos()] && sums(as) {
+						seen[as.Pos()] = true
+						t.Errorf("%s: a loop sums its own products; score through package vec", fset.Position(as.Pos()))
+					}
+					return true
+				})
+				return true
+			})
+		}
+	}
 }
 
 // checkRetired fails on any declaration under internal/, outside test

@@ -32,7 +32,7 @@ import (
 // since it was last empty, widened by Insert and left as it is by
 // Remove: a box that may be larger than the live keys need, never
 // smaller. When the box lies farther than r from a query, by the k-d
-// tree's cut (see boxNorm.outside), no key can lie within r, and
+// tree's cut (see outside), no key can lie within r, and
 // NearestWithin and Radius answer "none" without scoring a node: one
 // query of zero probes. r = +Inf, and a metric no box bounds, never
 // certify, so Insert, KNearest and the unbounded probes search as before.
@@ -64,7 +64,7 @@ type HNSW struct {
 	probeCounter
 	scratchPool
 	metric  vec.Metric
-	norm    boxNorm
+	form    vec.Form
 	cfg     HNSWConfig
 	ids     []ID
 	levels  []int8 // vacant when negative
@@ -190,7 +190,7 @@ func newHNSW(m vec.Metric, cfg HNSWConfig, pq *PQConfig) *HNSW {
 	cfg = cfg.withDefaults()
 	h := &HNSW{
 		metric:   m,
-		norm:     boxNormOf(m),
+		form:     vec.FormOf(m),
 		cfg:      cfg,
 		pq:       pq,
 		stride:   2*cfg.M + 2,
@@ -267,9 +267,9 @@ type hnswScorer struct {
 	metric vec.Metric
 	q      vec.Vector
 	nodes  []hnswNode // set under PQ before training
-	codec  *quantizer // set, with codes, kind and table, under PQ once trained
+	codec  *quantizer // set, with codes, form and table, under PQ once trained
 	codes  []byte
-	kind   adcKind
+	form   vec.Form
 	table  []float64
 }
 
@@ -279,9 +279,9 @@ func (h *HNSW) scorer(sc *scratch, q vec.Vector) hnswScorer {
 	s := hnswScorer{levels: h.levels, rows: h.rows, width: h.width, metric: h.metric, q: q}
 	switch {
 	case h.codec != nil:
-		s.codec, s.codes, s.kind = h.codec, h.codes, adcKindFor(h.metric)
-		if s.kind != adcDecode {
-			sc.adc = h.codec.adcTableInto(sc.adc, q, s.kind)
+		s.codec, s.codes, s.form = h.codec, h.codes, h.form
+		if s.form != vec.FormOther {
+			sc.adc = h.codec.adcTableInto(sc.adc, q, h.metric, s.form)
 			s.table = sc.adc
 		}
 	case h.pq != nil:
@@ -298,10 +298,10 @@ func (s *hnswScorer) at(slot int32) float64 {
 		return math.Inf(1)
 	case s.codec != nil:
 		code := s.codes[int(slot)*s.codec.m:][:s.codec.m]
-		if s.kind == adcDecode {
+		if s.form == vec.FormOther {
 			return s.metric.Distance(s.q, s.codec.decode(code))
 		}
-		return adcScore(s.table, code, s.codec.k, s.kind)
+		return adcScore(s.table, code, s.codec.k, s.form)
 	case s.nodes != nil:
 		return s.metric.Distance(s.q, s.nodes[slot].vec)
 	}
@@ -398,17 +398,16 @@ func (h *HNSW) occupy(id ID) int32 {
 			s, h.free = h.free[last], h.free[:last]
 		} else {
 			s = int32(len(h.nodes))
-			h.nodes = extend(h.nodes, 1)
-			h.ids = extend(h.ids, 1)
-			h.levels = extend(h.levels, 1)
-			h.deleted = extend(h.deleted, 1)
+			h.nodes = append(h.nodes, hnswNode{})
+			h.ids = append(h.ids, id)
+			h.levels = append(h.levels, vacant)
+			h.deleted = append(h.deleted, false)
 			if h.pq == nil {
-				h.rows = extend(h.rows, h.width)
+				h.rows = slices.Grow(h.rows, h.width)[:len(h.rows)+h.width]
 			} else if h.codec != nil {
-				h.codes = extend(h.codes, h.codec.m)
+				h.codes = slices.Grow(h.codes, h.codec.m)[:len(h.codes)+h.codec.m]
 			}
-			h.links0 = extend(h.links0, h.stride)
-			h.levels[s] = vacant
+			h.links0 = slices.Grow(h.links0, h.stride)[:len(h.links0)+h.stride]
 		}
 		h.slotOf[id] = s
 		h.ids[s] = id
@@ -434,19 +433,6 @@ func (h *HNSW) train() {
 // setCode stores the code of key as slot s's.
 func (h *HNSW) setCode(s int32, key vec.Vector) {
 	copy(h.codes[int(s)*h.codec.m:], h.codec.encode(key))
-}
-
-// extend lengthens s by n zero elements. A full s is copied into twice
-// the room it needs, so that the node table's arrays, which grow a slot
-// at a time, allocate about twice their final size in all, where
-// append's gentler growth at this size would allocate five times.
-func extend[T any](s []T, n int) []T {
-	if len(s)+n > cap(s) {
-		t := make([]T, len(s), 2*(len(s)+n))
-		copy(t, s)
-		s = t
-	}
-	return s[:len(s)+n]
 }
 
 // unref drops one link to slot s.
@@ -788,7 +774,7 @@ func (h *HNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	if h.live == 0 || len(key) != h.width {
 		return Neighbor{}, 0, false
 	}
-	if h.norm.outside(h.lo, h.hi, key, r) {
+	if outside(h.form, h.lo, h.hi, key, r) {
 		h.countQuery(0)
 		return Neighbor{}, 0, false
 	}
@@ -870,7 +856,7 @@ func (h *HNSW) Radius(key vec.Vector, r float64) []Neighbor {
 	if h.live == 0 || len(key) != h.width {
 		return nil
 	}
-	if h.norm.outside(h.lo, h.hi, key, r) {
+	if outside(h.form, h.lo, h.hi, key, r) {
 		h.countQuery(0)
 		return nil
 	}

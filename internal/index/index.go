@@ -5,9 +5,11 @@
 // queries over feature-vector keys; Table 2 of the paper compares their
 // lookup latencies.
 //
-// As in package vec, every product that feeds a sum is rounded on its
-// own (float64(...)), so that no GOARCH fuses it into a multiply-add and
-// the indexes answer with the same bits everywhere.
+// An index decides which rows to score; package vec scores them. Every
+// distance, box bound, PQ table entry and LSH projection is summed there
+// (vec.Form and the metrics), where each product is rounded on its own,
+// so that no GOARCH fuses it into a multiply-add and the indexes answer
+// with the same bits everywhere. No loop here sums its own products.
 package index
 
 import (

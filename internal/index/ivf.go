@@ -99,14 +99,11 @@ func (c IVFConfig) withDefaults() IVFConfig {
 
 // NewIVF returns an empty IVF index.
 func NewIVF(m vec.Metric, cfg IVFConfig) *IVF {
-	_, e := m.(vec.EuclideanMetric)
-	_, mh := m.(vec.ManhattanMetric)
-	_, ch := m.(vec.ChebyshevMetric)
 	return &IVF{
 		metric:   m,
 		cfg:      cfg.withDefaults(),
 		cellOf:   make(map[ID]int),
-		triangle: e || mh || ch,
+		triangle: vec.FormOf(m) != vec.FormOther,
 	}
 }
 
@@ -155,70 +152,25 @@ func (iv *IVF) assign(m member) {
 
 // train fits the coarse quantizer on the buffered entries (insertion
 // order, seeded — deterministic) and distributes every entry to a cell.
+// The quantizer is PQ's k-means over one subspace as wide as the key:
+// each centroid is a view into the one codebook.
 func (iv *IVF) train() {
 	samples := make([]vec.Vector, len(iv.pending))
 	for i, m := range iv.pending {
 		samples[i] = m.key
 	}
-	k := min(iv.cfg.Cells, len(samples))
-	iv.centroids = kmeansCentroids(samples, iv.dim, k, iv.cfg.Iters, iv.cfg.Seed)
+	k, w := min(iv.cfg.Cells, len(samples)), iv.dim
+	book := trainCodebook(samples, 0, w, k, iv.cfg.Iters, rand.New(rand.NewSource(iv.cfg.Seed)))
+	iv.centroids = make([]vec.Vector, k)
+	for c := range iv.centroids {
+		iv.centroids[c] = book[c*w : (c+1)*w : (c+1)*w]
+	}
 	iv.cells = make([][]member, len(iv.centroids))
 	iv.cellRadius = make([]float64, len(iv.centroids))
 	for _, m := range iv.pending {
 		iv.assign(m)
 	}
 	iv.pending = nil
-}
-
-// kmeansCentroids runs seeded k-means-lite over full vectors: sampled
-// initial centroids, Iters Lloyd rounds, dead cells re-seeded.
-func kmeansCentroids(samples []vec.Vector, dim, k, iters int, seed int64) []vec.Vector {
-	rng := rand.New(rand.NewSource(seed))
-	cents := make([]vec.Vector, k)
-	for c := range cents {
-		cents[c] = samples[rng.Intn(len(samples))].Clone()
-	}
-	counts := make([]int, k)
-	sums := make([]vec.Vector, k)
-	for c := range sums {
-		sums[c] = make(vec.Vector, dim)
-	}
-	for it := 0; it < iters; it++ {
-		for c := range cents {
-			counts[c] = 0
-			for j := range sums[c] {
-				sums[c][j] = 0
-			}
-		}
-		for _, v := range samples {
-			best, bestD := 0, math.Inf(1)
-			for c, cent := range cents {
-				var d float64
-				for j := 0; j < dim; j++ {
-					x := v[j] - cent[j]
-					d += float64(x * x)
-				}
-				if d < bestD {
-					best, bestD = c, d
-				}
-			}
-			counts[best]++
-			for j := 0; j < dim; j++ {
-				sums[best][j] += v[j]
-			}
-		}
-		for c := range cents {
-			if counts[c] == 0 {
-				cents[c] = samples[rng.Intn(len(samples))].Clone()
-				continue
-			}
-			inv := 1 / float64(counts[c])
-			for j := 0; j < dim; j++ {
-				cents[c][j] = sums[c][j] * inv
-			}
-		}
-	}
-	return cents
 }
 
 // Remove implements Index: drop the entry from its cell member list. The

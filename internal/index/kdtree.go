@@ -42,7 +42,7 @@ import (
 type KDTree struct {
 	probeCounter
 	metric vec.Metric
-	norm   boxNorm
+	form   vec.Form
 	width  int // row width: the length of every key
 
 	nodes  []kdNode
@@ -85,7 +85,7 @@ type kdEntry struct {
 
 // NewKDTree returns an empty KD-tree using metric m.
 func NewKDTree(m vec.Metric) *KDTree {
-	return &KDTree{metric: m, norm: boxNormOf(m), where: make(map[ID]kdSlot)}
+	return &KDTree{metric: m, form: vec.FormOf(m), where: make(map[ID]kdSlot)}
 }
 
 // Insert implements Index. Empty keys are rejected: there is no axis to
@@ -322,21 +322,19 @@ func (t *KDTree) Nearest(key vec.Vector) (Neighbor, bool) {
 
 // NearestWithin implements Index. The answer is the entry with the least
 // (distance, id), ignoring entries at +Inf. The search starts with best
-// just above r (r² for the Euclidean metric), as if an entry lay there,
-// so it descends to one leaf and crosses a split only toward rows that
-// could lie within r. The least entry below that start is the least of
-// all whenever the least of all lies within r, and reported only then;
-// starting above r, by the prune's slack and one ulp, keeps an entry at
-// exactly r.
+// just above r's partial (r² for the Euclidean metric), as if an entry
+// lay there, so it descends to one leaf and crosses a split only toward
+// rows that could lie within r. The least entry below that start is the
+// least of all whenever the least of all lies within r, and reported only
+// then; starting above r, by the prune's slack and one ulp, keeps an
+// entry at exactly r.
 func (t *KDTree) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	if t.size == 0 || len(key) != t.width || !(r >= 0) {
 		return Neighbor{}, 0, false
 	}
-	start := r
-	if t.norm == boxL2 {
-		start = r * r
-	}
-	q := nnQuery{t: t, key: key, best: math.Nextafter(start*(1+kdPruneSlack), math.Inf(1)), at: -1}
+	var q nnQuery // set field by field: a literal is built aside and copied in, partials and all
+	q.t, q.key, q.at = t, key, -1
+	q.best = math.Nextafter(t.form.Limit(r)*(1+kdPruneSlack), math.Inf(1))
 	q.walk(0)
 	t.countQuery(q.evals)
 	if q.at < 0 {
@@ -345,30 +343,29 @@ func (t *KDTree) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) 
 		}
 		return Neighbor{}, q.evals, false
 	}
-	d := q.best
-	if t.norm == boxL2 {
-		d = math.Sqrt(d)
-	}
+	d := t.form.Finish(q.best)
 	if d > r {
 		return Neighbor{}, q.evals, false
 	}
 	return t.neighbor(scored{dist: d, slot: q.at}), q.evals, true
 }
 
-// nnQuery is one nearest-neighbour search. For the default Euclidean
-// metric it runs in squared-distance space: ordering is preserved (sqrt
-// is monotone), so the same entry wins, but the square root is taken once
-// at the end instead of at every row, and the distance routine is called
-// directly instead of through the Metric interface. Only an entry nearer
-// than the start can become best: it starts above the radius with id 0,
-// which no tie can undercut.
+// nnQuery is one nearest-neighbour search. It compares the partials of
+// the tree's form (see vec.Form): for the default Euclidean metric it
+// runs in squared-distance space, where ordering is preserved (sqrt is
+// monotone), so the same entry wins, but the square root is taken once at
+// the end instead of at every row. Only an entry nearer than the start
+// can become best: it starts above the radius with id 0, which no tie can
+// undercut.
 type nnQuery struct {
 	t      *KDTree
 	key    vec.Vector
-	best   float64 // distance (squared, for Euclidean) of the best entry so far
+	best   float64 // the partial of the best entry so far
 	bestID ID
 	at     int32 // the best entry's slot, as in search; -1 until one is found
 	evals  int
+	// partials holds a leaf's rows scored against key.
+	partials [kdLeafSize]float64
 }
 
 func (q *nnQuery) consider(d float64, id ID, slot int32) {
@@ -388,13 +385,10 @@ func (q *nnQuery) walk(i int32) {
 	n := t.nodes[i]
 	if n.axis < 0 {
 		l := &t.leaves[n.left]
-		if t.norm != boxL2 {
-			q.scan(l, n.left)
-			return
-		}
-		w := len(q.key)
-		for r, id := range l.ids {
-			q.consider(vec.SquaredEuclidean(q.key, l.rows[r*w:][:w]), id, n.left*kdLeafSize+int32(r))
+		ds := q.partials[:len(l.ids)]
+		t.form.Partials(t.metric, q.key, l.rows, ds)
+		for r, d := range ds {
+			q.consider(d, l.ids[r], n.left*kdLeafSize+int32(r))
 		}
 		q.evals += len(l.ids)
 		return
@@ -405,41 +399,33 @@ func (q *nnQuery) walk(i int32) {
 		near, far = far, near
 	}
 	q.walk(near)
-	if !t.farther(q.key, gap, far, q.best*(1+kdPruneSlack), t.norm == boxL2) {
+	if !t.farther(q.key, gap, far, q.best*(1+kdPruneSlack)) {
 		q.walk(far)
 	}
 }
 
-// scan is walk's leaf scan for the metrics other than the Euclidean,
-// through their Distance. With this loop in walk's body as well, a
-// Euclidean miss measured about a fifth slower.
-func (q *nnQuery) scan(l *kdLeaf, leaf int32) {
-	w := len(q.key)
-	for r, id := range l.ids {
-		q.consider(q.t.metric.Distance(q.key, l.rows[r*w:][:w]), id, leaf*kdLeafSize+int32(r))
-	}
-	q.evals += len(l.ids)
-}
-
 // farther reports whether every row below node i, on the far side of a
-// split gap away from key, lies farther than limit: in squared distance
-// when sq is set, in the metric's own terms otherwise. The rows lie
-// beyond the split plane, so its distance bounds theirs too, and a cut
-// the plane decides costs no box.
-func (t *KDTree) farther(key vec.Vector, gap float64, i int32, limit float64, sq bool) bool {
+// split gap away from key, lies farther than limit, a partial of the
+// tree's form. The rows lie beyond the split plane, so its distance
+// bounds theirs too, and a cut the plane decides costs no box. Under
+// FormOther nothing is ever cut.
+func (t *KDTree) farther(key vec.Vector, gap float64, i int32, limit float64) bool {
 	switch {
-	case t.norm == noBoxBound:
+	case t.form == vec.FormOther:
 		return false
-	case sq && gap*gap > limit, !sq && math.Abs(gap) > limit:
+	case t.form.Limit(math.Abs(gap)) > limit:
 		return true
 	}
 	lo, hi := t.box(i)
-	return t.norm.farther(lo, hi, key, limit, sq)
+	return t.form.BoxPartial(lo, hi, key) > limit
 }
 
 // kdQuery is KNearest's and Radius' search, through the metric's
 // Distance: it keeps the k entries with the least (distance, id) among
-// those within r of key.
+// those within r of key. It ranks by distance, not by partial, so that
+// two rows whose squares differ but whose distances round alike tie and
+// break by id, as a linear scan breaks them; only its cuts compare
+// partials.
 type kdQuery struct {
 	t     *KDTree
 	key   vec.Vector
@@ -479,7 +465,7 @@ func (q *kdQuery) walk(i int32) {
 		near, far = far, near
 	}
 	q.walk(near)
-	if !t.farther(q.key, gap, far, q.limit()*(1+kdPruneSlack), false) {
+	if !t.farther(q.key, gap, far, t.form.Limit(q.limit())*(1+kdPruneSlack)) {
 		q.walk(far)
 	}
 }

@@ -85,7 +85,7 @@ func (f *flatStore) keyBytes() int64   { return f.bytes }
 // asks no query of another length.
 type pqStore struct {
 	metric vec.Metric
-	kind   adcKind
+	form   vec.Form
 	cfg    PQConfig
 	codec  *quantizer
 	codes  map[ID][]byte
@@ -100,7 +100,7 @@ type pqStore struct {
 func newPQStore(m vec.Metric, cfg PQConfig) *pqStore {
 	return &pqStore{
 		metric: m,
-		kind:   adcKindFor(m),
+		form:   vec.FormOf(m),
 		cfg:    cfg.withDefaults(),
 		codes:  make(map[ID][]byte),
 		keys:   make(map[ID]vec.Vector),
@@ -163,7 +163,7 @@ func (p *pqStore) scorer(q vec.Vector) func(id ID) float64 {
 			return p.metric.Distance(q, v)
 		}
 	}
-	if p.kind == adcDecode {
+	if p.form == vec.FormOther {
 		return func(id ID) float64 {
 			code, ok := p.codes[id]
 			if !ok {
@@ -172,15 +172,15 @@ func (p *pqStore) scorer(q vec.Vector) func(id ID) float64 {
 			return p.metric.Distance(q, p.codec.decode(code))
 		}
 	}
-	table := p.codec.adcTable(q, p.kind)
+	table := p.codec.adcTable(q, p.metric, p.form)
 	k := p.codec.k
-	kind := p.kind
+	form := p.form
 	return func(id ID) float64 {
 		code, ok := p.codes[id]
 		if !ok {
 			return math.Inf(1)
 		}
-		return adcScore(table, code, k, kind)
+		return adcScore(table, code, k, form)
 	}
 }
 

@@ -140,7 +140,6 @@ func trainCodebook(samples []vec.Vector, start, width, k, iters int, rng *rand.R
 		src := samples[rng.Intn(len(samples))]
 		copy(book[c*width:(c+1)*width], src[start:start+width])
 	}
-	assign := make([]int, len(samples))
 	counts := make([]int, k)
 	sums := make([]float64, k*width)
 	for it := 0; it < iters; it++ {
@@ -150,20 +149,8 @@ func trainCodebook(samples []vec.Vector, start, width, k, iters int, rng *rand.R
 		for i := range sums {
 			sums[i] = 0
 		}
-		for i, v := range samples {
-			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				var d float64
-				row := book[c*width:]
-				for j := 0; j < width; j++ {
-					x := v[start+j] - row[j]
-					d += float64(x * x)
-				}
-				if d < bestD {
-					best, bestD = c, d
-				}
-			}
-			assign[i] = best
+		for _, v := range samples {
+			best := nearestCentroid(book, v[start:start+width])
 			counts[best]++
 			row := sums[best*width:]
 			for j := 0; j < width; j++ {
@@ -190,23 +177,24 @@ func trainCodebook(samples []vec.Vector, start, width, k, iters int, rng *rand.R
 func (q *quantizer) encode(v vec.Vector) []byte {
 	code := make([]byte, q.m)
 	for s := 0; s < q.m; s++ {
-		start, width := q.substart(s), q.subwidth(s)
-		book := q.books[s]
-		best, bestD := 0, math.Inf(1)
-		for c := 0; c < q.k; c++ {
-			var d float64
-			row := book[c*width:]
-			for j := 0; j < width; j++ {
-				x := v[start+j] - row[j]
-				d += float64(x * x)
-			}
-			if d < bestD {
-				best, bestD = c, d
-			}
-		}
-		code[s] = byte(best)
+		start := q.substart(s)
+		code[s] = byte(nearestCentroid(q.books[s], v[start:start+q.subwidth(s)]))
 	}
 	return code
+}
+
+// nearestCentroid returns the index of the centroid of book, a flat run
+// of len(sub)-wide centroids, nearest sub in squared Euclidean distance;
+// the lowest index wins a tie.
+func nearestCentroid(book []float64, sub vec.Vector) int {
+	w := len(sub)
+	best, bestD := 0, math.Inf(1)
+	for c := 0; c*w < len(book); c++ {
+		if d := vec.SquaredEuclidean(sub, book[c*w:][:w]); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
 }
 
 // decode reconstructs the centroid vector of a code.
@@ -219,90 +207,38 @@ func (q *quantizer) decode(code []byte) vec.Vector {
 	return out
 }
 
-// adcKind classifies metrics by how their distance decomposes across
-// subspaces for asymmetric-distance scoring.
-type adcKind int
-
-const (
-	adcSumSq  adcKind = iota // Euclidean: sum of squared partials, sqrt at the end
-	adcSum                   // Manhattan: sum of absolute partials
-	adcMax                   // Chebyshev: max of partials
-	adcDecode                // anything else: decode and apply the metric
-)
-
-func adcKindFor(m vec.Metric) adcKind {
-	switch m.(type) {
-	case vec.EuclideanMetric:
-		return adcSumSq
-	case vec.ManhattanMetric:
-		return adcSum
-	case vec.ChebyshevMetric:
-		return adcMax
-	}
-	return adcDecode
-}
-
-// adcTable precomputes, for one query, the partial distance from the
-// query's subvector to every codebook centroid: scoring a candidate is
-// then m table lookups instead of a dim-wide distance computation.
-func (q *quantizer) adcTable(query vec.Vector, kind adcKind) []float64 {
-	return q.adcTableInto(nil, query, kind)
+// adcTable precomputes, for one query, the partial distance under the
+// metric m of form f (not FormOther) from the query's subvector to every
+// codebook centroid: scoring a candidate is then one table lookup a
+// subspace instead of a dim-wide distance computation.
+func (q *quantizer) adcTable(query vec.Vector, m vec.Metric, f vec.Form) []float64 {
+	return q.adcTableInto(nil, query, m, f)
 }
 
 // adcTableInto is adcTable building the table in t's storage, which it
 // grows if it is too short.
-func (q *quantizer) adcTableInto(t []float64, query vec.Vector, kind adcKind) []float64 {
+func (q *quantizer) adcTableInto(t []float64, query vec.Vector, m vec.Metric, f vec.Form) []float64 {
 	t = slices.Grow(t[:0], q.m*q.k)[:q.m*q.k]
 	for s := 0; s < q.m; s++ {
-		start, width := q.substart(s), q.subwidth(s)
-		book := q.books[s]
-		for c := 0; c < q.k; c++ {
-			row := book[c*width:]
-			var d float64
-			switch kind {
-			case adcSumSq:
-				for j := 0; j < width; j++ {
-					x := query[start+j] - row[j]
-					d += float64(x * x)
-				}
-			case adcSum:
-				for j := 0; j < width; j++ {
-					d += math.Abs(query[start+j] - row[j])
-				}
-			case adcMax:
-				for j := 0; j < width; j++ {
-					if x := math.Abs(query[start+j] - row[j]); x > d {
-						d = x
-					}
-				}
-			}
-			t[s*q.k+c] = d
-		}
+		start := q.substart(s)
+		f.Partials(m, query[start:start+q.subwidth(s)], q.books[s], t[s*q.k:][:q.k])
 	}
 	return t
 }
 
 // adcScore combines a code's table entries into an estimated distance in
-// true metric units.
-func adcScore(t []float64, code []byte, k int, kind adcKind) float64 {
+// true metric units: the greatest under FormLinf, otherwise the finished
+// sum. A NaN entry makes it NaN, as a NaN coordinate makes the distance.
+func adcScore(t []float64, code []byte, k int, f vec.Form) float64 {
 	var d float64
-	switch kind {
-	case adcSumSq:
+	if f == vec.FormLinf {
 		for s, c := range code {
-			d += t[s*k+int(c)]
-		}
-		return math.Sqrt(d)
-	case adcSum:
-		for s, c := range code {
-			d += t[s*k+int(c)]
-		}
-		return d
-	default: // adcMax
-		for s, c := range code {
-			if x := t[s*k+int(c)]; x > d {
-				d = x
-			}
+			d = max(d, t[s*k+int(c)])
 		}
 		return d
 	}
+	for s, c := range code {
+		d += t[s*k+int(c)]
+	}
+	return f.Finish(d)
 }

@@ -66,25 +66,29 @@ func TestPQRoundTripErrorBounded(t *testing.T) {
 // TestADCMatchesDecodedDistance: for decomposable metrics, the ADC table
 // estimate of a code must equal the true metric distance between the
 // query and the decoded centroid — ADC is an optimization, not a
-// different answer.
+// different answer. A query with a NaN coordinate lies at NaN from every
+// code under each of them, Chebyshev included, as it does from every key.
 func TestADCMatchesDecodedDistance(t *testing.T) {
 	metrics := []vec.Metric{vec.EuclideanMetric{}, vec.ManhattanMetric{}, vec.ChebyshevMetric{}}
 	rng := rand.New(rand.NewSource(13))
 	samples := clusteredCorpus(rng, 800, 10, 16, 2.0)
 	q := trainQuantizer(samples, 10, 0, 5, 1)
 	for _, m := range metrics {
-		kind := adcKindFor(m)
-		if kind == adcDecode {
+		form := vec.FormOf(m)
+		if form == vec.FormOther {
 			t.Fatalf("%s unexpectedly not decomposable", m.Name())
 		}
 		for trial := 0; trial < 40; trial++ {
 			query := randomVec(rng, 10)
-			table := q.adcTable(query, kind)
+			if trial%8 == 7 {
+				query[trial%10] = math.NaN()
+			}
+			table := q.adcTable(query, m, form)
 			v := samples[rng.Intn(len(samples))]
 			code := q.encode(v)
-			est := adcScore(table, code, q.k, kind)
+			est := adcScore(table, code, q.k, form)
 			want := m.Distance(query, q.decode(code))
-			if math.Abs(est-want) > 1e-9 {
+			if math.IsNaN(want) != math.IsNaN(est) || math.Abs(est-want) > 1e-9 {
 				t.Fatalf("%s: adc estimate %v != decoded distance %v", m.Name(), est, want)
 			}
 		}
