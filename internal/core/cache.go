@@ -1135,7 +1135,7 @@ func (c *Cache) selectHit(ki *keyIndex, key vec.Vector, threshold float64, now t
 	}
 	var ns []index.Neighbor
 	ki.mu.RLock()
-	ns, probes = ki.idx.KNearestProbed(key, k)
+	ns, probes = ki.idx.KNearest(key, k)
 	ki.mu.RUnlock()
 	if len(ns) == 0 {
 		return nil, nil, -1, probes, false, false

@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/index"
 	"repro/internal/vec"
 )
 
@@ -376,6 +378,18 @@ func TestOneDistanceKernel(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestNoRangeSearch keeps one query path through an index: no non-test
+// file under internal/ may declare the retired range search
+// (RadiusSearcher, Radius, IVF's cellRadius) or the second k-NN method
+// (KNearestProbed), and index.Index keeps its nine methods.
+// InvalidateRadius walks the entries instead, exactly for every kind.
+func TestNoRangeSearch(t *testing.T) {
+	checkRetired(t, []string{"RadiusSearcher", "Radius", "KNearestProbed", "cellRadius"}, func(*ast.Field) string { return "" })
+	if n := reflect.TypeOf((*index.Index)(nil)).Elem().NumMethod(); n != 9 {
+		t.Errorf("index.Index has %d methods, want 9", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/index"
 	"repro/internal/vec"
 )
 
@@ -13,9 +12,13 @@ import (
 // mechanism: when an application knows the world changed (a scene cut, a
 // rearranged room), it can clear the affected key region at once instead
 // of waiting for dropout-driven tightening to age the stale results out.
-// The removal is propagated to all of the function's indices, like
-// eviction. Only entries actually removed are counted: an entry already
-// evicted by a racing operation is not double-counted.
+// It walks the entry table and measures each entry's key under the key
+// type with the index's metric, so it is exact whatever the index kind:
+// an approximate index may miss a neighbour on a lookup, but an
+// invalidation that missed one would keep serving a stale result. The
+// removal is propagated to all of the function's indices, like eviction.
+// A key of another length than the key type's is refused with
+// vec.ErrDimensionMismatch.
 func (c *Cache) InvalidateRadius(fn, keyType string, key vec.Vector, r float64) (int, error) {
 	if r < 0 {
 		return 0, fmt.Errorf("core: negative invalidation radius %v", r)
@@ -24,19 +27,20 @@ func (c *Cache) InvalidateRadius(fn, keyType string, key vec.Vector, r float64) 
 	if err != nil {
 		return 0, err
 	}
-	ki.mu.RLock()
-	hits := index.Radius(ki.idx, key, r)
-	ki.mu.RUnlock()
-	removed := 0
-	c.admitMu.Lock()
-	for _, n := range hits {
-		if c.removeEntryLocked(ID(n.ID), false) != nil {
-			removed++
-		}
+	if err := ki.admit(key, false); err != nil {
+		return 0, err
 	}
-	c.admitMu.Unlock()
-	c.ctr.invalidations.Add(int64(removed))
-	return removed, nil
+	m := ki.idx.Metric()
+	var ids []ID
+	c.entries.forEach(func(e *entry) bool {
+		for _, o := range e.owners {
+			if o.ki == ki && m.Distance(key, o.key) <= r {
+				ids = append(ids, e.id)
+			}
+		}
+		return true
+	})
+	return c.invalidate(ids), nil
 }
 
 // InvalidateFunction drops every entry of a function across all its key
@@ -55,6 +59,17 @@ func (c *Cache) InvalidateFunction(fn string) (int, error) {
 		}
 		return true
 	})
+	removed := c.invalidate(ids)
+	for _, ki := range fc.kis {
+		ki.tuner.Reset()
+	}
+	return removed, nil
+}
+
+// invalidate removes the entries ids names and returns how many it
+// removed: an entry already evicted by a racing operation is not
+// double-counted.
+func (c *Cache) invalidate(ids []ID) int {
 	removed := 0
 	c.admitMu.Lock()
 	for _, id := range ids {
@@ -63,9 +78,6 @@ func (c *Cache) InvalidateFunction(fn string) (int, error) {
 		}
 	}
 	c.admitMu.Unlock()
-	for _, ki := range fc.kis {
-		ki.tuner.Reset()
-	}
 	c.ctr.invalidations.Add(int64(removed))
-	return removed, nil
+	return removed
 }

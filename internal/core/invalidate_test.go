@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/vec"
 )
 
@@ -35,6 +38,57 @@ func TestInvalidateRadius(t *testing.T) {
 	}
 	if _, err := c.InvalidateRadius("nope", "scalar", vec.Vector{0}, 1); err == nil {
 		t.Error("unknown function accepted")
+	}
+}
+
+// TestInvalidateRadiusExactOnEveryKind: whatever the index kind, even an
+// approximate one, InvalidateRadius removes exactly the entries a scan of
+// the put keys finds within r, and refuses a key of another length.
+func TestInvalidateRadiusExactOnEveryKind(t *testing.T) {
+	const n, dim, r = 3000, 8, 2.0
+	kinds := []index.Kind{index.KindLinear, index.KindKDTree, index.KindLSH, index.KindTreeMap,
+		index.KindHash, index.KindHNSW, index.KindIVF, index.KindHNSWPQ}
+	for _, kind := range kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			c, _ := newTestCache(t)
+			if err := c.RegisterFunction("f", KeyTypeSpec{Name: "k", Index: kind, Dim: dim}); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			q := make(vec.Vector, dim)
+			within := make(map[ID]bool)
+			for i := 0; i < n; i++ {
+				key := make(vec.Vector, dim)
+				for d := range key {
+					key[d] = rng.NormFloat64()
+				}
+				id, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{"k": key}, Value: i})
+				if err != nil {
+					t.Fatal(err)
+				}
+				within[id] = vec.EuclideanMetric{}.Distance(q, key) <= r
+			}
+			if _, err := c.InvalidateRadius("f", "k", make(vec.Vector, dim+1), r); !errors.Is(err, vec.ErrDimensionMismatch) {
+				t.Fatalf("a %d-length query = %v, want ErrDimensionMismatch", dim+1, err)
+			}
+			removed, err := c.InvalidateRadius("f", "k", q, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for id, in := range within {
+				if in {
+					want++
+				}
+				if gone := c.entries.load(id) == nil; gone != in {
+					t.Fatalf("entry %d: removed %v, within r %v", id, gone, in)
+				}
+			}
+			if removed != want || c.Len() != n-want {
+				t.Fatalf("removed %d (Len %d), a scan finds %d of %d within r", removed, c.Len(), want, n)
+			}
+			checkHeaps(t, c)
+		})
 	}
 }
 

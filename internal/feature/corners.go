@@ -161,9 +161,9 @@ func (h Harris) Extract(img *imaging.RGB) Result {
 	resp := gx // recycle: the gradients are no longer needed
 	imaging.ParallelRows(ht, w*ht*8, func(y0, y1 int) {
 		for i := y0 * w; i < y1*w; i++ {
-			det := ixx.Pix[i]*iyy.Pix[i] - ixy.Pix[i]*ixy.Pix[i]
+			det := float64(ixx.Pix[i]*iyy.Pix[i]) - float64(ixy.Pix[i]*ixy.Pix[i])
 			tr := ixx.Pix[i] + iyy.Pix[i]
-			resp.Pix[i] = det - k*tr*tr
+			resp.Pix[i] = det - float64(k*tr*tr)
 		}
 	})
 	pts := sc.pts[:0]

@@ -100,8 +100,8 @@ func (HOG) Extract(img *imaging.RGB) Result {
 			base := (cy*hogCells + cx) * hogBins
 			key[base] += m
 			for k := 1; k <= 4; k++ {
-				key[base+2*k-1] += m * math.Cos(2*float64(k)*theta)
-				key[base+2*k] += m * math.Sin(2*float64(k)*theta)
+				key[base+2*k-1] += float64(m * math.Cos(2*float64(k)*theta))
+				key[base+2*k] += float64(m * math.Sin(2*float64(k)*theta))
 			}
 		}
 	}

@@ -33,7 +33,7 @@ var scratchPool = sync.Pool{New: func() any { return new(extractScratch) }}
 func normalizeInPlace(v []float64) {
 	var sum float64
 	for _, x := range v {
-		sum += x * x
+		sum += float64(x * x)
 	}
 	n := math.Sqrt(sum)
 	if n == 0 {

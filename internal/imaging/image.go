@@ -5,9 +5,9 @@
 // synthetic datasets (package synth), the recognizer (package nn) and
 // the AR renderer's warp fast path (package render) are all built on it.
 //
-// The resampling, blur and noise loops round every product that feeds a
-// sum on its own (float64(...)), so that no GOARCH fuses it into a
-// multiply-add and the recognizer sees the same pixels everywhere.
+// Every product that feeds a sum is rounded on its own (float64(...)),
+// so that no GOARCH fuses it into a multiply-add and the feature
+// extractors and the recognizer see the same pixels everywhere.
 package imaging
 
 import (
@@ -67,7 +67,13 @@ func (g *Gray) Bilinear(x, y float64) float64 {
 	v10 := g.At(x0+1, y0)
 	v01 := g.At(x0, y0+1)
 	v11 := g.At(x0+1, y0+1)
-	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy
+	return bilerp(v00, v10, v01, v11, fx, fy)
+}
+
+// bilerp weighs the four samples around a point (fx, fy) into the cell
+// they span, each weighted sample rounded on its own.
+func bilerp(v00, v10, v01, v11, fx, fy float64) float64 {
+	return float64(v00*(1-fx)*(1-fy)) + float64(v10*fx*(1-fy)) + float64(v01*(1-fx)*fy) + float64(v11*fx*fy)
 }
 
 // Mean returns the average sample value.
@@ -139,7 +145,7 @@ func (m *RGB) GrayInto(dst *Gray) *Gray {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < w; x++ {
 				i := 3 * (y*w + x)
-				dst.Pix[y*w+x] = 0.299*m.Pix[i] + 0.587*m.Pix[i+1] + 0.114*m.Pix[i+2]
+				dst.Pix[y*w+x] = float64(0.299*m.Pix[i]) + float64(0.587*m.Pix[i+1]) + float64(0.114*m.Pix[i+2])
 			}
 		}
 	})

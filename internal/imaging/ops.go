@@ -70,7 +70,7 @@ func convolveBand(dst, src *Gray, k Kernel, y0, y1 int) {
 				for ky := 0; ky < size; ky++ {
 					base := (y+ky-r)*w + x - r
 					for kx := 0; kx < size; kx++ {
-						sum += kw[ki] * src.Pix[base+kx]
+						sum += float64(kw[ki] * src.Pix[base+kx])
 						ki++
 					}
 				}
@@ -90,7 +90,7 @@ func convolvePixelBorder(src *Gray, kw []float64, size, r, x, y int) float64 {
 	ki := 0
 	for ky := 0; ky < size; ky++ {
 		for kx := 0; kx < size; kx++ {
-			sum += kw[ki] * src.At(x+kx-r, y+ky-r)
+			sum += float64(kw[ki] * src.At(x+kx-r, y+ky-r))
 			ki++
 		}
 	}
@@ -140,8 +140,8 @@ func sobelBand(gx, gy, src *Gray, y0, y1 int) {
 					base := (y+ky-1)*w + x - 1
 					for kx := 0; kx < 3; kx++ {
 						v := src.Pix[base+kx]
-						sx += xw[ki] * v
-						sy += yw[ki] * v
+						sx += float64(xw[ki] * v)
+						sy += float64(yw[ki] * v)
 						ki++
 					}
 				}
@@ -150,8 +150,8 @@ func sobelBand(gx, gy, src *Gray, y0, y1 int) {
 				for ky := 0; ky < 3; ky++ {
 					for kx := 0; kx < 3; kx++ {
 						v := src.At(x+kx-1, y+ky-1)
-						sx += xw[ki] * v
-						sy += yw[ki] * v
+						sx += float64(xw[ki] * v)
+						sy += float64(yw[ki] * v)
 						ki++
 					}
 				}
@@ -201,8 +201,8 @@ func magOriBand(mag, ori, src *Gray, y0, y1 int) {
 					base := (y+ky-1)*w + x - 1
 					for kx := 0; kx < 3; kx++ {
 						v := src.Pix[base+kx]
-						sx += xw[ki] * v
-						sy += yw[ki] * v
+						sx += float64(xw[ki] * v)
+						sy += float64(yw[ki] * v)
 						ki++
 					}
 				}
@@ -211,8 +211,8 @@ func magOriBand(mag, ori, src *Gray, y0, y1 int) {
 				for ky := 0; ky < 3; ky++ {
 					for kx := 0; kx < 3; kx++ {
 						v := src.At(x+kx-1, y+ky-1)
-						sx += xw[ki] * v
-						sy += yw[ki] * v
+						sx += float64(xw[ki] * v)
+						sy += float64(yw[ki] * v)
 						ki++
 					}
 				}
@@ -385,7 +385,7 @@ func blurHBand(dst, src *Gray, k []float64, y0, y1 int) {
 			} else if hi < lo {
 				hi = lo
 			}
-			left := wt * srow[0]
+			left := float64(wt * srow[0])
 			for j := 0; j < lo; j++ {
 				drow[j] += left
 			}
@@ -393,10 +393,10 @@ func blurHBand(dst, src *Gray, k []float64, y0, y1 int) {
 				s := srow[lo+off : hi+off]
 				d := drow[lo:hi]
 				for j, v := range s {
-					d[j] += wt * v
+					d[j] += float64(wt * v)
 				}
 			}
-			right := wt * srow[w-1]
+			right := float64(wt * srow[w-1])
 			for j := hi; j < w; j++ {
 				drow[j] += right
 			}
@@ -424,7 +424,7 @@ func blurVBand(dst, src *Gray, k []float64, y0, y1 int) {
 			yy := clampInt(y+i-r, 0, h-1)
 			srow := src.Pix[yy*w : yy*w+w]
 			for x, v := range srow {
-				drow[x] += wt * v
+				drow[x] += float64(wt * v)
 			}
 		}
 	}
@@ -512,7 +512,7 @@ func ResizeInto(dst, src *Gray, w, h int) *Gray {
 	ParallelRows(h, w*h*8, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < w; x++ {
-				dst.Pix[y*w+x] = src.Bilinear((float64(x)+0.5)*sx-0.5, (float64(y)+0.5)*sy-0.5)
+				dst.Pix[y*w+x] = src.Bilinear(float64((float64(x)+0.5)*sx)-0.5, float64((float64(y)+0.5)*sy)-0.5)
 			}
 		}
 	})
@@ -550,9 +550,9 @@ func ResizeRGBInto(dst, src *RGB, w, h int) *RGB {
 				r01, g01, b01 := src.At(x0, y0f+1)
 				r11, g11, b11 := src.At(x0+1, y0f+1)
 				dst.Set(x, y,
-					float64(r00*(1-dx)*(1-dy))+float64(r10*dx*(1-dy))+float64(r01*(1-dx)*dy)+float64(r11*dx*dy),
-					float64(g00*(1-dx)*(1-dy))+float64(g10*dx*(1-dy))+float64(g01*(1-dx)*dy)+float64(g11*dx*dy),
-					float64(b00*(1-dx)*(1-dy))+float64(b10*dx*(1-dy))+float64(b01*(1-dx)*dy)+float64(b11*dx*dy))
+					bilerp(r00, r10, r01, r11, dx, dy),
+					bilerp(g00, g10, g01, g11, dx, dy),
+					bilerp(b00, b10, b01, b11, dx, dy))
 			}
 		}
 	})

@@ -17,7 +17,7 @@ func EncodePPM(w io.Writer, img *RGB) error {
 	}
 	buf := make([]byte, 0, 3*img.W*img.H)
 	for _, v := range img.Pix {
-		buf = append(buf, byte(Clamp01(v)*255+0.5))
+		buf = append(buf, byte(float64(Clamp01(v)*255)+0.5))
 	}
 	if _, err := bw.Write(buf); err != nil {
 		return err

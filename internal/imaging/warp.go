@@ -20,7 +20,7 @@ func (m Mat3) Mul(n Mat3) Mat3 {
 		for c := 0; c < 3; c++ {
 			var s float64
 			for k := 0; k < 3; k++ {
-				s += m[r*3+k] * n[k*3+c]
+				s += float64(m[r*3+k] * n[k*3+c])
 			}
 			out[r*3+c] = s
 		}
@@ -31,9 +31,9 @@ func (m Mat3) Mul(n Mat3) Mat3 {
 // Apply maps the point (x, y) through the homography, performing the
 // perspective divide.
 func (m Mat3) Apply(x, y float64) (float64, float64) {
-	u := m[0]*x + m[1]*y + m[2]
-	v := m[3]*x + m[4]*y + m[5]
-	w := m[6]*x + m[7]*y + m[8]
+	u := float64(m[0]*x) + float64(m[1]*y) + m[2]
+	v := float64(m[3]*x) + float64(m[4]*y) + m[5]
+	w := float64(m[6]*x) + float64(m[7]*y) + m[8]
 	if w == 0 {
 		return math.Inf(1), math.Inf(1)
 	}
@@ -48,17 +48,17 @@ func (m Mat3) Inverse() (Mat3, error) {
 	a, b, c := m[0], m[1], m[2]
 	d, e, f := m[3], m[4], m[5]
 	g, h, i := m[6], m[7], m[8]
-	A := e*i - f*h
-	B := -(d*i - f*g)
-	C := d*h - e*g
-	det := a*A + b*B + c*C
+	A := float64(e*i) - float64(f*h)
+	B := -(float64(d*i) - float64(f*g))
+	C := float64(d*h) - float64(e*g)
+	det := float64(a*A) + float64(b*B) + float64(c*C)
 	if math.Abs(det) < 1e-15 {
 		return Mat3{}, ErrSingular
 	}
 	inv := Mat3{
-		A, -(b*i - c*h), b*f - c*e,
-		B, a*i - c*g, -(a*f - c*d),
-		C, -(a*h - b*g), a*e - b*d,
+		A, -(float64(b*i) - float64(c*h)), float64(b*f) - float64(c*e),
+		B, float64(a*i) - float64(c*g), -(float64(a*f) - float64(c*d)),
+		C, -(float64(a*h) - float64(b*g)), float64(a*e) - float64(b*d),
 	}
 	for k := range inv {
 		inv[k] /= det
@@ -161,9 +161,9 @@ func WarpRGBInto(dst, src *RGB, m Mat3, fr, fg, fb float64) (*RGB, error) {
 				r01, g01, b01 := src.At(x0, y0+1)
 				r11, g11, b11 := src.At(x0+1, y0+1)
 				dst.Set(x, y,
-					r00*(1-dx)*(1-dy)+r10*dx*(1-dy)+r01*(1-dx)*dy+r11*dx*dy,
-					g00*(1-dx)*(1-dy)+g10*dx*(1-dy)+g01*(1-dx)*dy+g11*dx*dy,
-					b00*(1-dx)*(1-dy)+b10*dx*(1-dy)+b01*(1-dx)*dy+b11*dx*dy)
+					bilerp(r00, r10, r01, r11, dx, dy),
+					bilerp(g00, g10, g01, g11, dx, dy),
+					bilerp(b00, b10, b01, b11, dx, dy))
 			}
 		}
 	})
@@ -183,7 +183,7 @@ func MSE(a, b *Gray) float64 {
 	var sum float64
 	for i := range a.Pix {
 		d := a.Pix[i] - b.Pix[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(a.Pix))
 }

@@ -60,7 +60,6 @@ func TestConcurrentQueryUnderChurn(t *testing.T) {
 						mu.RLock()
 						idx.Nearest(q)
 						idx.KNearest(q, 5)
-						Radius(idx, q, 5)
 						idx.ProbeStats()
 						mu.RUnlock()
 					}

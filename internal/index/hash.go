@@ -123,13 +123,7 @@ func minID(ids []ID) ID {
 }
 
 // KNearest implements Index.
-func (h *Hash) KNearest(key vec.Vector, k int) []Neighbor {
-	ns, _ := h.KNearestProbed(key, k)
-	return ns
-}
-
-// KNearestProbed implements Index.
-func (h *Hash) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
+func (h *Hash) KNearest(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || len(h.keys) == 0 {
 		return nil, 0
 	}

@@ -33,8 +33,8 @@ import (
 // Remove: a box that may be larger than the live keys need, never
 // smaller. When the box lies farther than r from a query, by the k-d
 // tree's cut (see outside), no key can lie within r, and
-// NearestWithin and Radius answer "none" without scoring a node: one
-// query of zero probes. r = +Inf, and a metric no box bounds, never
+// NearestWithin answers "none" without scoring a node: one query of
+// zero probes. r = +Inf, and a metric no box bounds, never
 // certify, so Insert, KNearest and the unbounded probes search as before.
 //
 // Removal is tombstone-based: a removed node keeps routing traffic until
@@ -791,15 +791,9 @@ func (h *HNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	return within(res[0], probes, true, r)
 }
 
-// KNearest implements Index.
-func (h *HNSW) KNearest(key vec.Vector, k int) []Neighbor {
-	ns, _ := h.KNearestProbed(key, k)
-	return ns
-}
-
-// KNearestProbed implements Index: probes count the nodes
+// KNearest implements Index: probes count the nodes
 // scored by the descent plus the layer-0 expansion.
-func (h *HNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
+func (h *HNSW) KNearest(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || h.live == 0 || len(key) != h.width {
 		return nil, 0
 	}
@@ -845,44 +839,6 @@ func (h *HNSW) answer(sc *scratch, key vec.Vector, k int) []Neighbor {
 		out = out[:min(k, len(out))]
 	}
 	return out
-}
-
-// Radius implements RadiusSearcher. Like LSH, HNSW range search is
-// approximate: it reports the within-radius subset of an ef-bounded
-// layer-0 expansion (grown while the frontier keeps finding in-radius
-// nodes), re-ranked exactly so no out-of-radius result is ever invented.
-// A query whose box bound exceeds r finds nothing without a search.
-func (h *HNSW) Radius(key vec.Vector, r float64) []Neighbor {
-	if h.live == 0 || len(key) != h.width {
-		return nil
-	}
-	if outside(h.form, h.lo, h.hi, key, r) {
-		h.countQuery(0)
-		return nil
-	}
-	sc := h.get()
-	defer h.put(sc)
-	score := h.scorer(sc, key)
-	probes := 0
-	for ef := h.cfg.EfSearch; ; ef *= 2 {
-		seed, p := h.descend(&score, 0)
-		probes += p + h.searchLayer(sc, &score, seed, ef, 0, math.Inf(1))
-		// Grow the pool until the worst kept candidate is outside the
-		// radius (so nothing in-radius was cut) or everything is in.
-		if pool := sc.results.items; len(pool) < ef || pool[0].dist > r || ef >= h.live {
-			break
-		}
-	}
-	h.countQuery(probes)
-	res := h.answer(sc, key, len(sc.results.items))
-	cut := len(res)
-	for i, n := range res {
-		if n.Dist > r {
-			cut = i
-			break
-		}
-	}
-	return cloneNeighbors(res[:cut])
 }
 
 // Len implements Index.

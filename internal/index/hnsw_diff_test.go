@@ -165,10 +165,8 @@ func (d *diffRun) run(ops int) {
 			}
 		case r < 78:
 			d.nearest()
-		case r < 89:
-			d.knearest(5)
 		default:
-			d.radius(d.rng.Float64() * 4)
+			d.knearest(5)
 		}
 		d.nearest()
 		if err := d.sameGraph(); err != nil {
@@ -242,23 +240,12 @@ func (d *diffRun) nearest() {
 
 func (d *diffRun) knearest(k int) {
 	q := d.query()
-	got, gotProbes := d.got.KNearestProbed(q, k)
-	want, wantProbes := d.want.KNearestProbed(q, k)
+	got, gotProbes := d.got.KNearest(q, k)
+	want, wantProbes := d.want.KNearest(q, k)
 	if gotProbes != wantProbes {
 		d.t.Fatalf("op %d: KNearest probes = %d, oracle %d", d.op, gotProbes, wantProbes)
 	}
 	d.same("KNearest", got, want)
-}
-
-func (d *diffRun) radius(r float64) {
-	q := d.query()
-	if d.rng.Intn(4) == 0 {
-		q = d.far()
-	}
-	d.same("Radius", d.got.Radius(q, r), d.want.Radius(q, r))
-	if got, want := d.got.ProbeStats(), d.want.ProbeStats(); got != want {
-		d.t.Fatalf("op %d: probe stats after Radius = %+v, oracle %+v", d.op, got, want)
-	}
 }
 
 func (d *diffRun) same(what string, got, want []Neighbor) {

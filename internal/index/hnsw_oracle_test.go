@@ -568,13 +568,13 @@ func (h *oracleHNSW) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bo
 	return within(res[0], probes, true, r)
 }
 
-// KNearestProbed implements Index: probes count the nodes
+// KNearest implements Index: probes count the nodes
 // scored by the descent plus the layer-0 expansion.
-func (h *oracleHNSW) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
+func (h *oracleHNSW) KNearest(key vec.Vector, k int) ([]Neighbor, int) {
 	return h.kNearest(key, k, math.Inf(1))
 }
 
-// kNearest is KNearestProbed with the layer-0 search bounded by r.
+// kNearest is KNearest with the layer-0 search bounded by r.
 func (h *oracleHNSW) kNearest(key vec.Vector, k int, r float64) ([]Neighbor, int) {
 	if k <= 0 || !h.entryOK || h.live == 0 {
 		return nil, 0
@@ -597,50 +597,4 @@ func (h *oracleHNSW) kNearest(key vec.Vector, k int, r float64) ([]Neighbor, int
 		extra = pq.cfg.ReRank
 	}
 	return reRank(h.store, h.metric, key, cands, k, extra), visited
-}
-
-// Radius implements RadiusSearcher. Like LSH, HNSW range search is
-// approximate: it reports the within-radius subset of an ef-bounded
-// layer-0 expansion (grown while the frontier keeps finding in-radius
-// nodes), re-ranked exactly so no out-of-radius result is ever invented.
-func (h *oracleHNSW) Radius(key vec.Vector, r float64) []Neighbor {
-	if !h.entryOK || h.live == 0 {
-		return nil
-	}
-	if h.outside(key, r) {
-		h.countQuery(0)
-		return nil
-	}
-	score := h.store.scorer(key)
-	visited := 0
-	ef := h.cfg.EfSearch
-	var found []oracleSeed
-	for {
-		seed := h.descend(score, &visited)
-		found = h.searchLayer(score, []oracleSeed{seed}, ef, 0, math.Inf(1), &visited)
-		// Grow the pool until the worst kept candidate is outside the
-		// radius (so nothing in-radius was cut) or everything is in.
-		if len(found) < ef || found[len(found)-1].dist > r || ef >= h.live {
-			break
-		}
-		ef *= 2
-	}
-	h.countQuery(visited)
-	cands := make([]Neighbor, 0, len(found))
-	for _, f := range found {
-		cands = append(cands, Neighbor{ID: f.id, Dist: f.dist})
-	}
-	extra := 0
-	if pq, ok := h.store.(*pqStore); ok {
-		extra = pq.cfg.ReRank
-	}
-	res := reRank(h.store, h.metric, key, cands, len(cands), extra)
-	cut := len(res)
-	for i, n := range res {
-		if n.Dist > r {
-			cut = i
-			break
-		}
-	}
-	return res[:cut]
 }

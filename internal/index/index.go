@@ -1,9 +1,11 @@
 // Package index implements the key-index data structures from the
 // paper's cache layout (§3.6, Figure 5): exact hash maps, ordered tree
 // maps, KD-trees, locality-sensitive hashing, and plain linear
-// enumeration. Each supports threshold-restricted nearest-neighbour
-// queries over feature-vector keys; Table 2 of the paper compares their
-// lookup latencies.
+// enumeration. Each answers one question, the threshold-restricted
+// nearest neighbour of a feature-vector key (NearestWithin, with Nearest
+// and KNearest its unbounded forms); Table 2 of the paper compares their
+// lookup latencies. Range search is not asked of an index: core's
+// InvalidateRadius walks its entries, exactly for every kind.
 //
 // An index decides which rows to score; package vec scores them. Every
 // distance, box bound, PQ table entry and LSH projection is summed there
@@ -53,9 +55,6 @@ type Index interface {
 	// Nearest returns the stored entry closest to key, or ok=false if
 	// the index is empty.
 	Nearest(key vec.Vector) (n Neighbor, ok bool)
-	// KNearest returns up to k stored entries closest to key, ordered by
-	// increasing distance.
-	KNearest(key vec.Vector, k int) []Neighbor
 	// NearestWithin is Nearest for a caller that can use a neighbour only
 	// within r of key: ok=false says it found none within r, and r = +Inf
 	// is Nearest. Every kind but HNSW over uncompressed keys answers what
@@ -69,14 +68,15 @@ type Index interface {
 	// without PQ first checks the box of its keys: a query whose box bound
 	// exceeds r has no key within r, and is answered ok=false with 0
 	// probes, without a search.
-	// KNearestProbed is KNearest plus the probe count. A probe is one
+	NearestWithin(key vec.Vector, r float64) (n Neighbor, probes int, ok bool)
+	// KNearest returns up to k stored entries closest to key, ordered by
+	// increasing distance, and the probe count. A probe is one
 	// distance evaluated against a stored key (or its code, for HNSW-PQ);
 	// work that only bounds distances, such as the k-d tree's box
 	// tests, is not counted. Every kind computes the count anyway to feed
 	// ProbeStats, so returning it is free; span tracing uses it to
 	// attribute probe work to individual lookups.
-	NearestWithin(key vec.Vector, r float64) (n Neighbor, probes int, ok bool)
-	KNearestProbed(key vec.Vector, k int) (ns []Neighbor, probes int)
+	KNearest(key vec.Vector, k int) (ns []Neighbor, probes int)
 	// Len returns the number of stored entries.
 	Len() int
 	// Metric returns the metric the index orders by.

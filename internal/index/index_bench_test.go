@@ -138,21 +138,3 @@ func BenchmarkKDTreeNearest(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkRadius measures range-search cost for the exact structures.
-func BenchmarkRadius(b *testing.B) {
-	for _, kind := range []Kind{KindKDTree, KindLinear} {
-		b.Run(string(kind), func(b *testing.B) {
-			keys := benchKeys(10_000, 8, 4)
-			idx, _ := New(kind, vec.EuclideanMetric{}, 8)
-			for i, k := range keys {
-				idx.Insert(ID(i), k)
-			}
-			queries := benchKeys(128, 8, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Radius(idx, queries[i%len(queries)], 1.0)
-			}
-		})
-	}
-}

@@ -48,7 +48,7 @@ func TestEmptyIndexQueries(t *testing.T) {
 		if _, ok := idx.Nearest(vec.Vector{1, 2, 3}); ok {
 			t.Errorf("%s: Nearest on empty index reported ok", k)
 		}
-		if got := idx.KNearest(vec.Vector{1, 2, 3}, 5); len(got) != 0 {
+		if got, _ := idx.KNearest(vec.Vector{1, 2, 3}, 5); len(got) != 0 {
 			t.Errorf("%s: KNearest on empty index = %v", k, got)
 		}
 		idx.Remove(42) // must not panic
@@ -112,7 +112,7 @@ func TestKNearestOrdering(t *testing.T) {
 		for i := 1; i <= 10; i++ {
 			idx.Insert(ID(i), vec.Vector{float64(i)})
 		}
-		got := idx.KNearest(vec.Vector{0}, 3)
+		got, _ := idx.KNearest(vec.Vector{0}, 3)
 		if len(got) != 3 {
 			t.Fatalf("%s: KNearest returned %d results", k, len(got))
 		}
@@ -132,10 +132,10 @@ func TestKNearestKLargerThanLen(t *testing.T) {
 		idx, _ := New(k, vec.EuclideanMetric{}, 1)
 		idx.Insert(1, vec.Vector{1})
 		idx.Insert(2, vec.Vector{2})
-		if got := idx.KNearest(vec.Vector{0}, 10); len(got) != 2 {
+		if got, _ := idx.KNearest(vec.Vector{0}, 10); len(got) != 2 {
 			t.Errorf("%s: KNearest(k=10) over 2 entries = %d results", k, len(got))
 		}
-		if got := idx.KNearest(vec.Vector{0}, 0); got != nil {
+		if got, _ := idx.KNearest(vec.Vector{0}, 0); got != nil {
 			t.Errorf("%s: KNearest(k=0) = %v, want nil", k, got)
 		}
 	}
@@ -340,7 +340,7 @@ func TestKNearestMonotoneProperty(t *testing.T) {
 			for i := 0; i < n; i++ {
 				idx.Insert(ID(i), randomVec(rng, 3))
 			}
-			res := idx.KNearest(randomVec(rng, 3), k)
+			res, _ := idx.KNearest(randomVec(rng, 3), k)
 			for i := 1; i < len(res); i++ {
 				if res[i].Dist < res[i-1].Dist {
 					return false

@@ -39,13 +39,9 @@ type IVF struct {
 	// trained state
 	centroids []vec.Vector
 	cells     [][]member
-	// cellRadius[c] is an upper bound on the distance from centroid c to
-	// any member (stale after removals — still a valid upper bound).
-	cellRadius []float64
 	// cellOf maps every stored id to its cell, or to -1 while pending.
-	cellOf   map[ID]int
-	dim      int  // every key's length, the first key's; Insert refuses any other
-	triangle bool // metric satisfies the triangle inequality
+	cellOf map[ID]int
+	dim    int // every key's length, the first key's; Insert refuses any other
 }
 
 // member is one stored entry: its id and the key Insert was given,
@@ -100,10 +96,9 @@ func (c IVFConfig) withDefaults() IVFConfig {
 // NewIVF returns an empty IVF index.
 func NewIVF(m vec.Metric, cfg IVFConfig) *IVF {
 	return &IVF{
-		metric:   m,
-		cfg:      cfg.withDefaults(),
-		cellOf:   make(map[ID]int),
-		triangle: vec.FormOf(m) != vec.FormOther,
+		metric: m,
+		cfg:    cfg.withDefaults(),
+		cellOf: make(map[ID]int),
 	}
 }
 
@@ -134,8 +129,7 @@ func (iv *IVF) Insert(id ID, key vec.Vector) error {
 	return nil
 }
 
-// assign places an entry into its nearest cell and widens that cell's
-// radius bound.
+// assign places an entry into its nearest cell.
 func (iv *IVF) assign(m member) {
 	best, bestD := 0, math.Inf(1)
 	for c, cent := range iv.centroids {
@@ -145,9 +139,6 @@ func (iv *IVF) assign(m member) {
 	}
 	iv.cells[best] = append(iv.cells[best], m)
 	iv.cellOf[m.id] = best
-	if bestD > iv.cellRadius[best] {
-		iv.cellRadius[best] = bestD
-	}
 }
 
 // train fits the coarse quantizer on the buffered entries (insertion
@@ -166,16 +157,13 @@ func (iv *IVF) train() {
 		iv.centroids[c] = book[c*w : (c+1)*w : (c+1)*w]
 	}
 	iv.cells = make([][]member, len(iv.centroids))
-	iv.cellRadius = make([]float64, len(iv.centroids))
 	for _, m := range iv.pending {
 		iv.assign(m)
 	}
 	iv.pending = nil
 }
 
-// Remove implements Index: drop the entry from its cell member list. The
-// cell radius bound is left as is (removal can only shrink the true
-// radius, so the stale bound stays valid).
+// Remove implements Index: drop the entry from its cell member list.
 func (iv *IVF) Remove(id ID) {
 	c, ok := iv.cellOf[id]
 	if !ok {
@@ -228,17 +216,11 @@ func (iv *IVF) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 	return within(res[0], probes, true, r)
 }
 
-// KNearest implements Index.
-func (iv *IVF) KNearest(key vec.Vector, k int) []Neighbor {
-	ns, _ := iv.KNearestProbed(key, k)
-	return ns
-}
-
-// KNearestProbed implements Index: probes count centroid
+// KNearest implements Index: probes count centroid
 // comparisons plus scanned cell members. If the NProbe nearest cells
 // hold fewer than k entries the scan widens until k are found or every
 // cell has been read, so small or skewed indexes never return short.
-func (iv *IVF) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
+func (iv *IVF) KNearest(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || iv.Len() == 0 || len(key) != iv.dim {
 		return nil, 0
 	}
@@ -280,42 +262,6 @@ func (iv *IVF) scan(cands []Neighbor, key vec.Vector, list []member) []Neighbor 
 		cands = append(cands, Neighbor{ID: m.id, Key: m.key, Dist: iv.metric.Distance(key, m.key)})
 	}
 	return cands
-}
-
-// Radius implements RadiusSearcher. For metrics satisfying the triangle
-// inequality the scan is exact: a cell can hold an entry within r of the
-// query only if dist(query, centroid) <= r + cellRadius, so all other
-// cells are skipped. For other metrics (cosine) every cell is scanned.
-// Distances are exact, so no out-of-radius result is ever returned.
-func (iv *IVF) Radius(key vec.Vector, r float64) []Neighbor {
-	if iv.Len() == 0 || len(key) != iv.dim {
-		return nil
-	}
-	visited := 0
-	var cands []Neighbor
-	if iv.centroids == nil {
-		cands = iv.scan(cands, key, iv.pending)
-		visited += len(iv.pending)
-	} else {
-		for c, cent := range iv.centroids {
-			visited++
-			if iv.triangle && iv.metric.Distance(key, cent) > r+iv.cellRadius[c] {
-				continue
-			}
-			cands = iv.scan(cands, key, iv.cells[c])
-			visited += len(iv.cells[c])
-		}
-	}
-	iv.countQuery(visited)
-	sortNeighbors(cands)
-	cut := len(cands)
-	for i, n := range cands {
-		if n.Dist > r {
-			cut = i
-			break
-		}
-	}
-	return cands[:cut]
 }
 
 // Len implements Index.

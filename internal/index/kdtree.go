@@ -420,17 +420,15 @@ func (t *KDTree) farther(key vec.Vector, gap float64, i int32, limit float64) bo
 	return t.form.BoxPartial(lo, hi, key) > limit
 }
 
-// kdQuery is KNearest's and Radius' search, through the metric's
-// Distance: it keeps the k entries with the least (distance, id) among
-// those within r of key. It ranks by distance, not by partial, so that
-// two rows whose squares differ but whose distances round alike tie and
-// break by id, as a linear scan breaks them; only its cuts compare
-// partials.
+// kdQuery is KNearest's search, through the metric's Distance: it keeps
+// the k entries with the least (distance, id). It ranks by distance, not
+// by partial, so that two rows whose squares differ but whose distances
+// round alike tie and break by id, as a linear scan breaks them; only its
+// cuts compare partials.
 type kdQuery struct {
 	t     *KDTree
 	key   vec.Vector
 	k     int
-	r     float64
 	found distHeap // farthest kept at the root
 	evals int
 }
@@ -438,8 +436,8 @@ type kdQuery struct {
 // search runs a kdQuery and returns what it kept, closest first. A slot
 // names a row as leaf*kdLeafSize+row. A key of another length than the
 // rows keeps nothing.
-func (t *KDTree) search(key vec.Vector, k int, r float64) ([]scored, int) {
-	q := kdQuery{t: t, key: key, k: k, r: r, found: distHeap{ids: t, max: true}}
+func (t *KDTree) search(key vec.Vector, k int) ([]scored, int) {
+	q := kdQuery{t: t, key: key, k: k, found: distHeap{ids: t, max: true}}
 	if len(t.nodes) > 0 && len(key) == t.width {
 		q.walk(0)
 	}
@@ -470,16 +468,19 @@ func (q *kdQuery) walk(i int32) {
 	}
 }
 
-// limit is the distance beyond which no row can be kept.
+// limit is the distance beyond which no row can be kept: the k-th
+// distance kept, or +Inf while fewer than k are.
 func (q *kdQuery) limit() float64 {
-	if len(q.found.items) < q.k || q.r < q.found.items[0].dist {
-		return q.r
+	if len(q.found.items) < q.k {
+		return math.Inf(1)
 	}
 	return q.found.items[0].dist
 }
 
+// offer keeps the row at slot if it ranks among the k least so far. A
+// row at NaN ranks nowhere.
 func (q *kdQuery) offer(d float64, slot int32) {
-	if !(d <= q.r) {
+	if math.IsNaN(d) {
 		return
 	}
 	x := scored{dist: d, slot: slot}
@@ -509,29 +510,13 @@ func (t *KDTree) neighbors(xs []scored) []Neighbor {
 }
 
 // KNearest implements Index.
-func (t *KDTree) KNearest(key vec.Vector, k int) []Neighbor {
-	ns, _ := t.KNearestProbed(key, k)
-	return ns
-}
-
-// KNearestProbed implements Index.
-func (t *KDTree) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
+func (t *KDTree) KNearest(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || t.size == 0 {
 		return nil, 0
 	}
-	xs, evals := t.search(key, k, math.Inf(1))
+	xs, evals := t.search(key, k)
 	t.countQuery(evals)
 	return t.neighbors(xs), evals
-}
-
-// Radius implements RadiusSearcher.
-func (t *KDTree) Radius(key vec.Vector, r float64) []Neighbor {
-	xs, evals := t.search(key, math.MaxInt, r)
-	t.countQuery(evals)
-	if len(xs) == 0 {
-		return nil
-	}
-	return t.neighbors(xs)
 }
 
 // Len implements Index.

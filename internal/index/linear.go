@@ -55,13 +55,7 @@ func (l *Linear) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) 
 }
 
 // KNearest implements Index.
-func (l *Linear) KNearest(key vec.Vector, k int) []Neighbor {
-	ns, _ := l.KNearestProbed(key, k)
-	return ns
-}
-
-// KNearestProbed implements Index.
-func (l *Linear) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
+func (l *Linear) KNearest(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 {
 		return nil, 0
 	}

@@ -177,7 +177,7 @@ func (l *LSH) candidates(key vec.Vector) map[ID]struct{} {
 
 // Nearest implements Index.
 func (l *LSH) Nearest(key vec.Vector) (Neighbor, bool) {
-	res := l.KNearest(key, 1)
+	res, _ := l.KNearest(key, 1)
 	if len(res) == 0 {
 		return Neighbor{}, false
 	}
@@ -187,7 +187,7 @@ func (l *LSH) Nearest(key vec.Vector) (Neighbor, bool) {
 // NearestWithin implements Index: the probe count is the candidate set
 // size (post full-scan fallback when hashing came up short).
 func (l *LSH) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
-	res, probes := l.KNearestProbed(key, 1)
+	res, probes := l.KNearest(key, 1)
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
@@ -195,13 +195,7 @@ func (l *LSH) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
 }
 
 // KNearest implements Index.
-func (l *LSH) KNearest(key vec.Vector, k int) []Neighbor {
-	ns, _ := l.KNearestProbed(key, k)
-	return ns
-}
-
-// KNearestProbed implements Index.
-func (l *LSH) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
+func (l *LSH) KNearest(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || len(l.keys) == 0 || len(key) != l.dim {
 		return nil, 0
 	}

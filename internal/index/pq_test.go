@@ -179,13 +179,12 @@ func TestPQStoreUntrainedIsExact(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		q := randomVec(rng, 6)
-		got, gotProbes := pq.KNearestProbed(q, 5)
-		want, wantProbes := flat.KNearestProbed(q, 5)
+		got, gotProbes := pq.KNearest(q, 5)
+		want, wantProbes := flat.KNearest(q, 5)
 		if gotProbes != wantProbes {
 			t.Fatalf("query %d: %d probes, flat HNSW %d", i, gotProbes, wantProbes)
 		}
 		same("KNearest", got, want)
-		same("Radius", pq.Radius(q, 15), flat.Radius(q, 15))
 	}
 	if pq.ProbeStats() != flat.ProbeStats() {
 		t.Fatalf("probe stats %+v, flat HNSW %+v", pq.ProbeStats(), flat.ProbeStats())

@@ -3,7 +3,7 @@ package index
 import "sync/atomic"
 
 // ProbeStats reports how much work an index has done answering queries:
-// Queries counts Nearest/KNearest/Radius calls, Probes the distances
+// Queries counts Nearest/NearestWithin/KNearest calls, Probes the distances
 // evaluated to answer them (see Index.NearestWithin). Probes/Queries is the
 // average scan size — the number Table 2 of the paper compares across
 // index kinds (a linear index probes Len() per query, a KD-tree the rows
@@ -14,14 +14,6 @@ type ProbeStats struct {
 	Queries int64 `json:"queries"`
 	Probes  int64 `json:"probes"`
 }
-
-var (
-	_ RadiusSearcher = (*Linear)(nil)
-	_ RadiusSearcher = (*KDTree)(nil)
-	_ RadiusSearcher = (*LSH)(nil)
-	_ RadiusSearcher = (*HNSW)(nil)
-	_ RadiusSearcher = (*IVF)(nil)
-)
 
 var (
 	_ MemoryReporter = (*HNSW)(nil)

@@ -7,7 +7,8 @@ import (
 )
 
 // TestProbeStatsCounted checks that every index kind records query and
-// probe counts for the full query surface (Nearest, KNearest, Radius).
+// probe counts for the full query surface (Nearest, NearestWithin,
+// KNearest).
 func TestProbeStatsCounted(t *testing.T) {
 	for _, kind := range allKinds() {
 		t.Run(string(kind), func(t *testing.T) {
@@ -26,8 +27,8 @@ func TestProbeStatsCounted(t *testing.T) {
 			}
 			q := vec.Vector{5, 5, 1}
 			idx.Nearest(q)
+			idx.NearestWithin(q, 2)
 			idx.KNearest(q, 4)
-			Radius(idx, q, 2)
 			ps := idx.ProbeStats()
 			if ps.Queries < 3 {
 				t.Fatalf("queries = %d, want >= 3", ps.Queries)

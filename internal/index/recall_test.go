@@ -171,56 +171,3 @@ func TestPQMemoryReduction(t *testing.T) {
 		}
 	}
 }
-
-// TestRadiusApproximateKindsNeverInvent: HNSW/IVF range results must be
-// a subset of the exact radius set (approximation may miss, never
-// invent), and IVF's triangle-inequality pruning must be exact for Lp
-// metrics.
-func TestRadiusApproximateKindsNeverInvent(t *testing.T) {
-	const (
-		n   = 3000
-		dim = 8
-	)
-	rng := rand.New(rand.NewSource(29))
-	corpus := clusteredCorpus(rng, n, dim, 32, 2.0)
-	metric := vec.EuclideanMetric{}
-	lin := NewLinear(metric)
-	for i, v := range corpus {
-		lin.Insert(ID(i), v)
-	}
-	for _, kind := range []Kind{KindHNSW, KindIVF, KindHNSWPQ} {
-		idx, err := NewWithOptions(kind, metric, dim, trainedOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range corpus {
-			idx.Insert(ID(i), v)
-		}
-		for q := 0; q < 30; q++ {
-			query := corpus[rng.Intn(n)].Clone()
-			for d := range query {
-				query[d] += rng.NormFloat64()
-			}
-			r := 2.0 + rng.Float64()*4
-			want := lin.Radius(query, r)
-			wantSet := make(map[ID]bool, len(want))
-			for _, w := range want {
-				wantSet[w.ID] = true
-			}
-			got := Radius(idx, query, r)
-			for _, g := range got {
-				if !wantSet[g.ID] {
-					t.Fatalf("%s: out-of-radius result %+v (r=%v)", kind, g, r)
-				}
-				if d := metric.Distance(query, g.Key); math.Abs(d-g.Dist) > 1e-9 {
-					t.Fatalf("%s: radius Dist %v != exact %v", kind, g.Dist, d)
-				}
-			}
-			// IVF with a triangle-inequality metric is exact, not
-			// merely a subset.
-			if kind == KindIVF && len(got) != len(want) {
-				t.Fatalf("ivf: radius returned %d of %d exact results", len(got), len(want))
-			}
-		}
-	}
-}

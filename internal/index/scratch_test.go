@@ -133,7 +133,7 @@ func TestHNSWConcurrentReadersGetSerialAnswers(t *testing.T) {
 	}
 	ask := func(q vec.Vector) (answer, []Neighbor) {
 		n, probes, _ := h.NearestWithin(q, math.Inf(1))
-		k := h.KNearest(q, 5)
+		k, _ := h.KNearest(q, 5)
 		return answer{n.ID, math.Float64bits(n.Dist), probes, k[len(k)-1].ID}, append(k, n)
 	}
 	var handed, copies []vec.Vector // keys readers were given, and copies of them

@@ -221,7 +221,7 @@ func (t *TreeMap) neighborsAround(key vec.Vector) []*avlNode {
 
 // Nearest implements Index.
 func (t *TreeMap) Nearest(key vec.Vector) (Neighbor, bool) {
-	res := t.KNearest(key, 1)
+	res, _ := t.KNearest(key, 1)
 	if len(res) == 0 {
 		return Neighbor{}, false
 	}
@@ -231,7 +231,7 @@ func (t *TreeMap) Nearest(key vec.Vector) (Neighbor, bool) {
 // NearestWithin implements Index: the probe count is the size of the
 // ordered-neighbourhood candidate window.
 func (t *TreeMap) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool) {
-	res, probes := t.KNearestProbed(key, 1)
+	res, probes := t.KNearest(key, 1)
 	if len(res) == 0 {
 		return Neighbor{}, probes, false
 	}
@@ -239,13 +239,7 @@ func (t *TreeMap) NearestWithin(key vec.Vector, r float64) (Neighbor, int, bool)
 }
 
 // KNearest implements Index.
-func (t *TreeMap) KNearest(key vec.Vector, k int) []Neighbor {
-	ns, _ := t.KNearestProbed(key, k)
-	return ns
-}
-
-// KNearestProbed implements Index.
-func (t *TreeMap) KNearestProbed(key vec.Vector, k int) ([]Neighbor, int) {
+func (t *TreeMap) KNearest(key vec.Vector, k int) ([]Neighbor, int) {
 	if k <= 0 || t.size == 0 {
 		return nil, 0
 	}

@@ -54,12 +54,18 @@ var fingerprints = []struct {
 // that convReference keeps and freshly allocated layer outputs, so a
 // kernel that reorders a sum, fuses a multiply-add or skips another set
 // of padded taps changes them, and so does a layer that reads a stale
-// sample of a recycled buffer. TestTinyAlexNetDeterministic only checks
-// that two runs agree.
+// sample of a recycled buffer. They hold on the Go loops and, where the
+// CPU has AVX2, on the AVX2 kernels: the test runs once on each.
+// TestTinyAlexNetDeterministic only checks that two runs agree.
 func TestTinyAlexNetFingerprint(t *testing.T) {
-	for _, tc := range fingerprints {
-		if got := featureHash(NewTinyAlexNet(tc.seed), fingerprintImages(tc.seed), nil); got != tc.want {
-			t.Errorf("seed %d: feature hash %#016x, want %#016x", tc.seed, got, tc.want)
+	saved := useAVX2
+	t.Cleanup(func() { useAVX2 = saved })
+	for _, avx := range convKernels() {
+		useAVX2 = avx
+		for _, tc := range fingerprints {
+			if got := featureHash(NewTinyAlexNet(tc.seed), fingerprintImages(tc.seed), nil); got != tc.want {
+				t.Errorf("seed %d, AVX2 %v: feature hash %#016x, want %#016x", tc.seed, avx, got, tc.want)
+			}
 		}
 	}
 }
