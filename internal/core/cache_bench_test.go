@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/index"
 	"repro/internal/vec"
 )
 
@@ -121,5 +122,76 @@ func BenchmarkPutWithEviction(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkVisionShape is app-vision's core shape in process: a feed of
+// 768-dim keys (a downsampled 16×16 frame) in scenes of 32 frames that
+// pan slowly around a centre, labelled by scene, replayed; every fifth
+// frame of a scene is novel instead, a key far from every other with a
+// label of its own, so that about one frame in five misses and puts, as
+// in app-vision. The cache holds 32 entries under LRU, dropout off; a
+// frame is a lookup and, on a miss, a put of its label, which evicts.
+// One op is one frame. It runs on the k-d tree, the workload's index,
+// and on the linear scan; hits/op is the share of frames served from
+// the cache once the tuner has warmed up.
+func BenchmarkVisionShape(b *testing.B) {
+	const dim, capacity, scenes, perScene = 768, 32, 24, 32
+	rng := rand.New(rand.NewSource(1))
+	feed := make([]vec.Vector, 0, scenes*perScene)
+	for s := 0; s < scenes; s++ {
+		centre, pan := make(vec.Vector, dim), make(vec.Vector, dim)
+		for d := range centre {
+			centre[d], pan[d] = rng.Float64(), rng.NormFloat64()*0.01
+		}
+		for j := 0; j < perScene; j++ {
+			key := make(vec.Vector, dim)
+			for d := range key {
+				key[d] = centre[d] + float64(pan[d]*float64(j)) + float64(rng.NormFloat64()*0.01)
+				if j%5 == 4 {
+					key[d] = rng.Float64()
+				}
+			}
+			feed = append(feed, key)
+		}
+	}
+	for _, kind := range []index.Kind{index.KindKDTree, index.KindLinear} {
+		b.Run(string(kind), func(b *testing.B) {
+			clk := clock.NewVirtual(time.Unix(0, 0))
+			cache := New(Config{Clock: clk, MaxEntries: capacity, Policy: PolicyLRU, DisableDropout: true})
+			if err := cache.RegisterFunction("f", KeyTypeSpec{Name: "downsamp", Index: kind, Dim: dim}); err != nil {
+				b.Fatal(err)
+			}
+			hits := 0
+			frame := func(i int) {
+				clk.Advance(time.Millisecond)
+				pos := i % len(feed)
+				res, err := cache.Lookup("f", "downsamp", feed[pos])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Hit {
+					hits++
+					return
+				}
+				label := pos / perScene
+				if pos%perScene%5 == 4 {
+					label = -1 - pos
+				}
+				if _, err := cache.Put("f", PutRequest{Keys: map[string]vec.Vector{"downsamp": feed[pos]}, Value: label, Cost: 8 * time.Millisecond}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < 2*len(feed); i++ {
+				frame(i)
+			}
+			hits = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				frame(i)
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
 	}
 }

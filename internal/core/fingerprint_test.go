@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/cpu"
 	"repro/internal/index"
 	"repro/internal/vec"
 )
@@ -86,6 +88,22 @@ func replayFingerprint(t *testing.T, cfg Config, spec KeyTypeSpec, seed, aging, 
 	return fp
 }
 
+// onEachDistanceKernel runs a fingerprint once on each kernel vec scores
+// rows with, as a subtest: the Go loops, and the AVX2 kernel where the
+// CPU has AVX2. Both must make every decision with the same bits.
+func onEachDistanceKernel(t *testing.T, f func(t *testing.T)) {
+	was := vec.UseAVX2(false)
+	t.Cleanup(func() { vec.UseAVX2(was) })
+	kernels := []bool{false}
+	if cpu.HasAVX2 {
+		kernels = append(kernels, true)
+	}
+	for _, avx := range kernels {
+		vec.UseAVX2(avx)
+		t.Run(fmt.Sprintf("avx2=%v", avx), f)
+	}
+}
+
 // fingerprintValue is a value of size bytes whose first four carry label.
 func fingerprintValue(label uint32, size int) []byte {
 	v := make([]byte, size)
@@ -156,18 +174,20 @@ func (w *writeEvictStream) stream(seed int64, conn int) func() fingerprintOp {
 // within ~10 of each other while clusters lie ~570 apart, so no bound on
 // the neighbour search at or beyond the threshold changes a decision.
 func TestWriteEvictFingerprint(t *testing.T) {
-	const seed = 1
-	w := newWriteEvictStream(seed)
-	window := w.stream(seed, 0)
-	got := replayFingerprint(t,
-		Config{MaxEntries: weClusters / 4, Policy: PolicyImportance},
-		KeyTypeSpec{Name: "vec", Index: "kdtree", Dim: weDim},
-		w.stream(seed, -1), window, window, weClusters/4*3/2, weClusters/4*5/2, 40_000)
-	want := fingerprint{hits: 23855, misses: 12184, dropouts: 3961, puts: 16145, evictions: 16145, threshold: 0x402263888c5349a4}
-	if got != want {
-		t.Errorf("write-evict decisions moved:\n got %+v (threshold %v)\nwant %+v (threshold %v)",
-			got, math.Float64frombits(got.threshold), want, math.Float64frombits(want.threshold))
-	}
+	onEachDistanceKernel(t, func(t *testing.T) {
+		const seed = 1
+		w := newWriteEvictStream(seed)
+		window := w.stream(seed, 0)
+		got := replayFingerprint(t,
+			Config{MaxEntries: weClusters / 4, Policy: PolicyImportance},
+			KeyTypeSpec{Name: "vec", Index: "kdtree", Dim: weDim},
+			w.stream(seed, -1), window, window, weClusters/4*3/2, weClusters/4*5/2, 40_000)
+		want := fingerprint{hits: 23855, misses: 12184, dropouts: 3961, puts: 16145, evictions: 16145, threshold: 0x402263888c5349a4}
+		if got != want {
+			t.Errorf("write-evict decisions moved:\n got %+v (threshold %v)\nwant %+v (threshold %v)",
+				got, math.Float64frombits(got.threshold), want, math.Float64frombits(want.threshold))
+		}
+	})
 }
 
 // sceneCutStream is an app-vision-shaped feed: scenes of 16 frames that
@@ -213,16 +233,18 @@ func sceneCutStream(seed int64) func() fingerprintOp {
 // search stops at SearchRadius·T, so those far neighbours are no longer
 // seen: the threshold ends at 21.3 and no hit is wrong.
 func TestSceneCutFingerprint(t *testing.T) {
-	feed := sceneCutStream(1)
-	got := replayFingerprint(t,
-		Config{MaxEntries: 32, Policy: PolicyLRU, Seed: 1},
-		KeyTypeSpec{Name: "frame", Index: "kdtree", Dim: weDim},
-		feed, feed, feed, 0, 2*24*16, 4_000)
-	want := fingerprint{hits: 3352, misses: 287, dropouts: 361, puts: 648, evictions: 648, threshold: 0x403550b1ae2b7a08}
-	if got != want {
-		t.Errorf("scene-cut decisions moved:\n got %+v (threshold %v)\nwant %+v (threshold %v)",
-			got, math.Float64frombits(got.threshold), want, math.Float64frombits(want.threshold))
-	}
+	onEachDistanceKernel(t, func(t *testing.T) {
+		feed := sceneCutStream(1)
+		got := replayFingerprint(t,
+			Config{MaxEntries: 32, Policy: PolicyLRU, Seed: 1},
+			KeyTypeSpec{Name: "frame", Index: "kdtree", Dim: weDim},
+			feed, feed, feed, 0, 2*24*16, 4_000)
+		want := fingerprint{hits: 3352, misses: 287, dropouts: 361, puts: 648, evictions: 648, threshold: 0x403550b1ae2b7a08}
+		if got != want {
+			t.Errorf("scene-cut decisions moved:\n got %+v (threshold %v)\nwant %+v (threshold %v)",
+				got, math.Float64frombits(got.threshold), want, math.Float64frombits(want.threshold))
+		}
+	})
 }
 
 // indexScaleStream is the repo benchmark's index-scale data, copied from
@@ -280,48 +302,50 @@ func indexScaleStream(seed int64) (corpus, queries []fingerprintOp) {
 // so a search that stops at what lies within the bound it is given
 // decides as the full one does.
 func TestIndexScaleFingerprint(t *testing.T) {
-	corpus, queries := indexScaleStream(1)
-	clk := clock.NewVirtual(time.Unix(1000, 0))
-	c := New(Config{Clock: clk, IndexOptions: index.Options{HNSW: index.HNSWConfig{EfSearch: 512}}})
-	spec := KeyTypeSpec{Name: "vec", Index: "hnsw", Dim: 16}
-	if err := c.RegisterFunction("f", spec); err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range corpus {
-		clk.Advance(time.Millisecond)
-		if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{spec.Name: o.key}, Value: o.value, Cost: o.cost, App: "bench"}); err != nil {
+	onEachDistanceKernel(t, func(t *testing.T) {
+		corpus, queries := indexScaleStream(1)
+		clk := clock.NewVirtual(time.Unix(1000, 0))
+		c := New(Config{Clock: clk, IndexOptions: index.Options{HNSW: index.HNSWConfig{EfSearch: 512}}})
+		spec := KeyTypeSpec{Name: "vec", Index: "hnsw", Dim: 16}
+		if err := c.RegisterFunction("f", spec); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var got fingerprint
-	for pass := 0; pass < 3; pass++ {
-		for _, o := range queries {
+		for _, o := range corpus {
 			clk.Advance(time.Millisecond)
-			res, err := c.Lookup("f", spec.Name, o.key)
-			if err != nil {
+			if _, err := c.Put("f", PutRequest{Keys: map[string]vec.Vector{spec.Name: o.key}, Value: o.value, Cost: o.cost, App: "bench"}); err != nil {
 				t.Fatal(err)
 			}
-			switch {
-			case res.Hit:
-				got.hits++
-				if !bytes.Equal(res.Value.([]byte), o.value) {
-					got.wrong++
+		}
+		var got fingerprint
+		for pass := 0; pass < 3; pass++ {
+			for _, o := range queries {
+				clk.Advance(time.Millisecond)
+				res, err := c.Lookup("f", spec.Name, o.key)
+				if err != nil {
+					t.Fatal(err)
 				}
-			case res.Dropout:
-				got.dropouts++
-			default:
-				got.misses++
+				switch {
+				case res.Hit:
+					got.hits++
+					if !bytes.Equal(res.Value.([]byte), o.value) {
+						got.wrong++
+					}
+				case res.Dropout:
+					got.dropouts++
+				default:
+					got.misses++
+				}
 			}
 		}
-	}
-	ts, err := c.TunerStats("f", spec.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.threshold = math.Float64bits(ts.Threshold)
-	want := fingerprint{hits: 10427, misses: 631, dropouts: 1230, threshold: 0x402f3f91983c5522}
-	if got != want {
-		t.Errorf("index-scale decisions moved:\n got %+v (threshold %v)\nwant %+v (threshold %v)",
-			got, math.Float64frombits(got.threshold), want, math.Float64frombits(want.threshold))
-	}
+		ts, err := c.TunerStats("f", spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.threshold = math.Float64bits(ts.Threshold)
+		want := fingerprint{hits: 10427, misses: 631, dropouts: 1230, threshold: 0x402f3f91983c5522}
+		if got != want {
+			t.Errorf("index-scale decisions moved:\n got %+v (threshold %v)\nwant %+v (threshold %v)",
+				got, math.Float64frombits(got.threshold), want, math.Float64frombits(want.threshold))
+		}
+	})
 }

@@ -45,7 +45,7 @@ func refHessianResponse(it *imaging.Integral, w, h, l int) *imaging.Gray {
 				it.Sum(x-l/2, y+l/2+1, x+l/2+1, y+l/2+1+l)) / area
 			dxy := (it.Sum(x-l, y-l, x, y) + it.Sum(x+1, y+1, x+1+l, y+1+l) -
 				it.Sum(x+1, y-l, x+1+l, y) - it.Sum(x-l, y+1, x, y+1+l)) / area
-			v := dxx*dyy - 0.81*dxy*dxy
+			v := float64(dxx*dyy) - float64(0.81*dxy*dxy)
 			if v < 0 {
 				v = 0
 			}

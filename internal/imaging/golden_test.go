@@ -125,7 +125,7 @@ func refConvolve(g *Gray, k Kernel) *Gray {
 			var sum float64
 			for ky := 0; ky < k.Size; ky++ {
 				for kx := 0; kx < k.Size; kx++ {
-					sum += k.W[ky*k.Size+kx] * g.At(x+kx-r, y+ky-r)
+					sum += float64(k.W[ky*k.Size+kx] * g.At(x+kx-r, y+ky-r))
 				}
 			}
 			out.Pix[y*g.W+x] = sum
@@ -142,7 +142,7 @@ func refBlur(g *Gray, sigma float64) *Gray {
 		for x := 0; x < g.W; x++ {
 			var sum float64
 			for i, w := range k {
-				sum += w * g.At(x+i-r, y)
+				sum += float64(w * g.At(x+i-r, y))
 			}
 			tmp.Pix[y*g.W+x] = sum
 		}
@@ -152,7 +152,7 @@ func refBlur(g *Gray, sigma float64) *Gray {
 		for x := 0; x < g.W; x++ {
 			var sum float64
 			for i, w := range k {
-				sum += w * tmp.At(x, y+i-r)
+				sum += float64(w * tmp.At(x, y+i-r))
 			}
 			out.Pix[y*g.W+x] = sum
 		}
@@ -171,9 +171,9 @@ func refBlurRGB(m *RGB, sigma float64) *RGB {
 				for kx := 0; kx < k.Size; kx++ {
 					cr, cg, cb := m.At(x+kx-r, y+ky-r)
 					w := k.W[ky*k.Size+kx]
-					sr += w * cr
-					sg += w * cg
-					sb += w * cb
+					sr += float64(w * cr)
+					sg += float64(w * cg)
+					sb += float64(w * cb)
 				}
 			}
 			out.Set(x, y, sr, sg, sb)
@@ -191,7 +191,7 @@ func refResize(g *Gray, w, h int) *Gray {
 	sy := float64(g.H) / float64(h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			out.Pix[y*w+x] = g.Bilinear((float64(x)+0.5)*sx-0.5, (float64(y)+0.5)*sy-0.5)
+			out.Pix[y*w+x] = g.Bilinear(float64((float64(x)+0.5)*sx)-0.5, float64((float64(y)+0.5)*sy)-0.5)
 		}
 	}
 	return out
@@ -242,7 +242,7 @@ func refGray(m *RGB) *Gray {
 	for y := 0; y < m.H; y++ {
 		for x := 0; x < m.W; x++ {
 			r, g, b := m.At(x, y)
-			out.Set(x, y, 0.299*r+0.587*g+0.114*b)
+			out.Set(x, y, float64(0.299*r)+float64(0.587*g)+float64(0.114*b))
 		}
 	}
 	return out

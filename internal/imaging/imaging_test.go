@@ -131,7 +131,7 @@ func TestBlurPreservesMean(t *testing.T) {
 		m := im.Mean()
 		var s float64
 		for _, v := range im.Pix {
-			s += (v - m) * (v - m)
+			s += float64((v - m) * (v - m))
 		}
 		return s / float64(len(im.Pix))
 	}

@@ -12,14 +12,15 @@ import (
 // nearest neighbor and range searches").
 //
 // Layout: the nodes live in one slice and name their children by index.
-// Each inner node holds a split axis and value, and every node the
-// bounding box of the rows below it, the boxes stored contiguously. A
-// leaf holds up to kdLeafSize keys row after row in one []float64, with
-// parallel id and key arrays, so a search scans a leaf's rows in place
-// instead of chasing a pointer per key. A search descends to the query's
-// side of each split first and crosses a split only when neither the
-// split plane nor the box on the far side lies farther than the best row
-// so far. Planes and boxes bound the Euclidean, Manhattan and Chebyshev
+// Each inner node holds a split axis and value, and every node but the
+// root the bounding box of the rows below it, the boxes stored
+// contiguously: a search reads only the box of a split's far side, and
+// the root is no split's side. A leaf holds up to kdLeafCap keys row
+// after row in one []float64, with parallel id and key arrays, so a
+// search scans a leaf's rows in place instead of chasing a pointer per
+// key. A search descends to the query's side of each split first and
+// crosses a split only when neither the split plane nor the box on the
+// far side lies farther than the best row so far. Planes and boxes bound the Euclidean, Manhattan and Chebyshev
 // metrics each in its own terms; under any other metric a search scans
 // every row.
 //
@@ -46,7 +47,7 @@ type KDTree struct {
 	width  int // row width: the length of every key
 
 	nodes  []kdNode
-	boxes  []float64 // node i's box: width lows, then width highs, at boxes[2*width*i:]
+	boxes  []float64 // node i's box, i > 0: width lows, then width highs, at boxes[2*width*(i-1):]
 	leaves []kdLeaf
 	free   []int32 // leaves for build to take: an overflowed leaf's, or all during a rebuild
 	where  map[ID]kdSlot
@@ -54,12 +55,23 @@ type KDTree struct {
 	muts   int // Inserts and Removes since the last build
 }
 
-// kdLeafSize is a leaf's row capacity, and kdRebuildShift sets the
-// rebuild point: after size>>kdRebuildShift mutations. Both were chosen by
-// a sweep of BenchmarkMissThenPut (CHANGES.md) while a round walked the
-// tree once, unbounded; a round now runs two bounded probes.
+// kdLeafSize sets the leaves' size. A leaf holds up to kdLeafCap rows:
+// an Insert past that splits it. A build makes leaves of at most
+// kdLeafFill rows, so each leaf it makes takes a quarter of kdLeafCap
+// more before it splits. A cache at capacity inserts before it evicts,
+// so it holds one row over its capacity for the length of a put: a
+// cache of up to kdLeafFill-1 entries, app-vision's 32 among them,
+// stays one leaf, a scan, and neither splits nor computes a box.
+// kdRebuildShift sets the rebuild point: after size>>kdRebuildShift
+// mutations. Both were chosen by sweeps of BenchmarkMissThenPut at dim
+// 16 (CHANGES.md), the last with these leaf bounds: kdLeafSize 8 to 64
+// read alike within the host's noise, and shift 0 read faster there
+// but scanned 158 rows, not 96, in a bounded far miss
+// (TestKDTreeNearestWithinScansLess).
 const (
 	kdLeafSize     = 32
+	kdLeafCap      = 2 * kdLeafSize
+	kdLeafFill     = kdLeafCap * 3 / 4
 	kdRebuildShift = 1
 )
 
@@ -114,10 +126,11 @@ func (t *KDTree) add(e kdEntry) {
 		t.build(t.newNode(), []kdEntry{e})
 		return
 	}
-	i := int32(0)
-	for {
-		lo, hi := t.box(i)
-		widen(lo, hi, e.key)
+	for i := int32(0); ; {
+		if i > 0 {
+			lo, hi := t.box(i)
+			widen(lo, hi, e.key)
+		}
 		n := t.nodes[i]
 		if n.axis >= 0 {
 			if e.key[n.axis] < n.split {
@@ -128,7 +141,7 @@ func (t *KDTree) add(e kdEntry) {
 			continue
 		}
 		l := &t.leaves[n.left]
-		if len(l.ids) == kdLeafSize {
+		if len(l.ids) == kdLeafCap {
 			es := append(t.appendLeaf(nil, n.left), e)
 			t.free = append(t.free, n.left)
 			t.build(i, es)
@@ -218,15 +231,25 @@ func (t *KDTree) appendLeaf(es []kdEntry, leaf int32) []kdEntry {
 }
 
 // build lays es out as the subtree rooted at node i: a leaf once they fit
-// in one, otherwise a median split on the axis along which their box is
-// widest.
+// in one a build makes, otherwise a median split on the axis along which
+// their box is widest. The root keeps no box, so it boxes its rows aside
+// only to split them.
 func (t *KDTree) build(i int32, es []kdEntry) {
-	lo, hi := t.box(i)
-	emptyBox(lo, hi)
-	for _, e := range es {
-		widen(lo, hi, e.key)
+	var lo, hi []float64
+	switch {
+	case i > 0:
+		lo, hi = t.box(i)
+	case len(es) > kdLeafFill:
+		b := make([]float64, 2*t.width)
+		lo, hi = b[:t.width], b[t.width:]
 	}
-	if len(es) <= kdLeafSize {
+	if lo != nil {
+		emptyBox(lo, hi)
+		for _, e := range es {
+			widen(lo, hi, e.key)
+		}
+	}
+	if len(es) <= kdLeafFill {
 		leaf := t.newLeaf()
 		t.nodes[i] = kdNode{axis: -1, left: leaf}
 		for _, e := range es {
@@ -282,7 +305,9 @@ func selectKth(es []kdEntry, k, axis int) {
 
 func (t *KDTree) newNode() int32 {
 	t.nodes = append(t.nodes, kdNode{})
-	t.boxes = slices.Grow(t.boxes, 2*t.width)[:len(t.boxes)+2*t.width]
+	if len(t.nodes) > 1 {
+		t.boxes = slices.Grow(t.boxes, 2*t.width)[:len(t.boxes)+2*t.width]
+	}
 	return int32(len(t.nodes) - 1)
 }
 
@@ -297,16 +322,17 @@ func (t *KDTree) newLeaf() int32 {
 		return leaf
 	}
 	t.leaves = append(t.leaves, kdLeaf{
-		rows: make([]float64, 0, kdLeafSize*t.width),
-		ids:  make([]ID, 0, kdLeafSize),
-		keys: make([]vec.Vector, 0, kdLeafSize),
+		rows: make([]float64, 0, kdLeafCap*t.width),
+		ids:  make([]ID, 0, kdLeafCap),
+		keys: make([]vec.Vector, 0, kdLeafCap),
 	})
 	return int32(len(t.leaves) - 1)
 }
 
 // box returns node i's box, its least and greatest coordinate per axis.
+// The root, i = 0, has none.
 func (t *KDTree) box(i int32) (lo, hi []float64) {
-	b := t.boxes[int(i)*2*t.width:][:2*t.width]
+	b := t.boxes[int(i-1)*2*t.width:][:2*t.width]
 	return b[:t.width], b[t.width:]
 }
 
@@ -365,7 +391,7 @@ type nnQuery struct {
 	at     int32 // the best entry's slot, as in search; -1 until one is found
 	evals  int
 	// partials holds a leaf's rows scored against key.
-	partials [kdLeafSize]float64
+	partials [kdLeafCap]float64
 }
 
 func (q *nnQuery) consider(d float64, id ID, slot int32) {
@@ -388,7 +414,7 @@ func (q *nnQuery) walk(i int32) {
 		ds := q.partials[:len(l.ids)]
 		t.form.Partials(t.metric, q.key, l.rows, ds)
 		for r, d := range ds {
-			q.consider(d, l.ids[r], n.left*kdLeafSize+int32(r))
+			q.consider(d, l.ids[r], n.left*kdLeafCap+int32(r))
 		}
 		q.evals += len(l.ids)
 		return
@@ -434,7 +460,7 @@ type kdQuery struct {
 }
 
 // search runs a kdQuery and returns what it kept, closest first. A slot
-// names a row as leaf*kdLeafSize+row. A key of another length than the
+// names a row as leaf*kdLeafCap+row. A key of another length than the
 // rows keeps nothing.
 func (t *KDTree) search(key vec.Vector, k int) ([]scored, int) {
 	q := kdQuery{t: t, key: key, k: k, found: distHeap{ids: t, max: true}}
@@ -452,7 +478,7 @@ func (q *kdQuery) walk(i int32) {
 		l := &t.leaves[n.left]
 		w := t.width
 		for r := range l.ids {
-			q.offer(t.metric.Distance(q.key, l.rows[r*w:][:w]), n.left*kdLeafSize+int32(r))
+			q.offer(t.metric.Distance(q.key, l.rows[r*w:][:w]), n.left*kdLeafCap+int32(r))
 		}
 		q.evals += len(l.ids)
 		return
@@ -493,11 +519,11 @@ func (q *kdQuery) offer(d float64, slot int32) {
 
 // idAt implements slotIDs over search's slots.
 func (t *KDTree) idAt(slot int32) ID {
-	return t.leaves[slot/kdLeafSize].ids[slot%kdLeafSize]
+	return t.leaves[slot/kdLeafCap].ids[slot%kdLeafCap]
 }
 
 func (t *KDTree) neighbor(x scored) Neighbor {
-	l, r := &t.leaves[x.slot/kdLeafSize], x.slot%kdLeafSize
+	l, r := &t.leaves[x.slot/kdLeafCap], x.slot%kdLeafCap
 	return Neighbor{ID: l.ids[r], Key: l.keys[r], Dist: x.dist}
 }
 

@@ -276,9 +276,9 @@ func (t *refKDTree) search(n *refKDNode, key vec.Vector, k int, h *distHeap, see
 
 // checkKDTree verifies the bucketed tree's own invariants: every stored
 // id sits in exactly one row, where its slot says, each
-// row holds its entry's key bit for bit, every box contains every row
-// below it, every row lies on its side of each split above it, and Len
-// counts them all.
+// row holds its entry's key bit for bit, every box (every node's but the
+// root's, which has none) contains every row below it, every row lies on
+// its side of each split above it, and Len counts them all.
 func checkKDTree(t *KDTree) error {
 	seen := make(map[ID]bool)
 	// up holds the nodes above a leaf; went[k] is the side taken below
@@ -294,7 +294,7 @@ func checkKDTree(t *KDTree) error {
 			return walk(n.right, up, append(went, true))
 		}
 		l := t.leaves[n.left]
-		if len(l.ids) > kdLeafSize || len(l.keys) != len(l.ids) || len(l.rows) != len(l.ids)*t.width {
+		if len(l.ids) > kdLeafCap || len(l.keys) != len(l.ids) || len(l.rows) != len(l.ids)*t.width {
 			return fmt.Errorf("leaf node %d: %d ids, %d keys, %d row floats", i, len(l.ids), len(l.keys), len(l.rows))
 		}
 		for r, id := range l.ids {
@@ -310,10 +310,12 @@ func checkKDTree(t *KDTree) error {
 				return fmt.Errorf("id %d: row %v, key %v", id, row, l.keys[r])
 			}
 			for k, j := range up {
-				lo, hi := t.box(j)
-				for a, x := range row {
-					if x < lo[a] || x > hi[a] {
-						return fmt.Errorf("id %d: axis %d = %v outside node %d's box [%v, %v]", id, a, x, j, lo[a], hi[a])
+				if j > 0 {
+					lo, hi := t.box(j)
+					for a, x := range row {
+						if x < lo[a] || x > hi[a] {
+							return fmt.Errorf("id %d: axis %d = %v outside node %d's box [%v, %v]", id, a, x, j, lo[a], hi[a])
+						}
 					}
 				}
 				if k < len(went) {
@@ -618,6 +620,35 @@ func TestKDTreeReplacementsStayBounded(t *testing.T) {
 	}
 }
 
+// TestKDTreeCacheOfOneLeafStaysOneLeaf pins app-vision's shape: a cache
+// of kdLeafSize 768-dim entries at capacity inserts each new key before
+// it evicts the oldest, so the tree briefly holds one row more. That
+// row must neither split the leaf nor make a rebuild box the rows: the
+// tree stays one node, and no box is ever allocated.
+func TestKDTreeCacheOfOneLeafStaysOneLeaf(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tree := NewKDTree(vec.EuclideanMetric{})
+	for id := ID(1); id <= kdLeafSize; id++ {
+		tree.Insert(id, randomVec(rng, 768))
+	}
+	for round := 0; round < 10_000; round++ {
+		id := ID(kdLeafSize + 1 + round)
+		if err := tree.Insert(id, randomVec(rng, 768)); err != nil {
+			t.Fatal(err)
+		}
+		tree.Remove(id - kdLeafSize)
+		if len(tree.nodes) != 1 || cap(tree.boxes) != 0 {
+			t.Fatalf("round %d: %d nodes, box storage for %d floats; want one leaf and no box", round, len(tree.nodes), cap(tree.boxes))
+		}
+	}
+	if err := checkKDTree(tree); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Len() != kdLeafSize || len(tree.leaves) != 1 {
+		t.Fatalf("Len %d in %d leaves, want %d in one", tree.Len(), len(tree.leaves), kdLeafSize)
+	}
+}
+
 // TestKDTreeNearestDoesNotAllocate pins an allocation-free Nearest at
 // 16 dimensions and at 768.
 func TestKDTreeNearestDoesNotAllocate(t *testing.T) {
@@ -668,7 +699,10 @@ func TestKDTreeConcurrentReadersGetSerialAnswers(t *testing.T) {
 	var mu sync.RWMutex
 	for round := 0; round < 4; round++ {
 		// Between rounds: inserts that overflow leaves and removes that
-		// pass the rebuild point.
+		// pass the rebuild point. A build leaves room in its leaves and
+		// a rebuild follows size/2 mutations, so a round inserts twice
+		// as many keys as the tree holds: as it grows, some rebuild
+		// leaves its leaves full enough to split before the next.
 		splits, builds := 0, 0
 		mutate := func(f func()) {
 			nodes, muts := len(tree.nodes), tree.muts
@@ -680,12 +714,12 @@ func TestKDTreeConcurrentReadersGetSerialAnswers(t *testing.T) {
 				splits++
 			}
 		}
-		for i := 0; i < 200; i++ {
-			id := ID(1001 + round*200 + i)
+		for i := 0; i < 2000; i++ {
+			id := ID(1001 + round*2000 + i)
 			mutate(func() { tree.Insert(id, randomVec(rng, 16)) })
 			live = append(live, id)
 		}
-		for i := 0; i < 300; i++ {
+		for i := 0; i < 2100; i++ {
 			j := rng.Intn(len(live))
 			id := live[j]
 			live[j] = live[len(live)-1]

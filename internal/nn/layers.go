@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
-	"repro/internal/imaging"
+	"repro/internal/cpu"
 )
 
 // Layer transforms a volume.
@@ -18,13 +19,19 @@ type Layer interface {
 	OutDims(c, h, w int) (int, int, int)
 }
 
-// Conv2D is a 2-D convolution with zero padding.
+// Conv2D is a 2-D convolution with zero padding. Its Weights are fixed
+// once Forward has run: the first Forward packs them for the kernels,
+// and later ones read only the packed copy. Bias may change between
+// calls.
 type Conv2D struct {
 	InC, OutC   int
 	K           int // kernel side
 	Stride, Pad int
 	Weights     []float64 // [outC][inC][K][K]
 	Bias        []float64 // [outC]
+
+	pack   sync.Once
+	packed []float64 // Weights in blocks of convBlock channels; see packWeights
 }
 
 // NewConv2D builds a convolution with He-style random weights drawn from
@@ -74,26 +81,31 @@ func (c *Conv2D) Forward(in *Volume) *Volume {
 	}
 	oc, oh, ow := c.OutDims(in.C, in.H, in.W)
 	out := getVolume(oc, oh, ow)
+	c.pack.Do(c.packWeights)
 	taps := c.InC * c.K * c.K
-	// The block's weights tap by tap, its channels side by side:
-	// packed[t*convBlock+j] is tap t's weight for channel o0+j.
-	packed := imaging.GetGray(taps*convBlock, 1)
 	for o0 := 0; o0 < c.OutC; o0 += convBlock {
 		n := min(convBlock, c.OutC-o0)
-		if n < convBlock {
-			clear(packed.Pix)
-		}
 		var bias [convBlock]float64
 		copy(bias[:], c.Bias[o0:o0+n])
-		for j := 0; j < n; j++ {
-			for t, v := range c.Weights[(o0+j)*taps:][:taps] {
-				packed.Pix[t*convBlock+j] = v
-			}
-		}
-		c.forwardBlock(out, in, o0, n, &bias, packed.Pix)
+		c.forwardBlock(out, in, o0, n, &bias, c.packed[o0*taps:][:taps*convBlock])
 	}
-	imaging.PutGray(packed)
 	return out
+}
+
+// packWeights lays Weights out for forwardBlock: each block of convBlock
+// output channels tap by tap, its channels side by side, so that
+// packed[o0*taps+t*convBlock+j] is tap t's weight for channel o0+j. A
+// last, partial block is padded with zero weights.
+func (c *Conv2D) packWeights() {
+	taps := c.InC * c.K * c.K
+	blocks := (c.OutC + convBlock - 1) / convBlock
+	c.packed = make([]float64, blocks*convBlock*taps)
+	for o := 0; o < c.OutC; o++ {
+		block := c.packed[o/convBlock*convBlock*taps:]
+		for t, v := range c.Weights[o*taps:][:taps] {
+			block[t*convBlock+o%convBlock] = v
+		}
+	}
 }
 
 // validTaps returns the kernel offsets [lo, hi) that land inside an
@@ -105,9 +117,9 @@ func validTaps(i0, k, size int) (lo, hi int) {
 
 // useAVX2 selects the AVX2 kernels: convPairAVX2 and convPointAVX2 in
 // forwardBlock, maxPool2AVX2 in MaxPool.Forward. It is set once, from
-// the CPU, when the package initialises; off amd64, or on a CPU without
-// AVX2, the Go loops run. Both give the same bits.
-var useAVX2 = cpuHasAVX2()
+// the CPU (package cpu), when the package initialises; off amd64, or on
+// a CPU without AVX2, the Go loops run. Both give the same bits.
+var useAVX2 = cpu.HasAVX2
 
 // forwardBlock computes output channels o0 to o0+n-1 from the block's
 // bias and packed weights w. Each output position computes its valid ky

@@ -43,15 +43,15 @@ func FormOf(m Metric) Form {
 // Partials scores rows, len(key)-wide vectors laid one after another,
 // against key under m, whose form f is: it sets each out[i] to the
 // partial distance from key to row i, SquaredEuclidean for FormL2 and
-// m.Distance for the rest. rows must hold len(out) rows.
+// m.Distance for the rest. rows must hold len(out) rows. Under FormL2
+// it scores several rows at once, each with SquaredEuclidean's bits (see
+// squaredRows).
 func (f Form) Partials(m Metric, key Vector, rows, out []float64) {
-	w := len(key)
 	if f == FormL2 {
-		for i := range out {
-			out[i] = SquaredEuclidean(key, rows[i*w:][:w])
-		}
+		squaredRows(key, rows, out)
 		return
 	}
+	w := len(key)
 	for i := range out {
 		out[i] = m.Distance(key, rows[i*w:][:w])
 	}

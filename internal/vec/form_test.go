@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 var formMetrics = []struct {
@@ -118,7 +120,7 @@ func TestBoxPartialBoundsInside(t *testing.T) {
 						in[a] = max(lo[a], min(hi[a], x)) // on or near a face
 					default:
 						f := max(lo[a], -1e3)
-						in[a] = min(hi[a], f+rng.Float64()*(min(hi[a], 1e3)-f))
+						in[a] = min(hi[a], f+float64(rng.Float64()*(min(hi[a], 1e3)-f)))
 					}
 					key[a] = oddCoord(rng)
 					if math.IsNaN(key[a]) {
@@ -133,5 +135,101 @@ func TestBoxPartialBoundsInside(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// distanceKernels lists the values of useAVX2 this CPU can run: the Go
+// loops always, and the AVX2 kernel where the CPU has AVX2.
+func distanceKernels() []bool {
+	if cpu.HasAVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// kernelCoord is oddCoord with NaNs of another sign and payload mixed
+// in, so that a kernel that takes a NaN from the wrong operand shows.
+func kernelCoord(rng *rand.Rand) float64 {
+	if rng.Intn(32) == 0 {
+		return math.Float64frombits(0xfff8_0000_0000_0123)
+	}
+	return oddCoord(rng)
+}
+
+// TestPartialsKeepSquaredEuclideanBits holds Partials under FormL2, on
+// the Go loops and on the AVX2 kernel where the CPU has one, to
+// SquaredEuclidean bit for bit, NaNs included: each row of a block must
+// sum its own squares in axis order, each product rounded on its own.
+// The widths run 1 to 31 (every remainder mod 4 after the kernel's
+// 4-axis steps), 768 and 769; the row counts 0 to 17 and 32, so that
+// blocks of 8 and 4 rows and single rows all run, alone and after one
+// another. Keys and rows hold ±0, ±Inf and NaNs of two payloads.
+//
+// When a NaN sum meets a NaN square, x86 keeps the NaN of the add's
+// first operand. The kernel puts the sum first, as the compiler does for
+// SquaredEuclidean in a normal build; a race-instrumented build may put
+// the square first, so there a NaN need only meet a NaN.
+func TestPartialsKeepSquaredEuclideanBits(t *testing.T) {
+	was := UseAVX2(false)
+	t.Cleanup(func() { UseAVX2(was) })
+	widths := []int{768, 769}
+	for w := 1; w <= 31; w++ {
+		widths = append(widths, w)
+	}
+	counts := []int{32}
+	for n := 0; n <= 17; n++ {
+		counts = append(counts, n)
+	}
+	for _, avx := range distanceKernels() {
+		UseAVX2(avx)
+		rng := rand.New(rand.NewSource(3))
+		for _, w := range widths {
+			for _, n := range counts {
+				key, rows, out := make(Vector, w), make([]float64, n*w), make([]float64, n)
+				for trial := 0; trial < 4; trial++ {
+					// The first two trials draw finite coordinates only:
+					// a wide row with one NaN or Inf in it sums to NaN or
+					// Inf, whatever its order.
+					coord := kernelCoord
+					if trial < 2 {
+						coord = func(rng *rand.Rand) float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)) }
+					}
+					for a := range key {
+						key[a] = coord(rng)
+					}
+					for i := range rows {
+						if rng.Intn(4) == 0 {
+							rows[i] = key[i%w] // an exact match on the axis
+						} else {
+							rows[i] = coord(rng)
+						}
+					}
+					FormL2.Partials(EuclideanMetric{}, key, rows, out)
+					for i, got := range out {
+						row := Vector(rows[i*w:][:w])
+						want := SquaredEuclidean(key, row)
+						if raceEnabled && math.IsNaN(got) && math.IsNaN(want) {
+							continue
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("avx2=%v width %d, %d rows: row %d partial %v (%#x), SquaredEuclidean %v (%#x)",
+								avx, w, n, i, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPartialsUsesAVX2 fails when the CPU has AVX2 but Partials runs the
+// Go loops, so that a broken switch cannot leave the AVX2 kernel
+// untested and unused.
+func TestPartialsUsesAVX2(t *testing.T) {
+	if !cpu.HasAVX2 {
+		t.Skip("no AVX2 on this CPU or GOARCH: only the Go loops run")
+	}
+	if !useAVX2 {
+		t.Fatal("the CPU has AVX2, but Partials runs the Go loops")
 	}
 }

@@ -179,7 +179,7 @@ func TestMetricAxiomsProperty(t *testing.T) {
 			// Triangle inequality with FP slack.
 			dac := m.Distance(a, c)
 			dcb := m.Distance(c, b)
-			return dab <= dac+dcb+1e-6*(1+dab)
+			return dab <= dac+dcb+float64(1e-6*(1+dab))
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s axioms violated: %v", m.Name(), err)
